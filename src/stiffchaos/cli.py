@@ -466,14 +466,8 @@ def cmd_compare(cfg: dict) -> int:
 
     runs = []
     for mkey in methods:
-        method = METHOD_BY_NUMBER[mkey]
         sub = dict(cfg)
-        sub_tr = dict(section)
-        sub_tr["method"] = mkey
-        if "intervals" not in sub_tr or sub_tr.get("intervals") is None:
-            spi = METHOD_STEPS_PER_INTERVAL[method]
-            sub_tr["intervals"] = 1 if spi is None else max(1, n_steps // spi)
-        sub["transform"] = sub_tr
+        sub["transform"] = {**section, "method": mkey}
         method, plan, params, _ = _transform_setup(sub, spec)
         runs.append(run_transformed(spec, plan, method, params, reference, gamma_source))
 
@@ -575,6 +569,10 @@ def main(argv: list[str] | None = None) -> int:
             ExponentOverflow, MismatchedBaseline, ArithmeticError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # a library precondition on the input (e.g. --steps 0, --eps -1)
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

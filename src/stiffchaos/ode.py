@@ -133,37 +133,29 @@ class AdaptiveConfig:
 
 
 # ---------------------------------------------------------------------------
-# RK4 stepping kernels.  The dim-3 and dim-1 variants are unrolled because
-# the Lorenz oracle takes ~10^6 steps per test session.
+# RK4 stepping kernels.  Both take the first stage k1 = f(t, u) from the
+# caller (step doubling shares it between the full and the first half step)
+# and return (u_next, k2, k3, k4), so the adaptive solver can inspect the
+# stages.  The dim-3 kernel is unrolled because the Lorenz oracle takes
+# ~10^6 steps per test session; ``_rk4_kernel`` is the one place that picks.
 
-def _rk4_step3(f: Rhs, t: float, u: State, h: float) -> State:
+def _rk4_step3(f: Rhs, t: float, u: State, h: float, k1: Sequence[float]):
     x, y, z = u
+    a1, b1, c1 = k1
     h2 = 0.5 * h
-    a1, b1, c1 = f(t, u)
-    a2, b2, c2 = f(t + h2, (x + h2 * a1, y + h2 * b1, z + h2 * c1))
-    a3, b3, c3 = f(t + h2, (x + h2 * a2, y + h2 * b2, z + h2 * c2))
-    a4, b4, c4 = f(t + h, (x + h * a3, y + h * b3, z + h * c3))
+    k2 = a2, b2, c2 = f(t + h2, (x + h2 * a1, y + h2 * b1, z + h2 * c1))
+    k3 = a3, b3, c3 = f(t + h2, (x + h2 * a2, y + h2 * b2, z + h2 * c2))
+    k4 = a4, b4, c4 = f(t + h, (x + h * a3, y + h * b3, z + h * c3))
     s = h / 6.0
     return (
         x + s * (a1 + 2.0 * (a2 + a3) + a4),
         y + s * (b1 + 2.0 * (b2 + b3) + b4),
         z + s * (c1 + 2.0 * (c2 + c3) + c4),
-    )
+    ), k2, k3, k4
 
 
-def _rk4_step1(f: Rhs, t: float, u: State, h: float) -> State:
-    x = u[0]
+def _rk4_stepn(f: Rhs, t: float, u: State, h: float, k1: Sequence[float]):
     h2 = 0.5 * h
-    k1 = f(t, u)[0]
-    k2 = f(t + h2, (x + h2 * k1,))[0]
-    k3 = f(t + h2, (x + h2 * k2,))[0]
-    k4 = f(t + h, (x + h * k3,))[0]
-    return (x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4),)
-
-
-def _rk4_stepn(f: Rhs, t: float, u: State, h: float) -> State:
-    h2 = 0.5 * h
-    k1 = f(t, u)
     k2 = f(t + h2, tuple(ui + h2 * ki for ui, ki in zip(u, k1)))
     k3 = f(t + h2, tuple(ui + h2 * ki for ui, ki in zip(u, k2)))
     k4 = f(t + h, tuple(ui + h * ki for ui, ki in zip(u, k3)))
@@ -171,15 +163,15 @@ def _rk4_stepn(f: Rhs, t: float, u: State, h: float) -> State:
     return tuple(
         ui + s * (a + 2.0 * (b + c) + d)
         for ui, a, b, c, d in zip(u, k1, k2, k3, k4)
-    )
+    ), k2, k3, k4
+
+
+def _rk4_kernel(dim: int) -> Callable:
+    return _rk4_step3 if dim == 3 else _rk4_stepn
 
 
 def rk4_step(f: Rhs, t: float, u: State, h: float, dim: int) -> State:
-    if dim == 3:
-        return _rk4_step3(f, t, u, h)
-    if dim == 1:
-        return _rk4_step1(f, t, u, h)
-    return _rk4_stepn(f, t, u, h)
+    return _rk4_kernel(dim)(f, t, u, h, f(t, u))[0]
 
 
 def _is_bad(u: State) -> bool:
@@ -199,14 +191,15 @@ def solve_rk4_fixed(problem: OdeProblem, n_steps: int) -> Trajectory:
     h = (t1 - t0) / n_steps
     dim = problem.dim
     f = problem.rhs
-    step = _rk4_step3 if dim == 3 else (_rk4_step1 if dim == 1 else _rk4_stepn)
+    step = _rk4_kernel(dim)
 
     times = t0 + h * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, dim))
     u = problem.u0
     states[0] = u
     for i in range(n_steps):
-        u = step(f, t0 + i * h, u, h)
+        t = t0 + i * h
+        u = step(f, t, u, h, f(t, u))[0]
         if _is_bad(u):
             raise NonFiniteState(t0 + (i + 1) * h)
         states[i + 1] = u
@@ -297,28 +290,6 @@ def _adaptive_loop(
 _STAGE_BLOWUP = 10.0
 
 
-def _rk4_stage_spread(f: Rhs, t: float, u: State, h: float) -> tuple[State, float, float]:
-    """One RK4 step plus the first-stage and max-over-stages derivative
-    magnitudes (the spread flags steps taken beyond the stability boundary)."""
-    h2 = 0.5 * h
-    k1 = f(t, u)
-    k2 = f(t + h2, tuple(ui + h2 * ki for ui, ki in zip(u, k1)))
-    k3 = f(t + h2, tuple(ui + h2 * ki for ui, ki in zip(u, k2)))
-    k4 = f(t + h, tuple(ui + h * ki for ui, ki in zip(u, k3)))
-    s = h / 6.0
-    out = tuple(
-        ui + s * (a + 2.0 * (b + c) + d)
-        for ui, a, b, c, d in zip(u, k1, k2, k3, k4)
-    )
-    m0 = max(abs(v) for v in k1)
-    m = m0
-    for k in (k2, k3, k4):
-        mk = max(abs(v) for v in k)
-        if mk > m:
-            m = mk
-    return out, m0, m
-
-
 def solve_rk4_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajectory:
     """RK4 with step-doubling error control.
 
@@ -332,21 +303,26 @@ def solve_rk4_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajectory:
     the solver marching at the stability limit, which is the documented
     Robertson behavior.  A trial whose internal stage derivatives exceed the
     step-start derivative scale by an order of magnitude is rejected
-    outright as well.  Hitting dt_min or the step budget before t_end is not
-    an error: the partial trajectory is returned with ``stagnated=True``
-    (the expected outcome on Robertson).
+    outright as well.  The full step and the first half step share the
+    stage k1 = f(t, u), so an attempt costs 11 rhs evaluations.  Hitting
+    dt_min or the step budget before t_end is not an error: the partial
+    trajectory is returned with ``stagnated=True`` (the expected outcome on
+    Robertson).
     """
     f = problem.rhs
-    dim = problem.dim
-    step = _rk4_step3 if dim == 3 else (_rk4_step1 if dim == 1 else _rk4_stepn)
+    step = _rk4_kernel(problem.dim)
 
     def attempt(t: float, u: State, h: float) -> tuple[State, float]:
-        full, m0, mstage = _rk4_stage_spread(f, t, u, h)
+        k1 = f(t, u)
+        full, k2, k3, k4 = step(f, t, u, h, k1)
         h2 = 0.5 * h
-        half = step(f, t + h2, step(f, t, u, h2), h2)
+        mid = step(f, t, u, h2, k1)[0]
+        half = step(f, t + h2, mid, h2, f(t + h2, mid))[0]
         if _is_bad(half) or _is_bad(full):
             return u, math.inf
-        if not mstage <= _STAGE_BLOWUP * m0 + 1.0:
+        # the stages are finite here: a non-finite stage makes ``full`` bad
+        m0 = max(map(abs, k1))
+        if not max(max(map(abs, k)) for k in (k2, k3, k4)) <= _STAGE_BLOWUP * m0 + 1.0:
             return u, math.inf
         return half, _scaled_diff(full, half, u, floor=1e-6) / 15.0
 

@@ -14,7 +14,8 @@ next interval.
 Four strategies pick the mu_i per interval:
 
 * method 1 (fixed_mu)       : one hand-tuned triple, held constant;
-* method 2 (local_gamma)    : q times the previous interval's gamma_max of J*;
+* method 2 (local_gamma)    : q times the previous interval's gamma_max of the
+                              flow Jacobian J (by default);
 * method 3 (cumulative_avg) : multipliers times the running mean of gamma_max;
 * method 4 (window_avg)     : multipliers times the mean over the last two
                               intervals.
@@ -43,7 +44,16 @@ from .diagnostics import (
     dt_stiff,
     local_eigenvalues,
 )
-from .ode import NonFiniteState, OdeProblem, RK4_FIXED, State, Trajectory, rk4_step
+from .ode import (
+    NonFiniteState,
+    OdeProblem,
+    RK4_FIXED,
+    Rhs,
+    State,
+    Trajectory,
+    _is_bad,
+    rk4_step,
+)
 from .problems import BenchmarkSpec, nearest_sample_indices, stiff_linear
 
 EXP_ARG_LIMIT = 700.0
@@ -163,6 +173,38 @@ def _check_exponents(mu: Sequence[float], t_local: float) -> None:
             "use more/shorter intervals")
 
 
+def _transformed_lorenz84(mu: Sequence[float], eps_scale: Sequence[float],
+                          a: float, b: float, f: float, g: float) -> Rhs:
+    """The transformed Lorenz-84 rhs ``(t_local, z) -> dz/dt`` for one
+    interval's shifts (equations in ``transformed_rhs``)."""
+    m1, m2, m3 = mu
+    e1, e2, e3 = eps_scale
+    k22 = e2 * e2 / e1
+    k33 = e3 * e3 / e1
+    kb2 = b * e1 * e3 / e2
+    kb3 = b * e1 * e2 / e3
+    x22 = 2.0 * m2 - m1
+    x33 = 2.0 * m3 - m1
+    xb2 = m1 - m2 + m3
+    xb3 = m1 + m2 - m3
+    af = a * f / e1
+    ge = g / e2
+    exp = math.exp
+
+    def zrhs(t: float, zz: State) -> State:
+        z1, z2, z3 = zz
+        em1 = exp(m1 * t)
+        return (
+            -m1 * z1 - k22 * exp(x22 * t) * z2 * z2
+            - k33 * exp(x33 * t) * z3 * z3 - a * z1 + af * exp(-m1 * t),
+            -m2 * z2 + e1 * em1 * z1 * z2 - kb2 * exp(xb2 * t) * z1 * z3
+            - z2 + ge * exp(-m2 * t),
+            -m3 * z3 + kb3 * exp(xb3 * t) * z1 * z2 + e1 * em1 * z1 * z3 - z3,
+        )
+
+    return zrhs
+
+
 def transformed_rhs(params: TransformParams, t_local: float, z: State,
                     a: float, b: float, f: float, g: float) -> State:
     """Right-hand side of the transformed system in interval-local time.
@@ -177,20 +219,7 @@ def transformed_rhs(params: TransformParams, t_local: float, z: State,
                + e1 e^{mu1 t} z1 z3 - z3
     """
     _check_exponents(params.mu, t_local)
-    e1, e2, e3 = params.eps_scale
-    m1, m2, m3 = params.mu
-    z1, z2, z3 = z
-    em1 = math.exp(m1 * t_local)
-    dz1 = (-m1 * z1
-           - (e2 * e2 / e1) * math.exp((2.0 * m2 - m1) * t_local) * z2 * z2
-           - (e3 * e3 / e1) * math.exp((2.0 * m3 - m1) * t_local) * z3 * z3
-           - a * z1 + (a * f / e1) * math.exp(-m1 * t_local))
-    dz2 = (-m2 * z2 + e1 * em1 * z1 * z2
-           - b * (e1 * e3 / e2) * math.exp((m1 - m2 + m3) * t_local) * z1 * z3
-           - z2 + (g / e2) * math.exp(-m2 * t_local))
-    dz3 = (-m3 * z3 + b * (e1 * e2 / e3) * math.exp((m1 + m2 - m3) * t_local) * z1 * z2
-           + e1 * em1 * z1 * z3 - z3)
-    return (dz1, dz2, dz3)
+    return _transformed_lorenz84(params.mu, params.eps_scale, a, b, f, g)(t_local, z)
 
 
 def jstar(params: TransformParams, z: State, a: float, b: float):
@@ -239,7 +268,7 @@ class TransformRun:
     params: TransformParams
     problem: OdeProblem
     mu_history: np.ndarray          # (K, 3) mu used in each interval
-    gamma_max_history: np.ndarray   # (K,) gamma_max of J* at interval starts
+    gamma_max_history: np.ndarray   # (K,) gamma_max per interval (see gamma_source)
     solution: Trajectory            # back-transformed, N+1 samples
     errors_vs_reference: np.ndarray  # (N+1, 3) absolute errors
 
@@ -309,6 +338,7 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
     h = plan.dt
     t0 = plan.t_span[0]
     e1, e2, e3 = params.eps_scale
+    exp = math.exp
 
     times = t0 + h * np.arange(n + 1)
     states = np.empty((n + 1, 3))
@@ -331,30 +361,8 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
         elif gamma_source == GAMMA_JSTAR_START:
             gamma_history[k] = local_eigenvalues(jstar(pars, z, a, b)).gamma_max
 
+        zrhs = _transformed_lorenz84(mu, params.eps_scale, a, b, f, g)
         m1, m2, m3 = mu
-        k22 = e2 * e2 / e1
-        k33 = e3 * e3 / e1
-        kb2 = b * e1 * e3 / e2
-        kb3 = b * e1 * e2 / e3
-        x22 = 2.0 * m2 - m1
-        x33 = 2.0 * m3 - m1
-        xb2 = m1 - m2 + m3
-        xb3 = m1 + m2 - m3
-        af = a * f / e1
-        ge = g / e2
-        exp = math.exp
-
-        def zrhs(t: float, zz: State) -> State:
-            z1, z2, z3 = zz
-            em1 = exp(m1 * t)
-            return (
-                -m1 * z1 - k22 * exp(x22 * t) * z2 * z2
-                - k33 * exp(x33 * t) * z3 * z3 - a * z1 + af * exp(-m1 * t),
-                -m2 * z2 + e1 * em1 * z1 * z2 - kb2 * exp(xb2 * t) * z1 * z3
-                - z2 + ge * exp(-m2 * t),
-                -m3 * z3 + kb3 * exp(xb3 * t) * z1 * z2 + e1 * em1 * z1 * z3 - z3,
-            )
-
         base = k * spi
         for j in range(spi):
             tau = j * h
@@ -363,8 +371,7 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
             u = (e1 * exp(m1 * tau_next) * z[0],
                  e2 * exp(m2 * tau_next) * z[1],
                  e3 * exp(m3 * tau_next) * z[2])
-            s = u[0] + u[1] + u[2]
-            if (s - s) != 0.0:
+            if _is_bad(u):
                 raise NonFiniteState(t0 + (base + j + 1) * h)
             states[base + j + 1] = u
         if gamma_source == GAMMA_JSTAR_END:
@@ -470,8 +477,8 @@ def stiff_transform_demo(a: float, kappa_g: float, eps: float) -> StiffTransform
     (2 sqrt(3)/9)|kf - kg| independent of amplitude, which puts the step
     needed to resolve z at the same order as the stiffness bound for u
     itself.  dt_max_z is capped at the problem horizon when the growth rate
-    vanishes (non-stiff limit); the order-of-match assertion ratio in
-    [0.1, 10] is enforced.
+    vanishes (non-stiff limit).  The demonstration assumes |kappa_g| <= 1 << a;
+    an input whose ratio escapes [0.1, 10] raises ValueError.
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
@@ -488,7 +495,7 @@ def stiff_transform_demo(a: float, kappa_g: float, eps: float) -> StiffTransform
     dt_u = dt_stiff(-float(a), eps)
     ratio = dt_z / dt_u
     if not 0.1 <= ratio <= 10.0:
-        raise AssertionError(
+        raise ValueError(
             f"step-bound ratio {ratio:.3g} escaped [0.1, 10]; "
             "the demonstration assumes |kappa_g| <= 1 << a")
     return StiffTransformReport(

@@ -271,3 +271,18 @@ class TestConfigHandling:
                    "--steps", "25", "--problem.params.a", "300000",
                    "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "0"],
+        ["diagnose", "--problem", "lorenz84", "--solver", "rk4", "--steps", "100",
+         "--eps", "-1"],
+        ["demo-stiff-transform", "--kappa-g", "1"],
+        ["demo-stiff-transform", "--a", "0.5"],
+    ], ids=["solve-steps-0", "diagnose-eps-negative", "demo-kappa-g-positive", "demo-a-small"])
+    def test_library_precondition_is_one_line_config_error(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("configuration error: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err

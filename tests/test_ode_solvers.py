@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from stiffchaos import (
     solve_trapezoid_adaptive,
     stiff_linear,
 )
+from stiffchaos.ode import _rk4_step3, _rk4_stepn
 
 
 def exp_decay(t_span=(0.0, 1.0)) -> OdeProblem:
@@ -149,6 +151,40 @@ class TestRk4Adaptive:
         assert 1.0 < traj.t_reached < 1000.0
         # the small y component never leaves its physical scale
         assert np.min(traj.states[:, 1]) > -1e-3
+
+
+class TestRk4Kernels:
+    @pytest.mark.parametrize("problem, cfg", [
+        (robertson().problem,
+         AdaptiveConfig(tol=1e-3, dt_init=1e-6, dt_min=1e-12, dt_max=1e5, max_steps=300)),
+        (exp_decay((0.0, 5.0)), AdaptiveConfig(tol=1e-9, dt_init=1.0)),
+    ], ids=["robertson-dim3", "exp-decay-dim1"])
+    def test_adaptive_attempt_costs_eleven_rhs_calls(self, problem, cfg):
+        # the full step and the first half step share k1 = f(t, u)
+        calls = 0
+
+        def counted(t, u):
+            nonlocal calls
+            calls += 1
+            return problem.rhs(t, u)
+
+        traj = solve_rk4_adaptive(replace(problem, rhs=counted), cfg)
+        assert traj.steps_rejected > 0
+        assert calls == 11 * (traj.steps_taken + traj.steps_rejected)
+
+    @pytest.mark.parametrize("spec, scale, log10_h", [
+        (lorenz84(), (2.0, 2.0, 2.0), (-4.0, -1.0)),
+        (robertson(), (1.0, 4e-5, 1.0), (-7.0, -2.0)),
+    ], ids=["lorenz84", "robertson"])
+    def test_unrolled_and_generic_kernels_agree_bitwise(self, spec, scale, log10_h):
+        rng = np.random.default_rng(31)
+        f = spec.problem.rhs
+        for _ in range(200):
+            u = tuple(float(x) for x in rng.uniform(-1.0, 1.0, 3) * np.array(scale))
+            t = float(rng.uniform(0.0, 10.0))
+            h = 10.0 ** float(rng.uniform(*log10_h))
+            k1 = f(t, u)
+            assert _rk4_step3(f, t, u, h, k1) == _rk4_stepn(f, t, u, h, k1)
 
 
 class TestTrapezoid:

@@ -212,6 +212,19 @@ class TestRunTransformed:
             return
         assert run.max_error(0) > 0.5
 
+    @pytest.mark.parametrize("method", list(MuMethod))
+    def test_eps_scale_matches_unit_scale(self, method):
+        # x = eps exp(mu t) z is exact for any eps > 0, so the scaled run
+        # differs from the unit run by rounding only (measured <= 2.5e-14)
+        spec = lorenz84(t_span=(0.0, 3.0))
+        reference = solve_rk4_fixed(spec.problem, 12000)
+        plan = IntervalPlan(600, 15, (0.0, 3.0))
+        unit, scaled = (run_transformed(spec, plan, method,
+                                        params_for_method(method, eps_scale=eps), reference)
+                        for eps in ((1.0, 1.0, 1.0), (2.0, 0.5, 1.5)))
+        assert np.max(np.abs(scaled.solution.states - unit.solution.states)) <= 1e-12
+        assert np.max(np.abs(scaled.mu_history - unit.mu_history)) <= 1e-12
+
     def test_reference_grid_must_align(self, lorenz_spec, lorenz_oracle):
         with pytest.raises(ValueError):
             run_transformed(lorenz_spec, IntervalPlan(7, 7, (0.0, 30.0)),
