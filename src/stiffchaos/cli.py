@@ -1,10 +1,17 @@
 """Command-line experiment driver.
 
 Subcommands: ``solve`` (one trajectory to CSV), ``diagnose`` (stiffness
-report + local-Lyapunov scan), ``transform`` (interval-segmented transformed
-integration of lorenz84 with error/mu/step-extension CSVs), ``compare``
-(method sweep against a shared oracle), ``demo-stiff-transform`` (the linear
-no-go demonstration).
+report + local-Lyapunov scan), ``transform`` (interval-segmented integration
+of the exponentially transformed system with error/mu/step-extension CSVs),
+``compare`` (method sweep against a shared oracle), ``demo-stiff-transform``
+(the linear no-go demonstration).  ``transform`` and ``compare`` take the
+reference shift/scale triples by default, so they run on any 3-component
+problem (lorenz84, robertson); other dimensions need all of
+``transform.eps_scale``, ``transform.mu_init`` and ``transform.coeffs`` with
+one number per component, and ``transform`` writes three-component outputs.
+
+Input is validated before any integration, and ``--out`` is created only
+once a command has its results to write.
 
 Every run writes a ``manifest.json`` echoing the resolved configuration and
 summary metrics recomputed from the emitted CSVs.  Numbers are printed with
@@ -43,11 +50,13 @@ from .ode import (
 )
 from .problems import BenchmarkSpec, PROBLEM_FACTORIES, lle_scan, make_problem
 from .transform import (
+    DEFAULT_COEFFS,
     ExponentOverflow,
     GAMMA_FLOW,
     GAMMA_SOURCES,
     IntervalPlan,
     METHOD_BY_NUMBER,
+    METHOD_MU_INIT,
     METHOD_STEPS_PER_INTERVAL,
     MuMethod,
     TransformRun,
@@ -178,14 +187,15 @@ def build_benchmark(cfg: dict) -> BenchmarkSpec:
         raise ConfigError(f"problem.name: unknown problem {name!r}; "
                           f"choose from {sorted(PROBLEM_FACTORIES)}")
     t_span = section.get("t_span")
-    if section.get("tf") is not None:
-        default_start = {"robertson": 1e-6}.get(name, 0.0)
-        start = t_span[0] if t_span else default_start
-        t_span = [start, float(section["tf"])]
     u0 = section.get("u0")
     if isinstance(u0, (int, float)):
         u0 = [float(u0)]
     try:
+        if section.get("tf") is not None:
+            # --tf keeps the problem's own start time unless t_span sets one
+            start = t_span[0] if t_span else \
+                make_problem(name, params=section.get("params")).problem.t_span[0]
+            t_span = [start, float(section["tf"])]
         return make_problem(name, params=section.get("params"),
                             u0=u0, t_span=t_span)
     except (ValueError, KeyError) as exc:
@@ -259,8 +269,8 @@ def _out_dir(cfg: dict) -> Path:
 def cmd_solve(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
-    out = _out_dir(cfg)
     traj = run_solver(cfg, spec)
+    out = _out_dir(cfg)
     dim = traj.dim
     path = out / "solution.csv"
     header = ["t"] + [f"u{i + 1}" for i in range(dim)]
@@ -285,21 +295,23 @@ def cmd_solve(cfg: dict) -> int:
 def cmd_diagnose(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
-    out = _out_dir(cfg)
     eps = float(cfg.get("eps", spec.default_eps))
+    if not eps > 0:
+        raise ConfigError(f"eps must be > 0, got {eps!r}")
     component = int(cfg.get("scan", {}).get("component", 0))
     n_samples = int(cfg.get("scan", {}).get("n_samples", 400))
     traj = run_solver(cfg, spec)
 
     report = stiffness_report(traj, spec.problem, spec.variational_jacobian,
                               eps=eps, component=component)
+    trace = lle_scan(spec, traj, n_samples)
+    out = _out_dir(cfg)
     stiff_path = out / "stiffness.csv"
     write_csv(stiff_path, ["t", "kappa", "dt_max", "dt_stiff", "Q", "R"],
               ([report.times[i], report.kappa[i], report.dt_max[i],
                 report.dt_stiff[i], report.q[i], report.r[i]]
                for i in range(len(report.times))))
 
-    trace = lle_scan(spec, traj, n_samples)
     dim = spec.problem.dim
     header = ["t"]
     for i in range(dim):
@@ -333,11 +345,23 @@ def cmd_diagnose(cfg: dict) -> int:
     return 0
 
 
+def _vector(section: dict, key: str, default, spec: BenchmarkSpec) -> tuple[float, ...]:
+    """``transform.<key>`` as one number per state component."""
+    value = section.get(key, default)
+    dim = spec.problem.dim
+    if not (isinstance(value, (list, tuple)) and len(value) == dim and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        raise ConfigError(f"transform.{key}: {spec.problem.name} needs a list of "
+                          f"{dim} numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
 def _transform_setup(cfg: dict, spec: BenchmarkSpec):
     section = cfg.get("transform", {})
     method_key = str(section.get("method", "3"))
     if method_key not in METHOD_BY_NUMBER:
-        raise ConfigError(f"transform.method: choose from {sorted(METHOD_BY_NUMBER)}")
+        raise ConfigError(f"transform.method: unknown method {method_key!r}; "
+                          f"choose from {sorted(METHOD_BY_NUMBER)}")
     method = METHOD_BY_NUMBER[method_key]
     n_steps = int(cfg.get("solver", {}).get("steps", 600))
     intervals = section.get("intervals")
@@ -350,11 +374,10 @@ def _transform_setup(cfg: dict, spec: BenchmarkSpec):
         raise ConfigError(f"transform: {exc}") from None
     params = params_for_method(
         method,
-        eps_scale=tuple(section.get("eps_scale", (1.0, 1.0, 1.0))),
+        eps_scale=_vector(section, "eps_scale", (1.0, 1.0, 1.0), spec),
         q=float(section.get("q", 1.0)),
-        coeffs=tuple(section.get("coeffs")) if section.get("coeffs") else
-        params_for_method(method).coeffs,
-        mu_init=tuple(section.get("mu_init")) if section.get("mu_init") else None,
+        coeffs=_vector(section, "coeffs", DEFAULT_COEFFS, spec),
+        mu_init=_vector(section, "mu_init", METHOD_MU_INIT[method], spec),
     )
     gamma_source = section.get("gamma_source", GAMMA_FLOW)
     if gamma_source not in GAMMA_SOURCES:
@@ -397,12 +420,13 @@ def _write_transform_outputs(out: Path, run: TransformRun, reference: Trajectory
 def cmd_transform(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
-    if spec.problem.name != "lorenz84":
-        raise ConfigError("transform requires --problem lorenz84")
-    out = _out_dir(cfg)
     method, plan, params, gamma_source = _transform_setup(cfg, spec)
+    if spec.problem.dim != 3:
+        raise ConfigError(f"transform writes three-component outputs; "
+                          f"{spec.problem.name} has {spec.problem.dim} components")
     reference = _oracle_for(cfg, spec, plan.n_steps)
     run = run_transformed(spec, plan, method, params, reference, gamma_source)
+    out = _out_dir(cfg)
     outputs = _write_transform_outputs(out, run, reference)
     summary = {
         "problem": spec.problem.name,
@@ -452,26 +476,16 @@ def compare_runs(runs: list[TransformRun]) -> list[dict]:
 def cmd_compare(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
-    if spec.problem.name != "lorenz84":
-        raise ConfigError("compare requires --problem lorenz84")
-    out = _out_dir(cfg)
     section = cfg.get("transform", {})
     methods = [m.strip() for m in str(section.get("method", "none,3")).split(",")]
-    for m in methods:
-        if m not in METHOD_BY_NUMBER:
-            raise ConfigError(f"transform.method: unknown method {m!r}")
-    n_steps = int(cfg.get("solver", {}).get("steps", 600))
-    reference = _oracle_for(cfg, spec, n_steps)
-    gamma_source = section.get("gamma_source", GAMMA_FLOW)
-
-    runs = []
-    for mkey in methods:
-        sub = dict(cfg)
-        sub["transform"] = {**section, "method": mkey}
-        method, plan, params, _ = _transform_setup(sub, spec)
-        runs.append(run_transformed(spec, plan, method, params, reference, gamma_source))
+    setups = [_transform_setup({**cfg, "transform": {**section, "method": m}}, spec)
+              for m in methods]
+    reference = _oracle_for(cfg, spec, setups[0][1].n_steps)
+    runs = [run_transformed(spec, plan, method, params, reference, gamma_source)
+            for method, plan, params, gamma_source in setups]
 
     rows = compare_runs(runs)
+    out = _out_dir(cfg)
     path = out / "compare.csv"
     write_csv(path, ["method", "max_error", "mean_error", "improvement_ratio"],
               ([r["method"], r["max_error"], r["mean_error"], r["improvement_ratio"]]
@@ -492,12 +506,12 @@ def cmd_compare(cfg: dict) -> int:
 
 def cmd_demo_stiff_transform(cfg: dict) -> int:
     t_started = time.perf_counter()
-    out = _out_dir(cfg)
     section = cfg.get("demo", {})
     a = float(section.get("a", 300.0))
     kappa_g = float(section.get("kappa_g", -1.0))
     eps = float(cfg.get("eps", 1e-3))
     rep = stiff_transform_demo(a, kappa_g, eps)
+    out = _out_dir(cfg)
     path = out / "stiff_transform_demo.csv"
     write_csv(path, ["a", "kappa_f", "kappa_g", "eps", "decay_rate",
                      "kappa_z_max", "dt_stiff_u", "dt_max_z", "ratio"],

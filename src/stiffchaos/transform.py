@@ -1,19 +1,22 @@
-"""Exponential variable transformation of the Lorenz-84 system.
+"""Exponential variable transformation x_i = eps_i exp(mu_i t) z_i.
 
-Substituting x_i(t) = eps_i * exp(mu_i t) * z_i(t) turns the chaotic system
-into one whose local Lyapunov exponents are shifted down by mu_i (the
-transformed Jacobian J* is J with the diagonal lowered by mu_i).  Chosen
-well, the mu_i make the z-system asymptotically stable, so the fixed-step
-RK4 errors are damped inside each interval instead of amplified; the exact
-back-transformation then recovers x far more accurately than integrating the
-original system.  The time domain is split into K intervals of N/K steps;
-the exponential clock restarts at each interval start to keep the
-exponential factors bounded, and the back-transformed endpoint seeds the
-next interval.
+With E = diag(eps_i) and M = diag(mu_i) the substitution conjugates any
+problem du/dt = f(t, u) into the z-system of one interval starting at t_k,
+
+    dz/dtau = E^-1 e^{-M tau} f(t_k + tau, E e^{M tau} z) - M z,
+
+whose Jacobian at tau = 0 is J* = E^-1 J(t_k, E z) E - M: the local Lyapunov
+exponents are shifted down by mu_i.  Chosen well, the mu_i make a chaotic
+z-system asymptotically stable, so the fixed-step RK4 errors are damped
+inside each interval instead of amplified; the exact back-transformation
+then recovers x far more accurately than integrating the original system.
+The time domain is split into K intervals of N/K steps; the exponential
+clock tau restarts at each interval start to keep the factors exp(+-mu_i tau)
+bounded, and the back-transformed endpoint seeds the next interval.
 
 Four strategies pick the mu_i per interval:
 
-* method 1 (fixed_mu)       : one hand-tuned triple, held constant;
+* method 1 (fixed_mu)       : one hand-tuned shift vector, held constant;
 * method 2 (local_gamma)    : q times the previous interval's gamma_max of the
                               flow Jacobian J (by default);
 * method 3 (cumulative_avg) : multipliers times the running mean of gamma_max;
@@ -29,15 +32,17 @@ of the same order the stiffness bound imposed on u in the first place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import repeat
+from operator import mul, sub, truediv
 from typing import Sequence
 
 import numpy as np
 
 from .diagnostics import (
     KAPPA_STIFF_PEAK,
-    EigenSet,
     LleTrace,
     curvature_along,
     dt_max,
@@ -45,6 +50,7 @@ from .diagnostics import (
     local_eigenvalues,
 )
 from .ode import (
+    Jacobian,
     NonFiniteState,
     OdeProblem,
     RK4_FIXED,
@@ -52,9 +58,9 @@ from .ode import (
     State,
     Trajectory,
     _is_bad,
-    rk4_step,
+    _rk4_kernel,
 )
-from .problems import BenchmarkSpec, nearest_sample_indices, stiff_linear
+from .problems import BenchmarkSpec, lorenz84, nearest_sample_indices, stiff_linear
 
 EXP_ARG_LIMIT = 700.0
 
@@ -79,7 +85,8 @@ METHOD_BY_NUMBER = {
     "4": MuMethod.WINDOW_AVG,
 }
 
-# Reference choices for each method: first-interval mu, steps per interval.
+# Reference choices for each method (the paper's Lorenz-84 triples):
+# first-interval mu, steps per interval.
 METHOD_MU_INIT = {
     MuMethod.NONE: (0.0, 0.0, 0.0),
     MuMethod.FIXED_MU: (2.592, 1.944, 1.539),
@@ -110,13 +117,13 @@ GAMMA_SOURCES = (GAMMA_FLOW, GAMMA_JSTAR_START, GAMMA_JSTAR_END)
 class TransformParams:
     """Transformation constants: scales eps_i, shifts mu_i of the current
     interval, the method-2 gain q, the method-3/4 multipliers, and the
-    first-interval mu triple."""
+    first-interval mu.  Every vector has one component per state component."""
 
-    eps_scale: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    mu: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    eps_scale: tuple[float, ...] = (1.0, 1.0, 1.0)
+    mu: tuple[float, ...] = (0.0, 0.0, 0.0)
     q: float = DEFAULT_Q
-    coeffs: tuple[float, float, float] = DEFAULT_COEFFS
-    mu_init: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    coeffs: tuple[float, ...] = DEFAULT_COEFFS
+    mu_init: tuple[float, ...] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if any(not e > 0 for e in self.eps_scale):
@@ -163,51 +170,50 @@ class IntervalPlan:
 
 
 def _check_exponents(mu: Sequence[float], t_local: float) -> None:
-    m1, m2, m3 = mu
-    worst = max(abs(m1), abs(m2), abs(m3),
-                abs(2.0 * m2 - m1), abs(2.0 * m3 - m1),
-                abs(m1 - m2 + m3), abs(m1 + m2 - m3)) * abs(t_local)
+    worst = max(map(abs, mu)) * abs(t_local)
     if worst > EXP_ARG_LIMIT:
         raise ExponentOverflow(
             f"exponent argument {worst:.1f} exceeds {EXP_ARG_LIMIT:g}; "
             "use more/shorter intervals")
 
 
-def _transformed_lorenz84(mu: Sequence[float], eps_scale: Sequence[float],
-                          a: float, b: float, f: float, g: float) -> Rhs:
-    """The transformed Lorenz-84 rhs ``(t_local, z) -> dz/dt`` for one
-    interval's shifts (equations in ``transformed_rhs``)."""
-    m1, m2, m3 = mu
-    e1, e2, e3 = eps_scale
-    k22 = e2 * e2 / e1
-    k33 = e3 * e3 / e1
-    kb2 = b * e1 * e3 / e2
-    kb3 = b * e1 * e2 / e3
-    x22 = 2.0 * m2 - m1
-    x33 = 2.0 * m3 - m1
-    xb2 = m1 - m2 + m3
-    xb3 = m1 + m2 - m3
-    af = a * f / e1
-    ge = g / e2
-    exp = math.exp
+def _scales(mu: Sequence[float], eps_scale: Sequence[float], tau: float) -> State:
+    """The diagonal of E e^{M tau}."""
+    return tuple(map(mul, eps_scale, map(math.exp, map(mul, mu, repeat(tau)))))
 
-    def zrhs(t: float, zz: State) -> State:
-        z1, z2, z3 = zz
-        em1 = exp(m1 * t)
-        return (
-            -m1 * z1 - k22 * exp(x22 * t) * z2 * z2
-            - k33 * exp(x33 * t) * z3 * z3 - a * z1 + af * exp(-m1 * t),
-            -m2 * z2 + e1 * em1 * z1 * z2 - kb2 * exp(xb2 * t) * z1 * z3
-            - z2 + ge * exp(-m2 * t),
-            -m3 * z3 + kb3 * exp(xb3 * t) * z1 * z2 + e1 * em1 * z1 * z3 - z3,
-        )
+
+def _conjugated_rhs(f: Rhs, t_start: float, mu: Sequence[float],
+                    eps_scale: Sequence[float]) -> Rhs:
+    """The z-system ``(tau, z) -> E^-1 e^{-M tau} f(t_start + tau, E e^{M tau} z)
+    - M z`` of the interval starting at ``t_start``."""
+    def zrhs(tau: float, z: State) -> State:
+        s = _scales(mu, eps_scale, tau)
+        fx = f(t_start + tau, tuple(map(mul, s, z)))
+        return tuple(map(sub, map(truediv, fx, s), map(mul, mu, z)))
 
     return zrhs
 
 
+def _shifted_jacobian(jac: Jacobian, t: float, z: State, mu: Sequence[float],
+                      eps_scale: Sequence[float]):
+    """J* = E^-1 J(t, E z) E - M, the z-system's Jacobian at tau = 0."""
+    rows = []
+    for i, (row, e_i, m_i) in enumerate(zip(jac(t, tuple(map(mul, eps_scale, z))),
+                                            eps_scale, mu)):
+        shifted = [v * e_j / e_i for v, e_j in zip(row, eps_scale)]
+        shifted[i] -= m_i
+        rows.append(tuple(shifted))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=8)
+def _lorenz84_problem(a: float, b: float, f: float, g: float) -> OdeProblem:
+    return lorenz84(a=a, b=b, f=f, g=g).problem
+
+
 def transformed_rhs(params: TransformParams, t_local: float, z: State,
                     a: float, b: float, f: float, g: float) -> State:
-    """Right-hand side of the transformed system in interval-local time.
+    """The conjugated Lorenz-84 rhs in interval-local time.
 
     With x_i = eps_i exp(mu_i t) z_i the Lorenz-84 equations become
 
@@ -219,35 +225,32 @@ def transformed_rhs(params: TransformParams, t_local: float, z: State,
                + e1 e^{mu1 t} z1 z3 - z3
     """
     _check_exponents(params.mu, t_local)
-    return _transformed_lorenz84(params.mu, params.eps_scale, a, b, f, g)(t_local, z)
+    rhs = _lorenz84_problem(a, b, f, g).rhs
+    return _conjugated_rhs(rhs, 0.0, params.mu, params.eps_scale)(t_local, z)
 
 
 def jstar(params: TransformParams, z: State, a: float, b: float):
-    """Jacobian of the transformed system under the t=0 approximation:
-    the Lorenz Jacobian at (z1, z2, z3) with the diagonal shifted by -mu_i."""
-    m1, m2, m3 = params.mu
-    z1, z2, z3 = z
-    return (
-        (-a - m1, -2.0 * z2, -2.0 * z3),
-        (z2 - b * z3, z1 - 1.0 - m2, -b * z1),
-        (b * z2 + z3, b * z1, z1 - 1.0 - m3),
-    )
+    """J* of the conjugated Lorenz-84 system at z under the tau=0
+    approximation (the forcings F and G drop out of the Jacobian)."""
+    jac = _lorenz84_problem(a, b, 8.0, 1.0).jacobian
+    return _shifted_jacobian(jac, 0.0, z, params.mu, params.eps_scale)
 
 
 def select_mu(method: MuMethod, history: Sequence[float],
-              params: TransformParams) -> tuple[float, float, float]:
-    """mu triple for the next interval given the gamma_max of completed ones.
+              params: TransformParams) -> tuple[float, ...]:
+    """mu for the next interval given the gamma_max of completed ones, with
+    one component per ``params.mu_init`` component.
 
     The first interval (empty history) always uses mu_init; method 1 keeps
-    its fixed triple throughout and method "none" keeps zero.
+    its fixed shifts throughout and method "none" keeps zero.
     """
+    n = len(params.mu_init)
     if method is MuMethod.NONE:
-        return (0.0, 0.0, 0.0)
+        return (0.0,) * n
     if method is MuMethod.FIXED_MU or not history:
-        return tuple(params.mu_init)  # type: ignore[return-value]
+        return tuple(params.mu_init)
     if method is MuMethod.LOCAL_GAMMA:
-        gain = params.q * history[-1]
-        return (gain, gain, gain)
+        return (params.q * history[-1],) * n
     if method is MuMethod.CUMULATIVE_AVG:
         avg = sum(history) / len(history)
     elif method is MuMethod.WINDOW_AVG:
@@ -255,8 +258,7 @@ def select_mu(method: MuMethod, history: Sequence[float],
         avg = sum(tail) / len(tail)
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown method {method!r}")
-    c1, c2, c3 = params.coeffs
-    return (c1 * avg, c2 * avg, c3 * avg)
+    return tuple(c * avg for c in params.coeffs)
 
 
 @dataclass(frozen=True)
@@ -267,10 +269,10 @@ class TransformRun:
     method: MuMethod
     params: TransformParams
     problem: OdeProblem
-    mu_history: np.ndarray          # (K, 3) mu used in each interval
+    mu_history: np.ndarray          # (K, dim) mu used in each interval
     gamma_max_history: np.ndarray   # (K,) gamma_max per interval (see gamma_source)
     solution: Trajectory            # back-transformed, N+1 samples
-    errors_vs_reference: np.ndarray  # (N+1, 3) absolute errors
+    errors_vs_reference: np.ndarray  # (N+1, dim) absolute errors
 
     def __post_init__(self):
         for name in ("mu_history", "gamma_max_history", "errors_vs_reference"):
@@ -301,12 +303,13 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
                     gamma_source: str = GAMMA_FLOW) -> TransformRun:
     """Integrate the transformed system interval by interval.
 
-    Per interval: z(0) = x(t_n)/eps (local clock restarts, so all exponential
-    factors are 1 at the interval start), a gamma_max value is recorded, the
-    z-system is advanced N/K fixed RK4 steps, every step is back-transformed
-    via x_i = eps_i exp(mu_i t_local) z_i, and the endpoint seeds the next
-    interval.  Errors are measured against ``reference`` at the N+1 sample
-    times.
+    Per interval: z(0) = E^-1 x(t_k) (local clock restarts, so all
+    exponential factors are 1 at the interval start), a gamma_max value is
+    recorded, the conjugated z-system is advanced N/K fixed RK4 steps, every
+    step is back-transformed via x_i = eps_i exp(mu_i tau) z_i, and the
+    endpoint seeds the next interval.  Errors are measured against
+    ``reference`` at the N+1 sample times.  Every vector of ``params`` must
+    have ``spec.problem.dim`` components.
 
     ``gamma_source`` decides what the recorded gamma_max history (the input
     to the method-2/3/4 shift selection) measures:
@@ -322,14 +325,12 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
       long intervals (~2 time units), unstable for short ones.
     """
     problem = spec.problem
-    if problem.dim != 3 or "b" not in problem.params:
-        raise ValueError("run_transformed expects the lorenz84 benchmark")
+    dim = problem.dim
+    for name in ("eps_scale", "mu", "coeffs", "mu_init"):
+        if len(getattr(params, name)) != dim:
+            raise ValueError(f"params.{name} needs {dim} components, one per state component")
     if gamma_source not in GAMMA_SOURCES:
         raise ValueError(f"gamma_source must be one of {GAMMA_SOURCES}")
-    a = problem.params["a"]
-    b = problem.params["b"]
-    f = problem.params["F"]
-    g = problem.params["G"]
     stride = _align_reference(reference, plan)
 
     n = plan.n_steps
@@ -337,45 +338,43 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
     spi = plan.steps_per_interval
     h = plan.dt
     t0 = plan.t_span[0]
-    e1, e2, e3 = params.eps_scale
-    exp = math.exp
+    eps = params.eps_scale
+    jac = problem.jacobian
+    step = _rk4_kernel(dim)
 
     times = t0 + h * np.arange(n + 1)
-    states = np.empty((n + 1, 3))
+    states = np.empty((n + 1, dim))
     u = problem.u0
     states[0] = u
 
-    mu_history = np.empty((k_intervals, 3))
+    mu_history = np.empty((k_intervals, dim))
     gamma_history = np.empty(k_intervals)
     history: list[float] = []
     mu = select_mu(method, history, params)
 
     for k in range(k_intervals):
-        pars = replace(params, mu=tuple(mu))
         _check_exponents(mu, spi * h)
-        z = (u[0] / e1, u[1] / e2, u[2] / e3)
+        t_k = t0 + k * spi * h
+        z = tuple(map(truediv, u, eps))
         mu_history[k] = mu
         if gamma_source == GAMMA_FLOW:
-            gamma_history[k] = local_eigenvalues(
-                problem.jacobian(t0 + k * spi * h, u)).gamma_max
+            gamma_history[k] = local_eigenvalues(jac(t_k, u)).gamma_max
         elif gamma_source == GAMMA_JSTAR_START:
-            gamma_history[k] = local_eigenvalues(jstar(pars, z, a, b)).gamma_max
+            gamma_history[k] = local_eigenvalues(
+                _shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
 
-        zrhs = _transformed_lorenz84(mu, params.eps_scale, a, b, f, g)
-        m1, m2, m3 = mu
+        zrhs = _conjugated_rhs(problem.rhs, t_k, mu, eps)
         base = k * spi
         for j in range(spi):
             tau = j * h
-            z = rk4_step(zrhs, tau, z, h, 3)
-            tau_next = (j + 1) * h
-            u = (e1 * exp(m1 * tau_next) * z[0],
-                 e2 * exp(m2 * tau_next) * z[1],
-                 e3 * exp(m3 * tau_next) * z[2])
+            z = step(zrhs, tau, z, h, zrhs(tau, z))[0]
+            u = tuple(map(mul, _scales(mu, eps, (j + 1) * h), z))
             if _is_bad(u):
                 raise NonFiniteState(t0 + (base + j + 1) * h)
             states[base + j + 1] = u
         if gamma_source == GAMMA_JSTAR_END:
-            gamma_history[k] = local_eigenvalues(jstar(pars, z, a, b)).gamma_max
+            gamma_history[k] = local_eigenvalues(
+                _shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
         history.append(float(gamma_history[k]))
         mu = select_mu(method, history, params)
 
@@ -391,15 +390,14 @@ def jstar_scan(run: TransformRun, n_samples: int) -> LleTrace:
     """Eigenvalues of J* at equidistant scan times over a completed run.
 
     The interval-local z-state is reconstructed from the stored
-    back-transformed solution (z_i = x_i exp(-mu_i tau)/eps_i) and J* is
-    evaluated with that interval's mu.
+    back-transformed solution (z = e^{-M tau} E^-1 x) and J* is evaluated
+    with that interval's mu at the interval start time.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     plan = run.plan
-    a = run.problem.params["a"]
-    b = run.problem.params["b"]
-    e1, e2, e3 = run.params.eps_scale
+    jac = run.problem.jacobian
+    eps = run.params.eps_scale
     spi = plan.steps_per_interval
     h = plan.dt
     sol = run.solution
@@ -412,13 +410,11 @@ def jstar_scan(run: TransformRun, n_samples: int) -> LleTrace:
         j = int(idx[s])
         k = min(j // spi, plan.k_intervals - 1)
         tau = (j - k * spi) * h
-        mu = run.mu_history[k]
-        x1, x2, x3 = sol.states[j]
-        z = (x1 * math.exp(-mu[0] * tau) / e1,
-             x2 * math.exp(-mu[1] * tau) / e2,
-             x3 * math.exp(-mu[2] * tau) / e3)
-        pars = replace(run.params, mu=(float(mu[0]), float(mu[1]), float(mu[2])))
-        eig = local_eigenvalues(jstar(pars, z, a, b), t=float(sol.times[j]))
+        mu = tuple(map(float, run.mu_history[k]))
+        z = tuple(map(truediv, map(mul, sol.states[j],
+                                   map(math.exp, map(mul, mu, repeat(-tau)))), eps))
+        jstar_k = _shifted_jacobian(jac, plan.t_span[0] + k * spi * h, z, mu, eps)
+        eig = local_eigenvalues(jstar_k, t=float(sol.times[j]))
         eigens.append(eig)
         gmax[s] = eig.gamma_max
         gmin[s] = eig.gamma_min

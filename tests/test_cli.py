@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stiffchaos import cli
 from stiffchaos.cli import MismatchedBaseline, compare_runs, fmt, main
 
 
@@ -156,10 +157,37 @@ class TestTransformCommand:
             outs.append((out / "errors.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_wrong_problem_rejected(self, tmp_path):
-        rc = main(["transform", "--problem", "robertson", "--out",
+    def test_wrong_problem_rejected(self, tmp_path, monkeypatch, capsys):
+        # the reference triples do not fit the one-component stiff-linear
+        # problem: rejected before the oracle runs, and no --out is created
+        def no_oracle(*args):
+            raise AssertionError("oracle ran")
+
+        monkeypatch.setattr(cli, "reference_solution", no_oracle)
+        rc = main(["transform", "--problem", "stiff-linear", "--out",
                    str(tmp_path / "x")])
         assert rc == 1
+        assert capsys.readouterr().err.startswith("configuration error: transform.")
+        assert not (tmp_path / "x").exists()
+
+    def test_robertson_default_span_blows_up_in_the_oracle(self, tmp_path, capsys):
+        rc = main(["transform", "--problem", "robertson", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("numerical failure: NonFiniteState: ")
+        assert len(err.splitlines()) == 1
+
+    def test_robertson_short_span_runs(self, tmp_path):
+        out = tmp_path / "rob"
+        rc = main(["transform", "--problem", "robertson", "--tf", "0.01",
+                   "--steps", "600", "--method", "none", "--out", str(out)])
+        assert rc == 0
+        for name in ("solution.csv", "errors.csv", "mu_history.csv",
+                     "step_extension.csv"):
+            assert (out / name).exists()
+        m = manifest(out)
+        assert m["summary"]["oracle_check_delta"] < 1e-8
+        assert m["summary"]["max_abs_error"]["x"] < 1e-6
 
     def test_unconverged_oracle_is_numerical_failure(self, tmp_path):
         rc = main(["transform", "--problem", "lorenz84", "--method", "3",
@@ -278,7 +306,10 @@ class TestConfigHandling:
          "--eps", "-1"],
         ["demo-stiff-transform", "--kappa-g", "1"],
         ["demo-stiff-transform", "--a", "0.5"],
-    ], ids=["solve-steps-0", "diagnose-eps-negative", "demo-kappa-g-positive", "demo-a-small"])
+        ["transform", "--problem", "lorenz84", "--transform.eps_scale", "2"],
+        ["transform", "--problem", "lorenz84", "--transform.mu_init", "0.5"],
+    ], ids=["solve-steps-0", "diagnose-eps-negative", "demo-kappa-g-positive", "demo-a-small",
+            "transform-eps-scale-scalar", "transform-mu-init-scalar"])
     def test_library_precondition_is_one_line_config_error(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
@@ -286,3 +317,24 @@ class TestConfigHandling:
         assert err.startswith("configuration error: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_diagnose_rejects_eps_before_solving(self, tmp_path, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("run_solver ran")
+
+        monkeypatch.setattr(cli, "run_solver", no_solve)
+        rc = main(["diagnose", "--problem", "lorenz84", "--solver", "rk4",
+                   "--steps", "60000", "--eps", "-1", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_compare_rejects_dim_mismatch_before_the_oracle(self, tmp_path, monkeypatch):
+        def no_oracle(*args):
+            raise AssertionError("oracle ran")
+
+        monkeypatch.setattr(cli, "reference_solution", no_oracle)
+        rc = main(["compare", "--problem", "flame", "--method", "none,3",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert not (tmp_path / "x").exists()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from stiffchaos import (
     ExponentOverflow,
     IntervalPlan,
     MuMethod,
+    PROBLEM_FACTORIES,
     TransformParams,
     jstar,
     jstar_scan,
     lle_scan,
     local_eigenvalues,
     lorenz84,
+    make_problem,
     params_for_method,
     run_transformed,
     select_mu,
@@ -24,10 +27,36 @@ from stiffchaos import (
     transformed_rhs,
 )
 from stiffchaos.ode import rk4_step
-from stiffchaos.transform import GAMMA_JSTAR_START, METHOD_MU_INIT
+from stiffchaos.transform import (
+    GAMMA_FLOW,
+    GAMMA_JSTAR_END,
+    GAMMA_JSTAR_START,
+    METHOD_MU_INIT,
+    _shifted_jacobian,
+)
 
 
 LORENZ_ARGS = dict(a=0.25, b=4.0, f=8.0, g=1.0)
+SHIFT_LAW_TOL = 1e-13  # measured 1.1e-14 (scaled) over 500 examples per problem
+
+
+def lorenz84_z_reference(mu, eps, t, z, a, b, f, g):
+    """The paper's hand-expanded transformed Lorenz-84 equations, written
+    out independently of the conjugation used by the package."""
+    m1, m2, m3 = mu
+    e1, e2, e3 = eps
+    z1, z2, z3 = z
+    exp = math.exp
+    return (
+        -m1 * z1 - (e2 * e2 / e1) * exp((2 * m2 - m1) * t) * z2 * z2
+        - (e3 * e3 / e1) * exp((2 * m3 - m1) * t) * z3 * z3 - a * z1
+        + (a * f / e1) * exp(-m1 * t),
+        -m2 * z2 + e1 * exp(m1 * t) * z1 * z2
+        - b * (e1 * e3 / e2) * exp((m1 - m2 + m3) * t) * z1 * z3 - z2
+        + (g / e2) * exp(-m2 * t),
+        -m3 * z3 + b * (e1 * e2 / e3) * exp((m1 + m2 - m3) * t) * z1 * z2
+        + e1 * exp(m1 * t) * z1 * z3 - z3,
+    )
 
 
 class TestTransformedRhs:
@@ -69,10 +98,30 @@ class TestTransformedRhs:
         assert 20.0 <= diffs[1] / diffs[2] <= 50.0
         assert diffs[2] <= 1e-8
 
+    def test_matches_hand_expanded_lorenz84_equations(self):
+        # the conjugation against the paper's expanded z-equations
+        # (measured max scaled difference 9.5e-15 over these 2000 draws)
+        rng = np.random.default_rng(41)
+        worst = 0.0
+        for _ in range(2000):
+            t = float(rng.uniform(0.0, 0.5))
+            z = tuple(rng.uniform(-2.5, 2.5, 3))
+            mu = tuple(rng.uniform(-3.0, 3.0, 3))
+            eps = tuple(10.0 ** rng.uniform(-1.0, 1.0, 3))
+            got = transformed_rhs(TransformParams(eps_scale=eps, mu=mu), t, z, **LORENZ_ARGS)
+            want = lorenz84_z_reference(mu, eps, t, z, **LORENZ_ARGS)
+            scale = max(1.0, max(map(abs, want)))
+            worst = max(worst, max(abs(p - q) for p, q in zip(got, want)) / scale)
+        assert worst <= 1e-13
+
     def test_exponent_overflow_guard(self):
         params = TransformParams(mu=(400.0, 0.0, 0.0))
         with pytest.raises(ExponentOverflow):
             transformed_rhs(params, 2.0, (1.0, 1.0, 1.0), **LORENZ_ARGS)
+        # only exp(+-mu_i tau) appears: max|mu_i| tau = 600 is in range
+        params = TransformParams(mu=(300.0, -300.0, 0.0))
+        assert all(map(math.isfinite, transformed_rhs(params, 2.0, (0.0, 0.0, 0.0),
+                                                      **LORENZ_ARGS)))
 
     def test_eps_scale_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -107,6 +156,35 @@ class TestJstar:
         eig = local_eigenvalues(jstar(params, lorenz_spec.problem.u0, 0.25, 4.0))
         assert eig.gamma_max < 1.9
 
+    @pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
+    def test_uniform_shift_law_for_any_scaling(self, name):
+        # eig(E^-1 J(E z) E - m I) = eig(J(E z)) - m on every problem; LAPACK
+        # eigenvalues, because hypothesis finds repeated roots (z = 0), where
+        # the closed-form solver keeps only half the digits
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        problem = make_problem(name).problem
+        dim = problem.dim
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(z=st.tuples(*[st.floats(-2.5, 2.5)] * dim),
+                          eps=st.tuples(*[st.floats(0.1, 10.0)] * dim),
+                          m=st.floats(-3.0, 3.0), t=st.floats(0.0, 1.0))
+        def check(z, eps, m, t):
+            shifted = np.linalg.eigvals(
+                _shifted_jacobian(problem.jacobian, t, z, (m,) * dim, eps))
+            plain = np.linalg.eigvals(
+                problem.jacobian(t, tuple(e * v for e, v in zip(eps, z))))
+            scale = max(1.0, float(np.max(np.abs(plain))))
+            remaining = list(plain - m)
+            for p in shifted:
+                q = min(remaining, key=lambda v: abs(v - p))
+                remaining.remove(q)
+                assert abs(p - q) / scale <= SHIFT_LAW_TOL
+
+        check()
+
 
 class TestSelectMu:
     def test_method_one_is_fixed(self):
@@ -135,6 +213,13 @@ class TestSelectMu:
 
     def test_method_none_is_zero(self):
         assert select_mu(MuMethod.NONE, [1.0], TransformParams()) == (0.0, 0.0, 0.0)
+
+    def test_one_component_per_mu_init_component(self):
+        params = TransformParams(coeffs=(2.0,), mu_init=(0.5,))
+        for method in MuMethod:
+            assert len(select_mu(method, [1.0, 3.0], params)) == 1
+        assert select_mu(MuMethod.LOCAL_GAMMA, [1.0, 3.0], params) == (3.0,)
+        assert select_mu(MuMethod.CUMULATIVE_AVG, [1.0, 3.0], params) == (4.0,)
 
     def test_reference_defaults(self):
         assert METHOD_MU_INIT[MuMethod.FIXED_MU] == (2.592, 1.944, 1.539)
@@ -212,18 +297,54 @@ class TestRunTransformed:
             return
         assert run.max_error(0) > 0.5
 
-    @pytest.mark.parametrize("method", list(MuMethod))
-    def test_eps_scale_matches_unit_scale(self, method):
-        # x = eps exp(mu t) z is exact for any eps > 0, so the scaled run
-        # differs from the unit run by rounding only (measured <= 2.5e-14)
+    @pytest.mark.parametrize("method, gamma_source", [
+        *(pytest.param(m, GAMMA_FLOW, id=m.value) for m in MuMethod),
+        # method 2 overflows by design when fed J* (gamma_max positive)
+        *(pytest.param(MuMethod.CUMULATIVE_AVG, g, id=f"cumulative_avg-{g}")
+          for g in (GAMMA_JSTAR_START, GAMMA_JSTAR_END)),
+    ])
+    def test_eps_scale_matches_unit_scale(self, method, gamma_source):
+        # x = eps exp(mu t) z is exact for any eps > 0 and J* is similar to
+        # the unit-scale J*, so the scaled run differs from the unit run by
+        # rounding only (measured <= 1.7e-14, J* scan <= 1.2e-14)
         spec = lorenz84(t_span=(0.0, 3.0))
         reference = solve_rk4_fixed(spec.problem, 12000)
         plan = IntervalPlan(600, 15, (0.0, 3.0))
         unit, scaled = (run_transformed(spec, plan, method,
-                                        params_for_method(method, eps_scale=eps), reference)
+                                        params_for_method(method, eps_scale=eps), reference,
+                                        gamma_source)
                         for eps in ((1.0, 1.0, 1.0), (2.0, 0.5, 1.5)))
         assert np.max(np.abs(scaled.solution.states - unit.solution.states)) <= 1e-12
         assert np.max(np.abs(scaled.mu_history - unit.mu_history)) <= 1e-12
+        assert np.max(np.abs(scaled.gamma_max_history - unit.gamma_max_history)) <= 1e-12
+        assert np.max(np.abs(jstar_scan(scaled, 400).gamma_max
+                             - jstar_scan(unit, 400).gamma_max)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
+    def test_none_is_plain_rk4(self, name):
+        # with mu = 0 and unit eps the conjugation is the identity, and the
+        # real time t_k + tau reaches non-autonomous problems (stiff-linear)
+        t_span = (1e-6, 0.01) if name == "robertson" else None
+        spec = make_problem(name, t_span=t_span)
+        dim = spec.problem.dim
+        direct = solve_rk4_fixed(spec.problem, 600)
+        params = params_for_method(MuMethod.NONE, eps_scale=(1.0,) * dim,
+                                   coeffs=(1.0,) * dim, mu_init=(0.0,) * dim)
+        run = run_transformed(spec, IntervalPlan(600, 1, spec.problem.t_span),
+                              MuMethod.NONE, params, direct)
+        assert np.array_equal(run.solution.states, direct.states)
+        assert run.mu_history.shape == (1, dim)
+        assert run.max_error(0) == 0.0
+
+    @pytest.mark.parametrize("field", ["eps_scale", "mu", "coeffs", "mu_init"])
+    def test_component_count_must_match_dim(self, field):
+        spec = lorenz84(t_span=(0.0, 3.0))
+        reference = solve_rk4_fixed(spec.problem, 600)
+        params = params_for_method(MuMethod.CUMULATIVE_AVG)
+        bad = replace(params, **{field: getattr(params, field)[:2]})
+        with pytest.raises(ValueError, match=field):
+            run_transformed(spec, IntervalPlan(600, 15, (0.0, 3.0)),
+                            MuMethod.CUMULATIVE_AVG, bad, reference)
 
     def test_reference_grid_must_align(self, lorenz_spec, lorenz_oracle):
         with pytest.raises(ValueError):
