@@ -3,7 +3,9 @@
 Solvers operate on plain float tuples internally (the benchmark systems have
 1-3 components and the reference oracle takes ~10^6 steps, so per-step numpy
 overhead would dominate).  Trajectories are returned as read-only numpy
-arrays.
+arrays.  Fixed-step RK4 on a dim-3 system, the oracle's path, is one
+unrolled loop that stores through a flat memoryview: a kernel call per step
+plus a numpy row store from a tuple cost about 30% of a step.
 """
 
 from __future__ import annotations
@@ -137,7 +139,15 @@ class AdaptiveConfig:
 # caller (step doubling shares it between the full and the first half step)
 # and return (u_next, k2, k3, k4), so the adaptive solver can inspect the
 # stages.  The dim-3 kernel is unrolled because the Lorenz oracle takes
-# ~10^6 steps per test session; ``_rk4_kernel`` is the one place that picks.
+# ~10^6 steps per test session; ``_rk4_kernel`` picks the kernel for
+# ``rk4_step``, the adaptive solver and the transform driver.
+#
+# Fixed-step dim-3 runs (the oracle) go through ``_rk4_march3`` instead:
+# ``_rk4_step3`` inlined into the loop with the same expressions in the same
+# order, so its states are bit-identical to iterating ``rk4_step``.  Per step
+# it saves the kernel call, the returned 4-tuple, the ``_is_bad`` call and
+# the numpy row store from a tuple (about 0.7 us, against 0.14 us for three
+# memoryview writes), together about 30% of a Lorenz-84 step.
 
 def _rk4_step3(f: Rhs, t: float, u: State, h: float, k1: Sequence[float]):
     x, y, z = u
@@ -191,19 +201,49 @@ def solve_rk4_fixed(problem: OdeProblem, n_steps: int) -> Trajectory:
     h = (t1 - t0) / n_steps
     dim = problem.dim
     f = problem.rhs
-    step = _rk4_kernel(dim)
 
     times = t0 + h * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, dim))
     u = problem.u0
     states[0] = u
-    for i in range(n_steps):
-        t = t0 + i * h
-        u = step(f, t, u, h, f(t, u))[0]
-        if _is_bad(u):
-            raise NonFiniteState(t0 + (i + 1) * h)
-        states[i + 1] = u
+    if dim == 3:
+        with memoryview(states.reshape(-1)) as out:
+            _rk4_march3(f, t0, h, u, n_steps, out)
+    else:
+        for i in range(n_steps):
+            t = t0 + i * h
+            u = _rk4_stepn(f, t, u, h, f(t, u))[0]
+            if _is_bad(u):
+                raise NonFiniteState(t0 + (i + 1) * h)
+            states[i + 1] = u
     return Trajectory(times, states, RK4_FIXED, steps_taken=n_steps)
+
+
+def _rk4_march3(f: Rhs, t0: float, h: float, u: State, n: int,
+                out: memoryview) -> None:
+    """``n`` fixed RK4 steps of a dim-3 system from ``u`` at ``t0``; state
+    i + 1 goes to ``out[3i + 3 : 3i + 6]`` of the flat row-major store."""
+    x, y, z = u
+    h2 = 0.5 * h
+    s = h / 6.0
+    j = 3
+    for i in range(n):
+        t = t0 + i * h
+        a1, b1, c1 = f(t, (x, y, z))
+        a2, b2, c2 = f(t + h2, (x + h2 * a1, y + h2 * b1, z + h2 * c1))
+        a3, b3, c3 = f(t + h2, (x + h2 * a2, y + h2 * b2, z + h2 * c2))
+        a4, b4, c4 = f(t + h, (x + h * a3, y + h * b3, z + h * c3))
+        x = x + s * (a1 + 2.0 * (a2 + a3) + a4)
+        y = y + s * (b1 + 2.0 * (b2 + b3) + b4)
+        z = z + s * (c1 + 2.0 * (c2 + c3) + c4)
+        # ``_is_bad`` inlined: the sum is nan/inf iff some component is
+        w = x + y + z
+        if w - w != 0.0:
+            raise NonFiniteState(t0 + (i + 1) * h)
+        out[j] = x
+        out[j + 1] = y
+        out[j + 2] = z
+        j += 3
 
 
 def _scaled_diff(full: State, half: State, u_start: State, floor: float) -> float:
@@ -452,7 +492,9 @@ def reference_solution(problem: OdeProblem, n_steps: int) -> Trajectory:
         raise ValueError("n_steps must be even and >= 2")
     fine = solve_rk4_fixed(problem, n_steps)
     coarse = solve_rk4_fixed(problem, n_steps // 2)
-    delta = float(np.max(np.abs(fine.states[::2] - coarse.states)))
+    diff = fine.states[::2] - coarse.states
+    np.abs(diff, out=diff)  # in place: one n/2 x dim temporary, not two
+    delta = float(diff.max())
     if not delta < ORACLE_CHECK_TOL:
         raise OracleNotConverged(
             f"oracle self-consistency check failed for {problem.name}: "

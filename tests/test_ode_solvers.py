@@ -22,7 +22,7 @@ from stiffchaos import (
     solve_trapezoid_adaptive,
     stiff_linear,
 )
-from stiffchaos.ode import _rk4_step3, _rk4_stepn
+from stiffchaos.ode import ORACLE_CHECK_TOL, _rk4_step3, _rk4_stepn, rk4_step
 
 
 def exp_decay(t_span=(0.0, 1.0)) -> OdeProblem:
@@ -33,6 +33,44 @@ def exp_decay(t_span=(0.0, 1.0)) -> OdeProblem:
         u0=(1.0,), t_span=t_span,
         rhs_dt=lambda t, u: (0.0,),
     )
+
+
+def forced_dim3() -> OdeProblem:
+    # non-autonomous and starting at t0 != 0, so a stage evaluated at the
+    # wrong time changes the states
+    return OdeProblem(
+        name="forced-dim3", dim=3, params={},
+        rhs=lambda t, u: (u[1], -u[0] + math.cos(3.0 * t), -u[2] + t * t),
+        jacobian=lambda t, u: ((0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, -1.0)),
+        u0=(1.0, 0.0, 0.5), t_span=(0.3, 4.0),
+    )
+
+
+def step_kernel_loop(problem: OdeProblem, n_steps: int) -> np.ndarray:
+    """Fixed-step RK4 written as a loop over ``rk4_step``: the states, or
+    ``NonFiniteState`` at the end of the first step whose component sum is
+    not finite."""
+    t0, t1 = problem.t_span
+    h = (t1 - t0) / n_steps
+    u = problem.u0
+    states = [u]
+    for i in range(n_steps):
+        u = rk4_step(problem.rhs, t0 + i * h, u, h, problem.dim)
+        if not math.isfinite(sum(u)):
+            raise NonFiniteState(t0 + (i + 1) * h)
+        states.append(u)
+    return np.array(states)
+
+
+def rhs_counted(problem: OdeProblem) -> tuple[OdeProblem, list[int]]:
+    """``problem`` with an rhs that counts its calls in ``calls[0]``."""
+    calls = [0]
+
+    def rhs(t, u):
+        calls[0] += 1
+        return problem.rhs(t, u)
+
+    return replace(problem, rhs=rhs), calls
 
 
 def max_rel_err(traj: Trajectory, exact) -> float:
@@ -83,6 +121,40 @@ class TestRk4Fixed:
         )
         with pytest.raises(NonFiniteState):
             solve_rk4_fixed(prob, 3000)
+
+    def test_finite_time_blowup_raises_dim3(self):
+        # du_i/dt = u_i^2 blows up at t = 1/u_i(0); the first component goes
+        # first, and the unrolled dim-3 loop must stop where the step-kernel
+        # loop stops
+        prob = OdeProblem(
+            name="blowup-dim3", dim=3, params={},
+            rhs=lambda t, u: (u[0] * u[0], u[1] * u[1], u[2] * u[2]),
+            jacobian=lambda t, u: ((2.0 * u[0], 0.0, 0.0), (0.0, 2.0 * u[1], 0.0),
+                                   (0.0, 0.0, 2.0 * u[2])),
+            u0=(1.0, 0.5, 0.25), t_span=(0.0, 3.0),
+        )
+        with pytest.raises(NonFiniteState) as unrolled:
+            solve_rk4_fixed(prob, 3000)
+        with pytest.raises(NonFiniteState) as reference:
+            step_kernel_loop(prob, 3000)
+        assert unrolled.value.t == reference.value.t
+        assert 1.0 < unrolled.value.t < 1.1
+
+    @pytest.mark.parametrize("problem, n_steps", [
+        (lorenz84().problem, 600),
+        (replace(robertson().problem, t_span=(1e-6, 1.0)), 5000),
+        (forced_dim3(), 777),
+    ], ids=["lorenz84", "robertson", "non-autonomous"])
+    def test_unrolled_dim3_loop_matches_step_kernel_loop_bitwise(self, problem, n_steps):
+        traj = solve_rk4_fixed(problem, n_steps)
+        assert traj.states.tobytes() == step_kernel_loop(problem, n_steps).tobytes()
+
+    @pytest.mark.parametrize("problem", [lorenz84().problem, exp_decay()],
+                             ids=["lorenz84-dim3", "exp-decay-dim1"])
+    def test_costs_four_rhs_calls_per_step(self, problem):
+        counted, calls = rhs_counted(problem)
+        solve_rk4_fixed(counted, 600)
+        assert calls[0] == 4 * 600
 
     def test_rejects_bad_step_count(self):
         with pytest.raises(ValueError):
@@ -161,16 +233,10 @@ class TestRk4Kernels:
     ], ids=["robertson-dim3", "exp-decay-dim1"])
     def test_adaptive_attempt_costs_eleven_rhs_calls(self, problem, cfg):
         # the full step and the first half step share k1 = f(t, u)
-        calls = 0
-
-        def counted(t, u):
-            nonlocal calls
-            calls += 1
-            return problem.rhs(t, u)
-
-        traj = solve_rk4_adaptive(replace(problem, rhs=counted), cfg)
+        counted, calls = rhs_counted(problem)
+        traj = solve_rk4_adaptive(counted, cfg)
         assert traj.steps_rejected > 0
-        assert calls == 11 * (traj.steps_taken + traj.steps_rejected)
+        assert calls[0] == 11 * (traj.steps_taken + traj.steps_rejected)
 
     @pytest.mark.parametrize("spec, scale, log10_h", [
         (lorenz84(), (2.0, 2.0, 2.0), (-4.0, -1.0)),
@@ -258,6 +324,25 @@ class TestReferenceSolution:
     def test_gate_passes_fine_lorenz(self, lorenz_oracle):
         assert lorenz_oracle.meta["oracle_check_delta"] < 1e-8
         assert lorenz_oracle.meta["oracle_n_steps"] == len(lorenz_oracle.times) - 1
+
+    def test_costs_four_rhs_calls_per_step_of_both_runs(self):
+        # the fine run (n steps) and the gate's half-resolution run (n/2)
+        counted, calls = rhs_counted(lorenz84(t_span=(0.0, 1.0)).problem)
+        reference_solution(counted, 1000)
+        assert calls[0] == 4 * (1000 + 500)
+
+    def test_lorenz_oracle_agrees_with_dop853(self, lorenz_spec, lorenz_oracle):
+        # an independent integrator (scipy's DOP853 at rtol = atol = 1e-13) on
+        # the N=600 grid: measured max|diff| 4.4e-10 over [0, 30] (largest in
+        # y and z near t = 29.4), bounded by the oracle's own halving gate
+        integrate = pytest.importorskip("scipy.integrate")
+        p = lorenz_spec.problem
+        stride = (len(lorenz_oracle.times) - 1) // 600
+        grid = lorenz_oracle.times[::stride]
+        sol = integrate.solve_ivp(lambda t, u: p.rhs(t, tuple(u)), p.t_span, p.u0,
+                                  method="DOP853", rtol=1e-13, atol=1e-13, t_eval=grid)
+        assert sol.success
+        assert np.max(np.abs(lorenz_oracle.states[::stride] - sol.y.T)) < ORACLE_CHECK_TOL
 
     def test_requires_even_steps(self):
         with pytest.raises(ValueError):
