@@ -73,6 +73,7 @@ SOLVER_NAMES = {
 }
 
 DEFAULT_ORACLE_REFINE = 256
+DEFAULT_EPS = 1e-3
 
 
 class ConfigError(ValueError):
@@ -94,16 +95,6 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 # ---------------------------------------------------------------------------
 # Configuration handling.
-
-
-def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"{flag} expects three comma-separated numbers, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _set_dotted(cfg: dict, dotted: str, value) -> None:
@@ -142,32 +133,10 @@ def load_config(args: argparse.Namespace, extras: list[str]) -> dict:
         if not isinstance(cfg, dict):
             raise ConfigError(f"config {path}: top level must be an object")
 
-    flag_map = {
-        "problem": "problem.name",
-        "solver": "solver.name",
-        "steps": "solver.steps",
-        "tol": "solver.tol",
-        "dt_init": "solver.dt_init",
-        "max_steps": "solver.max_steps",
-        "tf": "problem.tf",
-        "eps": "eps",
-        "samples": "scan.n_samples",
-        "intervals": "transform.intervals",
-        "method": "transform.method",
-        "q": "transform.q",
-        "out": "out",
-        "oracle_refine": "oracle.refine",
-        "a": "demo.a",
-        "kappa_g": "demo.kappa_g",
-    }
-    for attr, dotted in flag_map.items():
-        val = getattr(args, attr, None)
-        if val is not None:
+    # every flag's dest is the config key it fills (see _add_common)
+    for dotted, val in vars(args).items():
+        if val is not None and dotted not in ("command", "func", "config"):
             _set_dotted(cfg, dotted, val)
-    if getattr(args, "mu_init", None) is not None:
-        _set_dotted(cfg, "transform.mu_init", list(_parse_triple(args.mu_init, "--mu-init")))
-    if getattr(args, "coeffs", None) is not None:
-        _set_dotted(cfg, "transform.coeffs", list(_parse_triple(args.coeffs, "--coeffs")))
 
     if len(extras) % 2:
         raise ConfigError(f"dangling override {extras[-1]!r} (expected '--a.b value' pairs)")
@@ -295,7 +264,7 @@ def cmd_solve(cfg: dict) -> int:
 def cmd_diagnose(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
-    eps = float(cfg.get("eps", spec.default_eps))
+    eps = float(cfg.get("eps", DEFAULT_EPS))
     if not eps > 0:
         raise ConfigError(f"eps must be > 0, got {eps!r}")
     component = int(cfg.get("scan", {}).get("component", 0))
@@ -509,7 +478,7 @@ def cmd_demo_stiff_transform(cfg: dict) -> int:
     section = cfg.get("demo", {})
     a = float(section.get("a", 300.0))
     kappa_g = float(section.get("kappa_g", -1.0))
-    eps = float(cfg.get("eps", 1e-3))
+    eps = float(cfg.get("eps", DEFAULT_EPS))
     rep = stiff_transform_demo(a, kappa_g, eps)
     out = _out_dir(cfg)
     path = out / "stiff_transform_demo.csv"
@@ -532,30 +501,46 @@ def cmd_demo_stiff_transform(cfg: dict) -> int:
 # Argument parsing.
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections are configuration errors (exit 1)."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def _float_list(text: str) -> list[float]:
+    """Comma-separated numbers, one per state component (``_vector`` counts them)."""
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {text!r}")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", choices=sorted(PROBLEM_FACTORIES))
-    p.add_argument("--solver", choices=sorted(SOLVER_NAMES))
-    p.add_argument("--steps", type=int)
-    p.add_argument("--intervals", type=int)
-    p.add_argument("--method")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--tf", type=float)
-    p.add_argument("--dt-init", dest="dt_init", type=float)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
+    """Each flag's ``dest`` is the config key it fills."""
+    p.add_argument("--problem", dest="problem.name", choices=sorted(PROBLEM_FACTORIES))
+    p.add_argument("--solver", dest="solver.name", choices=sorted(SOLVER_NAMES))
+    p.add_argument("--steps", dest="solver.steps", type=int)
+    p.add_argument("--intervals", dest="transform.intervals", type=int)
+    p.add_argument("--method", dest="transform.method")
+    p.add_argument("--tol", dest="solver.tol", type=float)
+    p.add_argument("--eps", dest="eps", type=float)
+    p.add_argument("--tf", dest="problem.tf", type=float)
+    p.add_argument("--dt-init", dest="solver.dt_init", type=float)
+    p.add_argument("--max-steps", dest="solver.max_steps", type=int)
     p.add_argument("--config")
-    p.add_argument("--out")
-    p.add_argument("--samples", dest="samples", type=int)
-    p.add_argument("--q", type=float)
-    p.add_argument("--mu-init", dest="mu_init")
-    p.add_argument("--coeffs")
-    p.add_argument("--oracle-refine", dest="oracle_refine", type=int)
-    p.add_argument("--a", type=float)
-    p.add_argument("--kappa-g", dest="kappa_g", type=float)
+    p.add_argument("--out", dest="out")
+    p.add_argument("--samples", dest="scan.n_samples", type=int)
+    p.add_argument("--q", dest="transform.q", type=float)
+    p.add_argument("--mu-init", dest="transform.mu_init", type=_float_list)
+    p.add_argument("--coeffs", dest="transform.coeffs", type=_float_list)
+    p.add_argument("--oracle-refine", dest="oracle.refine", type=int)
+    p.add_argument("--a", dest="demo.a", type=float)
+    p.add_argument("--kappa-g", dest="demo.kappa_g", type=float)
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stiffchaos",
         description="Stiffness/chaoticity diagnostics and chaos-mitigating "
                     "transformation experiments for small ODE systems.",
@@ -571,9 +556,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args, extras = parser.parse_known_args(argv)
     try:
+        args, extras = make_parser().parse_known_args(argv)
         cfg = load_config(args, extras)
         return args.func(cfg)
     except ConfigError as exc:

@@ -65,10 +65,11 @@ class OdeProblem:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if len(self.u0) != self.dim:
             raise ValueError(f"u0 has {len(self.u0)} components, expected {self.dim}")
-        t0, t1 = self.t_span
+        t0, t1 = map(float, self.t_span)
         if not t1 > t0:
             raise ValueError(f"t_span must satisfy t_end > t_start, got {self.t_span}")
         object.__setattr__(self, "u0", tuple(float(x) for x in self.u0))
+        object.__setattr__(self, "t_span", (t0, t1))
 
     @property
     def horizon(self) -> float:

@@ -8,7 +8,9 @@
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,21 +33,24 @@ class BenchmarkSpec:
     problem: OdeProblem
     variational_jacobian: Callable[[float, State], Sequence[Sequence[float]]]
     exact: Callable[[float], State] | None
-    default_eps: float
 
 
-def stiff_linear(a: float, u0: float = 1.0,
+# Every factory takes its parameters under the names ``problem.params`` uses,
+# plus ``u0`` (a state tuple) and ``t_span`` where the problem allows them;
+# ``make_problem`` relies on that to pass a config through unchanged.
+
+
+def stiff_linear(a: float = 300.0, u0: State = (1.0,),
                  t_span: tuple[float, float] = (0.0, 1.0)) -> BenchmarkSpec:
-    """du/dt = -a*u + a*t + a + 1, u(0) = u0.
+    """du/dt = -a*u + a*t + a + 1, u(t0) = u0.
 
-    General solution 1 + t + c*exp(-a t) with c = u0 - 1; asymptotically
-    stable for moderate a > 0 and stiff for a >> 1.  The perturbation system
-    is d(du)/dt = -a du.
+    General solution 1 + t + c*exp(-a (t - t0)) with c = u0 - 1 - t0;
+    asymptotically stable for moderate a > 0 and stiff for a >> 1.  The
+    perturbation system is d(du)/dt = -a du.
     """
     if not a > 0:
         raise ValueError("a must be > 0")
     a = float(a)
-    c = float(u0) - 1.0
 
     def rhs(t: float, u: State) -> State:
         return (-a * u[0] + a * t + a + 1.0,)
@@ -56,31 +61,34 @@ def stiff_linear(a: float, u0: float = 1.0,
     def rhs_dt(t: float, u: State) -> State:
         return (a,)
 
-    def exact(t: float) -> State:
-        return (1.0 + t + c * math.exp(-a * t),)
-
     problem = OdeProblem(
         name="stiff-linear", dim=1, params={"a": a}, rhs=rhs, jacobian=jac,
-        u0=(float(u0),), t_span=(float(t_span[0]), float(t_span[1])), rhs_dt=rhs_dt,
+        u0=u0, t_span=t_span, rhs_dt=rhs_dt,
     )
-    return BenchmarkSpec(problem, jac, exact, default_eps=1e-3)
+    t0 = problem.t_span[0]
+    c = problem.u0[0] - 1.0 - t0
+
+    def exact(t: float) -> State:
+        return (1.0 + t + c * math.exp(-a * (t - t0)),)
+
+    return BenchmarkSpec(problem, jac, exact)
 
 
-def flame(d: float, t_span: tuple[float, float] | None = None) -> BenchmarkSpec:
-    """du/dt = u^2 - u^3, u(0) = d on [0, 2/d]: flame propagation.
+def flame(d: float = 0.01, t_span: tuple[float, float] | None = None) -> BenchmarkSpec:
+    """du/dt = u^2 - u^3, u(t0) = d on [0, 2/d] by default: flame propagation.
 
     Stiff for t > 1/d when d is small (the solution parks at the u = 1 fixed
     point where perturbations decay like exp(-(t - t0))).  The exact solution
     is recovered from the implicit relation
 
-        1/u + ln((1-u)/u) = 1/d + ln((1-d)/d) - t
+        1/u + ln((1-u)/u) = 1/d + ln((1-d)/d) - (t - t0)
 
-    by bisection on u in (0, 1); the left side is strictly decreasing.
+    by bisection on u in (0, 1); the left side is strictly decreasing.  There
+    is no ``u0`` parameter: the start value is ``d``.
     """
     if not 0.0 < d < 1.0:
         raise ValueError("d must lie in (0, 1)")
     d = float(d)
-    span = (0.0, 2.0 / d) if t_span is None else (float(t_span[0]), float(t_span[1]))
 
     def rhs(t: float, u: State) -> State:
         x = u[0]
@@ -93,10 +101,15 @@ def flame(d: float, t_span: tuple[float, float] | None = None) -> BenchmarkSpec:
     def rhs_dt(t: float, u: State) -> State:
         return (0.0,)
 
+    problem = OdeProblem(
+        name="flame", dim=1, params={"d": d}, rhs=rhs, jacobian=jac,
+        u0=(d,), t_span=(0.0, 2.0 / d) if t_span is None else t_span, rhs_dt=rhs_dt,
+    )
+    t0 = problem.t_span[0]
     c0 = 1.0 / d + math.log((1.0 - d) / d)
 
     def exact(t: float) -> State:
-        target = c0 - t
+        target = c0 - (t - t0)
         lo, hi = 1e-300, 1.0 - 1e-16
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -108,15 +121,13 @@ def flame(d: float, t_span: tuple[float, float] | None = None) -> BenchmarkSpec:
                 break
         return (0.5 * (lo + hi),)
 
-    problem = OdeProblem(
-        name="flame", dim=1, params={"d": d}, rhs=rhs, jacobian=jac,
-        u0=(d,), t_span=span, rhs_dt=rhs_dt,
-    )
-    return BenchmarkSpec(problem, jac, exact, default_eps=1e-3)
+    return BenchmarkSpec(problem, jac, exact)
 
 
-def robertson(a: float = 0.04, b: float = 1e4, c: float = 3e7) -> BenchmarkSpec:
-    """Robertson's autocatalytic reaction system on [1e-6, 1e6].
+def robertson(a: float = 0.04, b: float = 1e4, c: float = 3e7,
+              u0: State = (1.0, 0.0, 0.0),
+              t_span: tuple[float, float] = (1e-6, 1e6)) -> BenchmarkSpec:
+    """Robertson's autocatalytic reaction system, by default on [1e-6, 1e6].
 
         dx/dt = -a x + b y z
         dy/dt =  a x - b y z - c y^2
@@ -147,12 +158,12 @@ def robertson(a: float = 0.04, b: float = 1e4, c: float = 3e7) -> BenchmarkSpec:
 
     problem = OdeProblem(
         name="robertson", dim=3, params={"a": a, "b": b, "c": c}, rhs=rhs,
-        jacobian=jac, u0=(1.0, 0.0, 0.0), t_span=(1e-6, 1e6), rhs_dt=rhs_dt,
+        jacobian=jac, u0=u0, t_span=t_span, rhs_dt=rhs_dt,
     )
-    return BenchmarkSpec(problem, jac, None, default_eps=1e-3)
+    return BenchmarkSpec(problem, jac, None)
 
 
-def lorenz84(a: float = 0.25, b: float = 4.0, f: float = 8.0, g: float = 1.0,
+def lorenz84(a: float = 0.25, b: float = 4.0, F: float = 8.0, G: float = 1.0,
              u0: State = (0.96, -1.1, 0.5),
              t_span: tuple[float, float] = (0.0, 30.0)) -> BenchmarkSpec:
     """Lorenz's 1984 Hadley-circulation model.
@@ -165,7 +176,7 @@ def lorenz84(a: float = 0.25, b: float = 4.0, f: float = 8.0, g: float = 1.0,
     drop out of the Jacobian, so they do not affect the local Lyapunov
     exponents on a given trajectory.
     """
-    a, b, f, g = float(a), float(b), float(f), float(g)
+    a, b, f, g = float(a), float(b), float(F), float(G)
 
     def rhs(t: float, u: State) -> State:
         x, y, z = u
@@ -188,10 +199,9 @@ def lorenz84(a: float = 0.25, b: float = 4.0, f: float = 8.0, g: float = 1.0,
 
     problem = OdeProblem(
         name="lorenz84", dim=3, params={"a": a, "b": b, "F": f, "G": g},
-        rhs=rhs, jacobian=jac, u0=tuple(float(x) for x in u0),
-        t_span=(float(t_span[0]), float(t_span[1])), rhs_dt=rhs_dt,
+        rhs=rhs, jacobian=jac, u0=u0, t_span=t_span, rhs_dt=rhs_dt,
     )
-    return BenchmarkSpec(problem, jac, None, default_eps=1e-3)
+    return BenchmarkSpec(problem, jac, None)
 
 
 PROBLEM_FACTORIES: dict[str, Callable[..., BenchmarkSpec]] = {
@@ -202,54 +212,38 @@ PROBLEM_FACTORIES: dict[str, Callable[..., BenchmarkSpec]] = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def make_problem(name: str, params: dict | None = None,
                  u0: Sequence[float] | None = None,
                  t_span: Sequence[float] | None = None) -> BenchmarkSpec:
-    """Instantiate a registered benchmark with optional overrides."""
+    """Instantiate a registered benchmark with optional overrides.
+
+    ``params`` keys are the factory's keyword names (``problem.params``);
+    ``u0`` and ``t_span`` go to the factory's keywords of the same name.
+    """
     if name not in PROBLEM_FACTORIES:
         raise KeyError(f"unknown problem {name!r}; pick one of {sorted(PROBLEM_FACTORIES)}")
-    params = dict(params or {})
-    kwargs = {}
-    if name == "stiff-linear":
-        kwargs["a"] = params.pop("a", 300.0)
-        if u0 is not None:
-            kwargs["u0"] = float(u0[0])
-        if t_span is not None:
-            kwargs["t_span"] = (float(t_span[0]), float(t_span[1]))
-    elif name == "flame":
-        kwargs["d"] = params.pop("d", 0.01)
-        if t_span is not None:
-            kwargs["t_span"] = (float(t_span[0]), float(t_span[1]))
-        if u0 is not None:
-            raise ValueError("flame starts at u0 = d; override d instead")
-    elif name == "robertson":
-        for key in ("a", "b", "c"):
-            if key in params:
-                kwargs[key] = params.pop(key)
-        if params:
-            raise ValueError(f"unknown parameters for {name}: {sorted(params)}")
-        if u0 is not None or t_span is not None:
-            spec = robertson(**kwargs)
-            prob = spec.problem
-            new = OdeProblem(
-                name=prob.name, dim=prob.dim, params=prob.params, rhs=prob.rhs,
-                jacobian=prob.jacobian,
-                u0=tuple(u0) if u0 is not None else prob.u0,
-                t_span=tuple(t_span) if t_span is not None else prob.t_span,  # type: ignore[arg-type]
-                rhs_dt=prob.rhs_dt,
-            )
-            return BenchmarkSpec(new, spec.variational_jacobian, spec.exact, spec.default_eps)
-    elif name == "lorenz84":
-        for key, kw in (("a", "a"), ("b", "b"), ("F", "f"), ("G", "g")):
-            if key in params:
-                kwargs[kw] = params.pop(key)
-        if u0 is not None:
-            kwargs["u0"] = tuple(float(x) for x in u0)
-        if t_span is not None:
-            kwargs["t_span"] = (float(t_span[0]), float(t_span[1]))
-    if params:
-        raise ValueError(f"unknown parameters for {name}: {sorted(params)}")
-    return PROBLEM_FACTORIES[name](**kwargs)
+    factory = PROBLEM_FACTORIES[name]
+    accepted = set(inspect.signature(factory).parameters)
+    kwargs = dict(params or {})
+    unknown = sorted(set(kwargs) - (accepted - {"u0", "t_span"}))
+    if unknown:
+        raise ValueError(f"unknown parameters for {name}: {unknown}")
+    for key, value in kwargs.items():
+        if not _is_number(value):
+            raise ValueError(f"parameter {key} of {name} must be a number, got {value!r}")
+    for key, value in (("u0", u0), ("t_span", t_span)):
+        if value is None:
+            continue
+        if key not in accepted:
+            raise ValueError(f"{name} takes no {key}")
+        if not (isinstance(value, (list, tuple, np.ndarray)) and all(map(_is_number, value))):
+            raise ValueError(f"{key} of {name} must be a list of numbers, got {value!r}")
+        kwargs[key] = value
+    return factory(**kwargs)
 
 
 def nearest_sample_indices(times: np.ndarray, targets: np.ndarray) -> np.ndarray:

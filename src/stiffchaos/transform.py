@@ -208,7 +208,7 @@ def _shifted_jacobian(jac: Jacobian, t: float, z: State, mu: Sequence[float],
 
 @lru_cache(maxsize=8)
 def _lorenz84_problem(a: float, b: float, f: float, g: float) -> OdeProblem:
-    return lorenz84(a=a, b=b, f=f, g=g).problem
+    return lorenz84(a=a, b=b, F=f, G=g).problem
 
 
 def transformed_rhs(params: TransformParams, t_local: float, z: State,

@@ -93,7 +93,7 @@ def test_criterion_2_stiffness_formulas():
 
 def test_criterion_3_fig1_reproduction():
     t0 = time.perf_counter()
-    spec = stiff_linear(300.0, u0=1.05, t_span=(0.0, 0.02))
+    spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.02))
     traj = solve_rk4_fixed(spec.problem, 20000)
     rep = stiffness_report(traj, spec.problem, spec.variational_jacobian, eps=1e-3)
     crossing = rep.q_unity_crossing()
@@ -107,7 +107,7 @@ def test_criterion_4_rk4_on_stiff_linear():
     # put h*a = 12, far beyond the RK4 stability boundary 2.785, and the
     # computed solution blows up to ~1e46; see test_ode_solvers).
     t0 = time.perf_counter()
-    spec = stiff_linear(300.0, u0=1.05, t_span=(0.0, 0.1))
+    spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.1))
 
     def rel_err(n):
         traj = solve_rk4_fixed(spec.problem, n)

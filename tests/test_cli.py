@@ -110,6 +110,13 @@ class TestDiagnoseCommand:
         frac = manifest(out)["summary"]["gamma_max_positive_fraction"]
         assert frac > 0.9
 
+    def test_default_eps_recorded(self, tmp_path):
+        out = tmp_path / "diag"
+        rc = main(["diagnose", "--problem", "stiff-linear", "--solver", "rk4",
+                   "--steps", "200", "--out", str(out)])
+        assert rc == 0
+        assert manifest(out)["summary"]["eps"] == 0.001
+
     def test_robertson_gamma_min_recorded(self, tmp_path):
         out = tmp_path / "robd"
         rc = main(["diagnose", "--problem", "robertson", "--solver", "trapezoid",
@@ -197,6 +204,17 @@ class TestTransformCommand:
 
 
 class TestCompareCommand:
+    def test_per_component_vectors_as_flags(self, tmp_path):
+        # --mu-init/--coeffs take one number per state component
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--problem", "stiff-linear", "--tf", "0.1", "--steps", "40",
+                   "--mu-init", "0.5", "--coeffs", "1", "--transform.eps_scale", "[1]",
+                   "--out", str(out)])
+        assert rc == 0
+        section = manifest(out)["config"]["transform"]
+        assert section["mu_init"] == [0.5]
+        assert section["coeffs"] == [1.0]
+
     def test_method_sweep_ranks_averaging_methods_best(self, tmp_path):
         out = tmp_path / "cmp"
         rc = main(["compare", "--problem", "lorenz84",
@@ -234,7 +252,7 @@ class TestCompareCommand:
         from stiffchaos import IntervalPlan, MuMethod, lorenz84, params_for_method
         from stiffchaos import run_transformed, reference_solution
         spec_a = lorenz84()
-        spec_b = lorenz84(f=9.0)
+        spec_b = lorenz84(F=9.0)
         oracle_b = reference_solution(spec_b.problem, 600 * 256)
         plan = IntervalPlan(600, 1, (0.0, 30.0))
         run_a = run_transformed(spec_a, plan, MuMethod.NONE,
@@ -308,8 +326,13 @@ class TestConfigHandling:
         ["demo-stiff-transform", "--a", "0.5"],
         ["transform", "--problem", "lorenz84", "--transform.eps_scale", "2"],
         ["transform", "--problem", "lorenz84", "--transform.mu_init", "0.5"],
+        ["solve", "--problem", "stiff-linear", "--solver", "rk4", "--steps", "10",
+         "--problem.params.a", "[1]"],
+        ["solve", "--problem", "stiff-linear", "--solver", "rk4", "--steps", "10",
+         "--problem.u0", "[]"],
     ], ids=["solve-steps-0", "diagnose-eps-negative", "demo-kappa-g-positive", "demo-a-small",
-            "transform-eps-scale-scalar", "transform-mu-init-scalar"])
+            "transform-eps-scale-scalar", "transform-mu-init-scalar",
+            "solve-param-not-a-number", "solve-u0-empty"])
     def test_library_precondition_is_one_line_config_error(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
@@ -318,6 +341,36 @@ class TestConfigHandling:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--problem", "lorenz84", "--steps", "abc"],
+         "argument --steps: invalid int value: 'abc'"),
+        (["solve", "--problem", "lorenz63"], "argument --problem: invalid choice: 'lorenz63'"),
+        (["transform", "--problem", "lorenz84", "--mu-init", "1,x"],
+         "argument --mu-init: expects comma-separated numbers"),
+        (["transform", "--problem", "lorenz84", "--mu-init", "1,2"],
+         "transform.mu_init: lorenz84 needs a list of 3 numbers"),
+    ], ids=["bad-int", "bad-choice", "bad-float-list", "short-vector"])
+    def test_parser_rejection_is_one_line_config_error(self, tmp_path, capsys, argv, message):
+        rc = main(argv + ["--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("configuration error: " + message)
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_missing_subcommand_is_config_error(self, capsys):
+        rc = main([])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("configuration error: ")
+        assert len(err.splitlines()) == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "-h"])
+        assert exc.value.code == 0
+        assert "--mu-init" in capsys.readouterr().out
 
     def test_diagnose_rejects_eps_before_solving(self, tmp_path, monkeypatch):
         def no_solve(*args):

@@ -251,7 +251,7 @@ class TestCurvatureAlong:
 
 class TestStiffnessReport:
     def test_stiff_linear_q_crossing_matches_reference_window(self):
-        spec = stiff_linear(300.0, u0=1.05, t_span=(0.0, 0.02))
+        spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.02))
         traj = solve_rk4_fixed(spec.problem, 20000)
         report = stiffness_report(traj, spec.problem, spec.variational_jacobian,
                                   eps=1e-3)
@@ -290,7 +290,7 @@ class TestStiffnessReport:
         assert np.all(np.isnan(report.dt_stiff))
 
     def test_q_and_r_recompute_bit_exactly(self):
-        spec = stiff_linear(300.0, u0=1.05, t_span=(0.0, 0.02))
+        spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.02))
         traj = solve_rk4_fixed(spec.problem, 500)
         report = stiffness_report(traj, spec.problem, spec.variational_jacobian,
                                   eps=1e-3)
@@ -305,7 +305,7 @@ class TestStiffnessReport:
                 assert math.isnan(report.r[k])
 
     def test_r_is_gamma_over_kappa(self):
-        spec = stiff_linear(300.0, u0=1.05, t_span=(0.0, 0.02))
+        spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.02))
         traj = solve_rk4_fixed(spec.problem, 500)
         report = stiffness_report(traj, spec.problem, spec.variational_jacobian,
                                   eps=1e-3)

@@ -88,12 +88,12 @@ class TestRk4Fixed:
 
     def test_stiff_linear_25_steps_hits_milli_accuracy(self):
         # a=300 with the 1.05-perturbed start on the transient window [0, 0.1]
-        spec = stiff_linear(300.0, u0=1.05, t_span=(0.0, 0.1))
+        spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.1))
         traj = solve_rk4_fixed(spec.problem, 25)
         assert max_rel_err(traj, spec.exact) <= 1e-3
 
     def test_stiff_linear_12_steps_stable_at_three_percent(self):
-        spec = stiff_linear(300.0, u0=1.05, t_span=(0.0, 0.1))
+        spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.1))
         traj = solve_rk4_fixed(spec.problem, 12)
         assert np.all(np.isfinite(traj.states))
         err = max_rel_err(traj, spec.exact)
@@ -105,7 +105,7 @@ class TestRk4Fixed:
         # ~637 per step and the computed solution is garbage.  (The milli
         # accuracy quoted for 25 steps is only attainable on the transient
         # window, as covered above.)
-        spec = stiff_linear(300.0, u0=1.05, t_span=(0.0, 1.0))
+        spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 1.0))
         try:
             traj = solve_rk4_fixed(spec.problem, 25)
         except NonFiniteState:
@@ -207,7 +207,7 @@ class TestRk4Adaptive:
 
     def test_stagnates_at_dt_min(self):
         # forcing dt_min == dt_max on a too-coarse grid leaves no room to refine
-        prob = stiff_linear(300.0, u0=1.05, t_span=(0.0, 1.0)).problem
+        prob = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 1.0)).problem
         cfg = AdaptiveConfig(tol=1e-12, dt_init=0.25, dt_min=0.25, dt_max=0.25)
         traj = solve_rk4_adaptive(prob, cfg)
         assert traj.stagnated
@@ -269,7 +269,7 @@ class TestTrapezoid:
     def test_stiff_linear_fixed_forty_steps_reach_milli_accuracy(self):
         # the reference count: ~40 trapezoid steps resolve the a=300
         # transient to 1e-3
-        spec = stiff_linear(300.0, u0=1.05, t_span=(0.0, 0.1))
+        spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.1))
         h = 0.1 / 40
         cfg = AdaptiveConfig(tol=1e-3, dt_init=h, dt_min=h, dt_max=h, max_steps=50)
         traj = solve_trapezoid_adaptive(spec.problem, cfg)
@@ -277,7 +277,7 @@ class TestTrapezoid:
         assert max_rel_err(traj, spec.exact) <= 1e-3
 
     def test_stiff_linear_adaptive(self):
-        spec = stiff_linear(300.0, u0=1.05, t_span=(0.0, 0.1))
+        spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.1))
         cfg = AdaptiveConfig(tol=1e-3, dt_init=1e-4, dt_max=0.05)
         traj = solve_trapezoid_adaptive(spec.problem, cfg)
         assert not traj.stagnated

@@ -20,7 +20,7 @@ from stiffchaos import (
 
 class TestStiffLinear:
     def test_exact_solution_is_line_plus_transient(self):
-        spec = stiff_linear(300.0, u0=1.05)
+        spec = stiff_linear(300.0, u0=(1.05,))
         for t in (0.0, 0.003, 0.01, 0.5):
             assert spec.exact(t)[0] == pytest.approx(
                 1.0 + t + 0.05 * math.exp(-300.0 * t), rel=1e-14)
@@ -30,7 +30,7 @@ class TestStiffLinear:
         assert spec.exact(1.0)[0] == 2.0
 
     def test_exact_satisfies_the_ode(self):
-        spec = stiff_linear(300.0, u0=1.05)
+        spec = stiff_linear(300.0, u0=(1.05,))
         for t in np.linspace(0.001, 0.9, 25):
             h = 1e-6
             deriv = (spec.exact(t + h)[0] - spec.exact(t - h)[0]) / (2 * h)
@@ -56,6 +56,14 @@ class TestStiffLinear:
     def test_rejects_nonpositive_a(self):
         with pytest.raises(ValueError):
             stiff_linear(0.0)
+
+    def test_exact_starts_at_u0_for_a_shifted_start(self):
+        spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.5, 1.0))
+        assert abs(spec.exact(0.5)[0] - 1.05) <= 1e-15
+        for t in np.linspace(0.501, 0.9, 25):
+            h = 1e-6
+            deriv = (spec.exact(t + h)[0] - spec.exact(t - h)[0]) / (2 * h)
+            assert deriv == pytest.approx(spec.problem.rhs(t, spec.exact(t))[0], abs=1e-5)
 
 
 class TestFlame:
@@ -90,6 +98,15 @@ class TestFlame:
         with pytest.raises(ValueError):
             flame(1.5)
 
+    def test_exact_starts_at_d_for_a_shifted_start(self):
+        # 1e-11 leaves room for the bisection tolerance (measured 9.1e-14)
+        spec = flame(0.1, t_span=(5.0, 20.0))
+        assert abs(spec.exact(5.0)[0] - 0.1) <= 1e-11
+        for t in (6.0, 12.0, 15.0, 19.0):
+            h = 1e-4
+            deriv = (spec.exact(t + h)[0] - spec.exact(t - h)[0]) / (2 * h)
+            assert abs(deriv - spec.problem.rhs(t, spec.exact(t))[0]) <= 1e-8
+
 
 class TestRobertson:
     def test_rhs_components_sum_to_zero(self, robertson_spec):
@@ -111,7 +128,20 @@ class TestRobertson:
         prob = robertson_spec.problem
         assert prob.u0 == (1.0, 0.0, 0.0)
         assert prob.t_span == (1e-6, 1e6)
-        assert robertson_spec.default_eps == 1e-3
+
+    def test_trapezoid_end_state_matches_radau(self, robertson_spec, robertson_trapezoid):
+        # an independent stiff integrator (scipy's Radau IIA at rtol 1e-10,
+        # atol 1e-14, analytic Jacobian): the worst relative difference of the
+        # 80-step tol-1e-3 trapezoid end state at t = 1e6 measured 2.7e-3 (in x)
+        integrate = pytest.importorskip("scipy.integrate")
+        p = robertson_spec.problem
+        sol = integrate.solve_ivp(lambda t, u: p.rhs(t, tuple(u)), p.t_span, p.u0,
+                                  method="Radau", rtol=1e-10, atol=1e-14,
+                                  jac=lambda t, u: p.jacobian(t, tuple(u)))
+        assert sol.success
+        assert robertson_trapezoid.times[-1] == sol.t[-1] == 1e6
+        ref = sol.y[:, -1]
+        assert np.max(np.abs(robertson_trapezoid.states[-1] - ref) / np.abs(ref)) < 1e-2
 
 
 class TestLorenz84:
@@ -128,8 +158,8 @@ class TestLorenz84:
         assert eig.gamma_max == pytest.approx(1.9, abs=0.1)
 
     def test_forcing_terms_absent_from_jacobian(self, lorenz_oracle):
-        base = lorenz84(f=8.0, g=1.0)
-        forced = lorenz84(f=80.0, g=-3.0)
+        base = lorenz84(F=8.0, G=1.0)
+        forced = lorenz84(F=80.0, G=-3.0)
         t1 = lle_scan(base, lorenz_oracle, 100)
         t2 = lle_scan(forced, lorenz_oracle, 100)
         assert np.array_equal(t1.gamma_max, t2.gamma_max)
@@ -227,3 +257,34 @@ class TestRegistry:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
             make_problem("robertson", params={"rho": 28.0})
+
+    @pytest.mark.parametrize("name", ["stiff-linear", "flame", "robertson", "lorenz84"])
+    def test_params_round_trip_through_the_factory(self, name):
+        # problem.params keys are the factory's keyword names
+        params = {k: 2.0 * v for k, v in make_problem(name).problem.params.items()}
+        if name == "flame":
+            params["d"] = 0.3
+        assert make_problem(name, params=params).problem.params == params
+
+    def test_state_and_span_overrides_reach_every_factory(self):
+        spec = make_problem("robertson", u0=[0.5, 0.0, 0.5], t_span=[0.0, 2.0])
+        assert spec.problem.u0 == (0.5, 0.0, 0.5)
+        assert spec.problem.t_span == (0.0, 2.0)
+        spec = make_problem("lorenz84", params={"F": 6.0}, u0=[1.0, 0.0, 0.0])
+        assert spec.problem.params["F"] == 6.0
+        assert spec.problem.u0 == (1.0, 0.0, 0.0)
+        assert make_problem("flame", t_span=[1.0, 3.0]).problem.t_span == (1.0, 3.0)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("stiff-linear", {"params": {"a": [1]}}),
+        ("lorenz84", {"params": {"G": "1"}}),
+        ("robertson", {"params": {"a": True}}),
+        ("robertson", {"params": {"u0": 1.0}}),
+        ("flame", {"u0": [0.5]}),
+        ("stiff-linear", {"u0": []}),
+        ("lorenz84", {"t_span": 5.0}),
+    ], ids=["param-list", "param-string", "param-bool", "param-named-u0", "flame-u0",
+            "u0-empty", "t-span-scalar"])
+    def test_malformed_overrides_are_value_errors(self, name, kwargs):
+        with pytest.raises(ValueError):
+            make_problem(name, **kwargs)
