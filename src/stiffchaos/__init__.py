@@ -12,6 +12,7 @@ from .diagnostics import (
     dt_max,
     dt_stiff,
     dt_stiff_at,
+    eigenvalues_along,
     kappa_stiff,
     local_eigenvalues,
     stiffness_report,

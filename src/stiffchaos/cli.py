@@ -48,7 +48,7 @@ from .ode import (
     solve_rk4_fixed,
     solve_trapezoid_adaptive,
 )
-from .problems import BenchmarkSpec, PROBLEM_FACTORIES, lle_scan, make_problem
+from .problems import BenchmarkSpec, PROBLEM_FACTORIES, _is_number, lle_scan, make_problem
 from .transform import (
     DEFAULT_COEFFS,
     ExponentOverflow,
@@ -155,18 +155,17 @@ def build_benchmark(cfg: dict) -> BenchmarkSpec:
     if name not in PROBLEM_FACTORIES:
         raise ConfigError(f"problem.name: unknown problem {name!r}; "
                           f"choose from {sorted(PROBLEM_FACTORIES)}")
-    t_span = section.get("t_span")
+    params = section.get("params")
     u0 = section.get("u0")
-    if isinstance(u0, (int, float)):
+    if _is_number(u0):
         u0 = [float(u0)]
     try:
+        spec = make_problem(name, params=params, u0=u0, t_span=section.get("t_span"))
         if section.get("tf") is not None:
-            # --tf keeps the problem's own start time unless t_span sets one
-            start = t_span[0] if t_span else \
-                make_problem(name, params=section.get("params")).problem.t_span[0]
-            t_span = [start, float(section["tf"])]
-        return make_problem(name, params=section.get("params"),
-                            u0=u0, t_span=t_span)
+            # --tf keeps the start time of the (possibly overridden) t_span
+            spec = make_problem(name, params=params, u0=u0,
+                                t_span=[spec.problem.t_span[0], float(section["tf"])])
+        return spec
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"problem: {exc}") from None
 
@@ -290,7 +289,7 @@ def cmd_diagnose(cfg: dict) -> int:
     def lle_rows():
         for i in range(len(trace.times)):
             row = [trace.times[i]]
-            for v in trace.eigens[i].values:
+            for v in trace.values[i]:
                 row += [v.real, v.imag]
             row += [trace.gamma_max[i], trace.gamma_min[i]]
             yield row

@@ -16,7 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diagnostics import LleTrace, local_eigenvalues
+# local_eigenvalues is unused here but stays a module attribute: the benchmark's
+# tracer saves and patches it in every module that imported it.
+from .diagnostics import LleTrace, eigenvalues_along, local_eigenvalues  # noqa: F401
 from .ode import OdeProblem, State, Trajectory
 
 
@@ -270,15 +272,8 @@ def lle_scan(spec: BenchmarkSpec, traj: Trajectory, n_samples: int,
         raise ValueError("scan window not covered by the trajectory")
     scan_times = np.linspace(t0, t1, n_samples)
     idx = nearest_sample_indices(traj.times, scan_times)
-    eigens = []
-    gmax = np.empty(n_samples)
-    gmin = np.empty(n_samples)
     vjac = spec.variational_jacobian
-    for k in range(n_samples):
-        i = int(idx[k])
-        eig = local_eigenvalues(vjac(float(traj.times[i]), tuple(traj.states[i])),
-                                t=float(traj.times[i]))
-        eigens.append(eig)
-        gmax[k] = eig.gamma_max
-        gmin[k] = eig.gamma_min
-    return LleTrace(times=scan_times, eigens=tuple(eigens), gamma_max=gmax, gamma_min=gmin)
+    values = eigenvalues_along(
+        lambda k: vjac(float(traj.times[idx[k]]), tuple(traj.states[idx[k]])),
+        n_samples, spec.problem.dim)
+    return LleTrace(times=scan_times, values=values)

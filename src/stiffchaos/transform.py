@@ -47,6 +47,7 @@ from .diagnostics import (
     curvature_along,
     dt_max,
     dt_stiff,
+    eigenvalues_along,
     local_eigenvalues,
 )
 from .ode import (
@@ -403,22 +404,18 @@ def jstar_scan(run: TransformRun, n_samples: int) -> LleTrace:
     sol = run.solution
     scan_times = np.linspace(plan.t_span[0], plan.t_span[1], n_samples)
     idx = nearest_sample_indices(sol.times, scan_times)
-    eigens = []
-    gmax = np.empty(n_samples)
-    gmin = np.empty(n_samples)
-    for s in range(n_samples):
+
+    def jstar_at(s: int):
         j = int(idx[s])
         k = min(j // spi, plan.k_intervals - 1)
         tau = (j - k * spi) * h
         mu = tuple(map(float, run.mu_history[k]))
         z = tuple(map(truediv, map(mul, sol.states[j],
                                    map(math.exp, map(mul, mu, repeat(-tau)))), eps))
-        jstar_k = _shifted_jacobian(jac, plan.t_span[0] + k * spi * h, z, mu, eps)
-        eig = local_eigenvalues(jstar_k, t=float(sol.times[j]))
-        eigens.append(eig)
-        gmax[s] = eig.gamma_max
-        gmin[s] = eig.gamma_min
-    return LleTrace(times=scan_times, eigens=tuple(eigens), gamma_max=gmax, gamma_min=gmin)
+        return _shifted_jacobian(jac, plan.t_span[0] + k * spi * h, z, mu, eps)
+
+    values = eigenvalues_along(jstar_at, n_samples, run.problem.dim)
+    return LleTrace(times=scan_times, values=values)
 
 
 def step_extension_report(run: TransformRun, reference: Trajectory,

@@ -97,6 +97,9 @@ class TestDiagnoseCommand:
         assert header == ["t", "kappa", "dt_max", "dt_stiff", "Q", "R"]
         crossing = manifest(out)["summary"]["q_unity_crossing"]
         assert 0.003 <= crossing <= 0.005
+        # a real eigenvalue's imaginary part is written as 0, never as -0
+        rows = (out / "lle.csv").read_text().splitlines()[1:]
+        assert rows and all(cell != "-0" for row in rows for cell in row.split(","))
 
     def test_lorenz_lle_columns_and_chaotic_fraction(self, tmp_path):
         out = tmp_path / "lle"
@@ -330,9 +333,14 @@ class TestConfigHandling:
          "--problem.params.a", "[1]"],
         ["solve", "--problem", "stiff-linear", "--solver", "rk4", "--steps", "10",
          "--problem.u0", "[]"],
+        ["diagnose", "--problem", "stiff-linear", "--solver", "rk4", "--steps", "20",
+         "--problem.t_span", "5", "--tf", "3"],
+        ["solve", "--problem", "stiff-linear", "--solver", "rk4", "--steps", "20",
+         "--problem.u0", "true"],
     ], ids=["solve-steps-0", "diagnose-eps-negative", "demo-kappa-g-positive", "demo-a-small",
             "transform-eps-scale-scalar", "transform-mu-init-scalar",
-            "solve-param-not-a-number", "solve-u0-empty"])
+            "solve-param-not-a-number", "solve-u0-empty", "diagnose-t-span-scalar-with-tf",
+            "solve-u0-bool"])
     def test_library_precondition_is_one_line_config_error(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err

@@ -15,6 +15,7 @@ from stiffchaos import (
     dt_max,
     dt_stiff,
     dt_stiff_at,
+    eigenvalues_along,
     flame,
     kappa_stiff,
     local_eigenvalues,
@@ -25,7 +26,7 @@ from stiffchaos import (
     stiffness_report,
     t_star_peak,
 )
-from stiffchaos.diagnostics import KAPPA_STIFF_PEAK, char_poly_residual
+from stiffchaos.diagnostics import EIG_BLOCK, KAPPA_STIFF_PEAK
 
 
 class TestCurvature:
@@ -175,7 +176,7 @@ class TestEigenvalues:
             max_mag = max(abs(v) for v in eig.values)
             # characteristic polynomial residual
             for v in eig.values:
-                assert char_poly_residual(m, v) <= 1e-8 * (1.0 + abs(v)) ** 3
+                assert abs(np.polyval(np.poly(m), v)) <= 1e-8 * (1.0 + abs(v)) ** 3
             # conjugate symmetry
             assert abs(sum(v.imag for v in eig.values)) <= 1e-9 * max(1.0, max_mag)
             # trace
@@ -202,6 +203,55 @@ class TestEigenvalues:
         m = [[1e200, 0.0, 0.0], [0.0, -2e200, 0.0], [0.0, 0.0, 3e200]]
         eig = local_eigenvalues(m)
         assert eig.gamma_max == pytest.approx(3e200, rel=1e-9)
+
+    def test_robertson_start_is_exact(self, robertson_spec):
+        # the rows of Robertson's Jacobian sum to zero, so 0 is an exact root
+        eig = local_eigenvalues(robertson_spec.problem.jacobian(0.0, (1.0, 0.0, 0.0)))
+        assert eig.values == (0.0, 0.0, -0.04)
+        assert all(v.imag == 0.0 for v in eig.values)
+
+    def test_robertson_zero_root_along_trapezoid_run(self, robertson_spec, robertson_trapezoid):
+        traj = robertson_trapezoid
+        jac = robertson_spec.problem.jacobian
+        report = stiffness_report(traj, robertson_spec.problem, jac, eps=1e-3)
+        scale = np.array([np.max(np.abs(jac(float(t), tuple(u))))
+                          for t, u in zip(traj.times, traj.states)])
+        assert np.all(np.abs(report.gamma_max) <= 1e-14 * scale)
+
+    def test_repeated_roots_match_constructed_spectrum(self):
+        # Q diag(lam, lam, mu) Q^T with Q orthogonal: a normal matrix, so even
+        # a double or triple root is well conditioned and must come out to
+        # roundoff; the reference is the constructed spectrum
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        entry = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+        @hypothesis.settings(max_examples=500, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(q=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+                          lam=entry, mu=entry, triple=st.booleans())
+        def check(q, lam, mu, triple):
+            if triple:
+                mu = lam
+            basis = np.linalg.qr(np.reshape(q, (3, 3)))[0]
+            m = basis @ np.diag([lam, lam, mu]) @ basis.T
+            tol = 1e-12 * float(np.max(np.abs(m)))
+            got = local_eigenvalues(m).values
+            want = sorted([lam, lam, mu], reverse=True)
+            assert all(abs(v.real - w) <= tol for v, w in zip(got, want))
+            assert all(abs(v.imag) <= tol for v in got)
+
+        check()
+
+    def test_blocked_scan_matches_single_matrix_bit_for_bit(self, lorenz_spec):
+        jac = lorenz_spec.problem.jacobian
+        rng = np.random.default_rng(11)
+        states = rng.uniform(-2.5, 2.5, (2 * EIG_BLOCK + 1, 3))
+        values = eigenvalues_along(lambda k: jac(0.0, tuple(states[k])), len(states), 3)
+        assert values.shape == (len(states), 3)
+        for k, u in enumerate(states):
+            single = np.array(local_eigenvalues(jac(0.0, tuple(u))).values)
+            assert values[k].tobytes() == single.tobytes()
 
 
 def _sampled_trajectory(fn, t0, t1, n, dim=1):

@@ -158,9 +158,8 @@ class TestJstar:
 
     @pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
     def test_uniform_shift_law_for_any_scaling(self, name):
-        # eig(E^-1 J(E z) E - m I) = eig(J(E z)) - m on every problem; LAPACK
-        # eigenvalues, because hypothesis finds repeated roots (z = 0), where
-        # the closed-form solver keeps only half the digits
+        # eig(E^-1 J(E z) E - m I) = eig(J(E z)) - m on every problem, matched
+        # nearest first because hypothesis finds repeated roots (z = 0)
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         problem = make_problem(name).problem
