@@ -72,7 +72,7 @@ SOLVER_NAMES = {
     "trapezoid": TRAPEZOID_ADAPTIVE,
 }
 
-DEFAULT_ORACLE_REFINE = 256
+DEFAULT_ORACLE_REFINE = 2  # GBS macro steps per run step
 DEFAULT_EPS = 1e-3
 
 
@@ -355,8 +355,11 @@ def _transform_setup(cfg: dict, spec: BenchmarkSpec):
 
 def _oracle_for(cfg: dict, spec: BenchmarkSpec, n_steps: int) -> Trajectory:
     refine = int(cfg.get("oracle", {}).get("refine", DEFAULT_ORACLE_REFINE))
-    if refine < 16:
-        raise ConfigError("oracle.refine must be >= 16")
+    if refine < 1:
+        raise ConfigError("oracle.refine must be >= 1")
+    if n_steps * refine % 2:
+        raise ConfigError(f"oracle.refine x steps = {n_steps * refine} must be even "
+                          f"(the oracle's gate halves it)")
     return reference_solution(spec.problem, n_steps * refine)
 
 
@@ -403,6 +406,7 @@ def cmd_transform(cfg: dict) -> int:
         "k_intervals": plan.k_intervals,
         "gamma_source": gamma_source,
         "oracle_n_steps": reference.meta.get("oracle_n_steps"),
+        "oracle_rhs_evals": reference.meta.get("oracle_rhs_evals"),
         "oracle_check_delta": reference.meta.get("oracle_check_delta"),
         "max_abs_error": {
             "x": run.max_error(0), "y": run.max_error(1), "z": run.max_error(2),
@@ -463,6 +467,7 @@ def cmd_compare(cfg: dict) -> int:
         "max_errors": {r["method"]: r["max_error"] for r in rows},
         "improvement_ratios": {r["method"]: r["improvement_ratio"] for r in rows},
         "oracle_n_steps": reference.meta.get("oracle_n_steps"),
+        "oracle_rhs_evals": reference.meta.get("oracle_rhs_evals"),
         "oracle_check_delta": reference.meta.get("oracle_check_delta"),
         "best_method": min(rows, key=lambda r: r["max_error"])["method"],
     }

@@ -1,11 +1,13 @@
-"""ODE problem abstraction and the three integrators used by the experiments.
+"""ODE problem abstraction, the three integrators used by the experiments,
+and the extrapolation oracle their errors are measured against.
 
 Solvers operate on plain float tuples internally (the benchmark systems have
-1-3 components and the reference oracle takes ~10^6 steps, so per-step numpy
+1-3 components and single runs take 10^3-10^5 steps, so per-step numpy
 overhead would dominate).  Trajectories are returned as read-only numpy
-arrays.  Fixed-step RK4 on a dim-3 system, the oracle's path, is one
-unrolled loop that stores through a flat memoryview: a kernel call per step
-plus a numpy row store from a tuple cost about 30% of a step.
+arrays.  Fixed-step RK4 and the oracle's Gragg-Bulirsch-Stoer march each
+have one loop unrolled for dim-3 systems that stores through a flat
+memoryview: a kernel call per step plus a numpy row store from a tuple cost
+about 30% of an RK4 step.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ Jacobian = Callable[[float, State], Sequence[Sequence[float]]]
 RK4_FIXED = "rk4_fixed"
 RK4_ADAPTIVE = "rk4_adaptive"
 TRAPEZOID_ADAPTIVE = "trapezoid_adaptive"
+GBS_EXTRAPOLATION = "gbs_extrapolation"
 
 
 class NonFiniteState(ArithmeticError):
@@ -139,11 +142,11 @@ class AdaptiveConfig:
 # RK4 stepping kernels.  Both take the first stage k1 = f(t, u) from the
 # caller (step doubling shares it between the full and the first half step)
 # and return (u_next, k2, k3, k4), so the adaptive solver can inspect the
-# stages.  The dim-3 kernel is unrolled because the Lorenz oracle takes
-# ~10^6 steps per test session; ``_rk4_kernel`` picks the kernel for
+# stages.  The dim-3 kernel is unrolled because Lorenz-84 and Robertson runs
+# take 10^4-10^5 steps each; ``_rk4_kernel`` picks the kernel for
 # ``rk4_step``, the adaptive solver and the transform driver.
 #
-# Fixed-step dim-3 runs (the oracle) go through ``_rk4_march3`` instead:
+# Fixed-step dim-3 runs go through ``_rk4_march3`` instead:
 # ``_rk4_step3`` inlined into the loop with the same expressions in the same
 # order, so its states are bit-identical to iterating ``rk4_step``.  Per step
 # it saves the kernel call, the returned 4-tuple, the ``_is_bad`` call and
@@ -476,24 +479,141 @@ def solve_trapezoid_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajec
                           solver_id=TRAPEZOID_ADAPTIVE)
 
 
+# ---------------------------------------------------------------------------
+# Gragg-Bulirsch-Stoer extrapolation, the reference oracle's integrator
+# (Bulirsch & Stoer 1966; Hairer-Norsett-Wanner I, section II.9).  A macro
+# step of size H from (t, u) runs Gragg's modified midpoint rule once per
+# level j with n_j substeps of h = H / n_j, all levels starting from the one
+# shared f(t, u):
+#     z_1 = u + h f(t, u),   z_{k+1} = z_{k-1} + 2 h f(t + k h, z_k),
+# smooths the end value,
+#     S_j = (z_{n-1} + z_n + h f(t + H, z_n)) / 2,
+# and extrapolates the S_j to h = 0 by Aitken-Neville in h^2,
+#     T_{j,k+1} = T_{j,k} + (T_{j,k} - T_{j-1,k}) / ((n_j / n_{j-k})^2 - 1).
+# With n_j = 2j, j = 1..6, T_{6,6} is of order 12 at 1 + 42 = 43 rhs calls
+# per macro step.  The level count is fixed: on Lorenz-84 at two macro steps
+# per run step six levels clear the 1e-8 gate 50-fold, and beyond about
+# eight levels roundoff undoes what the extra calls buy.
+#
+# ``_gbs_march3`` is ``_gbs_march`` unrolled for dim-3 systems (state in
+# locals, flat memoryview stores) with the same expressions in the same
+# order, so the two give bit-identical states.
+
+_GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12)
+_GBS_NEVILLE = tuple(
+    tuple(1.0 / ((n / _GBS_SUBSTEPS[j - k - 1]) ** 2 - 1.0) for k in range(j))
+    for j, n in enumerate(_GBS_SUBSTEPS)
+)
+_GBS_RHS_PER_STEP = 1 + sum(_GBS_SUBSTEPS)
+
+
+def _gbs_march(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> None:
+    """GBS macro steps of size ``h`` from ``u`` at ``t0``; state i + 1 goes
+    to ``states[i + 1]``.  Raises ``NonFiniteState`` at the end of the first
+    macro step whose state is not finite."""
+    for i in range(len(states) - 1):
+        t = t0 + i * h
+        f0 = f(t, u)
+        row: list[State] = []
+        for n, factors in zip(_GBS_SUBSTEPS, _GBS_NEVILLE):
+            hs = h / n
+            h2 = 2.0 * hs
+            z0 = u
+            z1 = tuple(a + hs * b for a, b in zip(u, f0))
+            for k in range(1, n):
+                z0, z1 = z1, tuple(a + h2 * b for a, b in zip(z0, f(t + k * hs, z1)))
+            s = tuple(0.5 * (a + b + hs * c) for a, b, c in zip(z0, z1, f(t + h, z1)))
+            new = [s]
+            for prev, c in zip(row, factors):
+                s = tuple(a + (a - b) * c for a, b in zip(s, prev))
+                new.append(s)
+            row = new
+        u = row[-1]
+        if _is_bad(u):
+            raise NonFiniteState(t0 + (i + 1) * h)
+        states[i + 1] = u
+
+
+def _gbs_march3(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> None:
+    """``_gbs_march`` for a dim-3 system, bit-identical to it.  The
+    substep sizes and time offsets k * h / n_j, the same for every macro
+    step, are computed once."""
+    levels = tuple((h / n, 2.0 * (h / n), tuple(k * (h / n) for k in range(1, n)), factors)
+                   for n, factors in zip(_GBS_SUBSTEPS, _GBS_NEVILLE))
+    x, y, z = u
+    j = 3
+    with memoryview(states.reshape(-1)) as out:
+        for i in range(len(states) - 1):
+            t = t0 + i * h
+            t_end = t + h
+            a0, b0, c0 = f(t, (x, y, z))
+            px = py = pz = ()
+            for hs, h2, offsets, factors in levels:
+                x0, y0, z0 = x, y, z
+                x1, y1, z1 = x + hs * a0, y + hs * b0, z + hs * c0
+                for dt in offsets:
+                    a, b, c = f(t + dt, (x1, y1, z1))
+                    x0, x1 = x1, x0 + h2 * a
+                    y0, y1 = y1, y0 + h2 * b
+                    z0, z1 = z1, z0 + h2 * c
+                a, b, c = f(t_end, (x1, y1, z1))
+                sx = 0.5 * (x0 + x1 + hs * a)
+                sy = 0.5 * (y0 + y1 + hs * b)
+                sz = 0.5 * (z0 + z1 + hs * c)
+                rx, ry, rz = [sx], [sy], [sz]
+                for qx, qy, qz, c in zip(px, py, pz, factors):
+                    sx = sx + (sx - qx) * c
+                    sy = sy + (sy - qy) * c
+                    sz = sz + (sz - qz) * c
+                    rx.append(sx)
+                    ry.append(sy)
+                    rz.append(sz)
+                px, py, pz = rx, ry, rz
+            x, y, z = sx, sy, sz
+            # ``_is_bad`` inlined: the sum is nan/inf iff some component is
+            w = x + y + z
+            if w - w != 0.0:
+                raise NonFiniteState(t0 + (i + 1) * h)
+            out[j] = x
+            out[j + 1] = y
+            out[j + 2] = z
+            j += 3
+
+
+def _gbs_states(problem: OdeProblem, n_steps: int) -> np.ndarray:
+    t0, t1 = problem.t_span
+    states = np.empty((n_steps + 1, problem.dim))
+    states[0] = problem.u0
+    march = _gbs_march3 if problem.dim == 3 else _gbs_march
+    march(problem.rhs, t0, (t1 - t0) / n_steps, problem.u0, states)
+    return states
+
+
+def problem_fingerprint(problem: OdeProblem) -> tuple:
+    """(name, params, u0, t_span): what a reference solution was computed for."""
+    return (problem.name, dict(problem.params), problem.u0, problem.t_span)
+
+
 ORACLE_CHECK_TOL = 1e-8
 
 
 def reference_solution(problem: OdeProblem, n_steps: int) -> Trajectory:
-    """Fine-step RK4 oracle with a built-in self-consistency gate.
+    """Gragg-Bulirsch-Stoer oracle with a built-in self-consistency gate.
 
-    Integrates at ``n_steps`` and at ``n_steps // 2`` and compares the two on
-    the shared coarse grid: if the step-halving from n/2 to n still moves any
-    state component by >= 1e-8, the oracle is not trustworthy at this
-    resolution and ``OracleNotConverged`` is raised.  ``n_steps`` must be
-    even and should be at least 16x the base resolution of the experiment
-    it serves.
+    Takes ``n_steps`` equidistant GBS macro steps, one per output sample,
+    and again ``n_steps // 2``, and compares the two on the shared coarse
+    grid: if halving the macro step from n/2 to n still moves any state
+    component by >= 1e-8, the oracle is not trustworthy at this resolution
+    and ``OracleNotConverged`` is raised.  ``n_steps`` must be even.
+    ``meta`` records the gate's ``oracle_check_delta``, ``oracle_n_steps``,
+    the rhs calls of both runs (``oracle_rhs_evals``) and the ``problem``
+    fingerprint (name, params, u0, t_span) that ``run_transformed`` checks.
     """
     if n_steps < 2 or n_steps % 2:
         raise ValueError("n_steps must be even and >= 2")
-    fine = solve_rk4_fixed(problem, n_steps)
-    coarse = solve_rk4_fixed(problem, n_steps // 2)
-    diff = fine.states[::2] - coarse.states
+    fine = _gbs_states(problem, n_steps)
+    coarse = _gbs_states(problem, n_steps // 2)
+    diff = fine[::2] - coarse
     np.abs(diff, out=diff)  # in place: one n/2 x dim temporary, not two
     delta = float(diff.max())
     if not delta < ORACLE_CHECK_TOL:
@@ -502,12 +622,15 @@ def reference_solution(problem: OdeProblem, n_steps: int) -> Trajectory:
             f"halving the step still moves the solution by {delta:.3e} "
             f"(limit {ORACLE_CHECK_TOL:.1e}); increase the refinement"
         )
-    meta = dict(fine.meta)
-    meta["oracle_check_delta"] = delta
-    meta["oracle_n_steps"] = n_steps
-    return Trajectory(
-        fine.times, fine.states, fine.solver_id, fine.steps_taken, meta=meta
-    )
+    t0, t1 = problem.t_span
+    times = t0 + ((t1 - t0) / n_steps) * np.arange(n_steps + 1)
+    meta = {
+        "oracle_check_delta": delta,
+        "oracle_n_steps": n_steps,
+        "oracle_rhs_evals": _GBS_RHS_PER_STEP * (n_steps + n_steps // 2),
+        "problem": problem_fingerprint(problem),
+    }
+    return Trajectory(times, fine, GBS_EXTRAPOLATION, n_steps, meta=meta)
 
 
 def check_jacobian(problem: OdeProblem, states: Sequence[State],

@@ -60,6 +60,7 @@ from .ode import (
     Trajectory,
     _is_bad,
     _rk4_kernel,
+    problem_fingerprint,
 )
 from .problems import BenchmarkSpec, lorenz84, nearest_sample_indices, stiff_linear
 
@@ -287,15 +288,31 @@ class TransformRun:
         return float(np.max(self.errors_vs_reference[:, component]))
 
 
-def _align_reference(reference: Trajectory, plan: IntervalPlan) -> int:
+def _align_reference(reference: Trajectory, plan: IntervalPlan,
+                     problem: OdeProblem) -> int:
+    """Stride from the reference grid to the run's N+1 sample times.
+
+    The reference must span exactly the run's t_span, start from the run's
+    u0 exactly and, when it carries ``reference_solution``'s problem stamp,
+    have been computed for the run's problem.
+    """
     m = len(reference.times) - 1
     n = plan.n_steps
     if m % n:
         raise ValueError(
             f"reference resolution ({m} steps) is not a multiple of the run's {n} steps")
-    if abs(reference.times[0] - plan.t_span[0]) > 1e-12 or \
-            reference.times[-1] < plan.t_span[1] - 1e-9:
-        raise ValueError("reference does not cover the run's t_span")
+    t0, t1 = plan.t_span
+    if abs(reference.times[0] - t0) > 1e-12 or \
+            abs(reference.times[-1] - t1) > 1e-9 * max(1.0, abs(t1)):
+        raise ValueError(
+            f"reference spans [{reference.times[0]!r}, {reference.times[-1]!r}], "
+            f"the run [{t0!r}, {t1!r}]")
+    stamp = reference.meta.get("problem")
+    if stamp is not None and stamp != problem_fingerprint(problem):
+        raise ValueError(f"reference was computed for {stamp!r}, not for the run's problem")
+    u_ref = tuple(map(float, reference.states[0]))
+    if u_ref != problem.u0:
+        raise ValueError(f"reference starts at {u_ref!r}, the run at {problem.u0!r}")
     return m // n
 
 
@@ -332,7 +349,7 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
             raise ValueError(f"params.{name} needs {dim} components, one per state component")
     if gamma_source not in GAMMA_SOURCES:
         raise ValueError(f"gamma_source must be one of {GAMMA_SOURCES}")
-    stride = _align_reference(reference, plan)
+    stride = _align_reference(reference, plan, problem)
 
     n = plan.n_steps
     k_intervals = plan.k_intervals
@@ -380,8 +397,7 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
         mu = select_mu(method, history, params)
 
     solution = Trajectory(times, states, RK4_FIXED, steps_taken=n)
-    ref_states = reference.states[::stride][: n + 1]
-    errors = np.abs(states - ref_states)
+    errors = np.abs(states - reference.states[::stride])
     return TransformRun(plan=plan, method=method, params=params, problem=problem,
                         mu_history=mu_history, gamma_max_history=gamma_history,
                         solution=solution, errors_vs_reference=errors)
@@ -428,9 +444,8 @@ def step_extension_report(run: TransformRun, reference: Trajectory,
     """
     if not eps_achieved > 0:
         raise ValueError("eps_achieved must be > 0")
-    stride = _align_reference(reference, run.plan)
-    sub = Trajectory(reference.times[::stride][: run.plan.n_steps + 1],
-                     reference.states[::stride][: run.plan.n_steps + 1],
+    stride = _align_reference(reference, run.plan, run.problem)
+    sub = Trajectory(reference.times[::stride], reference.states[::stride],
                      reference.solver_id, steps_taken=run.plan.n_steps)
     tk = curvature_along(sub, run.problem, component=2)
     out = np.empty_like(tk)

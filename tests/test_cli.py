@@ -150,6 +150,18 @@ class TestTransformCommand:
         m = manifest(out)
         assert m["summary"]["max_abs_error"]["x"] <= 0.05
 
+    @pytest.mark.parametrize("command", ["transform", "compare"])
+    def test_manifest_records_the_oracle_cost(self, tmp_path, command):
+        # refine 2: 1200 GBS macro steps plus 600 for the gate, 43 rhs calls each
+        out = tmp_path / command
+        rc = main([command, "--problem", "lorenz84", "--method", "none",
+                   "--steps", "600", "--out", str(out)])
+        assert rc == 0
+        summary = manifest(out)["summary"]
+        assert summary["oracle_n_steps"] == 1200
+        assert summary["oracle_rhs_evals"] == 43 * (1200 + 600)
+        assert summary["oracle_check_delta"] < 1e-9
+
     def test_manifest_error_matches_csv(self, tmp_path):
         out = tmp_path / "trc"
         main(["transform", "--problem", "lorenz84", "--method", "1",
@@ -199,10 +211,28 @@ class TestTransformCommand:
         assert m["summary"]["oracle_check_delta"] < 1e-8
         assert m["summary"]["max_abs_error"]["x"] < 1e-6
 
+    @pytest.mark.parametrize("steps, refine, message", [
+        ("601", "1", "oracle.refine x steps = 601 must be even"),
+        ("600", "0", "oracle.refine must be >= 1"),
+    ], ids=["odd-oracle-steps", "refine-0"])
+    def test_oracle_refine_is_checked_before_the_oracle(self, tmp_path, capsys, monkeypatch,
+                                                        steps, refine, message):
+        def no_oracle(*args):
+            raise AssertionError("oracle ran")
+
+        monkeypatch.setattr(cli, "reference_solution", no_oracle)
+        rc = main(["transform", "--problem", "lorenz84", "--method", "none",
+                   "--steps", steps, "--oracle-refine", refine,
+                   "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"configuration error: {message}")
+        assert len(err.splitlines()) == 1
+
     def test_unconverged_oracle_is_numerical_failure(self, tmp_path):
         rc = main(["transform", "--problem", "lorenz84", "--method", "3",
                    "--steps", "600", "--intervals", "15",
-                   "--oracle-refine", "16", "--out", str(tmp_path / "x")])
+                   "--oracle-refine", "1", "--out", str(tmp_path / "x")])
         assert rc == 2
 
 
@@ -256,7 +286,7 @@ class TestCompareCommand:
         from stiffchaos import run_transformed, reference_solution
         spec_a = lorenz84()
         spec_b = lorenz84(F=9.0)
-        oracle_b = reference_solution(spec_b.problem, 600 * 256)
+        oracle_b = reference_solution(spec_b.problem, 600 * cli.DEFAULT_ORACLE_REFINE)
         plan = IntervalPlan(600, 1, (0.0, 30.0))
         run_a = run_transformed(spec_a, plan, MuMethod.NONE,
                                 params_for_method(MuMethod.NONE), lorenz_oracle)

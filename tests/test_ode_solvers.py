@@ -22,7 +22,14 @@ from stiffchaos import (
     solve_trapezoid_adaptive,
     stiff_linear,
 )
-from stiffchaos.ode import ORACLE_CHECK_TOL, _rk4_step3, _rk4_stepn, rk4_step
+from stiffchaos.ode import (
+    ORACLE_CHECK_TOL,
+    _gbs_march,
+    _gbs_march3,
+    _rk4_step3,
+    _rk4_stepn,
+    rk4_step,
+)
 
 
 def exp_decay(t_span=(0.0, 1.0)) -> OdeProblem:
@@ -60,6 +67,26 @@ def step_kernel_loop(problem: OdeProblem, n_steps: int) -> np.ndarray:
             raise NonFiniteState(t0 + (i + 1) * h)
         states.append(u)
     return np.array(states)
+
+
+def blowup_dim3() -> OdeProblem:
+    # du_i/dt = u_i^2 blows up at t = 1/u_i(0); the first component goes first
+    return OdeProblem(
+        name="blowup-dim3", dim=3, params={},
+        rhs=lambda t, u: (u[0] * u[0], u[1] * u[1], u[2] * u[2]),
+        jacobian=lambda t, u: ((2.0 * u[0], 0.0, 0.0), (0.0, 2.0 * u[1], 0.0),
+                               (0.0, 0.0, 2.0 * u[2])),
+        u0=(1.0, 0.5, 0.25), t_span=(0.0, 3.0),
+    )
+
+
+def gbs_states(problem: OdeProblem, n_steps: int, march) -> np.ndarray:
+    """The states of ``n_steps`` GBS macro steps over the problem's span."""
+    t0, t1 = problem.t_span
+    states = np.empty((n_steps + 1, problem.dim))
+    states[0] = problem.u0
+    march(problem.rhs, t0, (t1 - t0) / n_steps, problem.u0, states)
+    return states
 
 
 def rhs_counted(problem: OdeProblem) -> tuple[OdeProblem, list[int]]:
@@ -123,16 +150,8 @@ class TestRk4Fixed:
             solve_rk4_fixed(prob, 3000)
 
     def test_finite_time_blowup_raises_dim3(self):
-        # du_i/dt = u_i^2 blows up at t = 1/u_i(0); the first component goes
-        # first, and the unrolled dim-3 loop must stop where the step-kernel
-        # loop stops
-        prob = OdeProblem(
-            name="blowup-dim3", dim=3, params={},
-            rhs=lambda t, u: (u[0] * u[0], u[1] * u[1], u[2] * u[2]),
-            jacobian=lambda t, u: ((2.0 * u[0], 0.0, 0.0), (0.0, 2.0 * u[1], 0.0),
-                                   (0.0, 0.0, 2.0 * u[2])),
-            u0=(1.0, 0.5, 0.25), t_span=(0.0, 3.0),
-        )
+        # the unrolled dim-3 loop must stop where the step-kernel loop stops
+        prob = blowup_dim3()
         with pytest.raises(NonFiniteState) as unrolled:
             solve_rk4_fixed(prob, 3000)
         with pytest.raises(NonFiniteState) as reference:
@@ -319,17 +338,53 @@ class TestReferenceSolution:
 
     def test_gate_rejects_coarse_lorenz(self, lorenz_spec):
         with pytest.raises(OracleNotConverged):
-            reference_solution(lorenz_spec.problem, 2400)
+            reference_solution(lorenz_spec.problem, 600)
 
     def test_gate_passes_fine_lorenz(self, lorenz_oracle):
         assert lorenz_oracle.meta["oracle_check_delta"] < 1e-8
         assert lorenz_oracle.meta["oracle_n_steps"] == len(lorenz_oracle.times) - 1
 
-    def test_costs_four_rhs_calls_per_step_of_both_runs(self):
-        # the fine run (n steps) and the gate's half-resolution run (n/2)
+    def test_rhs_calls_match_the_recorded_count(self):
+        # 43 per macro step of the fine run (n) and of the gate's run (n/2)
         counted, calls = rhs_counted(lorenz84(t_span=(0.0, 1.0)).problem)
-        reference_solution(counted, 1000)
-        assert calls[0] == 4 * (1000 + 500)
+        traj = reference_solution(counted, 1000)
+        assert calls[0] == traj.meta["oracle_rhs_evals"] == 43 * (1000 + 500)
+
+    def test_records_the_problem_it_was_computed_for(self):
+        spec = lorenz84(t_span=(0.0, 1.0))
+        traj = reference_solution(spec.problem, 100)
+        assert traj.meta["problem"] == (
+            "lorenz84", {"a": 0.25, "b": 4.0, "F": 8.0, "G": 1.0},
+            (0.96, -1.1, 0.5), (0.0, 1.0))
+        assert traj.steps_taken == traj.meta["oracle_n_steps"] == 100
+
+    @pytest.mark.parametrize("problem, n_steps", [
+        (lorenz84().problem, 1200),
+        (replace(robertson().problem, t_span=(1e-6, 1.0)), 2000),
+        (forced_dim3(), 777),
+    ], ids=["lorenz84", "robertson", "non-autonomous"])
+    def test_unrolled_dim3_march_matches_generic_march_bitwise(self, problem, n_steps):
+        unrolled = gbs_states(problem, n_steps, _gbs_march3)
+        assert np.all(np.isfinite(unrolled))
+        assert unrolled.tobytes() == gbs_states(problem, n_steps, _gbs_march).tobytes()
+
+    def test_blowup_raises_at_the_same_time_on_both_marches(self):
+        prob = blowup_dim3()
+        with pytest.raises(NonFiniteState) as unrolled:
+            gbs_states(prob, 300, _gbs_march3)
+        with pytest.raises(NonFiniteState) as generic:
+            gbs_states(prob, 300, _gbs_march)
+        assert unrolled.value.t == generic.value.t
+        assert 1.0 <= unrolled.value.t < 1.1
+
+    def test_lorenz_oracle_agrees_with_fine_rk4(self, lorenz_spec):
+        # an independent integrator: fixed-step RK4 at 256x the N=600 grid;
+        # measured max|diff| 3.8e-10 on that grid over [0, 30], mostly the
+        # RK4 run's own error (6.3e-11 against RK4 at 1024x)
+        oracle = reference_solution(lorenz_spec.problem, 1200)
+        rk4 = solve_rk4_fixed(lorenz_spec.problem, 600 * 256)
+        diff = np.max(np.abs(oracle.states[::2] - rk4.states[::256]))
+        assert diff < ORACLE_CHECK_TOL
 
     def test_lorenz_oracle_agrees_with_dop853(self, lorenz_spec, lorenz_oracle):
         # an independent integrator (scipy's DOP853 at rtol = atol = 1e-13) on

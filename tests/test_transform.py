@@ -19,6 +19,7 @@ from stiffchaos import (
     lorenz84,
     make_problem,
     params_for_method,
+    reference_solution,
     run_transformed,
     select_mu,
     solve_rk4_fixed,
@@ -26,12 +27,14 @@ from stiffchaos import (
     stiff_transform_demo,
     transformed_rhs,
 )
+from stiffchaos import cli
 from stiffchaos.ode import rk4_step
 from stiffchaos.transform import (
     GAMMA_FLOW,
     GAMMA_JSTAR_END,
     GAMMA_JSTAR_START,
     METHOD_MU_INIT,
+    _align_reference,
     _shifted_jacobian,
 )
 
@@ -349,6 +352,57 @@ class TestRunTransformed:
         with pytest.raises(ValueError):
             run_transformed(lorenz_spec, IntervalPlan(7, 7, (0.0, 30.0)),
                             MuMethod.NONE, TransformParams(), lorenz_oracle)
+
+
+class TestReferenceAlignment:
+    """A reference is accepted only for the run it was computed for."""
+
+    def none_error(self, spec, reference) -> float:
+        run = run_transformed(spec, IntervalPlan(600, 1, (0.0, 30.0)), MuMethod.NONE,
+                              params_for_method(MuMethod.NONE), reference)
+        return run.max_error(0)
+
+    @pytest.mark.parametrize("t1, n_steps", [(60.0, 76800), (29.0, 1200)],
+                             ids=["ends-later", "ends-earlier"])
+    def test_reference_over_another_span_is_rejected(self, lorenz_spec, t1, n_steps):
+        # 76,800 steps over [0, 60] divide by 600, and stride 128 would
+        # sample [0, 60] (max|x err| 2.03 instead of 1.47)
+        other = solve_rk4_fixed(lorenz84(t_span=(0.0, t1)).problem, n_steps)
+        with pytest.raises(ValueError, match="spans"):
+            self.none_error(lorenz_spec, other)
+
+    @pytest.mark.parametrize("change", [{"F": 9.0}, {"u0": (0.9, -1.0, 0.4)}],
+                             ids=["forcing", "u0"])
+    def test_stamped_reference_from_another_problem_is_rejected(self, lorenz_spec, change):
+        # same grid and span; max|x err| 2.39 if the u0 case were accepted
+        other = reference_solution(lorenz84(**change).problem, 1200)
+        with pytest.raises(ValueError, match="computed for"):
+            self.none_error(lorenz_spec, other)
+
+    def test_reference_from_another_initial_state_is_rejected(self, lorenz_spec):
+        # unstamped, so only its first state tells
+        other = solve_rk4_fixed(lorenz84(u0=(0.9, -1.0, 0.4)).problem, 1200)
+        with pytest.raises(ValueError, match="starts at"):
+            self.none_error(lorenz_spec, other)
+
+    def test_plain_trajectory_of_the_run_problem_is_accepted(self):
+        # the criterion-10 round trip passes an unstamped fixed-step run
+        spec = lorenz84(t_span=(0.0, 3.0))
+        plain = solve_rk4_fixed(spec.problem, 12000)
+        assert "problem" not in plain.meta
+        assert _align_reference(plain, IntervalPlan(3000, 6, (0.0, 3.0)), spec.problem) == 4
+
+    def test_headline_errors_match_the_rk4_oracle_values(self, lorenz_spec):
+        # the CLI's oracle (GBS, refine 2) against the values the 256x
+        # fine-RK4 oracle gave: measured 0.019541232429 and 5.447039194e-4
+        refine = cli.DEFAULT_ORACLE_REFINE
+        cases = ((600, 15, 0.019541232335), (1620, 60, 5.447038850e-4))
+        for n, k, rk4_value in cases:
+            oracle = reference_solution(lorenz_spec.problem, n * refine)
+            run = run_transformed(lorenz_spec, IntervalPlan(n, k, (0.0, 30.0)),
+                                  MuMethod.CUMULATIVE_AVG,
+                                  params_for_method(MuMethod.CUMULATIVE_AVG), oracle)
+            assert abs(run.max_error(0) - rk4_value) <= 1e-9
 
 
 class TestJstarScan:
