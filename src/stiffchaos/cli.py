@@ -147,6 +147,21 @@ def load_config(args: argparse.Namespace, extras: list[str]) -> dict:
     return cfg
 
 
+def _number(cfg: dict, key: str, default=None, integral: bool = False):
+    """The number at the dotted ``key``, ``default`` when unset.  A bool is
+    no number, and an integral setting must hold a whole one."""
+    *sections, name = key.split(".")
+    for section in sections:
+        cfg = cfg.get(section, {})
+    value = cfg.get(name)
+    if value is None:
+        return default
+    if not _is_number(value) or (integral and value % 1 != 0):
+        raise ConfigError(f"{key} must be {'an integer' if integral else 'a number'}, "
+                          f"got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def build_benchmark(cfg: dict) -> BenchmarkSpec:
     section = cfg.get("problem", {})
     name = section.get("name")
@@ -159,28 +174,28 @@ def build_benchmark(cfg: dict) -> BenchmarkSpec:
     u0 = section.get("u0")
     if _is_number(u0):
         u0 = [float(u0)]
+    tf = _number(cfg, "problem.tf")
     try:
         spec = make_problem(name, params=params, u0=u0, t_span=section.get("t_span"))
-        if section.get("tf") is not None:
+        if tf is not None:
             # --tf keeps the start time of the (possibly overridden) t_span
             spec = make_problem(name, params=params, u0=u0,
-                                t_span=[spec.problem.t_span[0], float(section["tf"])])
+                                t_span=[spec.problem.t_span[0], tf])
         return spec
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"problem: {exc}") from None
 
 
 def build_adaptive_config(cfg: dict, spec: BenchmarkSpec) -> AdaptiveConfig:
-    section = cfg.get("solver", {})
-    horizon = spec.problem.horizon
+    settings = {
+        "tol": _number(cfg, "solver.tol", 1e-3),
+        "dt_init": _number(cfg, "solver.dt_init", spec.problem.horizon * 1e-4),
+        "dt_min": _number(cfg, "solver.dt_min", 1e-12),
+        "dt_max": _number(cfg, "solver.dt_max", math.inf),
+        "max_steps": _number(cfg, "solver.max_steps", 100_000, integral=True),
+    }
     try:
-        return AdaptiveConfig(
-            tol=float(section.get("tol", 1e-3)),
-            dt_init=float(section.get("dt_init", horizon * 1e-4)),
-            dt_min=float(section.get("dt_min", 1e-12)),
-            dt_max=float(section.get("dt_max", math.inf)),
-            max_steps=int(section.get("max_steps", 100_000)),
-        )
+        return AdaptiveConfig(**settings)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from None
 
@@ -193,10 +208,10 @@ def run_solver(cfg: dict, spec: BenchmarkSpec) -> Trajectory:
                           f"choose from {sorted(SOLVER_NAMES)}")
     solver = SOLVER_NAMES[name]
     if solver == RK4_FIXED:
-        steps = section.get("steps")
+        steps = _number(cfg, "solver.steps", integral=True)
         if steps is None:
             raise ConfigError("solver.steps is required for --solver rk4")
-        return solve_rk4_fixed(spec.problem, int(steps))
+        return solve_rk4_fixed(spec.problem, steps)
     acfg = build_adaptive_config(cfg, spec)
     if solver == RK4_ADAPTIVE:
         return solve_rk4_adaptive(spec.problem, acfg)
@@ -263,16 +278,20 @@ def cmd_solve(cfg: dict) -> int:
 def cmd_diagnose(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
-    eps = float(cfg.get("eps", DEFAULT_EPS))
+    eps = _number(cfg, "eps", DEFAULT_EPS)
     if not eps > 0:
         raise ConfigError(f"eps must be > 0, got {eps!r}")
-    component = int(cfg.get("scan", {}).get("component", 0))
-    n_samples = int(cfg.get("scan", {}).get("n_samples", 400))
+    dim = spec.problem.dim
+    component = _number(cfg, "scan.component", 0, integral=True)
+    if not 0 <= component < dim:
+        raise ConfigError(f"scan.component must lie in [0, {dim}), got {component}")
+    n_samples = _number(cfg, "scan.n_samples", 400, integral=True)
+    if n_samples < 2:
+        raise ConfigError(f"scan.n_samples must be >= 2, got {n_samples}")
     traj = run_solver(cfg, spec)
 
-    report = stiffness_report(traj, spec.problem, spec.variational_jacobian,
-                              eps=eps, component=component)
-    trace = lle_scan(spec, traj, n_samples)
+    report = stiffness_report(traj, spec.problem, eps=eps, component=component)
+    trace = lle_scan(spec.problem, traj, n_samples)
     out = _out_dir(cfg)
     stiff_path = out / "stiffness.csv"
     write_csv(stiff_path, ["t", "kappa", "dt_max", "dt_stiff", "Q", "R"],
@@ -280,22 +299,12 @@ def cmd_diagnose(cfg: dict) -> int:
                 report.dt_stiff[i], report.q[i], report.r[i]]
                for i in range(len(report.times))))
 
-    dim = spec.problem.dim
-    header = ["t"]
-    for i in range(dim):
-        header += [f"re_g{i + 1}", f"im_g{i + 1}"]
-    header += ["gamma_max", "gamma_min"]
-
-    def lle_rows():
-        for i in range(len(trace.times)):
-            row = [trace.times[i]]
-            for v in trace.values[i]:
-                row += [v.real, v.imag]
-            row += [trace.gamma_max[i], trace.gamma_min[i]]
-            yield row
-
+    header = ["t", *(f"{part}_g{i + 1}" for i in range(dim) for part in ("re", "im")),
+              "gamma_max", "gamma_min"]
     lle_path = out / "lle.csv"
-    write_csv(lle_path, header, lle_rows())
+    # a complex row viewed as floats interleaves the real and imaginary parts
+    write_csv(lle_path, header, np.column_stack(
+        [trace.times, trace.values.view(float), trace.gamma_max, trace.gamma_min]))
 
     crossing = report.q_unity_crossing()
     summary = {
@@ -317,8 +326,8 @@ def _vector(section: dict, key: str, default, spec: BenchmarkSpec) -> tuple[floa
     """``transform.<key>`` as one number per state component."""
     value = section.get(key, default)
     dim = spec.problem.dim
-    if not (isinstance(value, (list, tuple)) and len(value) == dim and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+    if not (isinstance(value, (list, tuple)) and len(value) == dim
+            and all(map(_is_number, value))):
         raise ConfigError(f"transform.{key}: {spec.problem.name} needs a list of "
                           f"{dim} numbers, got {value!r}")
     return tuple(float(v) for v in value)
@@ -331,19 +340,19 @@ def _transform_setup(cfg: dict, spec: BenchmarkSpec):
         raise ConfigError(f"transform.method: unknown method {method_key!r}; "
                           f"choose from {sorted(METHOD_BY_NUMBER)}")
     method = METHOD_BY_NUMBER[method_key]
-    n_steps = int(cfg.get("solver", {}).get("steps", 600))
-    intervals = section.get("intervals")
+    n_steps = _number(cfg, "solver.steps", 600, integral=True)
+    intervals = _number(cfg, "transform.intervals", integral=True)
     if intervals is None:
         spi = METHOD_STEPS_PER_INTERVAL[method]
         intervals = 1 if spi is None else max(1, n_steps // spi)
     try:
-        plan = IntervalPlan(n_steps, int(intervals), spec.problem.t_span)
+        plan = IntervalPlan(n_steps, intervals, spec.problem.t_span)
     except ValueError as exc:
         raise ConfigError(f"transform: {exc}") from None
     params = params_for_method(
         method,
         eps_scale=_vector(section, "eps_scale", (1.0, 1.0, 1.0), spec),
-        q=float(section.get("q", 1.0)),
+        q=_number(cfg, "transform.q", 1.0),
         coeffs=_vector(section, "coeffs", DEFAULT_COEFFS, spec),
         mu_init=_vector(section, "mu_init", METHOD_MU_INIT[method], spec),
     )
@@ -354,7 +363,7 @@ def _transform_setup(cfg: dict, spec: BenchmarkSpec):
 
 
 def _oracle_for(cfg: dict, spec: BenchmarkSpec, n_steps: int) -> Trajectory:
-    refine = int(cfg.get("oracle", {}).get("refine", DEFAULT_ORACLE_REFINE))
+    refine = _number(cfg, "oracle.refine", DEFAULT_ORACLE_REFINE, integral=True)
     if refine < 1:
         raise ConfigError("oracle.refine must be >= 1")
     if n_steps * refine % 2:
@@ -479,10 +488,9 @@ def cmd_compare(cfg: dict) -> int:
 
 def cmd_demo_stiff_transform(cfg: dict) -> int:
     t_started = time.perf_counter()
-    section = cfg.get("demo", {})
-    a = float(section.get("a", 300.0))
-    kappa_g = float(section.get("kappa_g", -1.0))
-    eps = float(cfg.get("eps", DEFAULT_EPS))
+    a = _number(cfg, "demo.a", 300.0)
+    kappa_g = _number(cfg, "demo.kappa_g", -1.0)
+    eps = _number(cfg, "eps", DEFAULT_EPS)
     rep = stiff_transform_demo(a, kappa_g, eps)
     out = _out_dir(cfg)
     path = out / "stiff_transform_demo.csv"

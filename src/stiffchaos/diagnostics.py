@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .ode import OdeProblem, Trajectory
+from .ode import EIG_BLOCK, OdeProblem, Trajectory, _lane_blocks, _lane_matrix  # noqa: F401
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 KAPPA_STIFF_PEAK = 2.0 * math.sqrt(3.0) / 9.0
@@ -41,33 +42,26 @@ class InsufficientSamples(ValueError):
 # Eigenvalues of small real matrices.
 #
 # Every eigenvalue goes through numpy's batched LAPACK ``eigvals``, which
-# handles huge entries, repeated roots and any dimension.  A scan stacks its
-# Jacobians and solves them in blocks of EIG_BLOCK: one call per block pays
-# numpy's per-call overhead once for many small matrices, and the bound keeps
-# memory flat.  Solving all 60,001 Jacobians of a 60,000-step Lorenz-84
-# diagnose in one call raised the run's peak RSS from 42.6 to 52.2 MB.
-
-EIG_BLOCK = 1024
+# handles huge entries, repeated roots and any dimension.  A scan evaluates
+# its Jacobians in lanes (see ``OdeProblem``) and solves them in blocks of
+# EIG_BLOCK with one call per block.
 
 
-def eigenvalues_along(jac_at: Callable[[int], Sequence[Sequence[float]]],
+def eigenvalues_along(jac_in: Callable[[slice], Sequence[Sequence]],
                       n: int, dim: int) -> np.ndarray:
-    """Eigenvalues of ``jac_at(k)`` for k < n as an (n, dim) complex array.
+    """Eigenvalues of n Jacobians as an (n, dim) complex array.
 
+    ``jac_in(s)`` returns the Jacobians of the samples in the slice ``s`` in
+    lanes: entry (i, j) is an array over the block or a scalar shared by it.
     Each row is sorted by descending real part, then descending imaginary
     part.
     """
     out = np.empty((n, dim), dtype=complex)
-    block = np.empty((min(n, EIG_BLOCK), dim, dim))
-    for start in range(0, n, EIG_BLOCK):
-        m = min(n - start, EIG_BLOCK)
-        for k in range(m):
-            block[k] = jac_at(start + k)
-        vals = np.linalg.eigvals(block[:m])
+    for s in _lane_blocks(n):
+        vals = np.linalg.eigvals(_lane_matrix(jac_in(s), s.stop - s.start))
         # argsort of the negated values orders (-re, -im) ascending; taking
         # the unnegated values keeps a real block's +0.0 imaginary parts
-        order = np.argsort(-vals, axis=1)
-        out[start:start + m] = np.take_along_axis(vals, order, axis=1)
+        out[s] = np.take_along_axis(vals, np.argsort(-vals, axis=1), axis=1)
     return out
 
 
@@ -93,7 +87,7 @@ def local_eigenvalues(jac: Sequence[Sequence[float]], t: float = 0.0) -> EigenSe
     These are the local Lyapunov exponents of the interval when ``jac`` is
     the variational Jacobian evaluated on the trajectory.
     """
-    row = eigenvalues_along(lambda k: jac, 1, len(jac))[0]
+    row = eigenvalues_along(lambda s: jac, 1, len(jac))[0]
     return EigenSet(values=tuple(map(complex, row)), t=t)
 
 
@@ -127,8 +121,9 @@ class LleTrace:
 # Curvature.
 
 
-def curvature(u_prime: float, u_double_prime: float) -> float:
-    """Absolute local curvature |u''| / (1 + u'^2)^(3/2)."""
+def curvature(u_prime, u_double_prime):
+    """Absolute local curvature |u''| / (1 + u'^2)^(3/2), of floats or of
+    arrays element by element."""
     return abs(u_double_prime) / (1.0 + u_prime * u_prime) ** 1.5
 
 
@@ -137,8 +132,8 @@ def curvature_along(traj: Trajectory, problem: OdeProblem, component: int = 0) -
 
     Returns an (n, 2) array of (t, kappa).  When the problem carries both an
     analytic Jacobian and rhs_dt, u' = f and u'' = df/dt + J f are evaluated
-    exactly from the states; otherwise centered finite differences on the
-    (possibly non-uniform) sample grid are used.
+    exactly from the states, in lanes; otherwise centered finite differences
+    on the (possibly non-uniform) sample grid are used.
     """
     n = len(traj.times)
     if n < 5:
@@ -146,38 +141,25 @@ def curvature_along(traj: Trajectory, problem: OdeProblem, component: int = 0) -
     if component < 0 or component >= problem.dim:
         raise ValueError(f"component {component} out of range for dim {problem.dim}")
 
-    times = traj.times
-    kap = np.empty(n)
     if problem.rhs_dt is not None:
-        rhs, rhs_dt, jac = problem.rhs, problem.rhs_dt, problem.jacobian
-        dim = problem.dim
-        for k in range(n):
-            t = float(times[k])
-            u = tuple(traj.states[k])
-            f = rhs(t, u)
-            jrow = jac(t, u)[component]
-            u2 = rhs_dt(t, u)[component] + sum(jrow[j] * f[j] for j in range(dim))
-            kap[k] = curvature(f[component], u2)
+        kap = np.empty(n)
+        for s in _lane_blocks(n):
+            t, u = traj.lanes(s)
+            f = problem.rhs(t, u)
+            jrow = problem.jacobian(t, u)[component]
+            u2 = problem.rhs_dt(t, u)[component] + sum(map(mul, jrow, f))
+            kap[s] = curvature(f[component], u2)
     else:
         y = traj.states[:, component]
-        d1 = np.empty(n)
-        d2 = np.empty(n)
-        for k in range(1, n - 1):
-            hl = times[k] - times[k - 1]
-            hr = times[k + 1] - times[k]
-            d1[k] = (
-                -hr / (hl * (hl + hr)) * y[k - 1]
-                + (hr - hl) / (hl * hr) * y[k]
-                + hl / (hr * (hl + hr)) * y[k + 1]
-            )
-            d2[k] = 2.0 * (
-                y[k - 1] / (hl * (hl + hr)) - y[k] / (hl * hr) + y[k + 1] / (hr * (hl + hr))
-            )
-        d1[0], d2[0] = d1[1], d2[1]
-        d1[-1], d2[-1] = d1[-2], d2[-2]
-        for k in range(n):
-            kap[k] = curvature(d1[k], d2[k])
-    return np.column_stack([times, kap])
+        h = np.diff(traj.times)
+        hl, hr = h[:-1], h[1:]
+        ym, y0, yp = y[:-2], y[1:-1], y[2:]
+        d1 = (-hr / (hl * (hl + hr)) * ym + (hr - hl) / (hl * hr) * y0
+              + hl / (hr * (hl + hr)) * yp)
+        d2 = 2.0 * (ym / (hl * (hl + hr)) - y0 / (hl * hr) + yp / (hr * (hl + hr)))
+        # the end samples take their neighbour's derivatives
+        kap = curvature(np.pad(d1, 1, mode="edge"), np.pad(d2, 1, mode="edge"))
+    return np.column_stack([traj.times, kap])
 
 
 # ---------------------------------------------------------------------------
@@ -292,50 +274,33 @@ class StiffnessReport:
         return None
 
 
-def stiffness_report(
-    traj: Trajectory,
-    problem: OdeProblem,
-    variational_jac: Callable[[float, tuple[float, ...]], Sequence[Sequence[float]]],
-    eps: float,
-    component: int = 0,
-) -> StiffnessReport:
+def stiffness_report(traj: Trajectory, problem: OdeProblem, eps: float,
+                     component: int = 0) -> StiffnessReport:
     """Evaluate the stiffness diagnostics along a trajectory.
 
     Per sample: trajectory curvature (via ``curvature_along``), the local
-    Lyapunov exponents of the variational Jacobian, dt_max from the
-    curvature, dt_stiff from gamma_min for an eps-perturbation that has been
-    decaying since the window start (t* = t - t0), and the ratios Q, R.
+    Lyapunov exponents of the problem's Jacobian (its variational Jacobian),
+    dt_max from the curvature, dt_stiff from gamma_min for an
+    eps-perturbation that has been decaying since the window start
+    (t* = t - t0), and the ratios Q, R.
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
     # only the two gamma columns are kept: the (n, dim) complex array is
     # dropped before the curvature and the per-sample arrays are allocated,
     # so a long trajectory's peak memory does not grow by it
-    values = eigenvalues_along(
-        lambda k: variational_jac(float(traj.times[k]), tuple(traj.states[k])),
-        len(traj.times), problem.dim)
+    jac = problem.jacobian
+    values = eigenvalues_along(lambda s: jac(*traj.lanes(s)), len(traj.times), problem.dim)
     gmax = values[:, 0].real.copy()
     gmin = values[:, -1].real.copy()
     del values
-    tk = curvature_along(traj, problem, component)
-    times = tk[:, 0]
-    kappa = tk[:, 1]
-    n = len(times)
-    t0 = float(times[0])
-    horizon = problem.horizon
+    times, kappa = curvature_along(traj, problem, component).T
+    n, t0, horizon = len(times), float(times[0]), problem.horizon
 
-    dtmax = np.empty(n)
-    dtstiff = np.empty(n)
-    q = np.empty(n)
-    r = np.empty(n)
-    for k in range(n):
-        dtmax[k] = dt_max(float(kappa[k]), eps)
-        if gmin[k] < 0.0:
-            dtstiff[k] = dt_stiff_at(float(gmin[k]), eps, float(times[k]) - t0)
-            q[k] = (dtmax[k] / dtstiff[k]) if math.isfinite(dtmax[k]) else horizon / dtstiff[k]
-        else:
-            dtstiff[k] = math.nan
-            q[k] = 0.0
-        r[k] = abs(gmin[k]) / kappa[k] if kappa[k] > 0.0 else math.nan
+    dtmax = np.fromiter((dt_max(float(k), eps) for k in kappa), float, n)
+    dtstiff = np.fromiter((dt_stiff_at(float(g), eps, float(t) - t0) if g < 0.0 else math.nan
+                           for g, t in zip(gmin, times)), float, n)
+    q = np.where(gmin < 0.0, np.where(np.isfinite(dtmax), dtmax, horizon) / dtstiff, 0.0)
+    r = np.divide(np.abs(gmin), kappa, out=np.full(n, math.nan), where=kappa > 0.0)
     return StiffnessReport(times, kappa, dtmax, dtstiff, q, r, gmin, gmax,
                            eps=eps, horizon=horizon)

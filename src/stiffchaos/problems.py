@@ -26,10 +26,11 @@ from .ode import OdeProblem, State, Trajectory
 class BenchmarkSpec:
     """A benchmark problem plus its variational Jacobian and exact solution.
 
-    For these autonomous/linear first-order systems the variational Jacobian
-    (of the perturbation system d(du)/dt = J du) coincides with the rhs
-    Jacobian; it is stored separately because diagnostics consume it on its
-    own.  ``exact`` (t -> state tuple) is present where a closed form exists.
+    For these first-order systems the variational Jacobian (of the
+    perturbation system d(du)/dt = J du) is the rhs Jacobian, and the scans
+    read ``problem.jacobian``; the separate field is kept for callers that
+    rebuild specs with it.  ``exact`` (t -> state tuple) is present where a
+    closed form exists.
     """
 
     problem: OdeProblem
@@ -256,11 +257,11 @@ def nearest_sample_indices(times: np.ndarray, targets: np.ndarray) -> np.ndarray
     return np.where(left_closer, idx - 1, idx)
 
 
-def lle_scan(spec: BenchmarkSpec, traj: Trajectory, n_samples: int,
+def lle_scan(problem: OdeProblem, traj: Trajectory, n_samples: int,
              window: tuple[float, float] | None = None) -> LleTrace:
     """Local Lyapunov exponents at equidistant scan times.
 
-    The variational Jacobian is evaluated on the state of the nearest
+    The problem's Jacobian is evaluated on the state of the nearest
     accepted trajectory sample, without interpolation, so the scan is only
     as accurate as the trajectory's sample spacing: pass one sampled much
     finer than the scan (the acceptance suite's 400-point scan reads a
@@ -274,8 +275,6 @@ def lle_scan(spec: BenchmarkSpec, traj: Trajectory, n_samples: int,
         raise ValueError("scan window not covered by the trajectory")
     scan_times = np.linspace(t0, t1, n_samples)
     idx = nearest_sample_indices(traj.times, scan_times)
-    vjac = spec.variational_jacobian
-    values = eigenvalues_along(
-        lambda k: vjac(float(traj.times[idx[k]]), tuple(traj.states[idx[k]])),
-        n_samples, spec.problem.dim)
+    jac = problem.jacobian
+    values = eigenvalues_along(lambda s: jac(*traj.lanes(idx[s])), n_samples, problem.dim)
     return LleTrace(times=scan_times, values=values)

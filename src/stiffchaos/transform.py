@@ -198,7 +198,8 @@ def _conjugated_rhs(f: Rhs, t_start: float, mu: Sequence[float],
 
 def _shifted_jacobian(jac: Jacobian, t: float, z: State, mu: Sequence[float],
                       eps_scale: Sequence[float]):
-    """J* = E^-1 J(t, E z) E - M, the z-system's Jacobian at tau = 0."""
+    """J* = E^-1 J(t, E z) E - M, the z-system's Jacobian at tau = 0; in
+    lanes (see ``OdeProblem``) when t, z and mu hold one lane per sample."""
     rows = []
     for i, (row, e_i, m_i) in enumerate(zip(jac(t, tuple(map(mul, eps_scale, z))),
                                             eps_scale, mu)):
@@ -408,29 +409,24 @@ def jstar_scan(run: TransformRun, n_samples: int) -> LleTrace:
 
     The interval-local z-state is reconstructed from the stored
     back-transformed solution (z = e^{-M tau} E^-1 x) and J* is evaluated
-    with that interval's mu at the interval start time.
+    with that interval's mu at the interval start time, one lane per scan
+    sample.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    plan = run.plan
-    jac = run.problem.jacobian
-    eps = run.params.eps_scale
-    spi = plan.steps_per_interval
-    h = plan.dt
-    sol = run.solution
+    plan, sol = run.plan, run.solution
+    spi, h = plan.steps_per_interval, plan.dt
     scan_times = np.linspace(plan.t_span[0], plan.t_span[1], n_samples)
     idx = nearest_sample_indices(sol.times, scan_times)
-
-    def jstar_at(s: int):
-        j = int(idx[s])
-        k = min(j // spi, plan.k_intervals - 1)
-        tau = (j - k * spi) * h
-        mu = tuple(map(float, run.mu_history[k]))
-        z = tuple(map(truediv, map(mul, sol.states[j],
-                                   map(math.exp, map(mul, mu, repeat(-tau)))), eps))
-        return _shifted_jacobian(jac, plan.t_span[0] + k * spi * h, z, mu, eps)
-
-    values = eigenvalues_along(jstar_at, n_samples, run.problem.dim)
+    k = np.minimum(idx // spi, plan.k_intervals - 1)
+    tau = (idx - k * spi) * h
+    mu = run.mu_history[k]
+    z = sol.states[idx] * np.exp(mu * -tau[:, None]) / run.params.eps_scale
+    t_start = plan.t_span[0] + k * spi * h
+    values = eigenvalues_along(
+        lambda s: _shifted_jacobian(run.problem.jacobian, t_start[s], tuple(z[s].T),
+                                    tuple(mu[s].T), run.params.eps_scale),
+        n_samples, run.problem.dim)
     return LleTrace(times=scan_times, values=values)
 
 
@@ -448,11 +444,7 @@ def step_extension_report(run: TransformRun, reference: Trajectory,
     sub = Trajectory(reference.times[::stride], reference.states[::stride],
                      reference.solver_id, steps_taken=run.plan.n_steps)
     tk = curvature_along(sub, run.problem, component=2)
-    out = np.empty_like(tk)
-    out[:, 0] = tk[:, 0]
-    for i, kap in enumerate(tk[:, 1]):
-        out[i, 1] = dt_max(float(kap), eps_achieved)
-    return out
+    return np.column_stack([tk[:, 0], [dt_max(float(k), eps_achieved) for k in tk[:, 1]]])
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ def test_criterion_3_fig1_reproduction():
     t0 = time.perf_counter()
     spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.02))
     traj = solve_rk4_fixed(spec.problem, 20000)
-    rep = stiffness_report(traj, spec.problem, spec.variational_jacobian, eps=1e-3)
+    rep = stiffness_report(traj, spec.problem, eps=1e-3)
     crossing = rep.q_unity_crossing()
     ok = crossing is not None and 0.003 <= crossing <= 0.005
     report(3, ok, f"Q=1 crossing at t={crossing:.5f} (window [0.003, 0.005])", t0)
@@ -170,7 +170,7 @@ def test_criterion_7_step_extension(lorenz_spec, lorenz_oracle):
 
 def test_criterion_8_chaotic_fraction_drop(lorenz_spec, lorenz_oracle):
     t0 = time.perf_counter()
-    base = lle_scan(lorenz_spec, lorenz_oracle, 400)
+    base = lle_scan(lorenz_spec.problem, lorenz_oracle, 400)
     frac_plain = float(np.mean(base.gamma_max > 0))
     plan = IntervalPlan(600, 60, (0.0, 30.0))
     run = run_transformed(lorenz_spec, plan, MuMethod.FIXED_MU,

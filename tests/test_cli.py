@@ -367,10 +367,17 @@ class TestConfigHandling:
          "--problem.t_span", "5", "--tf", "3"],
         ["solve", "--problem", "stiff-linear", "--solver", "rk4", "--steps", "20",
          "--problem.u0", "true"],
+        ["solve", "--problem", "lorenz84", "--solver", "rk4", "--solver.steps", "600.7"],
+        ["solve", "--problem", "lorenz84", "--solver", "rk4", "--solver.steps", "true"],
+        ["compare", "--problem", "lorenz84", "--steps", "600", "--transform.intervals", "15.9"],
+        ["solve", "--problem", "robertson", "--solver", "rk4-adaptive", "--solver.tol", "true"],
+        ["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "20",
+         "--problem.tf", "true"],
     ], ids=["solve-steps-0", "diagnose-eps-negative", "demo-kappa-g-positive", "demo-a-small",
             "transform-eps-scale-scalar", "transform-mu-init-scalar",
             "solve-param-not-a-number", "solve-u0-empty", "diagnose-t-span-scalar-with-tf",
-            "solve-u0-bool"])
+            "solve-u0-bool", "solve-steps-fractional", "solve-steps-bool",
+            "compare-intervals-fractional", "solve-tol-bool", "solve-tf-bool"])
     def test_library_precondition_is_one_line_config_error(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
@@ -410,15 +417,26 @@ class TestConfigHandling:
         assert exc.value.code == 0
         assert "--mu-init" in capsys.readouterr().out
 
+    def test_config_file_numbers_are_checked_by_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": {"name": "lorenz84"},
+                                   "solver": {"name": "rk4", "steps": 60.5}}))
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "configuration error: solver.steps must be an integer, got 60.5\n")
+        assert not (tmp_path / "x").exists()
+
     def test_diagnose_rejects_eps_before_solving(self, tmp_path, monkeypatch):
         def no_solve(*args):
             raise AssertionError("run_solver ran")
 
         monkeypatch.setattr(cli, "run_solver", no_solve)
-        rc = main(["diagnose", "--problem", "lorenz84", "--solver", "rk4",
-                   "--steps", "60000", "--eps", "-1", "--out", str(tmp_path / "x")])
-        assert rc == 1
-        assert not (tmp_path / "x").exists()
+        for bad in (["--eps", "-1"], ["--samples", "1"], ["--scan.component", "3"]):
+            rc = main(["diagnose", "--problem", "lorenz84", "--solver", "rk4",
+                       "--steps", "60000", "--out", str(tmp_path / "x")] + bad)
+            assert rc == 1
+            assert not (tmp_path / "x").exists()
 
     def test_compare_rejects_dim_mismatch_before_the_oracle(self, tmp_path, monkeypatch):
         def no_oracle(*args):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,7 +214,7 @@ class TestEigenvalues:
     def test_robertson_zero_root_along_trapezoid_run(self, robertson_spec, robertson_trapezoid):
         traj = robertson_trapezoid
         jac = robertson_spec.problem.jacobian
-        report = stiffness_report(traj, robertson_spec.problem, jac, eps=1e-3)
+        report = stiffness_report(traj, robertson_spec.problem, eps=1e-3)
         scale = np.array([np.max(np.abs(jac(float(t), tuple(u))))
                           for t, u in zip(traj.times, traj.states)])
         assert np.all(np.abs(report.gamma_max) <= 1e-14 * scale)
@@ -247,7 +248,7 @@ class TestEigenvalues:
         jac = lorenz_spec.problem.jacobian
         rng = np.random.default_rng(11)
         states = rng.uniform(-2.5, 2.5, (2 * EIG_BLOCK + 1, 3))
-        values = eigenvalues_along(lambda k: jac(0.0, tuple(states[k])), len(states), 3)
+        values = eigenvalues_along(lambda s: jac(0.0, tuple(states[s].T)), len(states), 3)
         assert values.shape == (len(states), 3)
         for k, u in enumerate(states):
             single = np.array(local_eigenvalues(jac(0.0, tuple(u))).values)
@@ -270,10 +271,10 @@ class TestCurvatureAlong:
     def test_sine_peak_chain_rule(self):
         prob = OdeProblem(
             name="sine", dim=1, params={},
-            rhs=lambda t, u: (math.cos(t),),
+            rhs=lambda t, u: (np.cos(t),),
             jacobian=lambda t, u: ((0.0,),),
             u0=(0.0,), t_span=(0.0, math.pi),
-            rhs_dt=lambda t, u: (-math.sin(t),),
+            rhs_dt=lambda t, u: (-np.sin(t),),
         )
         traj = solve_rk4_fixed(prob, 2000)
         tk = curvature_along(traj, prob, 0)
@@ -299,12 +300,70 @@ class TestCurvatureAlong:
             curvature_along(traj, spec.problem, 0)
 
 
+def _within_ulps(got: np.ndarray, want: np.ndarray, ulps: int) -> bool:
+    return bool(np.all(np.abs(got - want)
+                       <= ulps * np.spacing(np.maximum(np.abs(got), np.abs(want)))))
+
+
+class TestCurvatureLanes:
+    # curvature() on a block of lanes takes the 3/2 power with numpy's
+    # vectorised pow, which may differ from libm's pow of a float in the
+    # last bit
+
+    @pytest.mark.parametrize("spec", [lorenz84(), stiff_linear(300.0, u0=(1.05,),
+                                                            t_span=(0.0, 0.02))],
+                             ids=["lorenz84", "stiff-linear"])
+    def test_chain_rule_within_four_ulp_of_per_sample_floats(self, spec):
+        # stiff-linear is non-autonomous: its rhs_dt is a, not 0
+        prob = spec.problem
+        traj = solve_rk4_fixed(prob, 2 * EIG_BLOCK + 100)
+        for c in range(prob.dim):
+            want = []
+            for t, u in zip(traj.times, traj.states):
+                t, u = float(t), tuple(map(float, u))
+                f = prob.rhs(t, u)
+                jrow = prob.jacobian(t, u)[c]
+                u2 = prob.rhs_dt(t, u)[c] + sum(jrow[j] * f[j] for j in range(prob.dim))
+                want.append(curvature(f[c], u2))
+            tk = curvature_along(traj, prob, c)
+            assert tk[:, 0].tobytes() == traj.times.tobytes()
+            assert _within_ulps(tk[:, 1], np.array(want), 4)
+
+    def test_finite_differences_within_four_ulp_of_per_sample_floats(self, lorenz_spec):
+        prob = replace(lorenz_spec.problem, rhs_dt=None)
+        sol = solve_rk4_fixed(prob, 3000)
+        # a non-uniform grid: every third sample dropped
+        keep = np.arange(len(sol.times)) % 3 != 1
+        traj = Trajectory(sol.times[keep], sol.states[keep], "rk4_fixed", steps_taken=3000)
+        times, y = traj.times, traj.states[:, 2]
+        n = len(times)
+        d1, d2 = [0.0] * n, [0.0] * n
+        for k in range(1, n - 1):
+            hl = float(times[k] - times[k - 1])
+            hr = float(times[k + 1] - times[k])
+            ym, y0, yp = float(y[k - 1]), float(y[k]), float(y[k + 1])
+            d1[k] = (-hr / (hl * (hl + hr)) * ym + (hr - hl) / (hl * hr) * y0
+                     + hl / (hr * (hl + hr)) * yp)
+            d2[k] = 2.0 * (ym / (hl * (hl + hr)) - y0 / (hl * hr) + yp / (hr * (hl + hr)))
+        d1[0], d2[0], d1[-1], d2[-1] = d1[1], d2[1], d1[-2], d2[-2]
+        want = np.array([curvature(a, b) for a, b in zip(d1, d2)])
+        assert _within_ulps(curvature_along(traj, prob, 2)[:, 1], want, 4)
+
+
 class TestStiffnessReport:
+    def test_gamma_columns_equal_per_sample_eigenvalues(self, lorenz_spec):
+        prob = lorenz_spec.problem
+        traj = solve_rk4_fixed(prob, 2 * EIG_BLOCK + 100)
+        report = stiffness_report(traj, prob, eps=1e-3)
+        eigs = [local_eigenvalues(prob.jacobian(float(t), tuple(map(float, u))))
+                for t, u in zip(traj.times, traj.states)]
+        assert report.gamma_max.tobytes() == np.array([e.gamma_max for e in eigs]).tobytes()
+        assert report.gamma_min.tobytes() == np.array([e.gamma_min for e in eigs]).tobytes()
+
     def test_stiff_linear_q_crossing_matches_reference_window(self):
         spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.02))
         traj = solve_rk4_fixed(spec.problem, 20000)
-        report = stiffness_report(traj, spec.problem, spec.variational_jacobian,
-                                  eps=1e-3)
+        report = stiffness_report(traj, spec.problem, eps=1e-3)
         crossing = report.q_unity_crossing()
         assert crossing is not None
         assert 0.003 <= crossing <= 0.005
@@ -321,8 +380,7 @@ class TestStiffnessReport:
         for window in ((105.0, 110.0), (115.0, 120.0)):
             times = np.linspace(*window, 201)
             traj = Trajectory(times, np.ones((201, 1)), "rk4_fixed", steps_taken=200)
-            report = stiffness_report(traj, spec.problem, spec.variational_jacobian,
-                                      eps=1e-3)
+            report = stiffness_report(traj, spec.problem, eps=1e-3)
             assert np.all(np.isinf(report.dt_max))
             assert np.all(report.q > 1.0)
 
@@ -335,15 +393,14 @@ class TestStiffnessReport:
             rhs_dt=lambda t, u: (0.0,),
         )
         traj = solve_rk4_fixed(prob, 100)
-        report = stiffness_report(traj, prob, prob.jacobian, eps=1e-3)
+        report = stiffness_report(traj, prob, eps=1e-3)
         assert np.all(report.q == 0.0)
         assert np.all(np.isnan(report.dt_stiff))
 
     def test_q_and_r_recompute_bit_exactly(self):
         spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.02))
         traj = solve_rk4_fixed(spec.problem, 500)
-        report = stiffness_report(traj, spec.problem, spec.variational_jacobian,
-                                  eps=1e-3)
+        report = stiffness_report(traj, spec.problem, eps=1e-3)
         for k in range(len(report.times)):
             if math.isfinite(report.dt_max[k]):
                 assert report.q[k] == report.dt_max[k] / report.dt_stiff[k]
@@ -357,8 +414,7 @@ class TestStiffnessReport:
     def test_r_is_gamma_over_kappa(self):
         spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.02))
         traj = solve_rk4_fixed(spec.problem, 500)
-        report = stiffness_report(traj, spec.problem, spec.variational_jacobian,
-                                  eps=1e-3)
+        report = stiffness_report(traj, spec.problem, eps=1e-3)
         k = 10
         assert report.gamma_min[k] == pytest.approx(-300.0)
         assert report.r[k] == pytest.approx(300.0 / report.kappa[k])

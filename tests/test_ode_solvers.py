@@ -23,6 +23,7 @@ from stiffchaos import (
     stiff_linear,
 )
 from stiffchaos.ode import (
+    EIG_BLOCK,
     ORACLE_CHECK_TOL,
     _gbs_march,
     _gbs_march3,
@@ -411,6 +412,23 @@ class TestProblemValidation:
             dim = spec.problem.dim
             states = [tuple(rng.uniform(0.05, 1.0, dim)) for _ in range(20)]
             check_jacobian(spec.problem, states, rtol=1e-5)
+
+    def test_wrong_entry_is_measured_per_sample_in_every_block(self):
+        # entry (1, 2) off by 0.01 on every state: the mismatch is 0.01 over
+        # each sample's own scale max(1, max|J|), found across block edges
+        good = lorenz84().problem
+        offset = 0.01
+
+        def wrong(t, u):
+            rows = good.jacobian(t, u)
+            return rows[0], (rows[1][0], rows[1][1], rows[1][2] + offset), rows[2]
+
+        states = np.random.default_rng(3).uniform(-2.0, 2.0, (2 * EIG_BLOCK + 1, 3))
+        scales = [max(1.0, float(np.max(np.abs(wrong(0.0, tuple(u)))))) for u in states]
+        worst = check_jacobian(replace(good, jacobian=wrong), states, rtol=1.0)
+        assert worst == pytest.approx(offset / min(scales), rel=1e-6)
+        with pytest.raises(AssertionError):
+            check_jacobian(replace(good, jacobian=wrong), states[-1:], rtol=1e-5)
 
     def test_invalid_spans_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stiffchaos import (
+    PROBLEM_FACTORIES,
     Trajectory,
     check_jacobian,
     flame,
@@ -160,8 +161,8 @@ class TestLorenz84:
     def test_forcing_terms_absent_from_jacobian(self, lorenz_oracle):
         base = lorenz84(F=8.0, G=1.0)
         forced = lorenz84(F=80.0, G=-3.0)
-        t1 = lle_scan(base, lorenz_oracle, 100)
-        t2 = lle_scan(forced, lorenz_oracle, 100)
+        t1 = lle_scan(base.problem, lorenz_oracle, 100)
+        t2 = lle_scan(forced.problem, lorenz_oracle, 100)
         assert np.array_equal(t1.gamma_max, t2.gamma_max)
         assert np.array_equal(t1.gamma_min, t2.gamma_min)
 
@@ -204,34 +205,62 @@ class TestJacobianConsistency:
             assert np.array_equal(a, b)
 
 
+def _in_lanes(entries, n: int) -> np.ndarray:
+    """Entries returned in n lanes, each an (n,) array or a scalar, stacked
+    with the lane axis last and the scalars broadcast."""
+    for entry in entries:
+        assert np.ndim(entry) == 0 or np.shape(entry) == (n,)
+    return np.stack([np.broadcast_to(np.asarray(e, dtype=float), (n,)) for e in entries])
+
+
+class TestLaneContract:
+    @pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
+    def test_lanes_equal_float_calls_bit_for_bit(self, name):
+        problem = make_problem(name).problem
+        n = 257
+        rng = np.random.default_rng(43)
+        t = rng.uniform(*problem.t_span, n)
+        u = rng.uniform(-2.0, 2.0, (n, problem.dim))
+        lanes = tuple(u.T)
+        for fn in (problem.rhs, problem.rhs_dt):
+            got = _in_lanes(fn(t, lanes), n).T
+            want = np.array([fn(float(tk), tuple(map(float, uk))) for tk, uk in zip(t, u)])
+            assert got.tobytes() == want.tobytes()
+        jac = problem.jacobian(t, lanes)
+        got = np.stack([_in_lanes(row, n) for row in jac]).transpose(2, 0, 1)
+        want = np.array([problem.jacobian(float(tk), tuple(map(float, uk)))
+                         for tk, uk in zip(t, u)])
+        assert got.tobytes() == want.tobytes()
+
+
 class TestLleScan:
     def test_lorenz_scan_mostly_chaotic_with_dip_near_fourteen(self, lorenz_spec,
                                                                lorenz_oracle):
-        trace = lle_scan(lorenz_spec, lorenz_oracle, 400)
+        trace = lle_scan(lorenz_spec.problem, lorenz_oracle, 400)
         assert len(trace.times) == 400
         assert float(np.mean(trace.gamma_max > 0)) > 0.90
         window = trace.gamma_max[(trace.times >= 13.0) & (trace.times <= 15.0)]
         assert np.min(window) <= 0.0
 
     def test_gamma_ordering_invariant(self, lorenz_spec, lorenz_oracle):
-        trace = lle_scan(lorenz_spec, lorenz_oracle, 150)
+        trace = lle_scan(lorenz_spec.problem, lorenz_oracle, 150)
         assert np.all(trace.gamma_min <= trace.gamma_max)
 
     def test_robertson_extreme_stiffness_in_slow_phase(self, robertson_spec,
                                                        robertson_trapezoid):
-        trace = lle_scan(robertson_spec, robertson_trapezoid, 200, window=(1.0, 1e5))
+        trace = lle_scan(robertson_spec.problem, robertson_trapezoid, 200, window=(1.0, 1e5))
         assert float(np.min(trace.gamma_min)) < -2400.0
 
     def test_stiff_linear_scan_single_eigenvalue(self):
         spec = stiff_linear(300.0)
         traj = solve_rk4_fixed(spec.problem, 500)
-        trace = lle_scan(spec, traj, 50)
+        trace = lle_scan(spec.problem, traj, 50)
         assert np.all(trace.gamma_max == -300.0)
         assert np.all(trace.gamma_min == -300.0)
 
     def test_window_must_be_covered(self, lorenz_spec, lorenz_oracle):
         with pytest.raises(ValueError):
-            lle_scan(lorenz_spec, lorenz_oracle, 10, window=(0.0, 60.0))
+            lle_scan(lorenz_spec.problem, lorenz_oracle, 10, window=(0.0, 60.0))
 
 
 class TestRegistry:

@@ -29,6 +29,8 @@ from stiffchaos import (
 )
 from stiffchaos import cli
 from stiffchaos.ode import rk4_step
+from stiffchaos.diagnostics import EIG_BLOCK
+from stiffchaos.problems import nearest_sample_indices
 from stiffchaos.transform import (
     GAMMA_FLOW,
     GAMMA_JSTAR_END,
@@ -407,7 +409,7 @@ class TestReferenceAlignment:
 
 class TestJstarScan:
     def test_method_one_reduces_chaotic_fraction(self, lorenz_spec, lorenz_oracle):
-        base = lle_scan(lorenz_spec, lorenz_oracle, 400)
+        base = lle_scan(lorenz_spec.problem, lorenz_oracle, 400)
         frac_plain = float(np.mean(base.gamma_max > 0))
         plan = IntervalPlan(600, 60, (0.0, 30.0))
         run = run_transformed(lorenz_spec, plan, MuMethod.FIXED_MU,
@@ -417,6 +419,32 @@ class TestJstarScan:
         assert frac_transformed < frac_plain
         assert frac_plain > 0.9
         assert frac_transformed < 0.5
+
+
+    def test_lanes_match_per_sample_shifted_jacobians(self):
+        # z is rebuilt with np.exp instead of math.exp, which may differ in
+        # the last bit; measured 2.0e-15 of each sample's largest |gamma|
+        spec = lorenz84(t_span=(0.0, 3.0))
+        reference = solve_rk4_fixed(spec.problem, 12000)
+        plan = IntervalPlan(600, 15, (0.0, 3.0))
+        method = MuMethod.CUMULATIVE_AVG
+        run = run_transformed(spec, plan, method,
+                              params_for_method(method, eps_scale=(2.0, 0.5, 1.5)), reference)
+        trace = jstar_scan(run, 2 * EIG_BLOCK + 1)
+        eps, spi, h = run.params.eps_scale, plan.steps_per_interval, plan.dt
+        want = []
+        for j in nearest_sample_indices(run.solution.times, trace.times):
+            k = min(int(j) // spi, plan.k_intervals - 1)
+            tau = (int(j) - k * spi) * h
+            mu = tuple(map(float, run.mu_history[k]))
+            z = tuple(x * math.exp(m * -tau) / e
+                      for x, m, e in zip(run.solution.states[j], mu, eps))
+            t_k = plan.t_span[0] + k * spi * h
+            jstar_k = _shifted_jacobian(spec.problem.jacobian, t_k, z, mu, eps)
+            want.append(local_eigenvalues(jstar_k).values)
+        want = np.array(want)
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(trace.values - want) <= 1e-12 * scale)
 
 
 class TestStepExtension:
