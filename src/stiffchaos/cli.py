@@ -24,7 +24,6 @@ stagnation recorded), 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -43,6 +42,7 @@ from .ode import (
     RK4_FIXED,
     TRAPEZOID_ADAPTIVE,
     Trajectory,
+    _lane_blocks,
     reference_solution,
     solve_rk4_adaptive,
     solve_rk4_fixed,
@@ -81,16 +81,35 @@ class ConfigError(ValueError):
 
 
 def fmt(x: float) -> str:
-    """Full round-trip float formatting for CSV cells."""
+    """Full round-trip float formatting, as ``write_csv`` writes a float cell."""
     return format(float(x), ".17g")
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` (any iterable of equal-length rows) as CSV.
+
+    The first row fixes each column's cell type: a ``str`` is written as it
+    is, anything else as ``fmt`` writes it.  Lines end in CRLF, as
+    ``csv.writer`` ends them; no cell is quoted, so no cell may hold a comma,
+    a quote or a line break.
+    """
     with path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
+        fh.write(",".join(header) + "\r\n")
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is None:
+            return
+        line = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in first) + "\r\n"
+        fh.write(line % tuple(first))
+        fh.writelines(map(line.__mod__, map(tuple, rows)))
+
+
+def table_rows(*columns: np.ndarray):
+    """Rows of Python floats of equal-length columns side by side, a 2-D
+    column giving several cells per row.  Stacked one block of at most
+    ``EIG_BLOCK`` rows at a time, so a long table is never copied whole."""
+    for s in _lane_blocks(len(columns[0])):
+        yield from np.column_stack([c[s] for c in columns]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +138,13 @@ def _parse_override_value(text: str):
         return text
 
 
+# the config sections the subcommands read, parents before children
+CONFIG_SECTIONS = ("problem", "problem.params", "solver", "transform", "oracle", "scan", "demo")
+
+
 def load_config(args: argparse.Namespace, extras: list[str]) -> dict:
-    """Merge config file, CLI flags, and dotted overrides (later wins)."""
+    """Merge config file, CLI flags, and dotted overrides (later wins), and
+    check that every section present is an object."""
     cfg: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -144,6 +168,14 @@ def load_config(args: argparse.Namespace, extras: list[str]) -> dict:
         if not key.startswith("--"):
             raise ConfigError(f"unrecognized argument {key!r}")
         _set_dotted(cfg, key[2:], _parse_override_value(value))
+
+    for dotted in CONFIG_SECTIONS:
+        *parents, name = dotted.split(".")
+        node = cfg
+        for key in parents:
+            node = node.get(key, {})
+        if not isinstance(node.get(name, {}), dict):
+            raise ConfigError(f"{dotted} must be an object, got {node[name]!r}")
     return cfg
 
 
@@ -257,8 +289,7 @@ def cmd_solve(cfg: dict) -> int:
     dim = traj.dim
     path = out / "solution.csv"
     header = ["t"] + [f"u{i + 1}" for i in range(dim)]
-    write_csv(path, header, ([traj.times[i]] + list(traj.states[i])
-                             for i in range(len(traj.times))))
+    write_csv(path, header, table_rows(traj.times, traj.states))
     summary = {
         "problem": spec.problem.name,
         "solver": traj.solver_id,
@@ -295,16 +326,15 @@ def cmd_diagnose(cfg: dict) -> int:
     out = _out_dir(cfg)
     stiff_path = out / "stiffness.csv"
     write_csv(stiff_path, ["t", "kappa", "dt_max", "dt_stiff", "Q", "R"],
-              ([report.times[i], report.kappa[i], report.dt_max[i],
-                report.dt_stiff[i], report.q[i], report.r[i]]
-               for i in range(len(report.times))))
+              table_rows(report.times, report.kappa, report.dt_max,
+                         report.dt_stiff, report.q, report.r))
 
     header = ["t", *(f"{part}_g{i + 1}" for i in range(dim) for part in ("re", "im")),
               "gamma_max", "gamma_min"]
     lle_path = out / "lle.csv"
     # a complex row viewed as floats interleaves the real and imaginary parts
-    write_csv(lle_path, header, np.column_stack(
-        [trace.times, trace.values.view(float), trace.gamma_max, trace.gamma_min]))
+    write_csv(lle_path, header, table_rows(
+        trace.times, trace.values.view(float), trace.gamma_max, trace.gamma_min))
 
     crossing = report.q_unity_crossing()
     summary = {
@@ -377,12 +407,10 @@ def _write_transform_outputs(out: Path, run: TransformRun, reference: Trajectory
     sol = run.solution
     prefix = f"{tag}_" if tag else ""
     sol_path = out / f"{prefix}solution.csv"
-    write_csv(sol_path, ["t", "u1", "u2", "u3"],
-              ([sol.times[i]] + list(sol.states[i]) for i in range(len(sol.times))))
+    write_csv(sol_path, ["t", "u1", "u2", "u3"], table_rows(sol.times, sol.states))
     err_path = out / f"{prefix}errors.csv"
     write_csv(err_path, ["t", "err_x", "err_y", "err_z"],
-              ([sol.times[i]] + list(run.errors_vs_reference[i])
-               for i in range(len(sol.times))))
+              table_rows(sol.times, run.errors_vs_reference))
     mu_path = out / f"{prefix}mu_history.csv"
     interval_starts = run.plan.t_span[0] + run.plan.interval_length * np.arange(run.plan.k_intervals)
     write_csv(mu_path, ["interval", "t_start", "mu1", "mu2", "mu3", "gamma_max"],

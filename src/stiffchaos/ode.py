@@ -4,16 +4,19 @@ and the extrapolation oracle their errors are measured against.
 Solvers operate on plain float tuples internally (the benchmark systems have
 1-3 components and single runs take 10^3-10^5 steps, so per-step numpy
 overhead would dominate).  Trajectories are returned as read-only numpy
-arrays.  Fixed-step RK4 and the oracle's Gragg-Bulirsch-Stoer march each
-have one loop unrolled for dim-3 systems that stores through a flat
-memoryview: a kernel call per step plus a numpy row store from a tuple cost
-about 30% of an RK4 step.
+arrays.  Three hot paths are unrolled for dim-3 systems, with the state in
+locals.  Fixed-step RK4 and the oracle's Gragg-Bulirsch-Stoer march store
+through a flat memoryview: a kernel call per step plus a numpy row store
+from a tuple cost about 30% of an RK4 step.  The adaptive RK4 step-doubling
+attempt inlines its three kernel calls, its checks and its error norm: they
+cost about a third of a Robertson attempt.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -176,7 +179,7 @@ def _lane_matrix(rows: Sequence[Sequence], m: int) -> np.ndarray:
 # and return (u_next, k2, k3, k4), so the adaptive solver can inspect the
 # stages.  The dim-3 kernel is unrolled because Lorenz-84 and Robertson runs
 # take 10^4-10^5 steps each; ``_rk4_kernel`` picks the kernel for
-# ``rk4_step``, the adaptive solver and the transform driver.
+# ``rk4_step`` and the transform driver.
 #
 # Fixed-step dim-3 runs go through ``_rk4_march3`` instead:
 # ``_rk4_step3`` inlined into the loop with the same expressions in the same
@@ -184,6 +187,15 @@ def _lane_matrix(rows: Sequence[Sequence], m: int) -> np.ndarray:
 # it saves the kernel call, the returned 4-tuple, the ``_is_bad`` call and
 # the numpy row store from a tuple (about 0.7 us, against 0.14 us for three
 # memoryview writes), together about 30% of a Lorenz-84 step.
+#
+# Adaptive dim-3 runs take their step-doubling attempts from
+# ``_rk4_attempt3``: ``_rk4_attempt`` with its three kernel calls, both
+# ``_is_bad`` calls, the stage blow-up test and ``_scaled_diff`` inlined,
+# again with the same expressions in the same order.  Per attempt it saves
+# three kernel calls and their returned 4-tuples, two ``_is_bad`` calls, a
+# generator-fed ``max`` and a ``zip`` loop.  On Robertson it takes about
+# 7 us, 11 rhs calls of 0.3 us each included, against 10 us for the same
+# attempt built from three ``_rk4_step3`` calls.
 
 def _rk4_step3(f: Rhs, t: float, u: State, h: float, k1: Sequence[float]):
     x, y, z = u
@@ -385,25 +397,74 @@ def solve_rk4_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajectory:
     trajectory is returned with ``stagnated=True`` (the expected outcome on
     Robertson).
     """
-    f = problem.rhs
-    step = _rk4_kernel(problem.dim)
-
-    def attempt(t: float, u: State, h: float) -> tuple[State, float]:
-        k1 = f(t, u)
-        full, k2, k3, k4 = step(f, t, u, h, k1)
-        h2 = 0.5 * h
-        mid = step(f, t, u, h2, k1)[0]
-        half = step(f, t + h2, mid, h2, f(t + h2, mid))[0]
-        if _is_bad(half) or _is_bad(full):
-            return u, math.inf
-        # the stages are finite here: a non-finite stage makes ``full`` bad
-        m0 = max(map(abs, k1))
-        if not max(max(map(abs, k)) for k in (k2, k3, k4)) <= _STAGE_BLOWUP * m0 + 1.0:
-            return u, math.inf
-        return half, _scaled_diff(full, half, u, floor=1e-6) / 15.0
-
-    return _adaptive_loop(problem, cfg, attempt, exponent=0.2,
+    attempt = _rk4_attempt3 if problem.dim == 3 else _rk4_attempt
+    return _adaptive_loop(problem, cfg, partial(attempt, problem.rhs), exponent=0.2,
                           solver_id=RK4_ADAPTIVE)
+
+
+def _rk4_attempt(f: Rhs, t: float, u: State, h: float) -> tuple[State, float]:
+    """One step-doubling attempt of ``solve_rk4_adaptive``: (the two half
+    steps' state, scaled error estimate), or (u, inf) for a rejected trial."""
+    k1 = f(t, u)
+    full, k2, k3, k4 = _rk4_stepn(f, t, u, h, k1)
+    h2 = 0.5 * h
+    mid = _rk4_stepn(f, t, u, h2, k1)[0]
+    half = _rk4_stepn(f, t + h2, mid, h2, f(t + h2, mid))[0]
+    if _is_bad(half) or _is_bad(full):
+        return u, math.inf
+    # the stages are finite here: a non-finite stage makes ``full`` bad
+    m0 = max(map(abs, k1))
+    if not max(max(map(abs, k)) for k in (k2, k3, k4)) <= _STAGE_BLOWUP * m0 + 1.0:
+        return u, math.inf
+    return half, _scaled_diff(full, half, u, floor=1e-6) / 15.0
+
+
+def _rk4_attempt3(f: Rhs, t: float, u: State, h: float) -> tuple[State, float]:
+    """``_rk4_attempt`` for a dim-3 system, bit-identical to it."""
+    x, y, z = u
+    a1, b1, c1 = f(t, u)
+    # the full step
+    h2 = 0.5 * h
+    a2, b2, c2 = f(t + h2, (x + h2 * a1, y + h2 * b1, z + h2 * c1))
+    a3, b3, c3 = f(t + h2, (x + h2 * a2, y + h2 * b2, z + h2 * c2))
+    a4, b4, c4 = f(t + h, (x + h * a3, y + h * b3, z + h * c3))
+    s = h / 6.0
+    fx = x + s * (a1 + 2.0 * (a2 + a3) + a4)
+    fy = y + s * (b1 + 2.0 * (b2 + b3) + b4)
+    fz = z + s * (c1 + 2.0 * (c2 + c3) + c4)
+    # the first half step, sharing k1
+    h4 = 0.5 * h2
+    p2, q2, r2 = f(t + h4, (x + h4 * a1, y + h4 * b1, z + h4 * c1))
+    p3, q3, r3 = f(t + h4, (x + h4 * p2, y + h4 * q2, z + h4 * r2))
+    p4, q4, r4 = f(t + h2, (x + h2 * p3, y + h2 * q3, z + h2 * r3))
+    s2 = h2 / 6.0
+    mx = x + s2 * (a1 + 2.0 * (p2 + p3) + p4)
+    my = y + s2 * (b1 + 2.0 * (q2 + q3) + q4)
+    mz = z + s2 * (c1 + 2.0 * (r2 + r3) + r4)
+    # the second half step
+    tm = t + h2
+    p1, q1, r1 = f(tm, (mx, my, mz))
+    p2, q2, r2 = f(tm + h4, (mx + h4 * p1, my + h4 * q1, mz + h4 * r1))
+    p3, q3, r3 = f(tm + h4, (mx + h4 * p2, my + h4 * q2, mz + h4 * r2))
+    p4, q4, r4 = f(tm + h2, (mx + h2 * p3, my + h2 * q3, mz + h2 * r3))
+    hx = mx + s2 * (p1 + 2.0 * (p2 + p3) + p4)
+    hy = my + s2 * (q1 + 2.0 * (q2 + q3) + q4)
+    hz = mz + s2 * (r1 + 2.0 * (r2 + r3) + r4)
+    # ``_is_bad`` inlined: the sum is nan/inf iff some component is
+    w = hx + hy + hz
+    if w - w != 0.0:
+        return u, math.inf
+    w = fx + fy + fz
+    if w - w != 0.0:
+        return u, math.inf
+    if not (max(abs(a2), abs(b2), abs(c2), abs(a3), abs(b3), abs(c3),
+                abs(a4), abs(b4), abs(c4))
+            <= _STAGE_BLOWUP * max(abs(a1), abs(b1), abs(c1)) + 1.0):
+        return u, math.inf
+    # ``_scaled_diff`` inlined, floor 1e-6
+    return (hx, hy, hz), max(abs(fx - hx) / (1e-6 + abs(x)),
+                             abs(fy - hy) / (1e-6 + abs(y)),
+                             abs(fz - hz) / (1e-6 + abs(z))) / 15.0
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,8 @@ def make_problem(name: str, params: dict | None = None,
         raise KeyError(f"unknown problem {name!r}; pick one of {sorted(PROBLEM_FACTORIES)}")
     factory = PROBLEM_FACTORIES[name]
     accepted = set(inspect.signature(factory).parameters)
+    if not isinstance(params, (dict, type(None))):
+        raise ValueError(f"params of {name} must be a mapping, got {params!r}")
     kwargs = dict(params or {})
     unknown = sorted(set(kwargs) - (accepted - {"u0", "t_span"}))
     if unknown:

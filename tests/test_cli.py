@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from stiffchaos import cli
-from stiffchaos.cli import MismatchedBaseline, compare_runs, fmt, main
+from stiffchaos.cli import MismatchedBaseline, compare_runs, fmt, main, table_rows, write_csv
+from stiffchaos.ode import EIG_BLOCK
 
 
 def _cell(text: str):
@@ -39,6 +41,45 @@ class TestFloatFormatting:
             assert float(fmt(x)) == x
         assert math.isinf(float(fmt(math.inf)))
         assert math.isnan(float(fmt(math.nan)))
+
+
+def reference_csv(header: list[str], rows) -> bytes:
+    """``header`` and ``rows`` as csv.writer writes them, cells through ``fmt``."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
+    return buf.getvalue().encode("utf-8")
+
+
+class TestCsvContract:
+    HEADER = ["method", "n", "x", "y", "z", "w"]
+    ROWS = [
+        ["none", 0, 0.1, np.float64(1.0 / 3.0), -0.0, math.inf],
+        ["3", -7, 5e-324, np.float64(-0.0), 1e308, -math.inf],
+        ["method1", 2**53 + 1, math.nan, np.float64(math.nan), np.float32(0.1), 1e-308],
+        ["2", True, -1e308, np.float64(-5e-324), np.int64(12), 123456789.123456789],
+    ]
+
+    @pytest.mark.parametrize("rows", [ROWS, ROWS[:1], []], ids=["mixed", "one-row", "header-only"])
+    def test_bytes_equal_csv_writer_reference(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        write_csv(path, self.HEADER, rows)
+        assert path.read_bytes() == reference_csv(self.HEADER, rows)
+
+    def test_rows_from_a_generator(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, self.HEADER, (row for row in self.ROWS))
+        assert path.read_bytes() == reference_csv(self.HEADER, self.ROWS)
+
+    @pytest.mark.parametrize("n", [1, EIG_BLOCK, EIG_BLOCK + 1])
+    def test_table_rows_equal_per_row_indexing(self, n):
+        rng = np.random.default_rng(n)
+        t, states, errs = rng.normal(size=n), rng.normal(size=(n, 3)), rng.normal(size=(n, 2))
+        rows = list(table_rows(t, states, errs))
+        assert rows == [[t[i]] + list(states[i]) + list(errs[i]) for i in range(n)]
+        assert all(type(cell) is float for row in rows for cell in row)
 
 
 class TestSolveCommand:
@@ -425,6 +466,31 @@ class TestConfigHandling:
         assert rc == 1
         assert capsys.readouterr().err == (
             "configuration error: solver.steps must be an integer, got 60.5\n")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("solve", {"problem": {"name": "lorenz84"}, "solver": 5}, "solver"),
+        *((cmd, {"problem": 5}, "problem") for cmd in ("solve", "diagnose", "compare")),
+        *((cmd, {"problem": {"name": "lorenz84", "params": 5}}, "problem.params")
+          for cmd in ("solve", "diagnose", "compare")),
+        ("diagnose", {"problem": {"name": "lorenz84"}, "scan": [1]}, "scan"),
+        ("compare", {"problem": {"name": "lorenz84"}, "transform": 3}, "transform"),
+        ("compare", {"problem": {"name": "lorenz84"}, "oracle": "x"}, "oracle"),
+        ("demo-stiff-transform", {"demo": [300]}, "demo"),
+    ], ids=["solve-solver", "solve-problem", "diagnose-problem", "compare-problem",
+            "solve-params", "diagnose-params", "compare-params", "diagnose-scan",
+            "compare-transform", "compare-oracle", "demo-demo"])
+    def test_config_section_that_is_not_an_object(self, tmp_path, capsys, command, config,
+                                                  key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        # --steps fills solver.steps, which a non-object solver cannot take
+        steps = [] if key == "solver" else ["--steps", "20"]
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "x")] + steps)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"configuration error: {key} must be an object, got ")
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "x").exists()
 
     def test_diagnose_rejects_eps_before_solving(self, tmp_path, monkeypatch):

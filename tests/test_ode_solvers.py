@@ -22,11 +22,16 @@ from stiffchaos import (
     solve_trapezoid_adaptive,
     stiff_linear,
 )
+from stiffchaos import ode
 from stiffchaos.ode import (
     EIG_BLOCK,
     ORACLE_CHECK_TOL,
+    RK4_ADAPTIVE,
+    _adaptive_loop,
     _gbs_march,
     _gbs_march3,
+    _rk4_attempt,
+    _rk4_attempt3,
     _rk4_step3,
     _rk4_stepn,
     rk4_step,
@@ -79,6 +84,43 @@ def blowup_dim3() -> OdeProblem:
                                (0.0, 0.0, 2.0 * u[2])),
         u0=(1.0, 0.5, 0.25), t_span=(0.0, 3.0),
     )
+
+
+def wall_dim3() -> OdeProblem:
+    # the first component's rate turns infinite at u_1 = 2 (t = 1): a trial
+    # step whose stages cross that wall has a non-finite state
+    return OdeProblem(
+        name="wall-dim3", dim=3, params={},
+        rhs=lambda t, u: (1.0 if u[0] < 2.0 else math.inf, -u[1], t),
+        jacobian=lambda t, u: ((0.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 0.0)),
+        u0=(1.0, 1.0, 0.0), t_span=(0.0, 3.0),
+    )
+
+
+def adaptive_run(attempt, problem: OdeProblem, cfg: AdaptiveConfig):
+    """The adaptive RK4 run of ``problem`` driven by ``attempt``: its times
+    and states as bytes and its counters, and the number of trial steps the
+    attempt rejected outright (an inf estimate)."""
+    outright = [0]
+
+    def counted(t, u, h):
+        u_new, est = attempt(problem.rhs, t, u, h)
+        outright[0] += est == math.inf
+        return u_new, est
+
+    traj = _adaptive_loop(problem, cfg, counted, 0.2, RK4_ADAPTIVE)
+    return run_signature(traj), outright[0]
+
+
+def run_signature(traj: Trajectory) -> tuple:
+    return (traj.times.tobytes(), traj.states.tobytes(), traj.steps_taken,
+            traj.steps_rejected, traj.stagnated)
+
+
+STAGE_BLOWUP_CASE = (blowup_dim3(),
+                     AdaptiveConfig(tol=1e-3, dt_init=0.1, dt_min=1e-9, max_steps=5000))
+NON_FINITE_CASE = (wall_dim3(),
+                   AdaptiveConfig(tol=1e-6, dt_init=0.5, dt_min=1e-9, max_steps=5000))
 
 
 def gbs_states(problem: OdeProblem, n_steps: int, march) -> np.ndarray:
@@ -271,6 +313,58 @@ class TestRk4Kernels:
             h = 10.0 ** float(rng.uniform(*log10_h))
             k1 = f(t, u)
             assert _rk4_step3(f, t, u, h, k1) == _rk4_stepn(f, t, u, h, k1)
+
+    @pytest.mark.parametrize("problem, cfg", [
+        (robertson().problem,
+         AdaptiveConfig(tol=1e-3, dt_init=1e-6, dt_min=1e-12, dt_max=1e5, max_steps=5000)),
+        (lorenz84().problem, AdaptiveConfig(tol=1e-8, dt_init=0.01, max_steps=5000)),
+        (forced_dim3(), AdaptiveConfig(tol=1e-10, dt_init=0.5)),
+        STAGE_BLOWUP_CASE,
+        NON_FINITE_CASE,
+    ], ids=["robertson", "lorenz84", "forced-t0-nonzero", "stage-blowup", "non-finite"])
+    def test_unrolled_attempt_matches_generic_attempt_bitwise(self, problem, cfg):
+        generic = adaptive_run(_rk4_attempt, problem, cfg)
+        assert generic[0][3] > 0  # the run rejects trial steps
+        assert adaptive_run(_rk4_attempt3, problem, cfg) == generic
+        assert run_signature(solve_rk4_adaptive(problem, cfg)) == generic[0]
+
+    @pytest.mark.parametrize("poison", [math.inf, -math.inf, math.nan, 1e308])
+    def test_attempts_agree_when_one_rhs_call_is_poisoned(self, poison):
+        # each of an attempt's 11 rhs calls in turn returns ``poison`` in one
+        # component, so every non-finite check sees a bad state on its own
+        base = lorenz84().problem.rhs
+        for call in range(11):
+            for component in range(3):
+                results = []
+                for attempt in (_rk4_attempt, _rk4_attempt3):
+                    calls = [0]
+
+                    def f(t, u):
+                        calls[0] += 1
+                        k = list(base(t, u))
+                        if calls[0] == call + 1:
+                            k[component] = poison
+                        return tuple(k)
+
+                    results.append(attempt(f, 0.3, (1.0, 0.5, -0.2), 0.05))
+                    assert calls[0] == 11
+                assert repr(results[0]) == repr(results[1])
+                if not math.isfinite(poison):
+                    assert results[0] == ((1.0, 0.5, -0.2), math.inf)
+
+    @pytest.mark.parametrize("case, cause", [
+        (STAGE_BLOWUP_CASE, "stage-blowup"), (NON_FINITE_CASE, "non-finite"),
+    ], ids=["stage-blowup", "non-finite"])
+    @pytest.mark.parametrize("attempt", [_rk4_attempt, _rk4_attempt3], ids=["generic", "dim3"])
+    def test_outright_rejections_have_the_intended_cause(self, monkeypatch, case, cause,
+                                                         attempt):
+        # with the stage test switched off, only non-finite trials are
+        # rejected outright
+        _, outright = adaptive_run(attempt, *case)
+        monkeypatch.setattr(ode, "_STAGE_BLOWUP", math.inf)
+        _, non_finite = adaptive_run(attempt, *case)
+        assert outright > 0
+        assert non_finite == (0 if cause == "stage-blowup" else outright)
 
 
 class TestTrapezoid:

@@ -287,6 +287,11 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_problem("robertson", params={"rho": 28.0})
 
+    @pytest.mark.parametrize("params", [5, [["a", 1.0]], "a"])
+    def test_params_that_are_not_a_mapping_rejected(self, params):
+        with pytest.raises(ValueError, match="params of robertson must be a mapping"):
+            make_problem("robertson", params=params)
+
     @pytest.mark.parametrize("name", ["stiff-linear", "flame", "robertson", "lorenz84"])
     def test_params_round_trip_through_the_factory(self, name):
         # problem.params keys are the factory's keyword names
