@@ -48,11 +48,11 @@ from .transform import (
     StiffTransformReport,
     TransformParams,
     TransformRun,
-    jstar,
     jstar_scan,
     params_for_method,
     run_transformed,
     select_mu,
+    shifted_jacobian,
     step_extension_report,
     stiff_transform_demo,
     transformed_rhs,

@@ -144,7 +144,9 @@ CONFIG_SECTIONS = ("problem", "problem.params", "solver", "transform", "oracle",
 
 def load_config(args: argparse.Namespace, extras: list[str]) -> dict:
     """Merge config file, CLI flags, and dotted overrides (later wins), and
-    check that every section present is an object."""
+    check that every section present is an object, that ``out``, when
+    present, is a non-empty path, and that no file stands where the output
+    directory or one of its parents goes."""
     cfg: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -176,6 +178,12 @@ def load_config(args: argparse.Namespace, extras: list[str]) -> dict:
             node = node.get(key, {})
         if not isinstance(node.get(name, {}), dict):
             raise ConfigError(f"{dotted} must be an object, got {node[name]!r}")
+    if "out" in cfg and not (isinstance(cfg["out"], str) and cfg["out"]):
+        raise ConfigError(f"out must be a non-empty path, got {cfg['out']!r}")
+    out = Path(cfg.get("out", "out"))
+    blocker = next((p for p in (out, *out.parents) if p.exists()), None)
+    if blocker is not None and not blocker.is_dir():
+        raise ConfigError(f"out: {str(blocker)!r} exists and is not a directory")
     return cfg
 
 
@@ -412,16 +420,15 @@ def _write_transform_outputs(out: Path, run: TransformRun, reference: Trajectory
     write_csv(err_path, ["t", "err_x", "err_y", "err_z"],
               table_rows(sol.times, run.errors_vs_reference))
     mu_path = out / f"{prefix}mu_history.csv"
-    interval_starts = run.plan.t_span[0] + run.plan.interval_length * np.arange(run.plan.k_intervals)
+    k = np.arange(run.plan.k_intervals)
+    interval_starts = run.plan.t_span[0] + run.plan.interval_length * k
+    # a whole float such as the interval index is written as an integer
     write_csv(mu_path, ["interval", "t_start", "mu1", "mu2", "mu3", "gamma_max"],
-              ([str(k), interval_starts[k], run.mu_history[k][0], run.mu_history[k][1],
-                run.mu_history[k][2], run.gamma_max_history[k]]
-               for k in range(run.plan.k_intervals)))
+              table_rows(k, interval_starts, run.mu_history, run.gamma_max_history))
     ext = step_extension_report(run, reference, max(run.max_error(0), 1e-300))
-    delta = run.plan.dt
     ext_path = out / f"{prefix}step_extension.csv"
     write_csv(ext_path, ["t", "dt_max", "delta"],
-              ([ext[i, 0], ext[i, 1], delta] for i in range(len(ext))))
+              table_rows(ext, np.full(len(ext), run.plan.dt)))
     return [sol_path, err_path, mu_path, ext_path]
 
 

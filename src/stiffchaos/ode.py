@@ -4,12 +4,14 @@ and the extrapolation oracle their errors are measured against.
 Solvers operate on plain float tuples internally (the benchmark systems have
 1-3 components and single runs take 10^3-10^5 steps, so per-step numpy
 overhead would dominate).  Trajectories are returned as read-only numpy
-arrays.  Three hot paths are unrolled for dim-3 systems, with the state in
-locals.  Fixed-step RK4 and the oracle's Gragg-Bulirsch-Stoer march store
-through a flat memoryview: a kernel call per step plus a numpy row store
-from a tuple cost about 30% of an RK4 step.  The adaptive RK4 step-doubling
-attempt inlines its three kernel calls, its checks and its error norm: they
-cost about a third of a Robertson attempt.
+arrays.  The explicit integrators exist once, unrolled for three components
+with the state in locals; a dim-1 or dim-2 problem runs through them with
+its rhs and start state padded by components that are 0.0 and stay 0.0 (see
+``_padded``).  Fixed-step RK4 and the oracle's Gragg-Bulirsch-Stoer march
+store through a flat memoryview: a kernel call per step plus a numpy row
+store from a tuple cost about 30% of an RK4 step.  The adaptive RK4
+step-doubling attempt inlines its three kernel calls, its checks and its
+error norm: they cost about a third of a Robertson attempt.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class OdeProblem:
     ``rhs`` and ``jacobian`` receive the state as a tuple of floats and must
     return a sequence (tuple per component / tuple of rows).  ``rhs_dt`` is
     the explicit time derivative of the right-hand side; when present it
-    enables exact chain-rule curvature evaluation along trajectories.
+    enables exact chain-rule curvature evaluation along trajectories.  A
+    problem has 1, 2 or 3 components.
 
     Lane contract: all three may also be called with ``t`` a 1-D array and
     each state component a 1-D array of the same length, one lane per
@@ -74,8 +77,8 @@ class OdeProblem:
     rhs_dt: Callable[[float, State], Sequence[float]] | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if not 1 <= self.dim <= 3:
+            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if len(self.u0) != self.dim:
             raise ValueError(f"u0 has {len(self.u0)} components, expected {self.dim}")
         t0, t1 = map(float, self.t_span)
@@ -174,28 +177,49 @@ def _lane_matrix(rows: Sequence[Sequence], m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# RK4 stepping kernels.  Both take the first stage k1 = f(t, u) from the
-# caller (step doubling shares it between the full and the first half step)
-# and return (u_next, k2, k3, k4), so the adaptive solver can inspect the
-# stages.  The dim-3 kernel is unrolled because Lorenz-84 and Robertson runs
-# take 10^4-10^5 steps each; ``_rk4_kernel`` picks the kernel for
-# ``rk4_step`` and the transform driver.
+# RK4 stepping kernels.  Every explicit integrator below is written once, for
+# three components.  A dim-1 or dim-2 problem runs through it padded by
+# ``_padded``: its rhs is wrapped once to return 0.0 for the missing
+# components, and its start state gets 0.0 there.  A padded component then
+# stays exactly 0.0 (0.0 + h * 0.0 and the Neville update of zeros are 0.0),
+# so the real components see the same IEEE operations in the same order as
+# in a per-component loop: the non-finite check ``x + 0.0 + 0.0`` fails
+# exactly when ``sum((x,))`` does, and the stage blow-up and error-norm
+# maxima only gain zero terms.  ``tests/generic_reference.py`` keeps the
+# per-component integrators and pins the padded runs to them bit for bit.
 #
-# Fixed-step dim-3 runs go through ``_rk4_march3`` instead:
-# ``_rk4_step3`` inlined into the loop with the same expressions in the same
-# order, so its states are bit-identical to iterating ``rk4_step``.  Per step
-# it saves the kernel call, the returned 4-tuple, the ``_is_bad`` call and
-# the numpy row store from a tuple (about 0.7 us, against 0.14 us for three
-# memoryview writes), together about 30% of a Lorenz-84 step.
+# ``_rk4_step3`` takes the first stage k1 = f(t, u) from the caller and
+# returns (u_next, k2, k3, k4); ``rk4_step`` and the transform driver use it.
+# Fixed-step runs go through ``_rk4_march3`` instead: ``_rk4_step3`` inlined
+# into the loop with the same expressions in the same order, so its states
+# are bit-identical to iterating ``rk4_step``.  Per step it saves the kernel
+# call, the returned 4-tuple, the ``_is_bad`` call and the numpy row store
+# from a tuple (about 0.7 us, against 0.14 us for three memoryview writes),
+# together about 30% of a Lorenz-84 step.
 #
-# Adaptive dim-3 runs take their step-doubling attempts from
-# ``_rk4_attempt3``: ``_rk4_attempt`` with its three kernel calls, both
-# ``_is_bad`` calls, the stage blow-up test and ``_scaled_diff`` inlined,
-# again with the same expressions in the same order.  Per attempt it saves
-# three kernel calls and their returned 4-tuples, two ``_is_bad`` calls, a
-# generator-fed ``max`` and a ``zip`` loop.  On Robertson it takes about
-# 7 us, 11 rhs calls of 0.3 us each included, against 10 us for the same
-# attempt built from three ``_rk4_step3`` calls.
+# Adaptive runs take their step-doubling attempts from ``_rk4_attempt3``:
+# three ``_rk4_step3`` calls (the full step and the first half step share
+# k1), both ``_is_bad`` calls, the stage blow-up test and ``_scaled_diff``
+# inlined, again with the same expressions in the same order.  Per attempt
+# it saves three kernel calls and their returned 4-tuples, two ``_is_bad``
+# calls, a generator-fed ``max`` and a ``zip`` loop.  On Robertson it takes
+# about 7 us, 11 rhs calls of 0.3 us each included, against 10 us for the
+# same attempt built from three ``_rk4_step3`` calls.
+
+def _padded(f: Rhs, u: State) -> tuple[Rhs, State]:
+    """The rhs ``f`` and state ``u`` of a system with ``len(u)`` components
+    as those of a dim-3 system whose extra components are 0.0; ``f`` and
+    ``u`` themselves for dim 3."""
+    dim = len(u)
+    if dim == 3:
+        return f, u
+    pad = (0.0,) * (3 - dim)
+
+    def f3(t: float, v: State) -> State:
+        return (*f(t, v[:dim]), *pad)
+
+    return f3, (*u, *pad)
+
 
 def _rk4_step3(f: Rhs, t: float, u: State, h: float, k1: Sequence[float]):
     x, y, z = u
@@ -212,24 +236,9 @@ def _rk4_step3(f: Rhs, t: float, u: State, h: float, k1: Sequence[float]):
     ), k2, k3, k4
 
 
-def _rk4_stepn(f: Rhs, t: float, u: State, h: float, k1: Sequence[float]):
-    h2 = 0.5 * h
-    k2 = f(t + h2, tuple(ui + h2 * ki for ui, ki in zip(u, k1)))
-    k3 = f(t + h2, tuple(ui + h2 * ki for ui, ki in zip(u, k2)))
-    k4 = f(t + h, tuple(ui + h * ki for ui, ki in zip(u, k3)))
-    s = h / 6.0
-    return tuple(
-        ui + s * (a + 2.0 * (b + c) + d)
-        for ui, a, b, c, d in zip(u, k1, k2, k3, k4)
-    ), k2, k3, k4
-
-
-def _rk4_kernel(dim: int) -> Callable:
-    return _rk4_step3 if dim == 3 else _rk4_stepn
-
-
 def rk4_step(f: Rhs, t: float, u: State, h: float, dim: int) -> State:
-    return _rk4_kernel(dim)(f, t, u, h, f(t, u))[0]
+    f3, u3 = _padded(f, u)
+    return _rk4_step3(f3, t, u3, h, f3(t, u3))[0][:dim]
 
 
 def _is_bad(u: State) -> bool:
@@ -247,24 +256,14 @@ def solve_rk4_fixed(problem: OdeProblem, n_steps: int) -> Trajectory:
         raise ValueError("n_steps must be >= 1")
     t0, t1 = problem.t_span
     h = (t1 - t0) / n_steps
-    dim = problem.dim
-    f = problem.rhs
+    f, u = _padded(problem.rhs, problem.u0)
 
     times = t0 + h * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, dim))
-    u = problem.u0
+    states = np.empty((n_steps + 1, 3))
     states[0] = u
-    if dim == 3:
-        with memoryview(states.reshape(-1)) as out:
-            _rk4_march3(f, t0, h, u, n_steps, out)
-    else:
-        for i in range(n_steps):
-            t = t0 + i * h
-            u = _rk4_stepn(f, t, u, h, f(t, u))[0]
-            if _is_bad(u):
-                raise NonFiniteState(t0 + (i + 1) * h)
-            states[i + 1] = u
-    return Trajectory(times, states, RK4_FIXED, steps_taken=n_steps)
+    with memoryview(states.reshape(-1)) as out:
+        _rk4_march3(f, t0, h, u, n_steps, out)
+    return Trajectory(times, states[:, :problem.dim], RK4_FIXED, steps_taken=n_steps)
 
 
 def _rk4_march3(f: Rhs, t0: float, h: float, u: State, n: int,
@@ -314,6 +313,7 @@ _SAFETY = 0.9
 
 def _adaptive_loop(
     problem: OdeProblem,
+    u0: State,
     cfg: AdaptiveConfig,
     attempt: Callable[[float, State, float], tuple[State, float]],
     exponent: float,
@@ -324,15 +324,17 @@ def _adaptive_loop(
     ``attempt(t, u, h)`` returns (proposed state, scaled error estimate); an
     inf estimate marks a failed/non-finite attempt.  A step is accepted when
     est <= tol, and the step is resized by 0.9 * (tol/est)**exponent,
-    clamped to [h/4, 4h].
+    clamped to [h/4, 4h].  The run starts from ``u0``, which is
+    ``problem.u0`` or, for the explicit solver, that padded to three
+    components; the trajectory keeps the first ``problem.dim`` of them.
     """
     t0, t1 = problem.t_span
     end_eps = 1e-12 * max(1.0, abs(t1))
 
     times = [t0]
-    states = [problem.u0]
+    states = [u0]
     t = t0
-    u = problem.u0
+    u = u0
     h = min(cfg.dt_init, t1 - t0)
     taken = 0
     rejected = 0
@@ -367,7 +369,7 @@ def _adaptive_loop(
 
     return Trajectory(
         np.array(times),
-        np.array(states),
+        np.array(states)[:, :problem.dim],
         solver_id,
         steps_taken=taken,
         steps_rejected=rejected,
@@ -397,30 +399,14 @@ def solve_rk4_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajectory:
     trajectory is returned with ``stagnated=True`` (the expected outcome on
     Robertson).
     """
-    attempt = _rk4_attempt3 if problem.dim == 3 else _rk4_attempt
-    return _adaptive_loop(problem, cfg, partial(attempt, problem.rhs), exponent=0.2,
+    f, u0 = _padded(problem.rhs, problem.u0)
+    return _adaptive_loop(problem, u0, cfg, partial(_rk4_attempt3, f), exponent=0.2,
                           solver_id=RK4_ADAPTIVE)
 
 
-def _rk4_attempt(f: Rhs, t: float, u: State, h: float) -> tuple[State, float]:
+def _rk4_attempt3(f: Rhs, t: float, u: State, h: float) -> tuple[State, float]:
     """One step-doubling attempt of ``solve_rk4_adaptive``: (the two half
     steps' state, scaled error estimate), or (u, inf) for a rejected trial."""
-    k1 = f(t, u)
-    full, k2, k3, k4 = _rk4_stepn(f, t, u, h, k1)
-    h2 = 0.5 * h
-    mid = _rk4_stepn(f, t, u, h2, k1)[0]
-    half = _rk4_stepn(f, t + h2, mid, h2, f(t + h2, mid))[0]
-    if _is_bad(half) or _is_bad(full):
-        return u, math.inf
-    # the stages are finite here: a non-finite stage makes ``full`` bad
-    m0 = max(map(abs, k1))
-    if not max(max(map(abs, k)) for k in (k2, k3, k4)) <= _STAGE_BLOWUP * m0 + 1.0:
-        return u, math.inf
-    return half, _scaled_diff(full, half, u, floor=1e-6) / 15.0
-
-
-def _rk4_attempt3(f: Rhs, t: float, u: State, h: float) -> tuple[State, float]:
-    """``_rk4_attempt`` for a dim-3 system, bit-identical to it."""
     x, y, z = u
     a1, b1, c1 = f(t, u)
     # the full step
@@ -568,7 +554,7 @@ def solve_trapezoid_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajec
             return u, math.inf
         return half, _scaled_diff(full, half, u, floor=1e-6) / 3.0
 
-    return _adaptive_loop(problem, cfg, attempt, exponent=1.0 / 3.0,
+    return _adaptive_loop(problem, problem.u0, cfg, attempt, exponent=1.0 / 3.0,
                           solver_id=TRAPEZOID_ADAPTIVE)
 
 
@@ -588,9 +574,9 @@ def solve_trapezoid_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajec
 # per run step six levels clear the 1e-8 gate 50-fold, and beyond about
 # eight levels roundoff undoes what the extra calls buy.
 #
-# ``_gbs_march3`` is ``_gbs_march`` unrolled for dim-3 systems (state in
-# locals, flat memoryview stores) with the same expressions in the same
-# order, so the two give bit-identical states.
+# ``_gbs_march3`` is written for three components (state in locals, flat
+# memoryview stores); dim-1 and dim-2 problems run through it padded, like
+# the RK4 solvers.
 
 _GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12)
 _GBS_NEVILLE = tuple(
@@ -600,37 +586,11 @@ _GBS_NEVILLE = tuple(
 _GBS_RHS_PER_STEP = 1 + sum(_GBS_SUBSTEPS)
 
 
-def _gbs_march(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> None:
+def _gbs_march3(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> None:
     """GBS macro steps of size ``h`` from ``u`` at ``t0``; state i + 1 goes
     to ``states[i + 1]``.  Raises ``NonFiniteState`` at the end of the first
-    macro step whose state is not finite."""
-    for i in range(len(states) - 1):
-        t = t0 + i * h
-        f0 = f(t, u)
-        row: list[State] = []
-        for n, factors in zip(_GBS_SUBSTEPS, _GBS_NEVILLE):
-            hs = h / n
-            h2 = 2.0 * hs
-            z0 = u
-            z1 = tuple(a + hs * b for a, b in zip(u, f0))
-            for k in range(1, n):
-                z0, z1 = z1, tuple(a + h2 * b for a, b in zip(z0, f(t + k * hs, z1)))
-            s = tuple(0.5 * (a + b + hs * c) for a, b, c in zip(z0, z1, f(t + h, z1)))
-            new = [s]
-            for prev, c in zip(row, factors):
-                s = tuple(a + (a - b) * c for a, b in zip(s, prev))
-                new.append(s)
-            row = new
-        u = row[-1]
-        if _is_bad(u):
-            raise NonFiniteState(t0 + (i + 1) * h)
-        states[i + 1] = u
-
-
-def _gbs_march3(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> None:
-    """``_gbs_march`` for a dim-3 system, bit-identical to it.  The
-    substep sizes and time offsets k * h / n_j, the same for every macro
-    step, are computed once."""
+    macro step whose state is not finite.  The substep sizes and time
+    offsets k * h / n_j, the same for every macro step, are computed once."""
     levels = tuple((h / n, 2.0 * (h / n), tuple(k * (h / n) for k in range(1, n)), factors)
                    for n, factors in zip(_GBS_SUBSTEPS, _GBS_NEVILLE))
     x, y, z = u
@@ -675,11 +635,11 @@ def _gbs_march3(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> No
 
 def _gbs_states(problem: OdeProblem, n_steps: int) -> np.ndarray:
     t0, t1 = problem.t_span
-    states = np.empty((n_steps + 1, problem.dim))
-    states[0] = problem.u0
-    march = _gbs_march3 if problem.dim == 3 else _gbs_march
-    march(problem.rhs, t0, (t1 - t0) / n_steps, problem.u0, states)
-    return states
+    f, u = _padded(problem.rhs, problem.u0)
+    states = np.empty((n_steps + 1, 3))
+    states[0] = u
+    _gbs_march3(f, t0, (t1 - t0) / n_steps, u, states)
+    return states[:, :problem.dim]
 
 
 def problem_fingerprint(problem: OdeProblem) -> tuple:

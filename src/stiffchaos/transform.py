@@ -59,7 +59,8 @@ from .ode import (
     State,
     Trajectory,
     _is_bad,
-    _rk4_kernel,
+    _padded,
+    _rk4_step3,
     problem_fingerprint,
 )
 from .problems import BenchmarkSpec, lorenz84, nearest_sample_indices, stiff_linear
@@ -196,8 +197,8 @@ def _conjugated_rhs(f: Rhs, t_start: float, mu: Sequence[float],
     return zrhs
 
 
-def _shifted_jacobian(jac: Jacobian, t: float, z: State, mu: Sequence[float],
-                      eps_scale: Sequence[float]):
+def shifted_jacobian(jac: Jacobian, t: float, z: State, mu: Sequence[float],
+                     eps_scale: Sequence[float]):
     """J* = E^-1 J(t, E z) E - M, the z-system's Jacobian at tau = 0; in
     lanes (see ``OdeProblem``) when t, z and mu hold one lane per sample."""
     rows = []
@@ -230,13 +231,6 @@ def transformed_rhs(params: TransformParams, t_local: float, z: State,
     _check_exponents(params.mu, t_local)
     rhs = _lorenz84_problem(a, b, f, g).rhs
     return _conjugated_rhs(rhs, 0.0, params.mu, params.eps_scale)(t_local, z)
-
-
-def jstar(params: TransformParams, z: State, a: float, b: float):
-    """J* of the conjugated Lorenz-84 system at z under the tau=0
-    approximation (the forcings F and G drop out of the Jacobian)."""
-    jac = _lorenz84_problem(a, b, 8.0, 1.0).jacobian
-    return _shifted_jacobian(jac, 0.0, z, params.mu, params.eps_scale)
 
 
 def select_mu(method: MuMethod, history: Sequence[float],
@@ -359,7 +353,6 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
     t0 = plan.t_span[0]
     eps = params.eps_scale
     jac = problem.jacobian
-    step = _rk4_kernel(dim)
 
     times = t0 + h * np.arange(n + 1)
     states = np.empty((n + 1, dim))
@@ -380,20 +373,23 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
             gamma_history[k] = local_eigenvalues(jac(t_k, u)).gamma_max
         elif gamma_source == GAMMA_JSTAR_START:
             gamma_history[k] = local_eigenvalues(
-                _shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
+                shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
 
-        zrhs = _conjugated_rhs(problem.rhs, t_k, mu, eps)
+        # the z-system is stepped as a three-component one (see ode._padded)
+        zrhs, z = _padded(_conjugated_rhs(problem.rhs, t_k, mu, eps), z)
         base = k * spi
         for j in range(spi):
             tau = j * h
-            z = step(zrhs, tau, z, h, zrhs(tau, z))[0]
+            z = _rk4_step3(zrhs, tau, z, h, zrhs(tau, z))[0]
+            # the scales have dim components, so ``map`` drops the padding
+            # (as it does in ``shifted_jacobian`` below)
             u = tuple(map(mul, _scales(mu, eps, (j + 1) * h), z))
             if _is_bad(u):
                 raise NonFiniteState(t0 + (base + j + 1) * h)
             states[base + j + 1] = u
         if gamma_source == GAMMA_JSTAR_END:
             gamma_history[k] = local_eigenvalues(
-                _shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
+                shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
         history.append(float(gamma_history[k]))
         mu = select_mu(method, history, params)
 
@@ -424,8 +420,8 @@ def jstar_scan(run: TransformRun, n_samples: int) -> LleTrace:
     z = sol.states[idx] * np.exp(mu * -tau[:, None]) / run.params.eps_scale
     t_start = plan.t_span[0] + k * spi * h
     values = eigenvalues_along(
-        lambda s: _shifted_jacobian(run.problem.jacobian, t_start[s], tuple(z[s].T),
-                                    tuple(mu[s].T), run.params.eps_scale),
+        lambda s: shifted_jacobian(run.problem.jacobian, t_start[s], tuple(z[s].T),
+                                   tuple(mu[s].T), run.params.eps_scale),
         n_samples, run.problem.dim)
     return LleTrace(times=scan_times, values=values)
 

@@ -1,0 +1,101 @@
+"""The per-component integrators that the library's unrolled dim-3 code
+replaced, kept as references: ``_rk4_stepn``, ``_rk4_attempt`` and
+``_gbs_march`` are copied unchanged from ``stiffchaos.ode`` as it was before
+dim-1 and dim-2 problems ran through the dim-3 code zero-padded, and
+``fixed_states`` is the fixed-step loop ``solve_rk4_fixed`` ran on them.  The
+tests pin the library to these bit for bit, for every dimension.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from stiffchaos.ode import (
+    _GBS_NEVILLE,
+    _GBS_SUBSTEPS,
+    _STAGE_BLOWUP,
+    NonFiniteState,
+    OdeProblem,
+    Rhs,
+    State,
+    _is_bad,
+    _scaled_diff,
+)
+
+
+def _rk4_stepn(f: Rhs, t: float, u: State, h: float, k1: Sequence[float]):
+    h2 = 0.5 * h
+    k2 = f(t + h2, tuple(ui + h2 * ki for ui, ki in zip(u, k1)))
+    k3 = f(t + h2, tuple(ui + h2 * ki for ui, ki in zip(u, k2)))
+    k4 = f(t + h, tuple(ui + h * ki for ui, ki in zip(u, k3)))
+    s = h / 6.0
+    return tuple(
+        ui + s * (a + 2.0 * (b + c) + d)
+        for ui, a, b, c, d in zip(u, k1, k2, k3, k4)
+    ), k2, k3, k4
+
+
+def _rk4_attempt(f: Rhs, t: float, u: State, h: float) -> tuple[State, float]:
+    """One step-doubling attempt of ``solve_rk4_adaptive``: (the two half
+    steps' state, scaled error estimate), or (u, inf) for a rejected trial."""
+    k1 = f(t, u)
+    full, k2, k3, k4 = _rk4_stepn(f, t, u, h, k1)
+    h2 = 0.5 * h
+    mid = _rk4_stepn(f, t, u, h2, k1)[0]
+    half = _rk4_stepn(f, t + h2, mid, h2, f(t + h2, mid))[0]
+    if _is_bad(half) or _is_bad(full):
+        return u, math.inf
+    # the stages are finite here: a non-finite stage makes ``full`` bad
+    m0 = max(map(abs, k1))
+    if not max(max(map(abs, k)) for k in (k2, k3, k4)) <= _STAGE_BLOWUP * m0 + 1.0:
+        return u, math.inf
+    return half, _scaled_diff(full, half, u, floor=1e-6) / 15.0
+
+
+def _gbs_march(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> None:
+    """GBS macro steps of size ``h`` from ``u`` at ``t0``; state i + 1 goes
+    to ``states[i + 1]``.  Raises ``NonFiniteState`` at the end of the first
+    macro step whose state is not finite."""
+    for i in range(len(states) - 1):
+        t = t0 + i * h
+        f0 = f(t, u)
+        row: list[State] = []
+        for n, factors in zip(_GBS_SUBSTEPS, _GBS_NEVILLE):
+            hs = h / n
+            h2 = 2.0 * hs
+            z0 = u
+            z1 = tuple(a + hs * b for a, b in zip(u, f0))
+            for k in range(1, n):
+                z0, z1 = z1, tuple(a + h2 * b for a, b in zip(z0, f(t + k * hs, z1)))
+            s = tuple(0.5 * (a + b + hs * c) for a, b, c in zip(z0, z1, f(t + h, z1)))
+            new = [s]
+            for prev, c in zip(row, factors):
+                s = tuple(a + (a - b) * c for a, b in zip(s, prev))
+                new.append(s)
+            row = new
+        u = row[-1]
+        if _is_bad(u):
+            raise NonFiniteState(t0 + (i + 1) * h)
+        states[i + 1] = u
+
+
+def fixed_states(problem: OdeProblem, n_steps: int) -> np.ndarray:
+    """The states of ``solve_rk4_fixed`` by the per-component loop it ran on
+    dim-1 and dim-2 problems before; raises its ``NonFiniteState``."""
+    t0, t1 = problem.t_span
+    h = (t1 - t0) / n_steps
+    f = problem.rhs
+    states = np.empty((n_steps + 1, problem.dim))
+    u = problem.u0
+    states[0] = u
+    for i in range(n_steps):
+        t = t0 + i * h
+        u = _rk4_stepn(f, t, u, h, f(t, u))[0]
+        if _is_bad(u):
+            raise NonFiniteState(t0 + (i + 1) * h)
+        states[i + 1] = u
+    return states
+

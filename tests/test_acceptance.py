@@ -15,7 +15,6 @@ from stiffchaos import (
     MuMethod,
     check_jacobian,
     dt_stiff,
-    jstar,
     jstar_scan,
     kappa_stiff,
     lle_scan,
@@ -25,6 +24,7 @@ from stiffchaos import (
     params_for_method,
     robertson,
     run_transformed,
+    shifted_jacobian,
     solve_rk4_adaptive,
     solve_rk4_fixed,
     solve_trapezoid_adaptive,
@@ -254,7 +254,9 @@ def test_criterion_10_property_suites(lorenz_spec, lorenz_oracle, robertson_trap
     for _ in range(100):
         z = tuple(rng.uniform(-2.5, 2.5, 3))
         m = float(rng.uniform(-3, 3))
-        shifted = local_eigenvalues(jstar(TransformParams(mu=(m, m, m)), z, 0.25, 4.0))
+        params = TransformParams(mu=(m, m, m))
+        shifted = local_eigenvalues(shifted_jacobian(
+            lorenz84(a=0.25, b=4.0).problem.jacobian, 0.0, z, params.mu, params.eps_scale))
         plain = local_eigenvalues(lorenz_spec.problem.jacobian(0.0, z))
         got = sorted(shifted.values, key=lambda v: (v.real, v.imag))
         want = sorted((v - m for v in plain.values), key=lambda v: (v.real, v.imag))

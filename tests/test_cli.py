@@ -493,6 +493,46 @@ class TestConfigHandling:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "diagnose"])
+    @pytest.mark.parametrize("config, flags, shown", [
+        ({"out": 5}, [], "5"),
+        ({"out": None}, [], "None"),
+        ({"out": ["x"]}, [], "['x']"),
+        ({}, ["--out.x", "1"], "{'x': 1}"),
+        ({}, ["--out", ""], "''"),
+    ], ids=["number", "null", "list", "dotted-section", "empty"])
+    def test_out_must_be_a_non_empty_path(self, tmp_path, capsys, monkeypatch, command,
+                                          config, flags, shown):
+        def no_solve(*args):
+            raise AssertionError("run_solver ran")
+
+        monkeypatch.setattr(cli, "run_solver", no_solve)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"problem": {"name": "lorenz84"}, "solver": {"steps": 2000}, **config}))
+        rc = main([command, "--config", "cfg.json"] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: out must be a non-empty path, got {shown}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub", None],
+                             ids=["file", "under-a-file", "default-is-a-file"])
+    def test_out_blocked_by_a_file(self, tmp_path, capsys, monkeypatch, out):
+        def no_solve(*args):
+            raise AssertionError("run_solver ran")
+
+        monkeypatch.setattr(cli, "run_solver", no_solve)
+        monkeypatch.chdir(tmp_path)
+        blocker = "out" if out is None else "afile"
+        (tmp_path / blocker).write_text("")
+        flags = [] if out is None else ["--out", out]
+        rc = main(["solve", "--problem", "lorenz84", "--steps", "2000"] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: out: {blocker!r} exists and is not a directory\n")
+        assert [p.name for p in tmp_path.iterdir()] == [blocker]
+
     def test_diagnose_rejects_eps_before_solving(self, tmp_path, monkeypatch):
         def no_solve(*args):
             raise AssertionError("run_solver ran")

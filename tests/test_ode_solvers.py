@@ -28,14 +28,14 @@ from stiffchaos.ode import (
     ORACLE_CHECK_TOL,
     RK4_ADAPTIVE,
     _adaptive_loop,
-    _gbs_march,
     _gbs_march3,
-    _rk4_attempt,
     _rk4_attempt3,
     _rk4_step3,
-    _rk4_stepn,
     rk4_step,
 )
+
+import generic_reference
+from generic_reference import _gbs_march, _rk4_attempt, _rk4_stepn, fixed_states
 
 
 def exp_decay(t_span=(0.0, 1.0)) -> OdeProblem:
@@ -97,6 +97,34 @@ def wall_dim3() -> OdeProblem:
     )
 
 
+def blowup_dim1() -> OdeProblem:
+    # du/dt = u^2 blows up at t = 1
+    return OdeProblem(
+        name="blowup", dim=1, params={},
+        rhs=lambda t, u: (u[0] * u[0],),
+        jacobian=lambda t, u: ((2.0 * u[0],),),
+        u0=(1.0,), t_span=(0.0, 3.0),
+    )
+
+
+def forced_dim2() -> OdeProblem:
+    # a forced oscillator from t0 != 0, the one dim-2 system of the suite
+    return OdeProblem(
+        name="forced-dim2", dim=2, params={},
+        rhs=lambda t, u: (u[1], -u[0] + math.cos(3.0 * t)),
+        jacobian=lambda t, u: ((0.0, 1.0), (-1.0, 0.0)),
+        u0=(1.0, -0.5), t_span=(0.3, 4.0),
+    )
+
+
+def outcome(run):
+    """``run()``'s states as bytes, or the time of its ``NonFiniteState``."""
+    try:
+        return run().tobytes()
+    except NonFiniteState as exc:
+        return ("NonFiniteState", exc.t)
+
+
 def adaptive_run(attempt, problem: OdeProblem, cfg: AdaptiveConfig):
     """The adaptive RK4 run of ``problem`` driven by ``attempt``: its times
     and states as bytes and its counters, and the number of trial steps the
@@ -108,7 +136,7 @@ def adaptive_run(attempt, problem: OdeProblem, cfg: AdaptiveConfig):
         outright[0] += est == math.inf
         return u_new, est
 
-    traj = _adaptive_loop(problem, cfg, counted, 0.2, RK4_ADAPTIVE)
+    traj = _adaptive_loop(problem, problem.u0, cfg, counted, 0.2, RK4_ADAPTIVE)
     return run_signature(traj), outright[0]
 
 
@@ -183,14 +211,8 @@ class TestRk4Fixed:
         assert max_rel_err(traj, spec.exact) > 1e6
 
     def test_finite_time_blowup_raises(self):
-        prob = OdeProblem(
-            name="blowup", dim=1, params={},
-            rhs=lambda t, u: (u[0] * u[0],),
-            jacobian=lambda t, u: ((2.0 * u[0],),),
-            u0=(1.0,), t_span=(0.0, 3.0),
-        )
         with pytest.raises(NonFiniteState):
-            solve_rk4_fixed(prob, 3000)
+            solve_rk4_fixed(blowup_dim1(), 3000)
 
     def test_finite_time_blowup_raises_dim3(self):
         # the unrolled dim-3 loop must stop where the step-kernel loop stops
@@ -361,10 +383,83 @@ class TestRk4Kernels:
         # with the stage test switched off, only non-finite trials are
         # rejected outright
         _, outright = adaptive_run(attempt, *case)
-        monkeypatch.setattr(ode, "_STAGE_BLOWUP", math.inf)
+        for module in (ode, generic_reference):
+            monkeypatch.setattr(module, "_STAGE_BLOWUP", math.inf)
         _, non_finite = adaptive_run(attempt, *case)
         assert outright > 0
         assert non_finite == (0 if cause == "stage-blowup" else outright)
+
+
+# dim-1 and dim-2 problems with a fixed step count, an adaptive setting and
+# an oracle step count; the blow-up at t = 1 ends the fixed and oracle runs
+# with ``NonFiniteState``
+PADDED_CASES = {
+    "exp-decay": (exp_decay(), 40, AdaptiveConfig(tol=1e-9, dt_init=1.0), 200),
+    "stiff-linear-t0-nonzero": (
+        stiff_linear(300.0, u0=(1.05,), t_span=(0.2, 1.0)).problem, 400,
+        AdaptiveConfig(tol=1e-6, dt_init=0.01, max_steps=5000), 2000),
+    "stiff-linear-unstable": (stiff_linear(300.0, u0=(1.05,)).problem, 25,
+                              AdaptiveConfig(tol=1e-3, dt_init=0.1), 3200),
+    "flame": (flame(0.1).problem, 300, AdaptiveConfig(tol=1e-3, dt_init=1e-3, dt_max=5.0),
+              400),
+    "blowup-dim1": (blowup_dim1(), 3000,
+                    AdaptiveConfig(tol=1e-3, dt_init=0.1, dt_min=1e-9, max_steps=5000), 300),
+    "forced-dim2": (forced_dim2(), 777, AdaptiveConfig(tol=1e-10, dt_init=0.5), 778),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PADDED_CASES))
+class TestPaddedDimsMatchGenericReference:
+    """Dim-1 and dim-2 problems run through the dim-3 code zero-padded;
+    every result equals the per-component reference bit for bit."""
+
+    def test_fixed(self, case):
+        problem, n_steps, _, _ = PADDED_CASES[case]
+        got = outcome(lambda: solve_rk4_fixed(problem, n_steps).states)
+        assert got == outcome(lambda: fixed_states(problem, n_steps))
+        if case == "blowup-dim1":
+            assert 1.0 < got[1] < 1.1
+        else:
+            assert len(got) == 8 * problem.dim * (n_steps + 1)
+
+    def test_adaptive(self, case):
+        problem, _, cfg, _ = PADDED_CASES[case]
+        counted, calls = rhs_counted(problem)
+        got = run_signature(solve_rk4_adaptive(counted, cfg))
+        got_calls = calls[0]
+        calls[0] = 0
+        want, outright = adaptive_run(_rk4_attempt, counted, cfg)
+        assert got == want
+        assert got_calls == calls[0] == 11 * (want[2] + want[3])
+        assert want[3] > 0 or case == "forced-dim2"
+        if case == "blowup-dim1":
+            assert outright > 0  # trials rejected for a blown-up stage or state
+
+    def test_oracle(self, case):
+        problem, _, _, n_steps = PADDED_CASES[case]
+        if case == "blowup-dim1":
+            with pytest.raises(NonFiniteState) as exc:
+                reference_solution(problem, n_steps)
+            want = outcome(lambda: gbs_states(problem, n_steps, _gbs_march))
+            assert ("NonFiniteState", exc.value.t) == want
+            assert 1.0 <= exc.value.t < 1.1
+            return
+        traj = reference_solution(problem, n_steps)
+        fine = gbs_states(problem, n_steps, _gbs_march)
+        coarse = gbs_states(problem, n_steps // 2, _gbs_march)
+        assert traj.states.tobytes() == fine.tobytes()
+        assert traj.meta["oracle_check_delta"] == np.max(np.abs(fine[::2] - coarse))
+
+    def test_rk4_step(self, case):
+        problem = PADDED_CASES[case][0]
+        f, dim = problem.rhs, problem.dim
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            u = tuple(float(x) for x in rng.uniform(-1.5, 1.5, dim))
+            t = float(rng.uniform(*problem.t_span))
+            h = 10.0 ** float(rng.uniform(-5.0, -1.0))
+            got = rk4_step(f, t, u, h, dim)
+            assert repr(got) == repr(_rk4_stepn(f, t, u, h, f(t, u))[0])
 
 
 class TestTrapezoid:
@@ -523,6 +618,11 @@ class TestProblemValidation:
         assert worst == pytest.approx(offset / min(scales), rel=1e-6)
         with pytest.raises(AssertionError):
             check_jacobian(replace(good, jacobian=wrong), states[-1:], rtol=1e-5)
+
+    def test_more_than_three_components_rejected(self):
+        with pytest.raises(ValueError, match="dim must be 1, 2 or 3"):
+            OdeProblem("dim4", 4, {}, lambda t, u: (0.0,) * 4,
+                       lambda t, u: ((0.0,) * 4,) * 4, (1.0,) * 4, (0.0, 1.0))
 
     def test_invalid_spans_rejected(self):
         with pytest.raises(ValueError):

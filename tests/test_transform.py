@@ -12,7 +12,6 @@ from stiffchaos import (
     MuMethod,
     PROBLEM_FACTORIES,
     TransformParams,
-    jstar,
     jstar_scan,
     lle_scan,
     local_eigenvalues,
@@ -22,6 +21,7 @@ from stiffchaos import (
     reference_solution,
     run_transformed,
     select_mu,
+    shifted_jacobian,
     solve_rk4_fixed,
     step_extension_report,
     stiff_transform_demo,
@@ -37,7 +37,6 @@ from stiffchaos.transform import (
     GAMMA_JSTAR_START,
     METHOD_MU_INIT,
     _align_reference,
-    _shifted_jacobian,
 )
 
 
@@ -139,7 +138,8 @@ class TestJstar:
         params = TransformParams()
         for _ in range(20):
             z = tuple(rng.uniform(-2, 2, 3))
-            got = np.asarray(jstar(params, z, 0.25, 4.0))
+            got = np.asarray(shifted_jacobian(
+                lorenz84(a=0.25, b=4.0).problem.jacobian, 0.0, z, params.mu, params.eps_scale))
             want = np.asarray(lorenz_spec.problem.jacobian(0.0, z))
             assert np.array_equal(got, want)
 
@@ -149,7 +149,9 @@ class TestJstar:
         for _ in range(100):
             z = tuple(rng.uniform(-2.5, 2.5, 3))
             m = float(rng.uniform(-3, 3))
-            shifted = local_eigenvalues(jstar(TransformParams(mu=(m, m, m)), z, 0.25, 4.0))
+            params = TransformParams(mu=(m, m, m))
+            shifted = local_eigenvalues(shifted_jacobian(
+                lorenz84(a=0.25, b=4.0).problem.jacobian, 0.0, z, params.mu, params.eps_scale))
             plain = local_eigenvalues(lorenz_spec.problem.jacobian(0.0, z))
             got = sorted(shifted.values, key=lambda v: (v.real, v.imag))
             want = sorted((v - m for v in plain.values), key=lambda v: (v.real, v.imag))
@@ -158,7 +160,9 @@ class TestJstar:
 
     def test_reference_mu_lowers_the_leading_exponent(self, lorenz_spec):
         params = TransformParams(mu=(2.592, 1.944, 1.539))
-        eig = local_eigenvalues(jstar(params, lorenz_spec.problem.u0, 0.25, 4.0))
+        eig = local_eigenvalues(shifted_jacobian(
+            lorenz84(a=0.25, b=4.0).problem.jacobian, 0.0, lorenz_spec.problem.u0,
+            params.mu, params.eps_scale))
         assert eig.gamma_max < 1.9
 
     @pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
@@ -177,7 +181,7 @@ class TestJstar:
                           m=st.floats(-3.0, 3.0), t=st.floats(0.0, 1.0))
         def check(z, eps, m, t):
             shifted = np.linalg.eigvals(
-                _shifted_jacobian(problem.jacobian, t, z, (m,) * dim, eps))
+                shifted_jacobian(problem.jacobian, t, z, (m,) * dim, eps))
             plain = np.linalg.eigvals(
                 problem.jacobian(t, tuple(e * v for e, v in zip(eps, z))))
             scale = max(1.0, float(np.max(np.abs(plain))))
@@ -440,7 +444,7 @@ class TestJstarScan:
             z = tuple(x * math.exp(m * -tau) / e
                       for x, m, e in zip(run.solution.states[j], mu, eps))
             t_k = plan.t_span[0] + k * spi * h
-            jstar_k = _shifted_jacobian(spec.problem.jacobian, t_k, z, mu, eps)
+            jstar_k = shifted_jacobian(spec.problem.jacobian, t_k, z, mu, eps)
             want.append(local_eigenvalues(jstar_k).values)
         want = np.array(want)
         scale = np.max(np.abs(want), axis=1, keepdims=True)
