@@ -4,23 +4,33 @@ replaced, kept as references: ``_rk4_stepn``, ``_rk4_attempt`` and
 dim-1 and dim-2 problems ran through the dim-3 code zero-padded, and
 ``fixed_states`` is the fixed-step loop ``solve_rk4_fixed`` ran on them.  The
 tests pin the library to these bit for bit, for every dimension.
+
+``_adaptive_loop`` is the accept/reject loop with the elementary step-size
+controller 0.9 * (tol / est)**exponent, copied unchanged from
+``stiffchaos.ode`` as it was before the PI controller replaced it; the
+library's loop with gains (exponent, 0.0) must equal it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from stiffchaos.ode import (
     _GBS_NEVILLE,
     _GBS_SUBSTEPS,
+    _GROW_MAX,
+    _SAFETY,
+    _SHRINK_MAX,
     _STAGE_BLOWUP,
+    AdaptiveConfig,
     NonFiniteState,
     OdeProblem,
     Rhs,
     State,
+    Trajectory,
     _is_bad,
     _scaled_diff,
 )
@@ -99,3 +109,68 @@ def fixed_states(problem: OdeProblem, n_steps: int) -> np.ndarray:
         states[i + 1] = u
     return states
 
+
+def _adaptive_loop(
+    problem: OdeProblem,
+    u0: State,
+    cfg: AdaptiveConfig,
+    attempt: Callable[[float, State, float], tuple[State, float]],
+    exponent: float,
+    solver_id: str,
+) -> Trajectory:
+    """Shared accept/reject loop: step-doubling estimate, power-law resize.
+
+    ``attempt(t, u, h)`` returns (proposed state, scaled error estimate); an
+    inf estimate marks a failed/non-finite attempt.  A step is accepted when
+    est <= tol, and the step is resized by 0.9 * (tol/est)**exponent,
+    clamped to [h/4, 4h].  The run starts from ``u0``, which is
+    ``problem.u0`` or, for the explicit solver, that padded to three
+    components; the trajectory keeps the first ``problem.dim`` of them.
+    """
+    t0, t1 = problem.t_span
+    end_eps = 1e-12 * max(1.0, abs(t1))
+
+    times = [t0]
+    states = [u0]
+    t = t0
+    u = u0
+    h = min(cfg.dt_init, t1 - t0)
+    taken = 0
+    rejected = 0
+    stagnated = False
+
+    while t < t1 - end_eps:
+        if taken >= cfg.max_steps:
+            stagnated = True
+            break
+        h = min(h, t1 - t)
+        u_new, est = attempt(t, u, h)
+        target = cfg.tol
+        if est <= target:
+            t += h
+            u = u_new
+            times.append(t)
+            states.append(u)
+            taken += 1
+        else:
+            rejected += 1
+            if h <= cfg.dt_min * (1.0 + 1e-12):
+                stagnated = True
+                break
+        if est > 0.0 and math.isfinite(est):
+            factor = _SAFETY * (target / est) ** exponent
+            factor = min(_GROW_MAX, max(_SHRINK_MAX, factor))
+        elif est == 0.0:
+            factor = _GROW_MAX
+        else:
+            factor = _SHRINK_MAX
+        h = min(cfg.dt_max, max(cfg.dt_min, h * factor))
+
+    return Trajectory(
+        np.array(times),
+        np.array(states)[:, :problem.dim],
+        solver_id,
+        steps_taken=taken,
+        steps_rejected=rejected,
+        stagnated=stagnated,
+    )

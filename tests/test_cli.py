@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 from stiffchaos import cli
-from stiffchaos.cli import MismatchedBaseline, compare_runs, fmt, main, table_rows, write_csv
-from stiffchaos.ode import EIG_BLOCK
+from stiffchaos.cli import (CSV_BLOCK, MismatchedBaseline, compare_runs, fmt, main, table_rows,
+                            write_csv)
+from stiffchaos.ode import EIG_BLOCK, NonFiniteState
 
 
 def _cell(text: str):
@@ -73,6 +75,25 @@ class TestCsvContract:
         write_csv(path, self.HEADER, (row for row in self.ROWS))
         assert path.read_bytes() == reference_csv(self.HEADER, self.ROWS)
 
+    @pytest.mark.parametrize("n", [CSV_BLOCK + 1, EIG_BLOCK, EIG_BLOCK + 1, 2 * EIG_BLOCK + 1])
+    def test_bytes_equal_csv_writer_reference_across_blocks(self, tmp_path, n):
+        # write_csv formats CSV_BLOCK rows per block, and table_rows stacks
+        # EIG_BLOCK rows at a time: one row past a block, whole blocks, and
+        # one row past them
+        rng = np.random.default_rng(n)
+        t = np.cumsum(rng.uniform(0.0, 1.0, n))
+        states = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+        rows = list(table_rows(t, states))
+        path = tmp_path / "t.csv"
+        write_csv(path, ["t", "u1", "u2", "u3"], iter(rows))
+        assert path.read_bytes() == reference_csv(["t", "u1", "u2", "u3"], rows)
+
+    def test_str_cells_across_blocks(self, tmp_path):
+        rows = list(itertools.islice(itertools.cycle(self.ROWS), 2 * CSV_BLOCK + 3))
+        path = tmp_path / "t.csv"
+        write_csv(path, self.HEADER, (row for row in rows))
+        assert path.read_bytes() == reference_csv(self.HEADER, rows)
+
     @pytest.mark.parametrize("n", [1, EIG_BLOCK, EIG_BLOCK + 1])
     def test_table_rows_equal_per_row_indexing(self, n):
         rng = np.random.default_rng(n)
@@ -114,6 +135,17 @@ class TestSolveCommand:
         assert m["summary"]["stagnated"]
         assert m["summary"]["t_reached"] < 1000.0
         assert m["summary"]["steps_taken"] == 20000
+
+    def test_robertson_adaptive_rk4_numbers_on_the_benchmark_config(self, tmp_path):
+        # dt_init defaults to 1e-4 of the horizon; the PI controller rejects
+        # 14 attempts where the elementary one rejected 37,941 (t = 147.517)
+        out = tmp_path / "robb"
+        rc = main(["solve", "--problem", "robertson", "--solver", "rk4-adaptive",
+                   "--tol", "1e-3", "--max-steps", "100000", "--out", str(out)])
+        assert rc == 0
+        s = manifest(out)["summary"]
+        assert (s["stagnated"], s["steps_taken"], s["steps_rejected"]) == (True, 100_000, 14)
+        assert s["t_reached"] == 148.1839934140513
 
     def test_manifest_matches_emitted_csv(self, tmp_path):
         out = tmp_path / "chk"
@@ -346,6 +378,55 @@ class TestDemoCommand:
         header, rows = read_csv(out / "stiff_transform_demo.csv")
         ratio = rows[0][header.index("ratio")]
         assert 0.1 <= ratio <= 10.0
+
+
+# per subcommand: a valid argv and the integrating step a test makes fail
+FAILING_STEPS = {
+    "solve": ("run_solver", ["--problem", "stiff-linear", "--solver", "rk4", "--steps", "10"]),
+    "diagnose": ("run_solver", ["--problem", "stiff-linear", "--solver", "rk4",
+                                "--steps", "10"]),
+    "transform": ("reference_solution", ["--problem", "lorenz84", "--steps", "600"]),
+    "compare": ("reference_solution", ["--problem", "lorenz84", "--steps", "600"]),
+    "demo-stiff-transform": ("stiff_transform_demo", []),
+}
+
+
+class TestFailedRuns:
+    def test_failed_transform_leaves_no_manifest_of_the_run_before(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["transform", "--problem", "lorenz84", "--steps", "600", "--out", str(out)]
+        assert main(argv) == 0
+        # the manifest is replaced whole: no temporary file is left behind
+        assert sorted(p.name for p in out.iterdir()) == [
+            "errors.csv", "manifest.json", "mu_history.csv", "solution.csv",
+            "step_extension.csv"]
+        # twice the span at one oracle macro step per run step: the gate fails
+        assert main(argv + ["--problem.t_span", "0,60", "--oracle-refine", "1"]) == 2
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", sorted(FAILING_STEPS))
+    def test_every_command_discards_the_manifest_before_it_integrates(
+            self, tmp_path, monkeypatch, command):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}")
+        attr, argv = FAILING_STEPS[command]
+
+        def fail(*args, **kwargs):
+            raise NonFiniteState(0.0)
+
+        monkeypatch.setattr(cli, attr, fail)
+        assert main([command, *argv, "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+
+    def test_rejected_input_keeps_the_manifest(self, tmp_path):
+        # nothing in out changes, so the manifest still describes it
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}")
+        assert main(["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "10",
+                     "--problem.t_span", "5,1", "--out", str(out)]) == 1
+        assert (out / "manifest.json").read_text() == "{}"
 
 
 class TestConfigHandling:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from stiffchaos.ode import (
     EIG_BLOCK,
     ORACLE_CHECK_TOL,
     RK4_ADAPTIVE,
+    TRAPEZOID_ADAPTIVE,
+    _RK4_GAINS,
     _adaptive_loop,
     _gbs_march3,
     _rk4_attempt3,
@@ -136,7 +140,7 @@ def adaptive_run(attempt, problem: OdeProblem, cfg: AdaptiveConfig):
         outright[0] += est == math.inf
         return u_new, est
 
-    traj = _adaptive_loop(problem, problem.u0, cfg, counted, 0.2, RK4_ADAPTIVE)
+    traj = _adaptive_loop(problem, problem.u0, cfg, counted, _RK4_GAINS, RK4_ADAPTIVE)
     return run_signature(traj), outright[0]
 
 
@@ -400,7 +404,9 @@ PADDED_CASES = {
         AdaptiveConfig(tol=1e-6, dt_init=0.01, max_steps=5000), 2000),
     "stiff-linear-unstable": (stiff_linear(300.0, u0=(1.05,)).problem, 25,
                               AdaptiveConfig(tol=1e-3, dt_init=0.1), 3200),
-    "flame": (flame(0.1).problem, 300, AdaptiveConfig(tol=1e-3, dt_init=1e-3, dt_max=5.0),
+    # a start step at dt_max: the PI-controlled run from dt_init 1e-3 rejects
+    # nothing, and this one still has its first steps rejected
+    "flame": (flame(0.1).problem, 300, AdaptiveConfig(tol=1e-3, dt_init=5.0, dt_max=5.0),
               400),
     "blowup-dim1": (blowup_dim1(), 3000,
                     AdaptiveConfig(tol=1e-3, dt_init=0.1, dt_min=1e-9, max_steps=5000), 300),
@@ -511,6 +517,89 @@ class TestTrapezoid:
         # machine level rather than at the contract bound
         drift = np.max(np.abs(np.sum(robertson_trapezoid.states, axis=1) - 1.0))
         assert drift < 1e-10
+
+
+def traced_loop(monkeypatch, solve, problem: OdeProblem, cfg: AdaptiveConfig):
+    """``solve(problem, cfg)`` and the arguments it passed to
+    ``_adaptive_loop``, by name."""
+    loop = ode._adaptive_loop
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(inspect.signature(loop).bind(*args, **kwargs).arguments)
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "_adaptive_loop", spy)
+    traj = solve(problem, cfg)
+    monkeypatch.undo()
+    return traj, seen[0]
+
+
+def robertson_rk4_config(dt_init_scale: float, max_steps: int) -> AdaptiveConfig:
+    """The acceptance configuration of the Robertson RK4 run (criterion 5)
+    with its dt_init of 1e-6 scaled."""
+    return AdaptiveConfig(tol=1e-3, dt_init=1e-6 * dt_init_scale, dt_min=1e-12, dt_max=1e5,
+                          max_steps=max_steps)
+
+
+# 2**(k/4) for k = -8..8, and the scales next to 1 on which the elementary
+# controller split: from x0.99 it collapsed at t = 13.9, from x1 and x1.01 it
+# reached t = 147.5
+DT_INIT_SCALES = sorted({2.0 ** (k / 4) for k in range(-8, 9)} | {0.99, 1.01, 1.1})
+# enough steps for every collapse the elementary controller showed on these
+# scales with a budget of 100,000 (after 246 to 6,211 steps)
+ROBUSTNESS_STEPS = 7_000
+
+
+class TestStepController:
+    """``_adaptive_loop``'s PI step control.  Gains (ki, 0.0) are the
+    elementary controller of the reference loop bit for bit; RK4's gains
+    march Robertson at the stability boundary from any start step."""
+
+    @pytest.mark.parametrize("problem, cfg", [
+        (robertson().problem, AdaptiveConfig(tol=1e-3, dt_init=0.1)),
+        (robertson().problem, AdaptiveConfig(tol=1e-6, dt_init=0.1)),
+        (flame(0.001).problem, AdaptiveConfig(tol=1e-3, dt_init=1e-3)),
+    ], ids=["robertson-tol1e-3", "robertson-tol1e-6", "flame"])
+    def test_trapezoid_keeps_the_elementary_controller(self, monkeypatch, problem, cfg):
+        traj, args = traced_loop(monkeypatch, solve_trapezoid_adaptive, problem, cfg)
+        assert args["gains"] == (1.0 / 3.0, 0.0)
+        want = generic_reference._adaptive_loop(problem, problem.u0, cfg, args["attempt"],
+                                                1.0 / 3.0, TRAPEZOID_ADAPTIVE)
+        assert want.steps_rejected > 0
+        assert run_signature(traj) == run_signature(want)
+
+    @pytest.mark.parametrize("problem, cfg", [
+        (robertson().problem, robertson_rk4_config(1.0, 5000)),
+        (flame(0.1).problem, AdaptiveConfig(tol=1e-3, dt_init=5.0, dt_max=5.0)),
+    ], ids=["robertson", "flame-padded"])
+    def test_rk4_with_elementary_gains_is_the_elementary_loop(self, monkeypatch, problem, cfg):
+        _, args = traced_loop(monkeypatch, solve_rk4_adaptive, problem, cfg)
+        assert args["gains"] == _RK4_GAINS == (0.14, 0.08)
+        u0, attempt = args["u0"], args["attempt"]
+        got = _adaptive_loop(problem, u0, cfg, attempt, (0.2, 0.0), RK4_ADAPTIVE)
+        want = generic_reference._adaptive_loop(problem, u0, cfg, attempt, 0.2, RK4_ADAPTIVE)
+        assert want.steps_rejected > 0
+        assert run_signature(got) == run_signature(want)
+
+    @pytest.mark.parametrize("scale", DT_INIT_SCALES, ids=lambda s: f"x{s:.4g}")
+    def test_robertson_marches_from_every_start_step(self, scale):
+        traj = solve_rk4_adaptive(robertson().problem,
+                                  robertson_rk4_config(scale, ROBUSTNESS_STEPS))
+        # a stagnated run short of its budget stopped at dt_min
+        assert traj.stagnated and traj.steps_taken == ROBUSTNESS_STEPS
+        # the elementary controller rejected about 28% of its attempts
+        assert traj.steps_rejected <= 10
+
+    def test_elementary_controller_collapses_at_dt_min(self):
+        # what the PI gains remove: from dt_init x 2**(3/4) the elementary
+        # controller shrinks the step to dt_min at t = 0.41
+        problem = robertson().problem
+        cfg = robertson_rk4_config(2.0 ** 0.75, ROBUSTNESS_STEPS)
+        traj = _adaptive_loop(problem, problem.u0, cfg, partial(_rk4_attempt3, problem.rhs),
+                              (0.2, 0.0), RK4_ADAPTIVE)
+        assert traj.stagnated and traj.steps_taken < 500
+        assert traj.t_reached < 1.0
 
 
 class TestReferenceSolution:
