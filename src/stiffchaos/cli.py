@@ -437,23 +437,21 @@ def _oracle_for(cfg: dict, spec: BenchmarkSpec, n_steps: int) -> Trajectory:
     return reference_solution(spec.problem, n_steps * refine)
 
 
-def _write_transform_outputs(out: Path, run: TransformRun, reference: Trajectory,
-                             tag: str = "") -> list[Path]:
+def _write_transform_outputs(out: Path, run: TransformRun, reference: Trajectory) -> list[Path]:
     sol = run.solution
-    prefix = f"{tag}_" if tag else ""
-    sol_path = out / f"{prefix}solution.csv"
+    sol_path = out / "solution.csv"
     write_csv(sol_path, ["t", "u1", "u2", "u3"], table_rows(sol.times, sol.states))
-    err_path = out / f"{prefix}errors.csv"
+    err_path = out / "errors.csv"
     write_csv(err_path, ["t", "err_x", "err_y", "err_z"],
               table_rows(sol.times, run.errors_vs_reference))
-    mu_path = out / f"{prefix}mu_history.csv"
+    mu_path = out / "mu_history.csv"
     k = np.arange(run.plan.k_intervals)
     interval_starts = run.plan.t_span[0] + run.plan.interval_length * k
     # a whole float such as the interval index is written as an integer
     write_csv(mu_path, ["interval", "t_start", "mu1", "mu2", "mu3", "gamma_max"],
               table_rows(k, interval_starts, run.mu_history, run.gamma_max_history))
     ext = step_extension_report(run, reference, max(run.max_error(0), 1e-300))
-    ext_path = out / f"{prefix}step_extension.csv"
+    ext_path = out / "step_extension.csv"
     write_csv(ext_path, ["t", "dt_max", "delta"],
               table_rows(ext, np.full(len(ext), run.plan.dt)))
     return [sol_path, err_path, mu_path, ext_path]

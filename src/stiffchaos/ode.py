@@ -7,9 +7,10 @@ overhead would dominate).  Trajectories are returned as read-only numpy
 arrays.  The explicit integrators exist once, unrolled for three components
 with the state in locals; a dim-1 or dim-2 problem runs through them with
 its rhs and start state padded by components that are 0.0 and stay 0.0 (see
-``_padded``).  Fixed-step RK4 and the oracle's Gragg-Bulirsch-Stoer march
-store through a flat memoryview: a kernel call per step plus a numpy row
-store from a tuple cost about 30% of an RK4 step.  The adaptive RK4
+``_padded``).  Fixed-step RK4, also in the transform driver and ``rk4_step``,
+and the oracle's Gragg-Bulirsch-Stoer march store through a flat memoryview:
+a kernel call per step plus a numpy row store from a tuple cost about 30% of
+an RK4 step.  The adaptive RK4
 step-doubling attempt inlines its three kernel calls, its checks and its
 error norm: they cost about a third of a Robertson attempt.
 """
@@ -82,9 +83,13 @@ class OdeProblem:
         if len(self.u0) != self.dim:
             raise ValueError(f"u0 has {len(self.u0)} components, expected {self.dim}")
         t0, t1 = map(float, self.t_span)
+        u0 = tuple(float(x) for x in self.u0)
+        # an infinite t_end would make the adaptive loop's end test t < nan
+        if not all(map(math.isfinite, (t0, t1, *u0))):
+            raise ValueError(f"t_span and u0 must be finite, got {self.t_span} and {self.u0}")
         if not t1 > t0:
             raise ValueError(f"t_span must satisfy t_end > t_start, got {self.t_span}")
-        object.__setattr__(self, "u0", tuple(float(x) for x in self.u0))
+        object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "t_span", (t0, t1))
 
     @property
@@ -188,23 +193,21 @@ def _lane_matrix(rows: Sequence[Sequence], m: int) -> np.ndarray:
 # maxima only gain zero terms.  ``tests/generic_reference.py`` keeps the
 # per-component integrators and pins the padded runs to them bit for bit.
 #
-# ``_rk4_step3`` takes the first stage k1 = f(t, u) from the caller and
-# returns (u_next, k2, k3, k4); ``rk4_step`` and the transform driver use it.
-# Fixed-step runs go through ``_rk4_march3`` instead: ``_rk4_step3`` inlined
-# into the loop with the same expressions in the same order, so its states
-# are bit-identical to iterating ``rk4_step``.  Per step it saves the kernel
-# call, the returned 4-tuple, the ``_is_bad`` call and the numpy row store
-# from a tuple (about 0.7 us, against 0.14 us for three memoryview writes),
-# together about 30% of a Lorenz-84 step.
+# Fixed-step runs, the transform driver's intervals and ``rk4_step`` go
+# through ``_rk4_march3``: the state in locals, the stages inline, and each
+# state stored through a flat memoryview.  Against a kernel call per step
+# that returns (u_next, k2, k3, k4), followed by an ``_is_bad`` call and a
+# numpy row store from a tuple (about 0.7 us, against 0.14 us for three
+# memoryview writes), this saves about 30% of a Lorenz-84 step.
 #
 # Adaptive runs take their step-doubling attempts from ``_rk4_attempt3``:
-# three ``_rk4_step3`` calls (the full step and the first half step share
-# k1), both ``_is_bad`` calls, the stage blow-up test and ``_scaled_diff``
-# inlined, again with the same expressions in the same order.  Per attempt
-# it saves three kernel calls and their returned 4-tuples, two ``_is_bad``
-# calls, a generator-fed ``max`` and a ``zip`` loop.  On Robertson it takes
-# about 7 us, 11 rhs calls of 0.3 us each included, against 10 us for the
-# same attempt built from three ``_rk4_step3`` calls.
+# three RK4 steps (the full step and the first half step share k1), both
+# ``_is_bad`` calls, the stage blow-up test and ``_scaled_diff`` inlined,
+# the stages written as in ``_rk4_march3``.  Per attempt it saves three
+# kernel calls and their returned 4-tuples, two ``_is_bad`` calls, a
+# generator-fed ``max`` and a ``zip`` loop.  On Robertson it takes about
+# 7 us, 11 rhs calls of 0.3 us each included, against 10 us for the same
+# attempt built from three calls of a per-step kernel.
 
 def _padded(f: Rhs, u: State) -> tuple[Rhs, State]:
     """The rhs ``f`` and state ``u`` of a system with ``len(u)`` components
@@ -221,24 +224,14 @@ def _padded(f: Rhs, u: State) -> tuple[Rhs, State]:
     return f3, (*u, *pad)
 
 
-def _rk4_step3(f: Rhs, t: float, u: State, h: float, k1: Sequence[float]):
-    x, y, z = u
-    a1, b1, c1 = k1
-    h2 = 0.5 * h
-    k2 = a2, b2, c2 = f(t + h2, (x + h2 * a1, y + h2 * b1, z + h2 * c1))
-    k3 = a3, b3, c3 = f(t + h2, (x + h2 * a2, y + h2 * b2, z + h2 * c2))
-    k4 = a4, b4, c4 = f(t + h, (x + h * a3, y + h * b3, z + h * c3))
-    s = h / 6.0
-    return (
-        x + s * (a1 + 2.0 * (a2 + a3) + a4),
-        y + s * (b1 + 2.0 * (b2 + b3) + b4),
-        z + s * (c1 + 2.0 * (c2 + c3) + c4),
-    ), k2, k3, k4
-
-
 def rk4_step(f: Rhs, t: float, u: State, h: float, dim: int) -> State:
+    """One classical RK4 step of the ``dim``-component system ``f`` from
+    ``u`` at ``t``.  Raises ``NonFiniteState`` at t + h when the new state
+    is not finite."""
     f3, u3 = _padded(f, u)
-    return _rk4_step3(f3, t, u3, h, f3(t, u3))[0][:dim]
+    out = [0.0] * 6
+    _rk4_march3(f3, t, h, u3, 1, out)
+    return tuple(out[3:3 + dim])
 
 
 def _is_bad(u: State) -> bool:
@@ -269,7 +262,9 @@ def solve_rk4_fixed(problem: OdeProblem, n_steps: int) -> Trajectory:
 def _rk4_march3(f: Rhs, t0: float, h: float, u: State, n: int,
                 out: memoryview) -> None:
     """``n`` fixed RK4 steps of a dim-3 system from ``u`` at ``t0``; state
-    i + 1 goes to ``out[3i + 3 : 3i + 6]`` of the flat row-major store."""
+    i + 1 goes to ``out[3i + 3 : 3i + 6]`` of the flat row-major store.
+    Raises ``NonFiniteState`` at the end of the first step whose state is
+    not finite, before storing it."""
     x, y, z = u
     h2 = 0.5 * h
     s = h / 6.0

@@ -58,9 +58,8 @@ from .ode import (
     Rhs,
     State,
     Trajectory,
-    _is_bad,
     _padded,
-    _rk4_step3,
+    _rk4_march3,
     problem_fingerprint,
 )
 from .problems import BenchmarkSpec, lorenz84, nearest_sample_indices, stiff_linear
@@ -118,12 +117,11 @@ GAMMA_SOURCES = (GAMMA_FLOW, GAMMA_JSTAR_START, GAMMA_JSTAR_END)
 
 @dataclass(frozen=True)
 class TransformParams:
-    """Transformation constants: scales eps_i, shifts mu_i of the current
-    interval, the method-2 gain q, the method-3/4 multipliers, and the
-    first-interval mu.  Every vector has one component per state component."""
+    """Transformation constants: scales eps_i, the method-2 gain q, the
+    method-3/4 multipliers, and the first-interval shifts mu_i (method 1
+    keeps them).  Every vector has one component per state component."""
 
     eps_scale: tuple[float, ...] = (1.0, 1.0, 1.0)
-    mu: tuple[float, ...] = (0.0, 0.0, 0.0)
     q: float = DEFAULT_Q
     coeffs: tuple[float, ...] = DEFAULT_COEFFS
     mu_init: tuple[float, ...] = (0.0, 0.0, 0.0)
@@ -138,8 +136,8 @@ def params_for_method(method: MuMethod, *, eps_scale=(1.0, 1.0, 1.0),
                       mu_init=None) -> TransformParams:
     """TransformParams seeded with the reference defaults for ``method``."""
     init = tuple(METHOD_MU_INIT[method] if mu_init is None else mu_init)
-    return TransformParams(eps_scale=tuple(eps_scale), mu=init, q=q,
-                           coeffs=tuple(coeffs), mu_init=init)
+    return TransformParams(eps_scale=tuple(eps_scale), q=q, coeffs=tuple(coeffs),
+                           mu_init=init)
 
 
 @dataclass(frozen=True)
@@ -217,7 +215,7 @@ def _lorenz84_problem(a: float, b: float, f: float, g: float) -> OdeProblem:
 
 def transformed_rhs(params: TransformParams, t_local: float, z: State,
                     a: float, b: float, f: float, g: float) -> State:
-    """The conjugated Lorenz-84 rhs in interval-local time.
+    """The conjugated Lorenz-84 rhs in interval-local time, mu = params.mu_init.
 
     With x_i = eps_i exp(mu_i t) z_i the Lorenz-84 equations become
 
@@ -228,9 +226,9 @@ def transformed_rhs(params: TransformParams, t_local: float, z: State,
       dz3/dt = -mu3 z3 + b (e1 e2/e3) e^{(mu1+mu2-mu3)t} z1 z2
                + e1 e^{mu1 t} z1 z3 - z3
     """
-    _check_exponents(params.mu, t_local)
+    _check_exponents(params.mu_init, t_local)
     rhs = _lorenz84_problem(a, b, f, g).rhs
-    return _conjugated_rhs(rhs, 0.0, params.mu, params.eps_scale)(t_local, z)
+    return _conjugated_rhs(rhs, 0.0, params.mu_init, params.eps_scale)(t_local, z)
 
 
 def select_mu(method: MuMethod, history: Sequence[float],
@@ -339,7 +337,7 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
     """
     problem = spec.problem
     dim = problem.dim
-    for name in ("eps_scale", "mu", "coeffs", "mu_init"):
+    for name in ("eps_scale", "coeffs", "mu_init"):
         if len(getattr(params, name)) != dim:
             raise ValueError(f"params.{name} needs {dim} components, one per state component")
     if gamma_source not in GAMMA_SOURCES:
@@ -355,44 +353,52 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
     jac = problem.jacobian
 
     times = t0 + h * np.arange(n + 1)
-    states = np.empty((n + 1, dim))
+    # the z-system is marched padded to three components (see ode._padded)
+    states = np.zeros((n + 1, 3))
     u = problem.u0
-    states[0] = u
+    states[0, :dim] = u
 
     mu_history = np.empty((k_intervals, dim))
     gamma_history = np.empty(k_intervals)
     history: list[float] = []
     mu = select_mu(method, history, params)
 
-    for k in range(k_intervals):
-        _check_exponents(mu, spi * h)
-        t_k = t0 + k * spi * h
-        z = tuple(map(truediv, u, eps))
-        mu_history[k] = mu
-        if gamma_source == GAMMA_FLOW:
-            gamma_history[k] = local_eigenvalues(jac(t_k, u)).gamma_max
-        elif gamma_source == GAMMA_JSTAR_START:
-            gamma_history[k] = local_eigenvalues(
-                shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
+    with memoryview(states.reshape(-1)) as out:
+        for k in range(k_intervals):
+            _check_exponents(mu, spi * h)
+            t_k = t0 + k * spi * h
+            z = tuple(map(truediv, u, eps))
+            mu_history[k] = mu
+            if gamma_source == GAMMA_FLOW:
+                gamma_history[k] = local_eigenvalues(jac(t_k, u)).gamma_max
+            elif gamma_source == GAMMA_JSTAR_START:
+                gamma_history[k] = local_eigenvalues(
+                    shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
 
-        # the z-system is stepped as a three-component one (see ode._padded)
-        zrhs, z = _padded(_conjugated_rhs(problem.rhs, t_k, mu, eps), z)
-        base = k * spi
-        for j in range(spi):
-            tau = j * h
-            z = _rk4_step3(zrhs, tau, z, h, zrhs(tau, z))[0]
-            # the scales have dim components, so ``map`` drops the padding
-            # (as it does in ``shifted_jacobian`` below)
-            u = tuple(map(mul, _scales(mu, eps, (j + 1) * h), z))
-            if _is_bad(u):
-                raise NonFiniteState(t0 + (base + j + 1) * h)
-            states[base + j + 1] = u
-        if gamma_source == GAMMA_JSTAR_END:
-            gamma_history[k] = local_eigenvalues(
-                shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
-        history.append(float(gamma_history[k]))
-        mu = select_mu(method, history, params)
+            zrhs, z = _padded(_conjugated_rhs(problem.rhs, t_k, mu, eps), z)
+            base = k * spi
+            try:
+                _rk4_march3(zrhs, 0.0, h, z, spi, out[3 * base:])
+            except NonFiniteState as exc:
+                # the march stores no state from tau = i h on; marking row i
+                # stops the row check below there, or at an earlier bad row
+                states[base + round(exc.t / h)] = math.nan
+            z = tuple(states[base + spi].tolist())
+            block = states[base + 1:base + spi + 1, :dim]
+            with np.errstate(over="ignore", invalid="ignore"):
+                # x_i = eps_i exp(mu_i tau) z_i; ``_is_bad`` is a row sum check
+                block *= [_scales(mu, eps, (j + 1) * h) for j in range(spi)]
+                finite = np.isfinite(block.sum(axis=1))
+            if not finite.all():
+                raise NonFiniteState(t0 + (base + int(finite.argmin()) + 1) * h)
+            u = tuple(block[-1].tolist())
+            if gamma_source == GAMMA_JSTAR_END:
+                gamma_history[k] = local_eigenvalues(
+                    shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
+            history.append(float(gamma_history[k]))
+            mu = select_mu(method, history, params)
 
+    states = states[:, :dim]
     solution = Trajectory(times, states, RK4_FIXED, steps_taken=n)
     errors = np.abs(states - reference.states[::stride])
     return TransformRun(plan=plan, method=method, params=params, problem=problem,

@@ -9,15 +9,23 @@ tests pin the library to these bit for bit, for every dimension.
 controller 0.9 * (tol / est)**exponent, copied unchanged from
 ``stiffchaos.ode`` as it was before the PI controller replaced it; the
 library's loop with gains (exponent, 0.0) must equal it bit for bit.
+
+``transformed_run`` is ``stiffchaos.transform.run_transformed``'s interval
+loop as it was before each interval was marched by ``_rk4_march3``: one RK4
+step of the z-system at a time (here ``_rk4_stepn`` on the unpadded
+system), its back-transform by ``_scales`` and the ``_is_bad`` check per
+step.  The driver must equal it bit for bit, blow-up times included.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul, truediv
 from typing import Callable, Sequence
 
 import numpy as np
 
+from stiffchaos.diagnostics import local_eigenvalues
 from stiffchaos.ode import (
     _GBS_NEVILLE,
     _GBS_SUBSTEPS,
@@ -33,6 +41,17 @@ from stiffchaos.ode import (
     Trajectory,
     _is_bad,
     _scaled_diff,
+)
+from stiffchaos.transform import (
+    GAMMA_FLOW,
+    GAMMA_JSTAR_END,
+    GAMMA_JSTAR_START,
+    _align_reference,
+    _check_exponents,
+    _conjugated_rhs,
+    _scales,
+    select_mu,
+    shifted_jacobian,
 )
 
 
@@ -174,3 +193,54 @@ def _adaptive_loop(
         steps_rejected=rejected,
         stagnated=stagnated,
     )
+
+
+def transformed_run(spec, plan, method, params, reference,
+                    gamma_source: str = GAMMA_FLOW) -> tuple[np.ndarray, ...]:
+    """``run_transformed``'s (states, errors_vs_reference, mu_history,
+    gamma_max_history) by the per-step loop; raises its ``NonFiniteState``
+    and ``ExponentOverflow``."""
+    problem = spec.problem
+    dim = problem.dim
+    stride = _align_reference(reference, plan, problem)
+    n, k_intervals = plan.n_steps, plan.k_intervals
+    spi, h, t0 = plan.steps_per_interval, plan.dt, plan.t_span[0]
+    eps = params.eps_scale
+    jac = problem.jacobian
+
+    states = np.empty((n + 1, dim))
+    u = problem.u0
+    states[0] = u
+    mu_history = np.empty((k_intervals, dim))
+    gamma_history = np.empty(k_intervals)
+    history: list[float] = []
+    mu = select_mu(method, history, params)
+
+    for k in range(k_intervals):
+        _check_exponents(mu, spi * h)
+        t_k = t0 + k * spi * h
+        z = tuple(map(truediv, u, eps))
+        mu_history[k] = mu
+        if gamma_source == GAMMA_FLOW:
+            gamma_history[k] = local_eigenvalues(jac(t_k, u)).gamma_max
+        elif gamma_source == GAMMA_JSTAR_START:
+            gamma_history[k] = local_eigenvalues(
+                shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
+
+        zrhs = _conjugated_rhs(problem.rhs, t_k, mu, eps)
+        base = k * spi
+        for j in range(spi):
+            tau = j * h
+            z = _rk4_stepn(zrhs, tau, z, h, zrhs(tau, z))[0]
+            u = tuple(map(mul, _scales(mu, eps, (j + 1) * h), z))
+            if _is_bad(u):
+                raise NonFiniteState(t0 + (base + j + 1) * h)
+            states[base + j + 1] = u
+        if gamma_source == GAMMA_JSTAR_END:
+            gamma_history[k] = local_eigenvalues(
+                shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
+        history.append(float(gamma_history[k]))
+        mu = select_mu(method, history, params)
+
+    errors = np.abs(states - reference.states[::stride])
+    return states, errors, mu_history, gamma_history

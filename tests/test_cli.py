@@ -495,11 +495,18 @@ class TestConfigHandling:
         ["solve", "--problem", "robertson", "--solver", "rk4-adaptive", "--solver.tol", "true"],
         ["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "20",
          "--problem.tf", "true"],
+        ["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "10", "--tf", "inf"],
+        ["solve", "--problem", "lorenz84", "--solver", "rk4-adaptive", "--tf", "inf"],
+        ["solve", "--problem", "robertson", "--solver", "trapezoid", "--tf", "inf"],
+        ["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "10",
+         "--problem.u0", "1e400,0,0"],
     ], ids=["solve-steps-0", "diagnose-eps-negative", "demo-kappa-g-positive", "demo-a-small",
             "transform-eps-scale-scalar", "transform-mu-init-scalar",
             "solve-param-not-a-number", "solve-u0-empty", "diagnose-t-span-scalar-with-tf",
             "solve-u0-bool", "solve-steps-fractional", "solve-steps-bool",
-            "compare-intervals-fractional", "solve-tol-bool", "solve-tf-bool"])
+            "compare-intervals-fractional", "solve-tol-bool", "solve-tf-bool",
+            "solve-rk4-tf-inf", "solve-rk4-adaptive-tf-inf", "solve-trapezoid-tf-inf",
+            "solve-u0-overflows"])
     def test_library_precondition_is_one_line_config_error(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err

@@ -34,7 +34,6 @@ from stiffchaos.ode import (
     _adaptive_loop,
     _gbs_march3,
     _rk4_attempt3,
-    _rk4_step3,
     rk4_step,
 )
 
@@ -64,15 +63,17 @@ def forced_dim3() -> OdeProblem:
 
 
 def step_kernel_loop(problem: OdeProblem, n_steps: int) -> np.ndarray:
-    """Fixed-step RK4 written as a loop over ``rk4_step``: the states, or
-    ``NonFiniteState`` at the end of the first step whose component sum is
-    not finite."""
+    """Fixed-step RK4 written as a loop over the per-component step
+    ``_rk4_stepn``: the states, or ``NonFiniteState`` at the end of the first
+    step whose component sum is not finite."""
     t0, t1 = problem.t_span
     h = (t1 - t0) / n_steps
+    f = problem.rhs
     u = problem.u0
     states = [u]
     for i in range(n_steps):
-        u = rk4_step(problem.rhs, t0 + i * h, u, h, problem.dim)
+        t = t0 + i * h
+        u = _rk4_stepn(f, t, u, h, f(t, u))[0]
         if not math.isfinite(sum(u)):
             raise NonFiniteState(t0 + (i + 1) * h)
         states.append(u)
@@ -337,8 +338,16 @@ class TestRk4Kernels:
             u = tuple(float(x) for x in rng.uniform(-1.0, 1.0, 3) * np.array(scale))
             t = float(rng.uniform(0.0, 10.0))
             h = 10.0 ** float(rng.uniform(*log10_h))
-            k1 = f(t, u)
-            assert _rk4_step3(f, t, u, h, k1) == _rk4_stepn(f, t, u, h, k1)
+            assert rk4_step(f, t, u, h, 3) == _rk4_stepn(f, t, u, h, f(t, u))[0]
+
+    @pytest.mark.parametrize("problem", [blowup_dim3(), blowup_dim1()],
+                             ids=["dim3", "dim1"])
+    def test_rk4_step_raises_on_a_non_finite_state(self, problem):
+        # one step of du/dt = u^2 from 1e200 overflows the first component
+        u = (1e200, *problem.u0[1:])
+        with pytest.raises(NonFiniteState) as exc:
+            rk4_step(problem.rhs, 0.25, u, 0.5, problem.dim)
+        assert exc.value.t == 0.75
 
     @pytest.mark.parametrize("problem, cfg", [
         (robertson().problem,
@@ -717,6 +726,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             OdeProblem("bad", 1, {}, lambda t, u: (0.0,),
                        lambda t, u: ((0.0,),), (1.0,), (1.0, 0.0))
+
+    @pytest.mark.parametrize("u0, t_span", [
+        ((1.0,), (0.0, math.inf)), ((1.0,), (-math.inf, 1.0)), ((1.0,), (0.0, math.nan)),
+        ((math.inf,), (0.0, 1.0)), ((math.nan,), (0.0, 1.0)),
+    ], ids=["t-end-inf", "t-start-inf", "t-end-nan", "u0-inf", "u0-nan"])
+    def test_non_finite_span_or_start_rejected(self, u0, t_span):
+        with pytest.raises(ValueError, match="t_span and u0 must be finite"):
+            OdeProblem("bad", 1, {}, lambda t, u: (0.0,),
+                       lambda t, u: ((0.0,),), u0, t_span)
 
     def test_adaptive_config_validation(self):
         with pytest.raises(ValueError):

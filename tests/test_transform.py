@@ -10,7 +10,10 @@ from stiffchaos import (
     ExponentOverflow,
     IntervalPlan,
     MuMethod,
+    NonFiniteState,
+    OdeProblem,
     PROBLEM_FACTORIES,
+    Trajectory,
     TransformParams,
     jstar_scan,
     lle_scan,
@@ -22,22 +25,29 @@ from stiffchaos import (
     run_transformed,
     select_mu,
     shifted_jacobian,
+    flame,
     solve_rk4_fixed,
     step_extension_report,
+    stiff_linear,
     stiff_transform_demo,
     transformed_rhs,
 )
 from stiffchaos import cli
 from stiffchaos.ode import rk4_step
 from stiffchaos.diagnostics import EIG_BLOCK
-from stiffchaos.problems import nearest_sample_indices
+from stiffchaos.problems import BenchmarkSpec, nearest_sample_indices
 from stiffchaos.transform import (
     GAMMA_FLOW,
     GAMMA_JSTAR_END,
     GAMMA_JSTAR_START,
+    GAMMA_SOURCES,
     METHOD_MU_INIT,
+    METHOD_STEPS_PER_INTERVAL,
     _align_reference,
 )
+
+from generic_reference import transformed_run
+from test_ode_solvers import blowup_dim3
 
 
 LORENZ_ARGS = dict(a=0.25, b=4.0, f=8.0, g=1.0)
@@ -76,17 +86,17 @@ class TestTransformedRhs:
 
     def test_start_of_interval_includes_mu_shift(self, lorenz_spec):
         # at t_local = 0 all exponentials are 1, so dz_i/dt = f_i(z) - mu_i z_i
-        params = TransformParams(mu=(2.592, 1.944, 1.539))
+        params = TransformParams(mu_init=(2.592, 1.944, 1.539))
         z = (0.96, -1.1, 0.5)
         got = transformed_rhs(params, 0.0, z, **LORENZ_ARGS)
         base = lorenz_spec.problem.rhs(0.0, z)
         for i in range(3):
-            assert got[i] == pytest.approx(base[i] - params.mu[i] * z[i], rel=1e-14)
+            assert got[i] == pytest.approx(base[i] - params.mu_init[i] * z[i], rel=1e-14)
 
     def test_one_step_roundtrip_is_fifth_order(self, lorenz_spec):
         # the z-step back-transformed must agree with the direct RK4 step to
         # the next order in dt; verified by step-halving
-        params = TransformParams(mu=(2.592, 1.944, 1.539))
+        params = TransformParams(mu_init=(2.592, 1.944, 1.539))
         u0 = lorenz_spec.problem.u0
 
         def zrhs(t, z):
@@ -95,7 +105,7 @@ class TestTransformedRhs:
         diffs = []
         for dt in (0.05, 0.025, 0.0125):
             z1 = rk4_step(zrhs, 0.0, u0, dt, 3)
-            back = tuple(math.exp(m * dt) * z for m, z in zip(params.mu, z1))
+            back = tuple(math.exp(m * dt) * z for m, z in zip(params.mu_init, z1))
             direct = rk4_step(lorenz_spec.problem.rhs, 0.0, u0, dt, 3)
             diffs.append(max(abs(p - q) for p, q in zip(back, direct)))
         assert 20.0 <= diffs[0] / diffs[1] <= 50.0
@@ -112,18 +122,18 @@ class TestTransformedRhs:
             z = tuple(rng.uniform(-2.5, 2.5, 3))
             mu = tuple(rng.uniform(-3.0, 3.0, 3))
             eps = tuple(10.0 ** rng.uniform(-1.0, 1.0, 3))
-            got = transformed_rhs(TransformParams(eps_scale=eps, mu=mu), t, z, **LORENZ_ARGS)
+            got = transformed_rhs(TransformParams(eps_scale=eps, mu_init=mu), t, z, **LORENZ_ARGS)
             want = lorenz84_z_reference(mu, eps, t, z, **LORENZ_ARGS)
             scale = max(1.0, max(map(abs, want)))
             worst = max(worst, max(abs(p - q) for p, q in zip(got, want)) / scale)
         assert worst <= 1e-13
 
     def test_exponent_overflow_guard(self):
-        params = TransformParams(mu=(400.0, 0.0, 0.0))
+        params = TransformParams(mu_init=(400.0, 0.0, 0.0))
         with pytest.raises(ExponentOverflow):
             transformed_rhs(params, 2.0, (1.0, 1.0, 1.0), **LORENZ_ARGS)
         # only exp(+-mu_i tau) appears: max|mu_i| tau = 600 is in range
-        params = TransformParams(mu=(300.0, -300.0, 0.0))
+        params = TransformParams(mu_init=(300.0, -300.0, 0.0))
         assert all(map(math.isfinite, transformed_rhs(params, 2.0, (0.0, 0.0, 0.0),
                                                       **LORENZ_ARGS)))
 
@@ -139,7 +149,8 @@ class TestJstar:
         for _ in range(20):
             z = tuple(rng.uniform(-2, 2, 3))
             got = np.asarray(shifted_jacobian(
-                lorenz84(a=0.25, b=4.0).problem.jacobian, 0.0, z, params.mu, params.eps_scale))
+                lorenz84(a=0.25, b=4.0).problem.jacobian, 0.0, z, params.mu_init,
+                params.eps_scale))
             want = np.asarray(lorenz_spec.problem.jacobian(0.0, z))
             assert np.array_equal(got, want)
 
@@ -149,9 +160,10 @@ class TestJstar:
         for _ in range(100):
             z = tuple(rng.uniform(-2.5, 2.5, 3))
             m = float(rng.uniform(-3, 3))
-            params = TransformParams(mu=(m, m, m))
+            params = TransformParams(mu_init=(m, m, m))
             shifted = local_eigenvalues(shifted_jacobian(
-                lorenz84(a=0.25, b=4.0).problem.jacobian, 0.0, z, params.mu, params.eps_scale))
+                lorenz84(a=0.25, b=4.0).problem.jacobian, 0.0, z, params.mu_init,
+                params.eps_scale))
             plain = local_eigenvalues(lorenz_spec.problem.jacobian(0.0, z))
             got = sorted(shifted.values, key=lambda v: (v.real, v.imag))
             want = sorted((v - m for v in plain.values), key=lambda v: (v.real, v.imag))
@@ -159,10 +171,10 @@ class TestJstar:
                 assert p == pytest.approx(q, abs=1e-8)
 
     def test_reference_mu_lowers_the_leading_exponent(self, lorenz_spec):
-        params = TransformParams(mu=(2.592, 1.944, 1.539))
+        params = TransformParams(mu_init=(2.592, 1.944, 1.539))
         eig = local_eigenvalues(shifted_jacobian(
             lorenz84(a=0.25, b=4.0).problem.jacobian, 0.0, lorenz_spec.problem.u0,
-            params.mu, params.eps_scale))
+            params.mu_init, params.eps_scale))
         assert eig.gamma_max < 1.9
 
     @pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
@@ -344,7 +356,7 @@ class TestRunTransformed:
         assert run.mu_history.shape == (1, dim)
         assert run.max_error(0) == 0.0
 
-    @pytest.mark.parametrize("field", ["eps_scale", "mu", "coeffs", "mu_init"])
+    @pytest.mark.parametrize("field", ["eps_scale", "coeffs", "mu_init"])
     def test_component_count_must_match_dim(self, field):
         spec = lorenz84(t_span=(0.0, 3.0))
         reference = solve_rk4_fixed(spec.problem, 600)
@@ -358,6 +370,97 @@ class TestRunTransformed:
         with pytest.raises(ValueError):
             run_transformed(lorenz_spec, IntervalPlan(7, 7, (0.0, 30.0)),
                             MuMethod.NONE, TransformParams(), lorenz_oracle)
+
+
+def run_outcome(run):
+    """``run()``'s arrays as bytes, or its ``NonFiniteState`` time or
+    ``ExponentOverflow`` message."""
+    try:
+        return tuple(a.tobytes() for a in run())
+    except NonFiniteState as exc:
+        return ("NonFiniteState", exc.t)
+    except ExponentOverflow as exc:
+        return ("ExponentOverflow", str(exc))
+
+
+def driver_outcome(spec, plan, method, params, reference, gamma_source):
+    def run():
+        r = run_transformed(spec, plan, method, params, reference, gamma_source)
+        return (r.solution.states, r.errors_vs_reference, r.mu_history,
+                r.gamma_max_history)
+    return run_outcome(run)
+
+
+# dim-1 problems with a run plan, a reference on its grid and the mu_init
+# and coeffs of the interval-averaging methods
+DIM1_CASES = {
+    "stiff-linear": (stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.1)),
+                     IntervalPlan(40, 4, (0.0, 0.1)), 640),
+    "flame": (flame(0.1), IntervalPlan(300, 30, (0.0, 20.0)), 1200),
+}
+
+
+class TestDriverMatchesStepLoop:
+    """``run_transformed`` marches each interval; its states, errors, mu and
+    gamma_max histories and blow-up outcomes equal the per-step loop's bit
+    for bit."""
+
+    @pytest.mark.parametrize("method", list(MuMethod), ids=lambda m: m.value)
+    def test_lorenz84(self, lorenz_spec, lorenz_oracle, method):
+        spi = METHOD_STEPS_PER_INTERVAL[method]
+        plan = IntervalPlan(600, 1 if spi is None else 600 // spi, (0.0, 30.0))
+        for eps in ((1.0, 1.0, 1.0), (2.0, 0.5, 1.5)):
+            params = params_for_method(method, eps_scale=eps)
+            for source in GAMMA_SOURCES:
+                args = (lorenz_spec, plan, method, params, lorenz_oracle, source)
+                want = run_outcome(lambda: transformed_run(*args))
+                assert driver_outcome(*args) == want
+
+    @pytest.mark.parametrize("case", sorted(DIM1_CASES))
+    def test_dim1(self, case):
+        spec, plan, ref_steps = DIM1_CASES[case]
+        reference = solve_rk4_fixed(spec.problem, ref_steps)
+        for method in MuMethod:
+            for eps in ((1.0,), (2.0,)):
+                params = params_for_method(method, eps_scale=eps, coeffs=(1.5,),
+                                           mu_init=(2.0,))
+                for source in GAMMA_SOURCES:
+                    args = (spec, plan, method, params, reference, source)
+                    want = run_outcome(lambda: transformed_run(*args))
+                    assert driver_outcome(*args) == want
+
+    @pytest.mark.parametrize("method", [MuMethod.NONE, MuMethod.FIXED_MU],
+                             ids=lambda m: m.value)
+    def test_blowup_time(self, method):
+        problem = blowup_dim3()
+        spec = BenchmarkSpec(problem, problem.jacobian, None)
+        times = np.linspace(0.0, 3.0, 601)
+        reference = Trajectory(times, np.tile(problem.u0, (601, 1)), "none", 600)
+        args = (spec, IntervalPlan(600, 60, (0.0, 3.0)), method,
+                params_for_method(method), reference, GAMMA_FLOW)
+        want = ("NonFiniteState", 1.0150000000000001)
+        assert run_outcome(lambda: transformed_run(*args)) == want
+        assert driver_outcome(*args) == want
+
+    def test_back_transform_overflow_with_finite_z(self):
+        # du/dt = 0 at mu h = 50: RK4 amplifies z by R(-50) = 2.4e5 a step
+        # and the scale grows by e^50, so x overflows at step 8 while z stays
+        # near 1e143
+        problem = OdeProblem("still", 1, {}, lambda t, u: (0.0,), lambda t, u: ((0.0,),),
+                             (1e100,), (0.0, 1.0))
+        reference = Trajectory(np.linspace(0.0, 1.0, 11), np.full((11, 1), 1e100), "none", 10)
+        params = params_for_method(MuMethod.FIXED_MU, eps_scale=(1.0,), coeffs=(1.0,),
+                                   mu_init=(500.0,))
+        args = (BenchmarkSpec(problem, problem.jacobian, None), IntervalPlan(10, 1, (0.0, 1.0)),
+                MuMethod.FIXED_MU, params, reference, GAMMA_FLOW)
+        assert run_outcome(lambda: transformed_run(*args)) == ("NonFiniteState", 0.8)
+        assert driver_outcome(*args) == ("NonFiniteState", 0.8)
+
+    def test_lorenz84_local_gamma_fed_jstar_end_blows_up(self, lorenz_spec, lorenz_oracle):
+        method = MuMethod.LOCAL_GAMMA
+        args = (lorenz_spec, IntervalPlan(600, 60, (0.0, 30.0)), method,
+                params_for_method(method), lorenz_oracle, GAMMA_JSTAR_END)
+        assert driver_outcome(*args) == ("NonFiniteState", 2.1)
 
 
 class TestReferenceAlignment:
