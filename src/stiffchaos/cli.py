@@ -340,12 +340,17 @@ def cmd_solve(cfg: dict) -> int:
     return 0
 
 
+def _eps(cfg: dict) -> float:
+    eps = _number(cfg, "eps", DEFAULT_EPS)
+    if not 0 < eps < math.inf:
+        raise ConfigError(f"eps must be finite and > 0, got {eps!r}")
+    return eps
+
+
 def cmd_diagnose(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
-    eps = _number(cfg, "eps", DEFAULT_EPS)
-    if not eps > 0:
-        raise ConfigError(f"eps must be > 0, got {eps!r}")
+    eps = _eps(cfg)
     dim = spec.problem.dim
     component = _number(cfg, "scan.component", 0, integral=True)
     if not 0 <= component < dim:
@@ -392,9 +397,9 @@ def _vector(section: dict, key: str, default, spec: BenchmarkSpec) -> tuple[floa
     value = section.get(key, default)
     dim = spec.problem.dim
     if not (isinstance(value, (list, tuple)) and len(value) == dim
-            and all(map(_is_number, value))):
+            and all(_is_number(v) and math.isfinite(v) for v in value)):
         raise ConfigError(f"transform.{key}: {spec.problem.name} needs a list of "
-                          f"{dim} numbers, got {value!r}")
+                          f"{dim} numbers, each finite, got {value!r}")
     return tuple(float(v) for v in value)
 
 
@@ -414,10 +419,13 @@ def _transform_setup(cfg: dict, spec: BenchmarkSpec):
         plan = IntervalPlan(n_steps, intervals, spec.problem.t_span)
     except ValueError as exc:
         raise ConfigError(f"transform: {exc}") from None
+    q = _number(cfg, "transform.q", 1.0)
+    if not math.isfinite(q):
+        raise ConfigError(f"transform.q must be finite, got {q!r}")
     params = params_for_method(
         method,
         eps_scale=_vector(section, "eps_scale", (1.0, 1.0, 1.0), spec),
-        q=_number(cfg, "transform.q", 1.0),
+        q=q,
         coeffs=_vector(section, "coeffs", DEFAULT_COEFFS, spec),
         mu_init=_vector(section, "mu_init", METHOD_MU_INIT[method], spec),
     )
@@ -552,7 +560,7 @@ def cmd_demo_stiff_transform(cfg: dict) -> int:
     t_started = time.perf_counter()
     a = _number(cfg, "demo.a", 300.0)
     kappa_g = _number(cfg, "demo.kappa_g", -1.0)
-    eps = _number(cfg, "eps", DEFAULT_EPS)
+    eps = _eps(cfg)
     _discard_manifest(cfg)
     rep = stiff_transform_demo(a, kappa_g, eps)
     out = _out_dir(cfg)

@@ -500,13 +500,20 @@ class TestConfigHandling:
         ["solve", "--problem", "robertson", "--solver", "trapezoid", "--tf", "inf"],
         ["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "10",
          "--problem.u0", "1e400,0,0"],
+        ["solve", "--problem", "robertson", "--solver", "rk4-adaptive", "--tol", "inf",
+         "--max-steps", "1000"],
+        ["transform", "--problem", "lorenz84", "--method", "1", "--mu-init", "nan,1,1"],
+        ["transform", "--problem", "lorenz84", "--method", "3",
+         "--transform.coeffs", "nan,1,1"],
+        ["transform", "--problem", "lorenz84", "--method", "2", "--q", "inf"],
     ], ids=["solve-steps-0", "diagnose-eps-negative", "demo-kappa-g-positive", "demo-a-small",
             "transform-eps-scale-scalar", "transform-mu-init-scalar",
             "solve-param-not-a-number", "solve-u0-empty", "diagnose-t-span-scalar-with-tf",
             "solve-u0-bool", "solve-steps-fractional", "solve-steps-bool",
             "compare-intervals-fractional", "solve-tol-bool", "solve-tf-bool",
             "solve-rk4-tf-inf", "solve-rk4-adaptive-tf-inf", "solve-trapezoid-tf-inf",
-            "solve-u0-overflows"])
+            "solve-u0-overflows", "solve-tol-inf", "transform-mu-init-nan",
+            "transform-coeffs-nan", "transform-q-inf"])
     def test_library_precondition_is_one_line_config_error(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
@@ -524,7 +531,11 @@ class TestConfigHandling:
          "argument --mu-init: expects comma-separated numbers"),
         (["transform", "--problem", "lorenz84", "--mu-init", "1,2"],
          "transform.mu_init: lorenz84 needs a list of 3 numbers"),
-    ], ids=["bad-int", "bad-choice", "bad-float-list", "short-vector"])
+        (["diagnose", "--problem", "lorenz84", "--steps", "100", "--eps", "inf"],
+         "eps must be finite and > 0, got inf"),
+        (["demo-stiff-transform", "--eps", "inf"], "eps must be finite and > 0, got inf"),
+    ], ids=["bad-int", "bad-choice", "bad-float-list", "short-vector", "diagnose-eps-inf",
+            "demo-eps-inf"])
     def test_parser_rejection_is_one_line_config_error(self, tmp_path, capsys, argv, message):
         rc = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err

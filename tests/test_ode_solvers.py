@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -609,6 +610,71 @@ class TestStepController:
                               (0.2, 0.0), RK4_ADAPTIVE)
         assert traj.stagnated and traj.steps_taken < 500
         assert traj.t_reached < 1.0
+
+
+def logged_loop(monkeypatch, solve, problem: OdeProblem, cfg: AdaptiveConfig):
+    """``solve(problem, cfg)``, the ``u0`` it passed to ``_adaptive_loop``
+    and a log of every attempt the loop made, as (t, u, h, u_new, est)."""
+    loop = ode._adaptive_loop
+    seen = []
+    log = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(loop).bind(*args, **kwargs)
+        attempt = bound.arguments["attempt"]
+
+        def logged(t, u, h):
+            u_new, est = attempt(t, u, h)
+            log.append((t, u, h, u_new, est))
+            return u_new, est
+
+        bound.arguments["attempt"] = logged
+        seen.append(bound.arguments["u0"])
+        return loop(*bound.args, **bound.kwargs)
+
+    monkeypatch.setattr(ode, "_adaptive_loop", spy)
+    traj = solve(problem, cfg)
+    monkeypatch.undo()
+    return traj, seen[0], log
+
+
+class TestAdaptiveStore:
+    """What ``_adaptive_loop`` stores: the start and every accepted attempt,
+    in order, and nothing per step beyond the numbers themselves."""
+
+    @pytest.mark.parametrize("solve, problem, cfg", [
+        (solve_rk4_adaptive, robertson().problem, robertson_rk4_config(1.0, 5000)),
+        (solve_rk4_adaptive, flame(0.1).problem,
+         AdaptiveConfig(tol=1e-3, dt_init=5.0, dt_max=5.0)),
+        (solve_trapezoid_adaptive, robertson().problem, AdaptiveConfig(tol=1e-3, dt_init=0.1)),
+    ], ids=["rk4-robertson", "rk4-flame-padded", "trapezoid-robertson"])
+    def test_store_is_the_accepted_attempts(self, monkeypatch, solve, problem, cfg):
+        traj, u0, log = logged_loop(monkeypatch, solve, problem, cfg)
+        times = [problem.t_span[0]]
+        states = [u0]
+        for t, u, h, u_new, est in log:
+            # each attempt starts from the last stored sample
+            assert (t, u) == (times[-1], states[-1])
+            if est <= cfg.tol:
+                times.append(t + h)
+                states.append(u_new)
+        taken = len(times) - 1
+        assert traj.times.tobytes() == np.array(times).tobytes()
+        assert traj.states.tobytes() == np.array(states)[:, :problem.dim].tobytes()
+        assert (traj.steps_taken, traj.steps_rejected) == (taken, len(log) - taken)
+        assert traj.steps_rejected > 0
+
+    def test_robertson_rk4_stores_under_64_bytes_per_accepted_step(self):
+        # 8 B of time and 24 B of state is the floor
+        problem = robertson().problem
+        tracemalloc.start()
+        try:
+            traj = solve_rk4_adaptive(problem, robertson_rk4_config(1.0, 5000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.steps_taken == 5000
+        assert peak / traj.steps_taken < 64
 
 
 class TestReferenceSolution:
