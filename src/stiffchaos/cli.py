@@ -356,8 +356,12 @@ def cmd_diagnose(cfg: dict) -> int:
     if not 0 <= component < dim:
         raise ConfigError(f"scan.component must lie in [0, {dim}), got {component}")
     n_samples = _number(cfg, "scan.n_samples", 400, integral=True)
-    if n_samples < 2:
-        raise ConfigError(f"scan.n_samples must be >= 2, got {n_samples}")
+    steps = (_number(cfg, "solver.steps", 0, integral=True)
+             if cfg.get("solver", {}).get("name", "rk4") == "rk4"
+             else _number(cfg, "solver.max_steps", 100_000, integral=True))
+    most = max(400, steps + 1)  # the default, or the most samples a run can return
+    if not 2 <= n_samples <= most:
+        raise ConfigError(f"scan.n_samples must lie in [2, {most}], got {n_samples}")
     _discard_manifest(cfg)
     traj = run_solver(cfg, spec)
 
@@ -560,6 +564,8 @@ def cmd_demo_stiff_transform(cfg: dict) -> int:
     t_started = time.perf_counter()
     a = _number(cfg, "demo.a", 300.0)
     kappa_g = _number(cfg, "demo.kappa_g", -1.0)
+    if not (math.isfinite(a) and math.isfinite(kappa_g)):
+        raise ConfigError(f"demo.a and demo.kappa_g must be finite, got {a!r} and {kappa_g!r}")
     eps = _eps(cfg)
     _discard_manifest(cfg)
     rep = stiff_transform_demo(a, kappa_g, eps)

@@ -297,7 +297,8 @@ def stiffness_report(traj: Trajectory, problem: OdeProblem, eps: float,
     times, kappa = curvature_along(traj, problem, component).T
     n, t0, horizon = len(times), float(times[0]), problem.horizon
 
-    dtmax = np.fromiter((dt_max(float(k), eps) for k in kappa), float, n)
+    with np.errstate(divide="ignore"):  # ``dt_max`` per sample, inf where kappa == 0
+        dtmax = SQRT8 * np.sqrt(eps / kappa)
     dtstiff = np.fromiter((dt_stiff_at(float(g), eps, float(t) - t0) if g < 0.0 else math.nan
                            for g, t in zip(gmin, times)), float, n)
     q = np.where(gmin < 0.0, np.where(np.isfinite(dtmax), dtmax, horizon) / dtstiff, 0.0)

@@ -13,7 +13,7 @@ oracle's Gragg-Bulirsch-Stoer march store through a flat memoryview: a
 kernel call per step plus a numpy row store from a tuple cost about 30% of
 an RK4 step.  The adaptive RK4 step-doubling attempt inlines its three
 kernel calls, its checks and its error norm: they cost about a third of a
-Robertson attempt.
+Robertson attempt.  The oracle's Neville tableau is one straight-line call.
 """
 
 from __future__ import annotations
@@ -608,7 +608,8 @@ def solve_trapezoid_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajec
 #
 # ``_gbs_march3`` is written for three components (state in locals, flat
 # memoryview stores); dim-1 and dim-2 problems run through it padded, like
-# the RK4 solvers.
+# the RK4 solvers.  T_{6,6} comes from the straight-line ``_neville6``, which
+# rounds as the row-by-row loop did (precomputed Lagrange weights would not).
 
 _GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12)
 _GBS_NEVILLE = tuple(
@@ -616,6 +617,28 @@ _GBS_NEVILLE = tuple(
     for j, n in enumerate(_GBS_SUBSTEPS)
 )
 _GBS_RHS_PER_STEP = 1 + sum(_GBS_SUBSTEPS)
+(), (_C22,), (_C32, _C33), (_C42, _C43, _C44), (_C52, _C53, _C54, _C55), \
+    (_C62, _C63, _C64, _C65, _C66) = _GBS_NEVILLE  # _Cjk is c_{j,k}
+
+
+def _neville6(s1: float, s2: float, s3: float, s4: float, s5: float, s6: float) -> float:
+    """T_{6,6} over T_{j,1} = S_j, each T_{j,k} = T_{j,k-1} + (T_{j,k-1} -
+    T_{j-1,k-1}) c_{j,k} exactly as the row-by-row update computes it."""
+    t22 = s2 + (s2 - s1) * _C22
+    t32 = s3 + (s3 - s2) * _C32
+    t33 = t32 + (t32 - t22) * _C33
+    t42 = s4 + (s4 - s3) * _C42
+    t43 = t42 + (t42 - t32) * _C43
+    t44 = t43 + (t43 - t33) * _C44
+    t52 = s5 + (s5 - s4) * _C52
+    t53 = t52 + (t52 - t42) * _C53
+    t54 = t53 + (t53 - t43) * _C54
+    t55 = t54 + (t54 - t44) * _C55
+    t62 = s6 + (s6 - s5) * _C62
+    t63 = t62 + (t62 - t52) * _C63
+    t64 = t63 + (t63 - t53) * _C64
+    t65 = t64 + (t64 - t54) * _C65
+    return t65 + (t65 - t55) * _C66
 
 
 def _gbs_march3(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> None:
@@ -623,8 +646,9 @@ def _gbs_march3(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> No
     to ``states[i + 1]``.  Raises ``NonFiniteState`` at the end of the first
     macro step whose state is not finite.  The substep sizes and time
     offsets k * h / n_j, the same for every macro step, are computed once."""
-    levels = tuple((h / n, 2.0 * (h / n), tuple(k * (h / n) for k in range(1, n)), factors)
-                   for n, factors in zip(_GBS_SUBSTEPS, _GBS_NEVILLE))
+    levels = tuple((j, h / n, 2.0 * (h / n), tuple(k * (h / n) for k in range(1, n)))
+                   for j, n in enumerate(_GBS_SUBSTEPS))
+    sx, sy, sz = [0.0] * 6, [0.0] * 6, [0.0] * 6
     x, y, z = u
     j = 3
     with memoryview(states.reshape(-1)) as out:
@@ -632,8 +656,7 @@ def _gbs_march3(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> No
             t = t0 + i * h
             t_end = t + h
             a0, b0, c0 = f(t, (x, y, z))
-            px = py = pz = ()
-            for hs, h2, offsets, factors in levels:
+            for level, hs, h2, offsets in levels:
                 x0, y0, z0 = x, y, z
                 x1, y1, z1 = x + hs * a0, y + hs * b0, z + hs * c0
                 for dt in offsets:
@@ -642,19 +665,10 @@ def _gbs_march3(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> No
                     y0, y1 = y1, y0 + h2 * b
                     z0, z1 = z1, z0 + h2 * c
                 a, b, c = f(t_end, (x1, y1, z1))
-                sx = 0.5 * (x0 + x1 + hs * a)
-                sy = 0.5 * (y0 + y1 + hs * b)
-                sz = 0.5 * (z0 + z1 + hs * c)
-                rx, ry, rz = [sx], [sy], [sz]
-                for qx, qy, qz, c in zip(px, py, pz, factors):
-                    sx = sx + (sx - qx) * c
-                    sy = sy + (sy - qy) * c
-                    sz = sz + (sz - qz) * c
-                    rx.append(sx)
-                    ry.append(sy)
-                    rz.append(sz)
-                px, py, pz = rx, ry, rz
-            x, y, z = sx, sy, sz
+                sx[level] = 0.5 * (x0 + x1 + hs * a)
+                sy[level] = 0.5 * (y0 + y1 + hs * b)
+                sz[level] = 0.5 * (z0 + z1 + hs * c)
+            x, y, z = _neville6(*sx), _neville6(*sy), _neville6(*sz)
             # ``_is_bad`` inlined: the sum is nan/inf iff some component is
             w = x + y + z
             if w - w != 0.0:

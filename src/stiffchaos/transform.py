@@ -35,8 +35,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
-from operator import mul, sub, truediv
+from operator import mul, truediv
 from typing import Sequence
 
 import numpy as np
@@ -178,19 +177,23 @@ def _check_exponents(mu: Sequence[float], t_local: float) -> None:
             "use more/shorter intervals")
 
 
-def _scales(mu: Sequence[float], eps_scale: Sequence[float], tau: float) -> State:
-    """The diagonal of E e^{M tau}."""
-    return tuple(map(mul, eps_scale, map(math.exp, map(mul, mu, repeat(tau)))))
-
-
 def _conjugated_rhs(f: Rhs, t_start: float, mu: Sequence[float],
                     eps_scale: Sequence[float]) -> Rhs:
     """The z-system ``(tau, z) -> E^-1 e^{-M tau} f(t_start + tau, E e^{M tau} z)
-    - M z`` of the interval starting at ``t_start``."""
+    - M z`` of the interval starting at ``t_start``, for a dim-3 ``f``: a
+    smaller system is conjugated padded (``ode._padded``, mu by 0.0, eps by
+    1.0), where 1.0 * exp(0.0) = 1.0 keeps z_i at 0.0 / 1.0 - 0.0 * 0.0."""
+    m1, m2, m3 = mu
+    e1, e2, e3 = eps_scale
+    exp = math.exp
+
     def zrhs(tau: float, z: State) -> State:
-        s = _scales(mu, eps_scale, tau)
-        fx = f(t_start + tau, tuple(map(mul, s, z)))
-        return tuple(map(sub, map(truediv, fx, s), map(mul, mu, z)))
+        x, y, w = z
+        s1 = e1 * exp(m1 * tau)
+        s2 = e2 * exp(m2 * tau)
+        s3 = e3 * exp(m3 * tau)
+        a, b, c = f(t_start + tau, (s1 * x, s2 * y, s3 * w))
+        return (a / s1 - m1 * x, b / s2 - m2 * y, c / s3 - m3 * w)
 
     return zrhs
 
@@ -320,7 +323,8 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
     step is back-transformed via x_i = eps_i exp(mu_i tau) z_i, and the
     endpoint seeds the next interval.  Errors are measured against
     ``reference`` at the N+1 sample times.  Every vector of ``params`` must
-    have ``spec.problem.dim`` components.
+    have ``spec.problem.dim`` components.  A dim-1 or dim-2 problem is padded
+    once per run and its padded rhs conjugated (see ``_conjugated_rhs``).
 
     ``gamma_source`` decides what the recorded gamma_max history (the input
     to the method-2/3/4 shift selection) measures:
@@ -351,9 +355,12 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
     t0 = plan.t_span[0]
     eps = params.eps_scale
     jac = problem.jacobian
+    f3, _ = _padded(problem.rhs, problem.u0)
+    pad = 3 - dim
+    e1, e2, e3 = eps3 = (*eps, *(1.0,) * pad)
+    taus = [(j + 1) * h for j in range(spi)]
 
     times = t0 + h * np.arange(n + 1)
-    # the z-system is marched padded to three components (see ode._padded)
     states = np.zeros((n + 1, 3))
     u = problem.u0
     states[0, :dim] = u
@@ -375,23 +382,25 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
                 gamma_history[k] = local_eigenvalues(
                     shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
 
-            zrhs, z = _padded(_conjugated_rhs(problem.rhs, t_k, mu, eps), z)
+            m1, m2, m3 = mu3 = (*mu, *(0.0,) * pad)
             base = k * spi
             try:
-                _rk4_march3(zrhs, 0.0, h, z, spi, out[3 * base:])
+                _rk4_march3(_conjugated_rhs(f3, t_k, mu3, eps3), 0.0, h,
+                            (*z, *(0.0,) * pad), spi, out[3 * base:])
             except NonFiniteState as exc:
                 # the march stores no state from tau = i h on; marking row i
                 # stops the row check below there, or at an earlier bad row
                 states[base + round(exc.t / h)] = math.nan
-            z = tuple(states[base + spi].tolist())
-            block = states[base + 1:base + spi + 1, :dim]
+            z = tuple(states[base + spi, :dim].tolist())
+            block = states[base + 1:base + spi + 1]
             with np.errstate(over="ignore", invalid="ignore"):
                 # x_i = eps_i exp(mu_i tau) z_i; ``_is_bad`` is a row sum check
-                block *= [_scales(mu, eps, (j + 1) * h) for j in range(spi)]
+                block *= [(e1 * math.exp(m1 * tau), e2 * math.exp(m2 * tau),
+                           e3 * math.exp(m3 * tau)) for tau in taus]
                 finite = np.isfinite(block.sum(axis=1))
             if not finite.all():
                 raise NonFiniteState(t0 + (base + int(finite.argmin()) + 1) * h)
-            u = tuple(block[-1].tolist())
+            u = tuple(block[-1, :dim].tolist())
             if gamma_source == GAMMA_JSTAR_END:
                 gamma_history[k] = local_eigenvalues(
                     shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max

@@ -3,12 +3,19 @@ replaced, kept as references: ``_rk4_stepn``, ``_rk4_attempt`` and
 ``_gbs_march`` are copied unchanged from ``stiffchaos.ode`` as it was before
 dim-1 and dim-2 problems ran through the dim-3 code zero-padded, and
 ``fixed_states`` is the fixed-step loop ``solve_rk4_fixed`` ran on them.  The
-tests pin the library to these bit for bit, for every dimension.
+tests pin the library to these bit for bit, for every dimension;
+``_gbs_march``'s row-by-row Aitken-Neville loop is also the reference for the
+library's straight-line ``_neville6``.
 
 ``_adaptive_loop`` is the accept/reject loop with the elementary step-size
 controller 0.9 * (tol / est)**exponent, copied unchanged from
 ``stiffchaos.ode`` as it was before the PI controller replaced it; the
 library's loop with gains (exponent, 0.0) must equal it bit for bit.
+
+``_scales`` and ``_conjugated_rhs`` are the per-component conjugation,
+copied unchanged from ``stiffchaos.transform`` as it was before it was
+written out for three components; the library's ``_conjugated_rhs`` of the
+padded system must equal it bit for bit.
 
 ``transformed_run`` is ``stiffchaos.transform.run_transformed``'s interval
 loop as it was before each interval was marched by ``_rk4_march3``: one RK4
@@ -20,7 +27,8 @@ step.  The driver must equal it bit for bit, blow-up times included.
 from __future__ import annotations
 
 import math
-from operator import mul, truediv
+from itertools import repeat
+from operator import mul, sub, truediv
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,8 +56,6 @@ from stiffchaos.transform import (
     GAMMA_JSTAR_START,
     _align_reference,
     _check_exponents,
-    _conjugated_rhs,
-    _scales,
     select_mu,
     shifted_jacobian,
 )
@@ -109,6 +115,23 @@ def _gbs_march(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> Non
         if _is_bad(u):
             raise NonFiniteState(t0 + (i + 1) * h)
         states[i + 1] = u
+
+
+def _scales(mu: Sequence[float], eps_scale: Sequence[float], tau: float) -> State:
+    """The diagonal of E e^{M tau}."""
+    return tuple(map(mul, eps_scale, map(math.exp, map(mul, mu, repeat(tau)))))
+
+
+def _conjugated_rhs(f: Rhs, t_start: float, mu: Sequence[float],
+                    eps_scale: Sequence[float]) -> Rhs:
+    """The z-system ``(tau, z) -> E^-1 e^{-M tau} f(t_start + tau, E e^{M tau} z)
+    - M z`` of the interval starting at ``t_start``."""
+    def zrhs(tau: float, z: State) -> State:
+        s = _scales(mu, eps_scale, tau)
+        fx = f(t_start + tau, tuple(map(mul, s, z)))
+        return tuple(map(sub, map(truediv, fx, s), map(mul, mu, z)))
+
+    return zrhs
 
 
 def fixed_states(problem: OdeProblem, n_steps: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -506,6 +507,9 @@ class TestConfigHandling:
         ["transform", "--problem", "lorenz84", "--method", "3",
          "--transform.coeffs", "nan,1,1"],
         ["transform", "--problem", "lorenz84", "--method", "2", "--q", "inf"],
+        ["demo-stiff-transform", "--a", "inf"],
+        ["demo-stiff-transform", "--a", "1e400"],
+        ["demo-stiff-transform", "--kappa-g=-inf"],
     ], ids=["solve-steps-0", "diagnose-eps-negative", "demo-kappa-g-positive", "demo-a-small",
             "transform-eps-scale-scalar", "transform-mu-init-scalar",
             "solve-param-not-a-number", "solve-u0-empty", "diagnose-t-span-scalar-with-tf",
@@ -513,7 +517,8 @@ class TestConfigHandling:
             "compare-intervals-fractional", "solve-tol-bool", "solve-tf-bool",
             "solve-rk4-tf-inf", "solve-rk4-adaptive-tf-inf", "solve-trapezoid-tf-inf",
             "solve-u0-overflows", "solve-tol-inf", "transform-mu-init-nan",
-            "transform-coeffs-nan", "transform-q-inf"])
+            "transform-coeffs-nan", "transform-q-inf", "demo-a-inf", "demo-a-overflows",
+            "demo-kappa-g-minus-inf"])
     def test_library_precondition_is_one_line_config_error(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
@@ -642,6 +647,34 @@ class TestConfigHandling:
                        "--steps", "60000", "--out", str(tmp_path / "x")] + bad)
             assert rc == 1
             assert not (tmp_path / "x").exists()
+
+    def test_diagnose_rejects_samples_before_solving(self, tmp_path, monkeypatch, capsys):
+        # a billion samples would allocate 8 GB in lle_scan; the bound is
+        # max(400, samples the solver can return): steps + 1 or max_steps + 1
+        def no_solve(*args):
+            raise AssertionError("run_solver ran")
+
+        monkeypatch.setattr(cli, "run_solver", no_solve)
+        monkeypatch.setattr(cli, "lle_scan", no_solve)
+        tracemalloc.start()
+        try:
+            for solver in (["--steps", "100"], ["--steps", "60000"],
+                           ["--solver", "rk4-adaptive", "--max-steps", "1000"],
+                           ["--solver", "trapezoid", "--max-steps", "2000"]):
+                rc = main(["diagnose", "--problem", "lorenz84", "--samples", "1000000000",
+                           "--out", str(tmp_path / "x")] + solver)
+                assert rc == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"configuration error: scan.n_samples must lie in [2, {most}], "
+                       "got 1000000000" for most in (400, 60001, 1001, 2001)]
+        assert not (tmp_path / "x").exists()
+        with pytest.raises(AssertionError, match="run_solver ran"):  # the bound itself passes
+            main(["diagnose", "--problem", "lorenz84", "--solver", "rk4-adaptive",
+                  "--max-steps", "1000", "--samples", "1001", "--out", str(tmp_path / "x")])
 
     def test_compare_rejects_dim_mismatch_before_the_oracle(self, tmp_path, monkeypatch):
         def no_oracle(*args):

@@ -44,10 +44,13 @@ from stiffchaos.transform import (
     METHOD_MU_INIT,
     METHOD_STEPS_PER_INTERVAL,
     _align_reference,
+    _conjugated_rhs,
 )
+from stiffchaos.ode import _padded
 
+import generic_reference
 from generic_reference import transformed_run
-from test_ode_solvers import blowup_dim3
+from test_ode_solvers import blowup_dim3, forced_dim2
 
 
 LORENZ_ARGS = dict(a=0.25, b=4.0, f=8.0, g=1.0)
@@ -202,6 +205,37 @@ class TestJstar:
                 q = min(remaining, key=lambda v: abs(v - p))
                 remaining.remove(q)
                 assert abs(p - q) / scale <= SHIFT_LAW_TOL
+
+        check()
+
+
+class TestConjugatedRhsMatchesReference:
+    """The unrolled conjugation of the padded rhs equals the per-component
+    one bit for bit, and keeps the padded components at 0.0."""
+
+    @pytest.mark.parametrize("problem", [
+        stiff_linear(300.0).problem, forced_dim2(), lorenz84().problem,
+    ], ids=lambda p: p.name)
+    def test_padded_bitwise(self, problem):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        dim = problem.dim
+        pad = 3 - dim
+        f3, _ = _padded(problem.rhs, problem.u0)
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(t_start=st.floats(0.0, 30.0), tau=st.floats(0.0, 1.0),
+                          z=st.tuples(*[st.floats(-10.0, 10.0)] * dim),
+                          mu=st.tuples(*[st.floats(-700.0, 700.0)] * dim),
+                          eps=st.tuples(*[st.floats(0.01, 100.0)] * dim))
+        def check(t_start, tau, z, mu, eps):
+            assert max(abs(m * tau) for m in mu) <= 700.0
+            want = generic_reference._conjugated_rhs(problem.rhs, t_start, mu, eps)(tau, z)
+            got = _conjugated_rhs(f3, t_start, (*mu, *(0.0,) * pad),
+                                  (*eps, *(1.0,) * pad))(tau, (*z, *(0.0,) * pad))
+            assert np.array(got[:dim]).tobytes() == np.array(want, dtype=float).tobytes()
+            assert np.array(got[dim:]).tobytes() == np.zeros(pad).tobytes()
 
         check()
 
@@ -424,6 +458,20 @@ class TestDriverMatchesStepLoop:
             for eps in ((1.0,), (2.0,)):
                 params = params_for_method(method, eps_scale=eps, coeffs=(1.5,),
                                            mu_init=(2.0,))
+                for source in GAMMA_SOURCES:
+                    args = (spec, plan, method, params, reference, source)
+                    want = run_outcome(lambda: transformed_run(*args))
+                    assert driver_outcome(*args) == want
+
+    def test_dim2(self):
+        problem = forced_dim2()
+        spec = BenchmarkSpec(problem, problem.jacobian, None)
+        plan = IntervalPlan(120, 12, problem.t_span)
+        reference = solve_rk4_fixed(problem, 480)
+        for method in MuMethod:
+            for eps in ((1.0, 1.0), (2.0, 0.5)):
+                params = params_for_method(method, eps_scale=eps, coeffs=(1.5, 0.66),
+                                           mu_init=(2.0, -1.0))
                 for source in GAMMA_SOURCES:
                     args = (spec, plan, method, params, reference, source)
                     want = run_outcome(lambda: transformed_run(*args))
