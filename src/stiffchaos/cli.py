@@ -10,14 +10,14 @@ problem (lorenz84, robertson); other dimensions need all of
 ``transform.eps_scale``, ``transform.mu_init`` and ``transform.coeffs`` with
 one number per component, and ``transform`` writes three-component outputs.
 
-Input is validated before any integration, and ``--out`` is created only
-once a command has its results to write.  A command removes the manifest of
-an earlier run in ``--out`` before it integrates, and writes its own through
-a temporary file: a ``manifest.json`` in ``--out`` is always whole, and a
-run that fails after its input was validated leaves none.
-
-Every run writes a ``manifest.json`` echoing the resolved configuration and
-summary metrics recomputed from the emitted CSVs.  Numbers are printed with
+Every command validates its input, removes the manifest of an earlier run
+in ``--out``, computes all of its results and its summary, and only then
+calls ``_write_outputs``: the one place that creates ``--out``, writes the
+CSVs and then, through a temporary file, a ``manifest.json`` that echoes the
+resolved configuration and the summary.  So a run that fails while it
+computes writes no output, and once its input was validated leaves no
+manifest; a manifest is always whole.  Summaries are computed from the
+in-memory results the CSVs are written from, and numbers are printed with
 17 significant digits so CSV output is byte-stable and round-trips exactly.
 
 Exit codes: 0 success (a stagnated adaptive run is a success with its
@@ -40,9 +40,6 @@ import numpy as np
 from .diagnostics import stiffness_report
 from .ode import (
     AdaptiveConfig,
-    NewtonDivergence,
-    NonFiniteState,
-    OracleNotConverged,
     RK4_ADAPTIVE,
     RK4_FIXED,
     TRAPEZOID_ADAPTIVE,
@@ -56,7 +53,6 @@ from .ode import (
 from .problems import BenchmarkSpec, PROBLEM_FACTORIES, _is_number, lle_scan, make_problem
 from .transform import (
     DEFAULT_COEFFS,
-    ExponentOverflow,
     GAMMA_FLOW,
     GAMMA_SOURCES,
     IntervalPlan,
@@ -286,14 +282,13 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, summary: dict,
         "outputs": [p.name for p in outputs],
         "wall_clock_seconds": time.perf_counter() - t_started,
     }
-    # written whole or not at all: a run cut short leaves no partial manifest
-    path = out_dir / "manifest.json"
-    tmp = out_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
     for p in outputs:
         if not p.exists():
             raise RuntimeError(f"declared output missing: {p}")
+    # written whole or not at all: a run cut short leaves no partial manifest
+    tmp = out_dir / "manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, out_dir / "manifest.json")
     return manifest
 
 
@@ -304,10 +299,18 @@ def _discard_manifest(cfg: dict) -> None:
     (Path(cfg.get("out", "out")) / "manifest.json").unlink(missing_ok=True)
 
 
-def _out_dir(cfg: dict) -> Path:
+def _write_outputs(cfg: dict, command: str, t_started: float, summary: dict,
+                   *tables) -> list[Path]:
+    """Create ``out``, write each ``(file name, header, rows)`` table there
+    with ``write_csv``, then the manifest; return the tables' paths.  Every
+    command calls this once, after all of its results are computed."""
     out = Path(cfg.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    paths = [out / name for name, _, _ in tables]
+    for path, (_, header, rows) in zip(paths, tables):
+        write_csv(path, header, rows)
+    write_manifest(out, command, cfg, summary, paths, t_started)
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +322,6 @@ def cmd_solve(cfg: dict) -> int:
     spec = build_benchmark(cfg)
     _discard_manifest(cfg)
     traj = run_solver(cfg, spec)
-    out = _out_dir(cfg)
-    dim = traj.dim
-    path = out / "solution.csv"
-    header = ["t"] + [f"u{i + 1}" for i in range(dim)]
-    write_csv(path, header, table_rows(traj.times, traj.states))
     summary = {
         "problem": spec.problem.name,
         "solver": traj.solver_id,
@@ -333,7 +331,9 @@ def cmd_solve(cfg: dict) -> int:
         "t_reached": traj.t_reached,
         "final_state": [float(v) for v in traj.states[-1]],
     }
-    write_manifest(out, "solve", cfg, summary, [path], t_started)
+    header = ["t"] + [f"u{i + 1}" for i in range(traj.dim)]
+    path, = _write_outputs(cfg, "solve", t_started, summary,
+                           ("solution.csv", header, table_rows(traj.times, traj.states)))
     status = "stagnated at t=%.6g" % traj.t_reached if traj.stagnated else "completed"
     print(f"solve: {spec.problem.name} {traj.solver_id} {status} "
           f"({traj.steps_taken} steps, {traj.steps_rejected} rejected) -> {path}")
@@ -367,19 +367,6 @@ def cmd_diagnose(cfg: dict) -> int:
 
     report = stiffness_report(traj, spec.problem, eps=eps, component=component)
     trace = lle_scan(spec.problem, traj, n_samples)
-    out = _out_dir(cfg)
-    stiff_path = out / "stiffness.csv"
-    write_csv(stiff_path, ["t", "kappa", "dt_max", "dt_stiff", "Q", "R"],
-              table_rows(report.times, report.kappa, report.dt_max,
-                         report.dt_stiff, report.q, report.r))
-
-    header = ["t", *(f"{part}_g{i + 1}" for i in range(dim) for part in ("re", "im")),
-              "gamma_max", "gamma_min"]
-    lle_path = out / "lle.csv"
-    # a complex row viewed as floats interleaves the real and imaginary parts
-    write_csv(lle_path, header, table_rows(
-        trace.times, trace.values.view(float), trace.gamma_max, trace.gamma_min))
-
     crossing = report.q_unity_crossing()
     summary = {
         "problem": spec.problem.name,
@@ -390,7 +377,16 @@ def cmd_diagnose(cfg: dict) -> int:
         "gamma_min_overall": float(np.min(report.gamma_min)),
         "gamma_max_positive_fraction": float(np.mean(trace.gamma_max > 0)),
     }
-    write_manifest(out, "diagnose", cfg, summary, [stiff_path, lle_path], t_started)
+    lle_header = ["t", *(f"{part}_g{i + 1}" for i in range(dim) for part in ("re", "im")),
+                  "gamma_max", "gamma_min"]
+    stiff_path, lle_path = _write_outputs(
+        cfg, "diagnose", t_started, summary,
+        ("stiffness.csv", ["t", "kappa", "dt_max", "dt_stiff", "Q", "R"],
+         table_rows(report.times, report.kappa, report.dt_max,
+                    report.dt_stiff, report.q, report.r)),
+        # a complex row viewed as floats interleaves the real and imaginary parts
+        ("lle.csv", lle_header, table_rows(
+            trace.times, trace.values.view(float), trace.gamma_max, trace.gamma_min)))
     print(f"diagnose: {spec.problem.name} eps={eps:g} "
           f"Q=1 crossing={crossing} -> {stiff_path}, {lle_path}")
     return 0
@@ -449,26 +445,6 @@ def _oracle_for(cfg: dict, spec: BenchmarkSpec, n_steps: int) -> Trajectory:
     return reference_solution(spec.problem, n_steps * refine)
 
 
-def _write_transform_outputs(out: Path, run: TransformRun, reference: Trajectory) -> list[Path]:
-    sol = run.solution
-    sol_path = out / "solution.csv"
-    write_csv(sol_path, ["t", "u1", "u2", "u3"], table_rows(sol.times, sol.states))
-    err_path = out / "errors.csv"
-    write_csv(err_path, ["t", "err_x", "err_y", "err_z"],
-              table_rows(sol.times, run.errors_vs_reference))
-    mu_path = out / "mu_history.csv"
-    k = np.arange(run.plan.k_intervals)
-    interval_starts = run.plan.t_span[0] + run.plan.interval_length * k
-    # a whole float such as the interval index is written as an integer
-    write_csv(mu_path, ["interval", "t_start", "mu1", "mu2", "mu3", "gamma_max"],
-              table_rows(k, interval_starts, run.mu_history, run.gamma_max_history))
-    ext = step_extension_report(run, reference, max(run.max_error(0), 1e-300))
-    ext_path = out / "step_extension.csv"
-    write_csv(ext_path, ["t", "dt_max", "delta"],
-              table_rows(ext, np.full(len(ext), run.plan.dt)))
-    return [sol_path, err_path, mu_path, ext_path]
-
-
 def cmd_transform(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
@@ -476,11 +452,13 @@ def cmd_transform(cfg: dict) -> int:
     if spec.problem.dim != 3:
         raise ConfigError(f"transform writes three-component outputs; "
                           f"{spec.problem.name} has {spec.problem.dim} components")
+    if plan.n_steps < 4:
+        raise ConfigError(f"solver.steps must be >= 4 for transform (the step-extension "
+                          f"report needs 5 samples), got {plan.n_steps}")
     _discard_manifest(cfg)
     reference = _oracle_for(cfg, spec, plan.n_steps)
     run = run_transformed(spec, plan, method, params, reference, gamma_source)
-    out = _out_dir(cfg)
-    outputs = _write_transform_outputs(out, run, reference)
+    ext = step_extension_report(run, reference, max(run.max_error(0), 1e-300))
     summary = {
         "problem": spec.problem.name,
         "method": run.method.value,
@@ -494,9 +472,21 @@ def cmd_transform(cfg: dict) -> int:
             "x": run.max_error(0), "y": run.max_error(1), "z": run.max_error(2),
         },
     }
-    write_manifest(out, "transform", cfg, summary, outputs, t_started)
+    sol = run.solution
+    k = np.arange(plan.k_intervals)
+    sol_path, *_ = _write_outputs(
+        cfg, "transform", t_started, summary,
+        ("solution.csv", ["t", "u1", "u2", "u3"], table_rows(sol.times, sol.states)),
+        ("errors.csv", ["t", "err_x", "err_y", "err_z"],
+         table_rows(sol.times, run.errors_vs_reference)),
+        # a whole float such as the interval index is written as an integer
+        ("mu_history.csv", ["interval", "t_start", "mu1", "mu2", "mu3", "gamma_max"],
+         table_rows(k, plan.t_span[0] + plan.interval_length * k,
+                    run.mu_history, run.gamma_max_history)),
+        ("step_extension.csv", ["t", "dt_max", "delta"],
+         table_rows(ext, np.full(len(ext), plan.dt))))
     print(f"transform: method={run.method.value} N={plan.n_steps} K={plan.k_intervals} "
-          f"max|x err|={run.max_error(0):.4g} -> {out}")
+          f"max|x err|={run.max_error(0):.4g} -> {sol_path.parent}")
     return 0
 
 
@@ -540,11 +530,6 @@ def cmd_compare(cfg: dict) -> int:
             for method, plan, params, gamma_source in setups]
 
     rows = compare_runs(runs)
-    out = _out_dir(cfg)
-    path = out / "compare.csv"
-    write_csv(path, ["method", "max_error", "mean_error", "improvement_ratio"],
-              ([r["method"], r["max_error"], r["mean_error"], r["improvement_ratio"]]
-               for r in rows))
     summary = {
         "methods": [r["method"] for r in rows],
         "max_errors": {r["method"]: r["max_error"] for r in rows},
@@ -554,7 +539,10 @@ def cmd_compare(cfg: dict) -> int:
         "oracle_check_delta": reference.meta.get("oracle_check_delta"),
         "best_method": min(rows, key=lambda r: r["max_error"])["method"],
     }
-    write_manifest(out, "compare", cfg, summary, [path], t_started)
+    path, = _write_outputs(
+        cfg, "compare", t_started, summary,
+        ("compare.csv", ["method", "max_error", "mean_error", "improvement_ratio"],
+         ([r["method"], r["max_error"], r["mean_error"], r["improvement_ratio"]] for r in rows)))
     print(f"compare: methods={','.join(summary['methods'])} "
           f"best={summary['best_method']} -> {path}")
     return 0
@@ -569,18 +557,17 @@ def cmd_demo_stiff_transform(cfg: dict) -> int:
     eps = _eps(cfg)
     _discard_manifest(cfg)
     rep = stiff_transform_demo(a, kappa_g, eps)
-    out = _out_dir(cfg)
-    path = out / "stiff_transform_demo.csv"
-    write_csv(path, ["a", "kappa_f", "kappa_g", "eps", "decay_rate",
-                     "kappa_z_max", "dt_stiff_u", "dt_max_z", "ratio"],
-              [[rep.a, rep.kappa_f, rep.kappa_g, rep.eps, rep.decay_rate,
-                rep.kappa_z_max, rep.dt_stiff_u, rep.dt_max_z, rep.ratio]])
     summary = {
         "a": rep.a, "kappa_g": rep.kappa_g, "eps": rep.eps,
         "dt_stiff_u": rep.dt_stiff_u, "dt_max_z": rep.dt_max_z,
         "ratio": rep.ratio, "capped": rep.capped,
     }
-    write_manifest(out, "demo-stiff-transform", cfg, summary, [path], t_started)
+    path, = _write_outputs(
+        cfg, "demo-stiff-transform", t_started, summary,
+        ("stiff_transform_demo.csv", ["a", "kappa_f", "kappa_g", "eps", "decay_rate",
+                                      "kappa_z_max", "dt_stiff_u", "dt_max_z", "ratio"],
+         [[rep.a, rep.kappa_f, rep.kappa_g, rep.eps, rep.decay_rate,
+           rep.kappa_z_max, rep.dt_stiff_u, rep.dt_max_z, rep.ratio]]))
     print(f"demo-stiff-transform: a={a:g} ratio dt_max_z/dt_stiff_u = {rep.ratio:.4g} "
           f"(same order: {0.1 <= rep.ratio <= 10}) -> {path}")
     return 0
@@ -649,15 +636,12 @@ def main(argv: list[str] | None = None) -> int:
         args, extras = make_parser().parse_known_args(argv)
         cfg = load_config(args, extras)
         return args.func(cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except (NonFiniteState, NewtonDivergence, OracleNotConverged,
-            ExponentOverflow, MismatchedBaseline, ArithmeticError) as exc:
+    except (ArithmeticError, MismatchedBaseline) as exc:
+        # the library's numerical failures (NonFiniteState, ...) are ArithmeticErrors
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # a library precondition on the input (e.g. --steps 0, --eps -1)
+        # a ConfigError, or a library precondition on the input (--steps 0, --eps -1)
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

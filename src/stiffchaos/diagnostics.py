@@ -218,7 +218,8 @@ def dt_stiff(gamma: float, eps: float) -> float:
         raise ValueError("eps must be > 0")
     if gamma >= 0:
         raise NonNegativeGamma(f"dt_stiff undefined for gamma={gamma!r} >= 0")
-    if 2.0 * (gamma * eps) ** 2 >= 1.0:
+    g = gamma * eps  # 2 g^2 only picks the branch, so it may overflow to inf
+    if 2.0 * g * g >= 1.0:
         return 6.0 * math.sqrt(eps / (math.sqrt(3.0) * abs(gamma)))
     return SQRT8 / abs(gamma)
 

@@ -249,16 +249,22 @@ def solve_rk4_fixed(problem: OdeProblem, n_steps: int) -> Trajectory:
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    times, states = _fixed_grid(problem, n_steps, _rk4_march3)
+    return Trajectory(times, states, RK4_FIXED, steps_taken=n_steps)
+
+
+def _fixed_grid(problem: OdeProblem, n_steps: int, march3) -> tuple[np.ndarray, np.ndarray]:
+    """The times and states of ``n_steps`` equidistant steps over the
+    problem's span, marched by ``march3(f, t0, h, u, n, out)`` (``_rk4_march3``
+    or ``_gbs_march3``) on the padded system into a flat (n + 1) x 3 store."""
     t0, t1 = problem.t_span
     h = (t1 - t0) / n_steps
     f, u = _padded(problem.rhs, problem.u0)
-
-    times = t0 + h * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, 3))
     states[0] = u
     with memoryview(states.reshape(-1)) as out:
-        _rk4_march3(f, t0, h, u, n_steps, out)
-    return Trajectory(times, states[:, :problem.dim], RK4_FIXED, steps_taken=n_steps)
+        march3(f, t0, h, u, n_steps, out)
+    return t0 + h * np.arange(n_steps + 1), states[:, :problem.dim]
 
 
 def _rk4_march3(f: Rhs, t0: float, h: float, u: State, n: int,
@@ -606,10 +612,11 @@ def solve_trapezoid_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajec
 # per run step six levels clear the 1e-8 gate 50-fold, and beyond about
 # eight levels roundoff undoes what the extra calls buy.
 #
-# ``_gbs_march3`` is written for three components (state in locals, flat
-# memoryview stores); dim-1 and dim-2 problems run through it padded, like
-# the RK4 solvers.  T_{6,6} comes from the straight-line ``_neville6``, which
-# rounds as the row-by-row loop did (precomputed Lagrange weights would not).
+# ``_gbs_march3`` is written for three components (state in locals) and
+# stores as ``_rk4_march3`` does, into the padded grid of ``_fixed_grid``, so
+# dim-1 and dim-2 problems run through it padded, like the RK4 solvers.
+# T_{6,6} comes from the straight-line ``_neville6``, which rounds as the
+# row-by-row loop did (precomputed Lagrange weights would not).
 
 _GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12)
 _GBS_NEVILLE = tuple(
@@ -641,51 +648,44 @@ def _neville6(s1: float, s2: float, s3: float, s4: float, s5: float, s6: float) 
     return t65 + (t65 - t55) * _C66
 
 
-def _gbs_march3(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> None:
-    """GBS macro steps of size ``h`` from ``u`` at ``t0``; state i + 1 goes
-    to ``states[i + 1]``.  Raises ``NonFiniteState`` at the end of the first
-    macro step whose state is not finite.  The substep sizes and time
-    offsets k * h / n_j, the same for every macro step, are computed once."""
-    levels = tuple((j, h / n, 2.0 * (h / n), tuple(k * (h / n) for k in range(1, n)))
-                   for j, n in enumerate(_GBS_SUBSTEPS))
+def _gbs_march3(f: Rhs, t0: float, h: float, u: State, n: int,
+                out: memoryview) -> None:
+    """``n`` GBS macro steps of size ``h`` of a dim-3 system from ``u`` at
+    ``t0``; state i + 1 goes to ``out[3i + 3 : 3i + 6]`` of the flat
+    row-major store.  Raises ``NonFiniteState`` at the end of the first
+    macro step whose state is not finite, before storing it.  The substep
+    sizes and time offsets k * h / n_j, the same for every macro step, are
+    computed once."""
+    levels = tuple((j, h / m, 2.0 * (h / m), tuple(k * (h / m) for k in range(1, m)))
+                   for j, m in enumerate(_GBS_SUBSTEPS))
     sx, sy, sz = [0.0] * 6, [0.0] * 6, [0.0] * 6
     x, y, z = u
     j = 3
-    with memoryview(states.reshape(-1)) as out:
-        for i in range(len(states) - 1):
-            t = t0 + i * h
-            t_end = t + h
-            a0, b0, c0 = f(t, (x, y, z))
-            for level, hs, h2, offsets in levels:
-                x0, y0, z0 = x, y, z
-                x1, y1, z1 = x + hs * a0, y + hs * b0, z + hs * c0
-                for dt in offsets:
-                    a, b, c = f(t + dt, (x1, y1, z1))
-                    x0, x1 = x1, x0 + h2 * a
-                    y0, y1 = y1, y0 + h2 * b
-                    z0, z1 = z1, z0 + h2 * c
-                a, b, c = f(t_end, (x1, y1, z1))
-                sx[level] = 0.5 * (x0 + x1 + hs * a)
-                sy[level] = 0.5 * (y0 + y1 + hs * b)
-                sz[level] = 0.5 * (z0 + z1 + hs * c)
-            x, y, z = _neville6(*sx), _neville6(*sy), _neville6(*sz)
-            # ``_is_bad`` inlined: the sum is nan/inf iff some component is
-            w = x + y + z
-            if w - w != 0.0:
-                raise NonFiniteState(t0 + (i + 1) * h)
-            out[j] = x
-            out[j + 1] = y
-            out[j + 2] = z
-            j += 3
-
-
-def _gbs_states(problem: OdeProblem, n_steps: int) -> np.ndarray:
-    t0, t1 = problem.t_span
-    f, u = _padded(problem.rhs, problem.u0)
-    states = np.empty((n_steps + 1, 3))
-    states[0] = u
-    _gbs_march3(f, t0, (t1 - t0) / n_steps, u, states)
-    return states[:, :problem.dim]
+    for i in range(n):
+        t = t0 + i * h
+        t_end = t + h
+        a0, b0, c0 = f(t, (x, y, z))
+        for level, hs, h2, offsets in levels:
+            x0, y0, z0 = x, y, z
+            x1, y1, z1 = x + hs * a0, y + hs * b0, z + hs * c0
+            for dt in offsets:
+                a, b, c = f(t + dt, (x1, y1, z1))
+                x0, x1 = x1, x0 + h2 * a
+                y0, y1 = y1, y0 + h2 * b
+                z0, z1 = z1, z0 + h2 * c
+            a, b, c = f(t_end, (x1, y1, z1))
+            sx[level] = 0.5 * (x0 + x1 + hs * a)
+            sy[level] = 0.5 * (y0 + y1 + hs * b)
+            sz[level] = 0.5 * (z0 + z1 + hs * c)
+        x, y, z = _neville6(*sx), _neville6(*sy), _neville6(*sz)
+        # ``_is_bad`` inlined: the sum is nan/inf iff some component is
+        w = x + y + z
+        if w - w != 0.0:
+            raise NonFiniteState(t0 + (i + 1) * h)
+        out[j] = x
+        out[j + 1] = y
+        out[j + 2] = z
+        j += 3
 
 
 def problem_fingerprint(problem: OdeProblem) -> tuple:
@@ -710,8 +710,8 @@ def reference_solution(problem: OdeProblem, n_steps: int) -> Trajectory:
     """
     if n_steps < 2 or n_steps % 2:
         raise ValueError("n_steps must be even and >= 2")
-    fine = _gbs_states(problem, n_steps)
-    coarse = _gbs_states(problem, n_steps // 2)
+    times, fine = _fixed_grid(problem, n_steps, _gbs_march3)
+    coarse = _fixed_grid(problem, n_steps // 2, _gbs_march3)[1]
     diff = fine[::2] - coarse
     np.abs(diff, out=diff)  # in place: one n/2 x dim temporary, not two
     delta = float(diff.max())
@@ -721,8 +721,6 @@ def reference_solution(problem: OdeProblem, n_steps: int) -> Trajectory:
             f"halving the step still moves the solution by {delta:.3e} "
             f"(limit {ORACLE_CHECK_TOL:.1e}); increase the refinement"
         )
-    t0, t1 = problem.t_span
-    times = t0 + ((t1 - t0) / n_steps) * np.arange(n_steps + 1)
     meta = {
         "oracle_check_delta": delta,
         "oracle_n_steps": n_steps,

@@ -489,12 +489,12 @@ def stiff_transform_demo(a: float, kappa_g: float, eps: float) -> StiffTransform
     needed to resolve z at the same order as the stiffness bound for u
     itself.  dt_max_z is capped at the problem horizon when the growth rate
     vanishes (non-stiff limit).  The demonstration assumes |kappa_g| <= 1 << a;
-    an input whose ratio escapes [0.1, 10] raises ValueError.
+    an input that is not finite, or whose ratio escapes [0.1, 10], raises
+    ValueError.
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
-    if not kappa_g < 0:
-        raise ValueError("kappa_g must be < 0")
+    if not (math.isfinite(a) and 0 < eps < math.inf and -math.inf < kappa_g < 0):
+        raise ValueError(f"need a finite a, a finite eps > 0 and a finite kappa_g < 0, "
+                         f"got a={a!r}, eps={eps!r}, kappa_g={kappa_g!r}")
     spec = stiff_linear(a)
     horizon = spec.problem.horizon
     kappa_f = -float(a)

@@ -288,7 +288,9 @@ class TestTransformCommand:
     @pytest.mark.parametrize("steps, refine, message", [
         ("601", "1", "oracle.refine x steps = 601 must be even"),
         ("600", "0", "oracle.refine must be >= 1"),
-    ], ids=["odd-oracle-steps", "refine-0"])
+        # the step-extension report needs 5 samples
+        ("2", "2", "solver.steps must be >= 4 for transform"),
+    ], ids=["odd-oracle-steps", "refine-0", "steps-2"])
     def test_oracle_refine_is_checked_before_the_oracle(self, tmp_path, capsys, monkeypatch,
                                                         steps, refine, message):
         def no_oracle(*args):
@@ -302,6 +304,7 @@ class TestTransformCommand:
         assert rc == 1
         assert err.startswith(f"configuration error: {message}")
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "x").exists()
 
     def test_unconverged_oracle_is_numerical_failure(self, tmp_path):
         rc = main(["transform", "--problem", "lorenz84", "--method", "3",
@@ -419,6 +422,29 @@ class TestFailedRuns:
         monkeypatch.setattr(cli, attr, fail)
         assert main([command, *argv, "--out", str(out)]) == 2
         assert list(out.iterdir()) == []
+
+    def test_transform_writes_nothing_until_every_result_is_computed(self, tmp_path,
+                                                                     monkeypatch):
+        def fail(*args):
+            raise ValueError("need >= 5 samples, got 3")
+
+        monkeypatch.setattr(cli, "step_extension_report", fail)
+        argv = ["transform", "--problem", "lorenz84", "--steps", "600", "--out"]
+        fresh = tmp_path / "fresh"
+        assert main(argv + [str(fresh)]) == 1
+        assert not fresh.exists()
+        # an earlier run's CSV is neither overwritten nor joined by new ones
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "solution.csv").write_text("earlier")
+        assert main(argv + [str(out)]) == 1
+        assert [p.name for p in out.iterdir()] == ["solution.csv"]
+        assert (out / "solution.csv").read_text() == "earlier"
+
+    def test_manifest_is_not_published_for_a_missing_output(self, tmp_path):
+        with pytest.raises(RuntimeError, match="declared output missing"):
+            cli.write_manifest(tmp_path, "solve", {}, {}, [tmp_path / "solution.csv"], 0.0)
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejected_input_keeps_the_manifest(self, tmp_path):
         # nothing in out changes, so the manifest still describes it

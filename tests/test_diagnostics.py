@@ -127,6 +127,11 @@ class TestDtStiff:
             if 2.0 * (2.0 * gamma * eps) ** 2 < 1.0:
                 assert dt_stiff(2.0 * gamma, eps) < dt_stiff(gamma, eps)
 
+    def test_huge_gamma_takes_the_supercritical_branch(self):
+        # (gamma * eps) ** 2 would raise OverflowError here
+        val = dt_stiff(-1e300, 1e-3)
+        assert val == 6.0 * math.sqrt(1e-3 / (math.sqrt(3.0) * 1e300))
+
     def test_rejects_nonnegative_gamma(self):
         with pytest.raises(NonNegativeGamma):
             dt_stiff(0.0, 1e-3)

@@ -718,14 +718,14 @@ class TestReferenceSolution:
         (forced_dim3(), 777),
     ], ids=["lorenz84", "robertson", "non-autonomous"])
     def test_unrolled_dim3_march_matches_generic_march_bitwise(self, problem, n_steps):
-        unrolled = gbs_states(problem, n_steps, _gbs_march3)
+        unrolled = ode._fixed_grid(problem, n_steps, _gbs_march3)[1]
         assert np.all(np.isfinite(unrolled))
         assert unrolled.tobytes() == gbs_states(problem, n_steps, _gbs_march).tobytes()
 
     def test_blowup_raises_at_the_same_time_on_both_marches(self):
         prob = blowup_dim3()
         with pytest.raises(NonFiniteState) as unrolled:
-            gbs_states(prob, 300, _gbs_march3)
+            ode._fixed_grid(prob, 300, _gbs_march3)
         with pytest.raises(NonFiniteState) as generic:
             gbs_states(prob, 300, _gbs_march)
         assert unrolled.value.t == generic.value.t

@@ -651,3 +651,14 @@ class TestStiffTransformDemo:
             stiff_transform_demo(300.0, 1.0, 1e-3)
         with pytest.raises(ValueError):
             stiff_transform_demo(300.0, -1.0, 0.0)
+        for a, kappa_g, eps in [(math.inf, -1.0, 1e-3), (math.nan, -1.0, 1e-3),
+                                (300.0, -math.inf, 1e-3), (300.0, -1.0, math.inf),
+                                (300.0, -1.0, math.nan)]:
+            with pytest.raises(ValueError, match="finite"):
+                stiff_transform_demo(a, kappa_g, eps)
+
+    def test_huge_stiffness_is_same_order(self):
+        # 2 (a eps)^2 overflows to inf, which only picks dt_stiff's branch
+        rep = stiff_transform_demo(1e300, -1.0, 1e-3)
+        assert rep.ratio == pytest.approx(1.0, rel=1e-12)
+        assert 0.0 < rep.dt_stiff_u < 1e-150
