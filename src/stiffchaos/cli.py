@@ -53,8 +53,6 @@ from .ode import (
 from .problems import BenchmarkSpec, PROBLEM_FACTORIES, _is_number, lle_scan, make_problem
 from .transform import (
     DEFAULT_COEFFS,
-    GAMMA_FLOW,
-    GAMMA_SOURCES,
     IntervalPlan,
     METHOD_BY_NUMBER,
     METHOD_MU_INIT,
@@ -149,15 +147,26 @@ def _parse_override_value(text: str):
         return text
 
 
-# the config sections the subcommands read, parents before children
-CONFIG_SECTIONS = ("problem", "problem.params", "solver", "transform", "oracle", "scan", "demo")
+# the settings the subcommands read: each section with its keys, and each
+# top-level key with None; ``make_problem`` checks the keys of problem.params
+CONFIG_KEYS = {
+    "problem": ("name", "params", "u0", "t_span", "tf"),
+    "solver": ("name", "steps", "tol", "dt_init", "dt_min", "dt_max", "max_steps"),
+    "transform": ("method", "intervals", "q", "eps_scale", "coeffs", "mu_init"),
+    "oracle": ("refine",),
+    "scan": ("component", "n_samples"),
+    "demo": ("a", "kappa_g"),
+    "eps": None,
+    "out": None,
+}
 
 
 def load_config(args: argparse.Namespace, extras: list[str]) -> dict:
     """Merge config file, CLI flags, and dotted overrides (later wins), and
-    check that every section present is an object, that ``out``, when
-    present, is a non-empty path, and that no file stands where the output
-    directory or one of its parents goes."""
+    check that every key is one of ``CONFIG_KEYS``, that every section
+    present is an object, that ``out``, when present, is a non-empty path,
+    and that no file stands where the output directory or one of its
+    parents goes."""
     cfg: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -182,13 +191,19 @@ def load_config(args: argparse.Namespace, extras: list[str]) -> dict:
             raise ConfigError(f"unrecognized argument {key!r}")
         _set_dotted(cfg, key[2:], _parse_override_value(value))
 
-    for dotted in CONFIG_SECTIONS:
-        *parents, name = dotted.split(".")
-        node = cfg
-        for key in parents:
-            node = node.get(key, {})
-        if not isinstance(node.get(name, {}), dict):
-            raise ConfigError(f"{dotted} must be an object, got {node[name]!r}")
+    for name, value in cfg.items():
+        if name not in CONFIG_KEYS:
+            raise ConfigError(f"unknown setting {name}")
+        if CONFIG_KEYS[name] is None:
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be an object, got {value!r}")
+        unknown = next((key for key in value if key not in CONFIG_KEYS[name]), None)
+        if unknown is not None:
+            raise ConfigError(f"unknown setting {name}.{unknown}")
+    params = cfg.get("problem", {}).get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"problem.params must be an object, got {params!r}")
     if "out" in cfg and not (isinstance(cfg["out"], str) and cfg["out"]):
         raise ConfigError(f"out must be a non-empty path, got {cfg['out']!r}")
     out = Path(cfg.get("out", "out"))
@@ -356,10 +371,13 @@ def cmd_diagnose(cfg: dict) -> int:
     if not 0 <= component < dim:
         raise ConfigError(f"scan.component must lie in [0, {dim}), got {component}")
     n_samples = _number(cfg, "scan.n_samples", 400, integral=True)
-    steps = (_number(cfg, "solver.steps", 0, integral=True)
-             if cfg.get("solver", {}).get("name", "rk4") == "rk4"
-             else _number(cfg, "solver.max_steps", 100_000, integral=True))
-    most = max(400, steps + 1)  # the default, or the most samples a run can return
+    rk4 = cfg.get("solver", {}).get("name", "rk4") == "rk4"
+    steps_key = "solver.steps" if rk4 else "solver.max_steps"
+    steps = _number(cfg, steps_key, None if rk4 else 100_000, integral=True)
+    if steps is not None and steps < 4:
+        raise ConfigError(f"{steps_key} must be >= 4 for diagnose (the stiffness report "
+                          f"needs 5 samples), got {steps}")
+    most = max(400, (steps or 0) + 1)  # the default, or the most samples a run can return
     if not 2 <= n_samples <= most:
         raise ConfigError(f"scan.n_samples must lie in [2, {most}], got {n_samples}")
     _discard_manifest(cfg)
@@ -429,10 +447,7 @@ def _transform_setup(cfg: dict, spec: BenchmarkSpec):
         coeffs=_vector(section, "coeffs", DEFAULT_COEFFS, spec),
         mu_init=_vector(section, "mu_init", METHOD_MU_INIT[method], spec),
     )
-    gamma_source = section.get("gamma_source", GAMMA_FLOW)
-    if gamma_source not in GAMMA_SOURCES:
-        raise ConfigError(f"transform.gamma_source: choose from {GAMMA_SOURCES}")
-    return method, plan, params, gamma_source
+    return method, plan, params
 
 
 def _oracle_for(cfg: dict, spec: BenchmarkSpec, n_steps: int) -> Trajectory:
@@ -448,7 +463,7 @@ def _oracle_for(cfg: dict, spec: BenchmarkSpec, n_steps: int) -> Trajectory:
 def cmd_transform(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
-    method, plan, params, gamma_source = _transform_setup(cfg, spec)
+    method, plan, params = _transform_setup(cfg, spec)
     if spec.problem.dim != 3:
         raise ConfigError(f"transform writes three-component outputs; "
                           f"{spec.problem.name} has {spec.problem.dim} components")
@@ -457,14 +472,13 @@ def cmd_transform(cfg: dict) -> int:
                           f"report needs 5 samples), got {plan.n_steps}")
     _discard_manifest(cfg)
     reference = _oracle_for(cfg, spec, plan.n_steps)
-    run = run_transformed(spec, plan, method, params, reference, gamma_source)
+    run = run_transformed(spec, plan, method, params, reference)
     ext = step_extension_report(run, reference, max(run.max_error(0), 1e-300))
     summary = {
         "problem": spec.problem.name,
         "method": run.method.value,
         "n_steps": plan.n_steps,
         "k_intervals": plan.k_intervals,
-        "gamma_source": gamma_source,
         "oracle_n_steps": reference.meta.get("oracle_n_steps"),
         "oracle_rhs_evals": reference.meta.get("oracle_rhs_evals"),
         "oracle_check_delta": reference.meta.get("oracle_check_delta"),
@@ -526,8 +540,8 @@ def cmd_compare(cfg: dict) -> int:
               for m in methods]
     _discard_manifest(cfg)
     reference = _oracle_for(cfg, spec, setups[0][1].n_steps)
-    runs = [run_transformed(spec, plan, method, params, reference, gamma_source)
-            for method, plan, params, gamma_source in setups]
+    runs = [run_transformed(spec, plan, method, params, reference)
+            for method, plan, params in setups]
 
     rows = compare_runs(runs)
     summary = {

@@ -18,7 +18,7 @@ Four strategies pick the mu_i per interval:
 
 * method 1 (fixed_mu)       : one hand-tuned shift vector, held constant;
 * method 2 (local_gamma)    : q times the previous interval's gamma_max of the
-                              flow Jacobian J (by default);
+                              flow Jacobian J at its start;
 * method 3 (cumulative_avg) : multipliers times the running mean of gamma_max;
 * method 4 (window_avg)     : multipliers times the mean over the last two
                               intervals.
@@ -104,14 +104,6 @@ METHOD_STEPS_PER_INTERVAL = {
 }
 DEFAULT_COEFFS = (1.5, 0.66, 0.5)
 DEFAULT_Q = 1.0
-
-# What the per-interval gamma_max history records (feeds select_mu):
-GAMMA_FLOW = "flow"                # gamma_max of the untransformed J at the
-#                                    interval-start state: the local chaotic
-#                                    rate the shifts must compensate (default)
-GAMMA_JSTAR_START = "jstar_start"  # gamma_max of J* at the interval start
-GAMMA_JSTAR_END = "jstar_end"      # gamma_max of J* at the interval-end z
-GAMMA_SOURCES = (GAMMA_FLOW, GAMMA_JSTAR_START, GAMMA_JSTAR_END)
 
 
 @dataclass(frozen=True)
@@ -268,7 +260,7 @@ class TransformRun:
     params: TransformParams
     problem: OdeProblem
     mu_history: np.ndarray          # (K, dim) mu used in each interval
-    gamma_max_history: np.ndarray   # (K,) gamma_max per interval (see gamma_source)
+    gamma_max_history: np.ndarray   # (K,) gamma_max of J at each interval start
     solution: Trajectory            # back-transformed, N+1 samples
     errors_vs_reference: np.ndarray  # (N+1, dim) absolute errors
 
@@ -313,8 +305,7 @@ def _align_reference(reference: Trajectory, plan: IntervalPlan,
 
 
 def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
-                    params: TransformParams, reference: Trajectory,
-                    gamma_source: str = GAMMA_FLOW) -> TransformRun:
+                    params: TransformParams, reference: Trajectory) -> TransformRun:
     """Integrate the transformed system interval by interval.
 
     Per interval: z(0) = E^-1 x(t_k) (local clock restarts, so all
@@ -326,26 +317,15 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
     have ``spec.problem.dim`` components.  A dim-1 or dim-2 problem is padded
     once per run and its padded rhs conjugated (see ``_conjugated_rhs``).
 
-    ``gamma_source`` decides what the recorded gamma_max history (the input
-    to the method-2/3/4 shift selection) measures:
-
-    * "flow" (default): gamma_max of the untransformed Jacobian at the
-      interval-start state.  This is the local chaotic rate the shifts must
-      counter; the mu iteration it induces is stable at every interval
-      length tried and reproduces the reference accuracies.
-    * "jstar_start": gamma_max of J* at the interval start.  Feeding this
-      into the reference multipliers has no stable fixed point (the running
-      mean drifts positive, flipping mu destabilizing); kept for comparison.
-    * "jstar_end": gamma_max of J* at the interval-end z-state.  Stable for
-      long intervals (~2 time units), unstable for short ones.
+    The recorded gamma_max history, the input to the method-2/3/4 shift
+    selection, holds gamma_max of the untransformed Jacobian at each
+    interval-start state: the local chaotic rate the shifts must counter.
     """
     problem = spec.problem
     dim = problem.dim
     for name in ("eps_scale", "coeffs", "mu_init"):
         if len(getattr(params, name)) != dim:
             raise ValueError(f"params.{name} needs {dim} components, one per state component")
-    if gamma_source not in GAMMA_SOURCES:
-        raise ValueError(f"gamma_source must be one of {GAMMA_SOURCES}")
     stride = _align_reference(reference, plan, problem)
 
     n = plan.n_steps
@@ -374,24 +354,18 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
         for k in range(k_intervals):
             _check_exponents(mu, spi * h)
             t_k = t0 + k * spi * h
-            z = tuple(map(truediv, u, eps))
             mu_history[k] = mu
-            if gamma_source == GAMMA_FLOW:
-                gamma_history[k] = local_eigenvalues(jac(t_k, u)).gamma_max
-            elif gamma_source == GAMMA_JSTAR_START:
-                gamma_history[k] = local_eigenvalues(
-                    shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
+            gamma_history[k] = local_eigenvalues(jac(t_k, u)).gamma_max
 
             m1, m2, m3 = mu3 = (*mu, *(0.0,) * pad)
             base = k * spi
             try:
                 _rk4_march3(_conjugated_rhs(f3, t_k, mu3, eps3), 0.0, h,
-                            (*z, *(0.0,) * pad), spi, out[3 * base:])
+                            (*map(truediv, u, eps), *(0.0,) * pad), spi, out[3 * base:])
             except NonFiniteState as exc:
                 # the march stores no state from tau = i h on; marking row i
                 # stops the row check below there, or at an earlier bad row
                 states[base + round(exc.t / h)] = math.nan
-            z = tuple(states[base + spi, :dim].tolist())
             block = states[base + 1:base + spi + 1]
             with np.errstate(over="ignore", invalid="ignore"):
                 # x_i = eps_i exp(mu_i tau) z_i; ``_is_bad`` is a row sum check
@@ -401,9 +375,6 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
             if not finite.all():
                 raise NonFiniteState(t0 + (base + int(finite.argmin()) + 1) * h)
             u = tuple(block[-1, :dim].tolist())
-            if gamma_source == GAMMA_JSTAR_END:
-                gamma_history[k] = local_eigenvalues(
-                    shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
             history.append(float(gamma_history[k]))
             mu = select_mu(method, history, params)
 

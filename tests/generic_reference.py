@@ -50,15 +50,7 @@ from stiffchaos.ode import (
     _is_bad,
     _scaled_diff,
 )
-from stiffchaos.transform import (
-    GAMMA_FLOW,
-    GAMMA_JSTAR_END,
-    GAMMA_JSTAR_START,
-    _align_reference,
-    _check_exponents,
-    select_mu,
-    shifted_jacobian,
-)
+from stiffchaos.transform import _align_reference, _check_exponents, select_mu
 
 
 def _rk4_stepn(f: Rhs, t: float, u: State, h: float, k1: Sequence[float]):
@@ -218,8 +210,7 @@ def _adaptive_loop(
     )
 
 
-def transformed_run(spec, plan, method, params, reference,
-                    gamma_source: str = GAMMA_FLOW) -> tuple[np.ndarray, ...]:
+def transformed_run(spec, plan, method, params, reference) -> tuple[np.ndarray, ...]:
     """``run_transformed``'s (states, errors_vs_reference, mu_history,
     gamma_max_history) by the per-step loop; raises its ``NonFiniteState``
     and ``ExponentOverflow``."""
@@ -244,11 +235,7 @@ def transformed_run(spec, plan, method, params, reference,
         t_k = t0 + k * spi * h
         z = tuple(map(truediv, u, eps))
         mu_history[k] = mu
-        if gamma_source == GAMMA_FLOW:
-            gamma_history[k] = local_eigenvalues(jac(t_k, u)).gamma_max
-        elif gamma_source == GAMMA_JSTAR_START:
-            gamma_history[k] = local_eigenvalues(
-                shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
+        gamma_history[k] = local_eigenvalues(jac(t_k, u)).gamma_max
 
         zrhs = _conjugated_rhs(problem.rhs, t_k, mu, eps)
         base = k * spi
@@ -259,9 +246,6 @@ def transformed_run(spec, plan, method, params, reference,
             if _is_bad(u):
                 raise NonFiniteState(t0 + (base + j + 1) * h)
             states[base + j + 1] = u
-        if gamma_source == GAMMA_JSTAR_END:
-            gamma_history[k] = local_eigenvalues(
-                shifted_jacobian(jac, t_k, z, mu, eps)).gamma_max
         history.append(float(gamma_history[k]))
         mu = select_mu(method, history, params)
 

@@ -663,16 +663,48 @@ class TestConfigHandling:
             f"configuration error: out: {blocker!r} exists and is not a directory\n")
         assert [p.name for p in tmp_path.iterdir()] == [blocker]
 
-    def test_diagnose_rejects_eps_before_solving(self, tmp_path, monkeypatch):
+    def test_diagnose_rejects_eps_before_solving(self, tmp_path, monkeypatch, capsys):
         def no_solve(*args):
             raise AssertionError("run_solver ran")
 
         monkeypatch.setattr(cli, "run_solver", no_solve)
-        for bad in (["--eps", "-1"], ["--samples", "1"], ["--scan.component", "3"]):
+        for bad in (["--eps", "-1"], ["--samples", "1"], ["--scan.component", "3"],
+                    ["--steps", "3", "--tf", "0.01"],
+                    ["--solver", "rk4-adaptive", "--max-steps", "3"]):
             rc = main(["diagnose", "--problem", "lorenz84", "--solver", "rk4",
                        "--steps", "60000", "--out", str(tmp_path / "x")] + bad)
             assert rc == 1
             assert not (tmp_path / "x").exists()
+        # too few steps for the stiffness report name the key that sets them
+        assert capsys.readouterr().err.splitlines()[-2:] == [
+            f"configuration error: {key} must be >= 4 for diagnose (the stiffness report "
+            "needs 5 samples), got 3" for key in ("solver.steps", "solver.max_steps")]
+
+    @pytest.mark.parametrize("argv, config, key", [
+        (["transform", "--transform.metod", "1"], None, "transform.metod"),
+        (["solve", "--solver.stepz", "5"], None, "solver.stepz"),
+        (["diagnose", "--problem.parms.a", "5"], None, "problem.parms"),
+        (["transform", "--transform.gamma_source", "jstar_end"], None,
+         "transform.gamma_source"),
+        (["transform"], {"transform": {"gamma_source": "jstar_end"}}, "transform.gamma_source"),
+        (["solve"], {"stepz": 1}, "stepz"),
+    ], ids=["flag-transform-metod", "flag-solver-stepz", "flag-problem-parms",
+            "flag-gamma-source", "file-gamma-source", "file-top-level-stepz"])
+    def test_unknown_setting_is_rejected_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                        argv, config, key):
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_solver", no_run)
+        monkeypatch.setattr(cli, "reference_solution", no_run)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        rc = main(argv + ["--problem", "lorenz84", "--steps", "40", "--tf", "2",
+                          "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"configuration error: unknown setting {key}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_diagnose_rejects_samples_before_solving(self, tmp_path, monkeypatch, capsys):
         # a billion samples would allocate 8 GB in lle_scan; the bound is

@@ -37,10 +37,6 @@ from stiffchaos.ode import rk4_step
 from stiffchaos.diagnostics import EIG_BLOCK
 from stiffchaos.problems import BenchmarkSpec, nearest_sample_indices
 from stiffchaos.transform import (
-    GAMMA_FLOW,
-    GAMMA_JSTAR_END,
-    GAMMA_JSTAR_START,
-    GAMMA_SOURCES,
     METHOD_MU_INIT,
     METHOD_STEPS_PER_INTERVAL,
     _align_reference,
@@ -336,28 +332,8 @@ class TestRunTransformed:
         assert errs[MuMethod.WINDOW_AVG] < errs[MuMethod.FIXED_MU]
         assert errs[MuMethod.LOCAL_GAMMA] < errs[MuMethod.NONE]
 
-    def test_jstar_start_source_feedback_is_unstable(self, lorenz_spec, lorenz_oracle):
-        # documented: feeding gamma_max of J* at interval starts into the
-        # reference multipliers has no stable fixed point; the run either
-        # degrades to standard-RK4 error levels or overflows
-        plan = IntervalPlan(600, 15, (0.0, 30.0))
-        params = params_for_method(MuMethod.CUMULATIVE_AVG,
-                                   coeffs=(-1.5, -0.66, -0.5))
-        try:
-            run = run_transformed(lorenz_spec, plan, MuMethod.CUMULATIVE_AVG,
-                                  params, lorenz_oracle,
-                                  gamma_source=GAMMA_JSTAR_START)
-        except ExponentOverflow:
-            return
-        assert run.max_error(0) > 0.5
-
-    @pytest.mark.parametrize("method, gamma_source", [
-        *(pytest.param(m, GAMMA_FLOW, id=m.value) for m in MuMethod),
-        # method 2 overflows by design when fed J* (gamma_max positive)
-        *(pytest.param(MuMethod.CUMULATIVE_AVG, g, id=f"cumulative_avg-{g}")
-          for g in (GAMMA_JSTAR_START, GAMMA_JSTAR_END)),
-    ])
-    def test_eps_scale_matches_unit_scale(self, method, gamma_source):
+    @pytest.mark.parametrize("method", list(MuMethod), ids=lambda m: m.value)
+    def test_eps_scale_matches_unit_scale(self, method):
         # x = eps exp(mu t) z is exact for any eps > 0 and J* is similar to
         # the unit-scale J*, so the scaled run differs from the unit run by
         # rounding only (measured <= 1.7e-14, J* scan <= 1.2e-14)
@@ -365,8 +341,7 @@ class TestRunTransformed:
         reference = solve_rk4_fixed(spec.problem, 12000)
         plan = IntervalPlan(600, 15, (0.0, 3.0))
         unit, scaled = (run_transformed(spec, plan, method,
-                                        params_for_method(method, eps_scale=eps), reference,
-                                        gamma_source)
+                                        params_for_method(method, eps_scale=eps), reference)
                         for eps in ((1.0, 1.0, 1.0), (2.0, 0.5, 1.5)))
         assert np.max(np.abs(scaled.solution.states - unit.solution.states)) <= 1e-12
         assert np.max(np.abs(scaled.mu_history - unit.mu_history)) <= 1e-12
@@ -417,9 +392,9 @@ def run_outcome(run):
         return ("ExponentOverflow", str(exc))
 
 
-def driver_outcome(spec, plan, method, params, reference, gamma_source):
+def driver_outcome(spec, plan, method, params, reference):
     def run():
-        r = run_transformed(spec, plan, method, params, reference, gamma_source)
+        r = run_transformed(spec, plan, method, params, reference)
         return (r.solution.states, r.errors_vs_reference, r.mu_history,
                 r.gamma_max_history)
     return run_outcome(run)
@@ -444,11 +419,9 @@ class TestDriverMatchesStepLoop:
         spi = METHOD_STEPS_PER_INTERVAL[method]
         plan = IntervalPlan(600, 1 if spi is None else 600 // spi, (0.0, 30.0))
         for eps in ((1.0, 1.0, 1.0), (2.0, 0.5, 1.5)):
-            params = params_for_method(method, eps_scale=eps)
-            for source in GAMMA_SOURCES:
-                args = (lorenz_spec, plan, method, params, lorenz_oracle, source)
-                want = run_outcome(lambda: transformed_run(*args))
-                assert driver_outcome(*args) == want
+            args = (lorenz_spec, plan, method, params_for_method(method, eps_scale=eps),
+                    lorenz_oracle)
+            assert driver_outcome(*args) == run_outcome(lambda: transformed_run(*args))
 
     @pytest.mark.parametrize("case", sorted(DIM1_CASES))
     def test_dim1(self, case):
@@ -458,10 +431,8 @@ class TestDriverMatchesStepLoop:
             for eps in ((1.0,), (2.0,)):
                 params = params_for_method(method, eps_scale=eps, coeffs=(1.5,),
                                            mu_init=(2.0,))
-                for source in GAMMA_SOURCES:
-                    args = (spec, plan, method, params, reference, source)
-                    want = run_outcome(lambda: transformed_run(*args))
-                    assert driver_outcome(*args) == want
+                args = (spec, plan, method, params, reference)
+                assert driver_outcome(*args) == run_outcome(lambda: transformed_run(*args))
 
     def test_dim2(self):
         problem = forced_dim2()
@@ -472,10 +443,8 @@ class TestDriverMatchesStepLoop:
             for eps in ((1.0, 1.0), (2.0, 0.5)):
                 params = params_for_method(method, eps_scale=eps, coeffs=(1.5, 0.66),
                                            mu_init=(2.0, -1.0))
-                for source in GAMMA_SOURCES:
-                    args = (spec, plan, method, params, reference, source)
-                    want = run_outcome(lambda: transformed_run(*args))
-                    assert driver_outcome(*args) == want
+                args = (spec, plan, method, params, reference)
+                assert driver_outcome(*args) == run_outcome(lambda: transformed_run(*args))
 
     @pytest.mark.parametrize("method", [MuMethod.NONE, MuMethod.FIXED_MU],
                              ids=lambda m: m.value)
@@ -485,7 +454,7 @@ class TestDriverMatchesStepLoop:
         times = np.linspace(0.0, 3.0, 601)
         reference = Trajectory(times, np.tile(problem.u0, (601, 1)), "none", 600)
         args = (spec, IntervalPlan(600, 60, (0.0, 3.0)), method,
-                params_for_method(method), reference, GAMMA_FLOW)
+                params_for_method(method), reference)
         want = ("NonFiniteState", 1.0150000000000001)
         assert run_outcome(lambda: transformed_run(*args)) == want
         assert driver_outcome(*args) == want
@@ -500,15 +469,9 @@ class TestDriverMatchesStepLoop:
         params = params_for_method(MuMethod.FIXED_MU, eps_scale=(1.0,), coeffs=(1.0,),
                                    mu_init=(500.0,))
         args = (BenchmarkSpec(problem, problem.jacobian, None), IntervalPlan(10, 1, (0.0, 1.0)),
-                MuMethod.FIXED_MU, params, reference, GAMMA_FLOW)
+                MuMethod.FIXED_MU, params, reference)
         assert run_outcome(lambda: transformed_run(*args)) == ("NonFiniteState", 0.8)
         assert driver_outcome(*args) == ("NonFiniteState", 0.8)
-
-    def test_lorenz84_local_gamma_fed_jstar_end_blows_up(self, lorenz_spec, lorenz_oracle):
-        method = MuMethod.LOCAL_GAMMA
-        args = (lorenz_spec, IntervalPlan(600, 60, (0.0, 30.0)), method,
-                params_for_method(method), lorenz_oracle, GAMMA_JSTAR_END)
-        assert driver_outcome(*args) == ("NonFiniteState", 2.1)
 
 
 class TestReferenceAlignment:
