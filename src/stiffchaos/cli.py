@@ -10,18 +10,22 @@ problem (lorenz84, robertson); other dimensions need all of
 ``transform.eps_scale``, ``transform.mu_init`` and ``transform.coeffs`` with
 one number per component, and ``transform`` writes three-component outputs.
 
-Every command validates its input, removes the manifest of an earlier run
-in ``--out``, computes all of its results and its summary, and only then
-calls ``_write_outputs``: the one place that creates ``--out``, writes the
-CSVs and then, through a temporary file, a ``manifest.json`` that echoes the
-resolved configuration and the summary.  So a run that fails while it
-computes writes no output, and once its input was validated leaves no
-manifest; a manifest is always whole.  Summaries are computed from the
-in-memory results the CSVs are written from, and numbers are printed with
-17 significant digits so CSV output is byte-stable and round-trips exactly.
+Every command checks each of its settings in one place and runs every
+check before it removes the manifest of an earlier run in ``--out``; it then
+computes all of its results and its summary, and only then calls
+``_write_outputs``: the one place that creates ``--out``, writes the CSVs
+and then, through a temporary file, a ``manifest.json`` that echoes the
+resolved configuration and the summary.  So a rejected input leaves
+``--out`` as it was, a run that fails while it computes writes no output and
+leaves no manifest, and a manifest is always whole.  Summaries are computed
+from the in-memory results the CSVs are written from, and numbers are
+printed with 17 significant digits so CSV output is byte-stable and
+round-trips exactly.
 
 Exit codes: 0 success (a stagnated adaptive run is a success with its
-stagnation recorded), 1 configuration error, 2 numerical failure.
+stagnation recorded), 1 configuration error (any ``ValueError``: a
+``ConfigError`` or a library precondition), 2 numerical failure (any
+``ArithmeticError``).
 """
 
 from __future__ import annotations
@@ -40,9 +44,6 @@ import numpy as np
 from .diagnostics import stiffness_report
 from .ode import (
     AdaptiveConfig,
-    RK4_ADAPTIVE,
-    RK4_FIXED,
-    TRAPEZOID_ADAPTIVE,
     Trajectory,
     _lane_blocks,
     reference_solution,
@@ -58,18 +59,13 @@ from .transform import (
     METHOD_MU_INIT,
     METHOD_STEPS_PER_INTERVAL,
     MuMethod,
-    TransformRun,
     params_for_method,
     run_transformed,
     step_extension_report,
     stiff_transform_demo,
 )
 
-SOLVER_NAMES = {
-    "rk4": RK4_FIXED,
-    "rk4-adaptive": RK4_ADAPTIVE,
-    "trapezoid": TRAPEZOID_ADAPTIVE,
-}
+SOLVER_NAMES = ("rk4", "rk4-adaptive", "trapezoid")
 
 DEFAULT_ORACLE_REFINE = 2  # GBS macro steps per run step
 DEFAULT_EPS = 1e-3
@@ -266,22 +262,28 @@ def build_adaptive_config(cfg: dict, spec: BenchmarkSpec) -> AdaptiveConfig:
         raise ConfigError(f"solver: {exc}") from None
 
 
-def run_solver(cfg: dict, spec: BenchmarkSpec) -> Trajectory:
-    section = cfg.get("solver", {})
-    name = section.get("name", "rk4")
+def solver_setup(cfg: dict, spec: BenchmarkSpec):
+    """Check the solver settings and return the solve they ask for (a call
+    on the problem), the most steps it takes and the key that sets them."""
+    name = cfg.get("solver", {}).get("name", "rk4")
     if name not in SOLVER_NAMES:
         raise ConfigError(f"solver.name: unknown solver {name!r}; "
                           f"choose from {sorted(SOLVER_NAMES)}")
-    solver = SOLVER_NAMES[name]
-    if solver == RK4_FIXED:
+    if name == "rk4":
         steps = _number(cfg, "solver.steps", integral=True)
         if steps is None:
             raise ConfigError("solver.steps is required for --solver rk4")
-        return solve_rk4_fixed(spec.problem, steps)
+        if steps < 1:
+            raise ConfigError(f"solver.steps must be >= 1, got {steps}")
+        return (lambda problem: solve_rk4_fixed(problem, steps)), steps, "solver.steps"
     acfg = build_adaptive_config(cfg, spec)
-    if solver == RK4_ADAPTIVE:
-        return solve_rk4_adaptive(spec.problem, acfg)
-    return solve_trapezoid_adaptive(spec.problem, acfg)
+    adaptive = solve_rk4_adaptive if name == "rk4-adaptive" else solve_trapezoid_adaptive
+    return (lambda problem: adaptive(problem, acfg)), acfg.max_steps, "solver.max_steps"
+
+
+def run_solver(solve, spec: BenchmarkSpec) -> Trajectory:
+    """Integrate ``spec``'s problem with a solve that ``solver_setup`` returned."""
+    return solve(spec.problem)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +337,9 @@ def _write_outputs(cfg: dict, command: str, t_started: float, summary: dict,
 def cmd_solve(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
+    solve, _, _ = solver_setup(cfg, spec)
     _discard_manifest(cfg)
-    traj = run_solver(cfg, spec)
+    traj = run_solver(solve, spec)
     summary = {
         "problem": spec.problem.name,
         "solver": traj.solver_id,
@@ -371,17 +374,20 @@ def cmd_diagnose(cfg: dict) -> int:
     if not 0 <= component < dim:
         raise ConfigError(f"scan.component must lie in [0, {dim}), got {component}")
     n_samples = _number(cfg, "scan.n_samples", 400, integral=True)
-    rk4 = cfg.get("solver", {}).get("name", "rk4") == "rk4"
-    steps_key = "solver.steps" if rk4 else "solver.max_steps"
-    steps = _number(cfg, steps_key, None if rk4 else 100_000, integral=True)
-    if steps is not None and steps < 4:
+    solve, steps, steps_key = solver_setup(cfg, spec)
+    if steps < 4:
         raise ConfigError(f"{steps_key} must be >= 4 for diagnose (the stiffness report "
                           f"needs 5 samples), got {steps}")
-    most = max(400, (steps or 0) + 1)  # the default, or the most samples a run can return
+    most = max(400, steps + 1)  # the default, or the most samples a run can return
     if not 2 <= n_samples <= most:
         raise ConfigError(f"scan.n_samples must lie in [2, {most}], got {n_samples}")
     _discard_manifest(cfg)
-    traj = run_solver(cfg, spec)
+    traj = run_solver(solve, spec)
+    if len(traj.times) < 5:  # an adaptive run that stopped early
+        stop = "stagnated" if traj.stagnated else "reached the end"
+        raise ConfigError(f"diagnose: {traj.solver_id} {stop} at t={traj.t_reached:.6g} "
+                          f"after {traj.steps_taken} steps; the stiffness report needs "
+                          f"5 samples, got {len(traj.times)}")
 
     report = stiffness_report(traj, spec.problem, eps=eps, component=component)
     trace = lle_scan(spec.problem, traj, n_samples)
@@ -411,9 +417,12 @@ def cmd_diagnose(cfg: dict) -> int:
 
 
 def _vector(section: dict, key: str, default, spec: BenchmarkSpec) -> tuple[float, ...]:
-    """``transform.<key>`` as one number per state component."""
+    """``transform.<key>`` as one number per state component; a bare number
+    is the vector of a one-component problem."""
     value = section.get(key, default)
     dim = spec.problem.dim
+    if dim == 1 and _is_number(value):
+        value = [value]
     if not (isinstance(value, (list, tuple)) and len(value) == dim
             and all(_is_number(v) and math.isfinite(v) for v in value)):
         raise ConfigError(f"transform.{key}: {spec.problem.name} needs a list of "
@@ -433,6 +442,12 @@ def _transform_setup(cfg: dict, spec: BenchmarkSpec):
     if intervals is None:
         spi = METHOD_STEPS_PER_INTERVAL[method]
         intervals = 1 if spi is None else max(1, n_steps // spi)
+        if n_steps % intervals:
+            raise ConfigError(
+                f"transform.intervals defaults to solver.steps // {spi} = {intervals} "
+                f"(the {method.value} method's reference interval of {spi} steps), which "
+                f"does not divide solver.steps={n_steps}; set transform.intervals to a "
+                f"divisor of {n_steps}")
     try:
         plan = IntervalPlan(n_steps, intervals, spec.problem.t_span)
     except ValueError as exc:
@@ -450,14 +465,15 @@ def _transform_setup(cfg: dict, spec: BenchmarkSpec):
     return method, plan, params
 
 
-def _oracle_for(cfg: dict, spec: BenchmarkSpec, n_steps: int) -> Trajectory:
+def _oracle_steps(cfg: dict, n_steps: int) -> int:
+    """The oracle's step count: ``oracle.refine`` GBS macro steps per run step."""
     refine = _number(cfg, "oracle.refine", DEFAULT_ORACLE_REFINE, integral=True)
     if refine < 1:
         raise ConfigError("oracle.refine must be >= 1")
     if n_steps * refine % 2:
         raise ConfigError(f"oracle.refine x steps = {n_steps * refine} must be even "
                           f"(the oracle's gate halves it)")
-    return reference_solution(spec.problem, n_steps * refine)
+    return n_steps * refine
 
 
 def cmd_transform(cfg: dict) -> int:
@@ -470,8 +486,9 @@ def cmd_transform(cfg: dict) -> int:
     if plan.n_steps < 4:
         raise ConfigError(f"solver.steps must be >= 4 for transform (the step-extension "
                           f"report needs 5 samples), got {plan.n_steps}")
+    oracle_steps = _oracle_steps(cfg, plan.n_steps)
     _discard_manifest(cfg)
-    reference = _oracle_for(cfg, spec, plan.n_steps)
+    reference = reference_solution(spec.problem, oracle_steps)
     run = run_transformed(spec, plan, method, params, reference)
     ext = step_extension_report(run, reference, max(run.max_error(0), 1e-300))
     summary = {
@@ -504,33 +521,6 @@ def cmd_transform(cfg: dict) -> int:
     return 0
 
 
-class MismatchedBaseline(ValueError):
-    """compare runs must share problem and oracle."""
-
-
-def compare_runs(runs: list[TransformRun]) -> list[dict]:
-    """Summary rows (max/mean |x| error, improvement vs the first run)."""
-    if not runs:
-        raise MismatchedBaseline("no runs to compare")
-    first = runs[0]
-    for run in runs[1:]:
-        if run.problem.params != first.problem.params or \
-                run.plan.t_span != first.plan.t_span or \
-                run.errors_vs_reference.shape != first.errors_vs_reference.shape:
-            raise MismatchedBaseline("compare requires identical problem and oracle")
-    base_err = first.max_error(0)
-    rows = []
-    for run in runs:
-        max_err = run.max_error(0)
-        rows.append({
-            "method": run.method.value,
-            "max_error": max_err,
-            "mean_error": float(np.mean(run.errors_vs_reference[:, 0])),
-            "improvement_ratio": base_err / max_err if max_err > 0 else math.inf,
-        })
-    return rows
-
-
 def cmd_compare(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
@@ -538,25 +528,31 @@ def cmd_compare(cfg: dict) -> int:
     methods = [m.strip() for m in str(section.get("method", "none,3")).split(",")]
     setups = [_transform_setup({**cfg, "transform": {**section, "method": m}}, spec)
               for m in methods]
+    oracle_steps = _oracle_steps(cfg, setups[0][1].n_steps)
     _discard_manifest(cfg)
-    reference = _oracle_for(cfg, spec, setups[0][1].n_steps)
+    # run_transformed checks that each run matches this one oracle
+    reference = reference_solution(spec.problem, oracle_steps)
     runs = [run_transformed(spec, plan, method, params, reference)
             for method, plan, params in setups]
 
-    rows = compare_runs(runs)
+    names = [run.method.value for run in runs]
+    max_errors = [run.max_error(0) for run in runs]
+    mean_errors = [float(np.mean(run.errors_vs_reference[:, 0])) for run in runs]
+    # the improvement of each run: the first run's max |x| error over its own
+    ratios = [max_errors[0] / err if err > 0 else math.inf for err in max_errors]
     summary = {
-        "methods": [r["method"] for r in rows],
-        "max_errors": {r["method"]: r["max_error"] for r in rows},
-        "improvement_ratios": {r["method"]: r["improvement_ratio"] for r in rows},
+        "methods": names,
+        "max_errors": dict(zip(names, max_errors)),
+        "improvement_ratios": dict(zip(names, ratios)),
         "oracle_n_steps": reference.meta.get("oracle_n_steps"),
         "oracle_rhs_evals": reference.meta.get("oracle_rhs_evals"),
         "oracle_check_delta": reference.meta.get("oracle_check_delta"),
-        "best_method": min(rows, key=lambda r: r["max_error"])["method"],
+        "best_method": names[max_errors.index(min(max_errors))],
     }
     path, = _write_outputs(
         cfg, "compare", t_started, summary,
         ("compare.csv", ["method", "max_error", "mean_error", "improvement_ratio"],
-         ([r["method"], r["max_error"], r["mean_error"], r["improvement_ratio"]] for r in rows)))
+         zip(names, max_errors, mean_errors, ratios)))
     print(f"compare: methods={','.join(summary['methods'])} "
           f"best={summary['best_method']} -> {path}")
     return 0
@@ -566,8 +562,9 @@ def cmd_demo_stiff_transform(cfg: dict) -> int:
     t_started = time.perf_counter()
     a = _number(cfg, "demo.a", 300.0)
     kappa_g = _number(cfg, "demo.kappa_g", -1.0)
-    if not (math.isfinite(a) and math.isfinite(kappa_g)):
-        raise ConfigError(f"demo.a and demo.kappa_g must be finite, got {a!r} and {kappa_g!r}")
+    if not (0 < a < math.inf and -math.inf < kappa_g < 0):
+        raise ConfigError(f"demo.a must be finite and > 0 and demo.kappa_g finite and < 0, "
+                          f"got {a!r} and {kappa_g!r}")
     eps = _eps(cfg)
     _discard_manifest(cfg)
     rep = stiff_transform_demo(a, kappa_g, eps)
@@ -650,12 +647,12 @@ def main(argv: list[str] | None = None) -> int:
         args, extras = make_parser().parse_known_args(argv)
         cfg = load_config(args, extras)
         return args.func(cfg)
-    except (ArithmeticError, MismatchedBaseline) as exc:
+    except ArithmeticError as exc:
         # the library's numerical failures (NonFiniteState, ...) are ArithmeticErrors
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # a ConfigError, or a library precondition on the input (--steps 0, --eps -1)
+        # a ConfigError, or a library precondition on the input (the demo's ratio bound)
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

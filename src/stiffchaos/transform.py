@@ -165,7 +165,7 @@ def _check_exponents(mu: Sequence[float], t_local: float) -> None:
     worst = max(map(abs, mu)) * abs(t_local)
     if worst > EXP_ARG_LIMIT:
         raise ExponentOverflow(
-            f"exponent argument {worst:.1f} exceeds {EXP_ARG_LIMIT:g}; "
+            f"exponent argument {worst:g} exceeds {EXP_ARG_LIMIT:g}; "
             "use more/shorter intervals")
 
 

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from stiffchaos import cli
-from stiffchaos.cli import (CSV_BLOCK, MismatchedBaseline, compare_runs, fmt, main, table_rows,
-                            write_csv)
+from stiffchaos.cli import CSV_BLOCK, fmt, main, table_rows, write_csv
 from stiffchaos.ode import EIG_BLOCK, NonFiniteState
 
 
@@ -306,6 +305,14 @@ class TestTransformCommand:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "x").exists()
 
+    def test_exponent_overflow_message_is_short(self, tmp_path, capsys):
+        rc = main(["transform", "--problem", "lorenz84", "--steps", "600", "--method", "2",
+                   "--q", "1e300", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: ExponentOverflow: exponent argument 9.3974e+299 exceeds 700; "
+            "use more/shorter intervals\n")
+
     def test_unconverged_oracle_is_numerical_failure(self, tmp_path):
         rc = main(["transform", "--problem", "lorenz84", "--method", "3",
                    "--steps", "600", "--intervals", "15",
@@ -324,6 +331,17 @@ class TestCompareCommand:
         section = manifest(out)["config"]["transform"]
         assert section["mu_init"] == [0.5]
         assert section["coeffs"] == [1.0]
+
+    def test_bare_number_is_a_one_component_vector(self, tmp_path):
+        csvs = []
+        for eps_scale in ("[1]", "1"):
+            out = tmp_path / eps_scale
+            rc = main(["compare", "--problem", "stiff-linear", "--tf", "0.1", "--steps", "40",
+                       "--mu-init", "0.5", "--coeffs", "1", "--transform.eps_scale", eps_scale,
+                       "--out", str(out)])
+            assert rc == 0
+            csvs.append((out / "compare.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_method_sweep_ranks_averaging_methods_best(self, tmp_path):
         out = tmp_path / "cmp"
@@ -357,20 +375,6 @@ class TestCompareCommand:
         _, rows = read_csv(out / "compare.csv")
         assert len(rows) == 1
         assert rows[0][3] == 1.0
-
-    def test_mismatched_baseline_detected(self, lorenz_oracle):
-        from stiffchaos import IntervalPlan, MuMethod, lorenz84, params_for_method
-        from stiffchaos import run_transformed, reference_solution
-        spec_a = lorenz84()
-        spec_b = lorenz84(F=9.0)
-        oracle_b = reference_solution(spec_b.problem, 600 * cli.DEFAULT_ORACLE_REFINE)
-        plan = IntervalPlan(600, 1, (0.0, 30.0))
-        run_a = run_transformed(spec_a, plan, MuMethod.NONE,
-                                params_for_method(MuMethod.NONE), lorenz_oracle)
-        run_b = run_transformed(spec_b, plan, MuMethod.NONE,
-                                params_for_method(MuMethod.NONE), oracle_b)
-        with pytest.raises(MismatchedBaseline):
-            compare_runs([run_a, run_b])
 
 
 class TestDemoCommand:
@@ -446,13 +450,36 @@ class TestFailedRuns:
             cli.write_manifest(tmp_path, "solve", {}, {}, [tmp_path / "solution.csv"], 0.0)
         assert list(tmp_path.iterdir()) == []
 
-    def test_rejected_input_keeps_the_manifest(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "10",
+         "--problem.t_span", "5,1"],
+        ["solve", "--problem", "lorenz84"],
+        ["solve", "--problem", "lorenz84", "--steps", "0"],
+        ["solve", "--problem", "lorenz84", "--solver", "rk4-adaptive", "--tol", "-1"],
+        ["solve", "--problem", "lorenz84", "--solver", "trapezoid", "--solver.dt_init", "1",
+         "--solver.dt_min", "2"],
+        ["solve", "--problem", "lorenz84", "--solver.name", "bogus", "--steps", "10"],
+        ["diagnose", "--problem", "lorenz84", "--solver", "rk4-adaptive", "--tol", "-1"],
+        ["transform", "--problem", "lorenz84", "--steps", "40", "--tf", "2", "--intervals", "1",
+         "--oracle-refine", "0"],
+        ["compare", "--problem", "lorenz84", "--steps", "41", "--tf", "2", "--oracle-refine", "1",
+         "--method", "none"],
+        ["demo-stiff-transform", "--a", "-5"],
+        ["demo-stiff-transform", "--kappa-g", "1"],
+    ], ids=["solve-t-span-decreasing", "solve-steps-missing", "solve-steps-0",
+            "solve-tol-negative", "solve-dt-min-above-dt-init", "solve-unknown-solver",
+            "diagnose-tol-negative", "transform-refine-0", "compare-odd-oracle-steps",
+            "demo-a-negative", "demo-kappa-g-positive"])
+    def test_rejected_input_keeps_the_manifest(self, tmp_path, capsys, argv):
         # nothing in out changes, so the manifest still describes it
         out = tmp_path / "o"
         out.mkdir()
         (out / "manifest.json").write_text("{}")
-        assert main(["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "10",
-                     "--problem.t_span", "5,1", "--out", str(out)]) == 1
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert len(err.splitlines()) == 1
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
         assert (out / "manifest.json").read_text() == "{}"
 
 
@@ -565,8 +592,22 @@ class TestConfigHandling:
         (["diagnose", "--problem", "lorenz84", "--steps", "100", "--eps", "inf"],
          "eps must be finite and > 0, got inf"),
         (["demo-stiff-transform", "--eps", "inf"], "eps must be finite and > 0, got inf"),
+        *(([command, "--problem", "lorenz84", "--steps", "610"],
+           "transform.intervals defaults to solver.steps // 40 = 15 (the cumulative_avg "
+           "method's reference interval of 40 steps), which does not divide "
+           "solver.steps=610; set transform.intervals to a divisor of 610")
+          for command in ("transform", "compare")),
+        (["diagnose", "--problem", "stiff-linear", "--solver", "rk4-adaptive", "--max-steps",
+          "10", "--solver.dt_init", "0.5", "--solver.dt_min", "0.5"],
+         "diagnose: rk4_adaptive reached the end at t=1 after 2 steps; the stiffness report "
+         "needs 5 samples, got 3\n"),
+        (["diagnose", "--problem", "stiff-linear", "--solver", "rk4-adaptive", "--max-steps",
+          "10", "--solver.dt_init", "0.1", "--solver.dt_min", "0.1"],
+         "diagnose: rk4_adaptive stagnated at t=0.5 after 2 steps; the stiffness report "
+         "needs 5 samples, got 3\n"),
     ], ids=["bad-int", "bad-choice", "bad-float-list", "short-vector", "diagnose-eps-inf",
-            "demo-eps-inf"])
+            "demo-eps-inf", "transform-derived-intervals", "compare-derived-intervals",
+            "diagnose-adaptive-ended-early", "diagnose-adaptive-stagnated"])
     def test_parser_rejection_is_one_line_config_error(self, tmp_path, capsys, argv, message):
         rc = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
