@@ -24,8 +24,8 @@ round-trips exactly.
 
 Exit codes: 0 success (a stagnated adaptive run is a success with its
 stagnation recorded), 1 configuration error (any ``ValueError``: a
-``ConfigError`` or a library precondition), 2 numerical failure (any
-``ArithmeticError``).
+``ConfigError`` or a library precondition; or a ``MemoryError``: a run too
+large to allocate), 2 numerical failure (any ``ArithmeticError``).
 """
 
 from __future__ import annotations
@@ -651,8 +651,8 @@ def main(argv: list[str] | None = None) -> int:
         # the library's numerical failures (NonFiniteState, ...) are ArithmeticErrors
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # a ConfigError, or a library precondition on the input (the demo's ratio bound)
+    except (ValueError, MemoryError) as exc:
+        # a ConfigError, a library precondition, or numpy's "Unable to allocate ..."
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

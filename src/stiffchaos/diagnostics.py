@@ -13,6 +13,10 @@ follow:
 Their ratio Q = dt_max/dt_stiff flags local stiffness (Q > 1: the
 perturbation, not the solution, limits the step).  R = |gamma_min|/kappa is
 the classical nonlinear stiffness measure.
+
+``curvature``, ``dt_max``, ``kappa_stiff`` and ``dt_stiff_at`` take floats or
+arrays element by element, within 4 ulp of the per-sample libm form (``dt_max``
+exactly); where that form overflows, ``kappa_stiff`` takes the limit |gamma|/w^2.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ode import EIG_BLOCK, OdeProblem, Trajectory, _lane_blocks, _lane_matrix  # noqa: F401
+from .ode import OdeProblem, Trajectory, _freeze, _lane_blocks, _lane_matrix
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 KAPPA_STIFF_PEAK = 2.0 * math.sqrt(3.0) / 9.0
@@ -103,10 +107,8 @@ class LleTrace:
     values: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("times", float), ("values", complex)):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "times")
+        _freeze(self, "values", dtype=complex)
 
     @property
     def gamma_max(self) -> np.ndarray:
@@ -166,23 +168,26 @@ def curvature_along(traj: Trajectory, problem: OdeProblem, component: int = 0) -
 # Step-size bounds.
 
 
-def dt_max(kappa: float, eps: float) -> float:
+def dt_max(kappa, eps: float):
     """Largest step approximating a curve of curvature kappa by a secant to
-    accuracy eps: 2*sqrt(2)*sqrt(eps/kappa).  Unbounded (inf) on a straight
-    line."""
+    accuracy eps: 2*sqrt(2)*sqrt(eps/kappa), of a float or of an array
+    element by element.  Unbounded (inf) on a straight line."""
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    if kappa < 0:
+    if np.any(kappa < 0):
         raise ValueError("kappa must be >= 0")
-    if kappa == 0.0:
-        return math.inf
-    return SQRT8 * math.sqrt(eps / kappa)
+    with np.errstate(divide="ignore", over="ignore"):
+        return SQRT8 * np.sqrt(np.divide(eps, kappa))
 
 
-def kappa_stiff(gamma: float, eps: float, t_star: float) -> float:
-    """Curvature of the perturbation eps*exp(gamma*t) at elapsed time t_star:
+def kappa_stiff(gamma, eps: float, t_star):
+    """Curvature of the perturbation eps*exp(gamma*t) at elapsed time t_star,
+    of floats or of arrays element by element:
 
-        eps*gamma^2*exp(gamma t*) / (1 + eps^2 gamma^2 exp(2 gamma t*))^(3/2)
+        eps*gamma^2*exp(gamma t*) / (1 + w^2)^(3/2),   w = eps*gamma*exp(gamma t*).
+
+    Where that overflows it is |gamma| |w| / (1 + w^2)^(3/2) through log|w|:
+    for large |w| the limit |gamma|/w^2, 0.0 once that underflows.
 
     Its maximum over t* is (2*sqrt(3)/9)*|gamma|, attained at
     t*_max = -ln(2 gamma^2 eps^2)/(2 gamma) whenever that is positive.
@@ -190,11 +195,17 @@ def kappa_stiff(gamma: float, eps: float, t_star: float) -> float:
     if not eps > 0:
         raise ValueError("eps must be > 0")
     g = gamma * t_star
-    if g > 350.0:
-        # growing branch far past the curvature peak: kappa ~ exp(-2g)/(eps^2|gamma|)
-        return 0.0
-    x = math.exp(g)
-    return eps * gamma * gamma * x / (1.0 + (eps * gamma * x) ** 2) ** 1.5
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.exp(g)
+        w = eps * gamma * x
+        den = np.power(1.0 + w * w, 1.5)  # the ufunc, so a float is lane 0 of an array
+        kappa = eps * gamma * gamma * x / den
+        far = ~(np.isfinite(den) & np.isfinite(kappa))
+        if np.any(far):  # only then, as numpy's log loops add to a run's resident memory
+            log_a, log_w = np.log(np.abs(gamma)), np.log(eps) + np.log(np.abs(gamma)) + g
+            kappa = np.where(far, np.exp(log_a + log_w - 1.5 * np.logaddexp(0.0, 2.0 * log_w)),
+                             kappa)
+    return kappa[()]
 
 
 def t_star_peak(gamma: float, eps: float) -> float:
@@ -224,11 +235,11 @@ def dt_stiff(gamma: float, eps: float) -> float:
     return SQRT8 / abs(gamma)
 
 
-def dt_stiff_at(gamma: float, eps: float, t_star: float) -> float:
-    """Per-sample stiffness bound: the secant step resolving the perturbation
-    curvature at elapsed time t_star, 2 sqrt(2) sqrt(eps/kappa_stiff(t*))."""
-    if gamma >= 0:
-        raise NonNegativeGamma(f"dt_stiff undefined for gamma={gamma!r} >= 0")
+def dt_stiff_at(gamma, eps: float, t_star):
+    """Per-sample stiffness bound, of floats or of arrays element by element: the
+    secant step resolving the perturbation curvature, dt_max(kappa_stiff(t*), eps)."""
+    if np.any(gamma >= 0):
+        raise NonNegativeGamma(f"dt_stiff undefined for gamma={float(np.nanmax(gamma))!r} >= 0")
     return dt_max(kappa_stiff(gamma, eps, t_star), eps)
 
 
@@ -257,22 +268,14 @@ class StiffnessReport:
     horizon: float
 
     def __post_init__(self):
-        for name in ("times", "kappa", "dt_max", "dt_stiff", "q", "r",
-                      "gamma_min", "gamma_max"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "times", "kappa", "dt_max", "dt_stiff", "q", "r", "gamma_min", "gamma_max")
 
     def q_unity_crossing(self) -> float | None:
         """First time the stiffness flag Q drops through 1 (linear bracket
         midpoint between the samples), or None if Q never starts above 1."""
-        q = self.q
-        if q[0] <= 1.0:
-            return None
-        for k in range(1, len(q)):
-            if q[k] <= 1.0:
-                return 0.5 * (float(self.times[k - 1]) + float(self.times[k]))
-        return None
+        # the first Q <= 1, found by bytes.find: np.argmax pages in more numpy code
+        k = (self.q <= 1.0).tobytes().find(1)
+        return None if k < 1 else 0.5 * (float(self.times[k - 1]) + float(self.times[k]))
 
 
 def stiffness_report(traj: Trajectory, problem: OdeProblem, eps: float,
@@ -285,23 +288,20 @@ def stiffness_report(traj: Trajectory, problem: OdeProblem, eps: float,
     eps-perturbation that has been decaying since the window start
     (t* = t - t0), and the ratios Q, R.
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
-    # only the two gamma columns are kept: the (n, dim) complex array is
-    # dropped before the curvature and the per-sample arrays are allocated,
-    # so a long trajectory's peak memory does not grow by it
-    jac = problem.jacobian
-    values = eigenvalues_along(lambda s: jac(*traj.lanes(s)), len(traj.times), problem.dim)
-    gmax = values[:, 0].real.copy()
-    gmin = values[:, -1].real.copy()
+    # only the gamma columns are kept: the (n, dim) complex array goes before the
+    # curvature and the per-sample arrays are allocated, so it adds no peak memory
+    values = eigenvalues_along(lambda s: problem.jacobian(*traj.lanes(s)), len(traj.times),
+                               problem.dim)
+    gmax, gmin = values[:, 0].real.copy(), values[:, -1].real.copy()
     del values
     times, kappa = curvature_along(traj, problem, component).T
     n, t0, horizon = len(times), float(times[0]), problem.horizon
 
-    with np.errstate(divide="ignore"):  # ``dt_max`` per sample, inf where kappa == 0
-        dtmax = SQRT8 * np.sqrt(eps / kappa)
-    dtstiff = np.fromiter((dt_stiff_at(float(g), eps, float(t) - t0) if g < 0.0 else math.nan
-                           for g, t in zip(gmin, times)), float, n)
+    dtmax = dt_max(kappa, eps)
+    dtstiff = np.full(n, math.nan)
+    for s in _lane_blocks(n):
+        stiff = np.flatnonzero(gmin[s] < 0.0) + s.start
+        dtstiff[stiff] = dt_stiff_at(gmin[stiff], eps, times[stiff] - t0)
     q = np.where(gmin < 0.0, np.where(np.isfinite(dtmax), dtmax, horizon) / dtstiff, 0.0)
     r = np.divide(np.abs(gmin), kappa, out=np.full(n, math.nan), where=kappa > 0.0)
     return StiffnessReport(times, kappa, dtmax, dtstiff, q, r, gmin, gmax,

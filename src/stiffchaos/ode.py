@@ -98,6 +98,14 @@ class OdeProblem:
         return self.t_span[1] - self.t_span[0]
 
 
+def _freeze(obj, *names: str, dtype=float) -> None:
+    """Store each named field of a frozen dataclass as a read-only contiguous array."""
+    for name in names:
+        arr = np.ascontiguousarray(getattr(obj, name), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Ordered (time, state) samples plus solver bookkeeping.
@@ -115,16 +123,11 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        times = np.ascontiguousarray(self.times, dtype=float)
-        states = np.ascontiguousarray(self.states, dtype=float)
-        if times.ndim != 1 or states.ndim != 2 or len(times) != len(states):
+        _freeze(self, "times", "states")
+        if self.times.ndim != 1 or self.states.ndim != 2 or len(self.times) != len(self.states):
             raise ValueError("times must be (n,), states (n, dim) with matching n")
-        if len(times) < 1:
+        if len(self.times) < 1:
             raise ValueError("a trajectory needs at least the initial sample")
-        times.setflags(write=False)
-        states.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
 
     @property
     def t_reached(self) -> float:

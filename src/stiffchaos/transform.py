@@ -57,6 +57,7 @@ from .ode import (
     Rhs,
     State,
     Trajectory,
+    _freeze,
     _padded,
     _rk4_march3,
     problem_fingerprint,
@@ -265,10 +266,7 @@ class TransformRun:
     errors_vs_reference: np.ndarray  # (N+1, dim) absolute errors
 
     def __post_init__(self):
-        for name in ("mu_history", "gamma_max_history", "errors_vs_reference"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "mu_history", "gamma_max_history", "errors_vs_reference")
 
     def max_error(self, component: int = 0) -> float:
         """Headline accuracy: max over time of the absolute error of one
@@ -420,13 +418,11 @@ def step_extension_report(run: TransformRun, reference: Trajectory,
     Returns an (N+1, 2) array of (t, dt_max) for comparison with the fixed
     step Delta = T/N; rows with zero curvature carry inf.
     """
-    if not eps_achieved > 0:
-        raise ValueError("eps_achieved must be > 0")
     stride = _align_reference(reference, run.plan, run.problem)
     sub = Trajectory(reference.times[::stride], reference.states[::stride],
                      reference.solver_id, steps_taken=run.plan.n_steps)
     tk = curvature_along(sub, run.problem, component=2)
-    return np.column_stack([tk[:, 0], [dt_max(float(k), eps_achieved) for k in tk[:, 1]]])
+    return np.column_stack([tk[:, 0], dt_max(tk[:, 1], eps_achieved)])
 
 
 @dataclass(frozen=True)

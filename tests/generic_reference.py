@@ -22,6 +22,15 @@ loop as it was before each interval was marched by ``_rk4_march3``: one RK4
 step of the z-system at a time (here ``_rk4_stepn`` on the unpadded
 system), its back-transform by ``_scales`` and the ``_is_bad`` check per
 step.  The driver must equal it bit for bit, blow-up times included.
+
+``dt_max``, ``kappa_stiff`` and ``dt_stiff_at`` are the per-sample step
+bounds of floats, copied unchanged from ``stiffchaos.diagnostics`` as they
+were before they took arrays; ``stiffness_report`` called ``dt_stiff_at``
+once per sample.  The library's lanes must lie within 4 ulp of them wherever
+they return, and take the large-|w| limit where they raise
+``OverflowError``.  ``q_unity_crossing`` is the loop of
+``StiffnessReport.q_unity_crossing`` as it was before it used numpy, which
+must give the same crossing.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from stiffchaos.diagnostics import local_eigenvalues
+from stiffchaos.diagnostics import SQRT8, NonNegativeGamma, local_eigenvalues
 from stiffchaos.ode import (
     _GBS_NEVILLE,
     _GBS_SUBSTEPS,
@@ -251,3 +260,53 @@ def transformed_run(spec, plan, method, params, reference) -> tuple[np.ndarray, 
 
     errors = np.abs(states - reference.states[::stride])
     return states, errors, mu_history, gamma_history
+
+
+def dt_max(kappa: float, eps: float) -> float:
+    """Largest step approximating a curve of curvature kappa by a secant to
+    accuracy eps: 2*sqrt(2)*sqrt(eps/kappa).  Unbounded (inf) on a straight
+    line."""
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
+    if kappa < 0:
+        raise ValueError("kappa must be >= 0")
+    if kappa == 0.0:
+        return math.inf
+    return SQRT8 * math.sqrt(eps / kappa)
+
+
+def kappa_stiff(gamma: float, eps: float, t_star: float) -> float:
+    """Curvature of the perturbation eps*exp(gamma*t) at elapsed time t_star:
+
+        eps*gamma^2*exp(gamma t*) / (1 + eps^2 gamma^2 exp(2 gamma t*))^(3/2)
+
+    Its maximum over t* is (2*sqrt(3)/9)*|gamma|, attained at
+    t*_max = -ln(2 gamma^2 eps^2)/(2 gamma) whenever that is positive.
+    """
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
+    g = gamma * t_star
+    if g > 350.0:
+        # growing branch far past the curvature peak: kappa ~ exp(-2g)/(eps^2|gamma|)
+        return 0.0
+    x = math.exp(g)
+    return eps * gamma * gamma * x / (1.0 + (eps * gamma * x) ** 2) ** 1.5
+
+
+def dt_stiff_at(gamma: float, eps: float, t_star: float) -> float:
+    """Per-sample stiffness bound: the secant step resolving the perturbation
+    curvature at elapsed time t_star, 2 sqrt(2) sqrt(eps/kappa_stiff(t*))."""
+    if gamma >= 0:
+        raise NonNegativeGamma(f"dt_stiff undefined for gamma={gamma!r} >= 0")
+    return dt_max(kappa_stiff(gamma, eps, t_star), eps)
+
+
+def q_unity_crossing(times: np.ndarray, q: np.ndarray) -> float | None:
+    """First time the stiffness flag Q drops through 1 (linear bracket
+    midpoint between the samples), or None if Q never starts above 1."""
+    if q[0] <= 1.0:
+        return None
+    for k in range(1, len(q)):
+        if q[k] <= 1.0:
+            return 0.5 * (float(times[k - 1]) + float(times[k]))
+    return None

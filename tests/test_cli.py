@@ -201,6 +201,22 @@ class TestDiagnoseCommand:
         assert rc == 0
         assert manifest(out)["summary"]["gamma_min_overall"] < -2400.0
 
+    def test_huge_eps_takes_the_large_perturbation_limit(self, tmp_path):
+        # (eps*gamma*exp(gamma t*))**2 overflows here; the per-sample bound
+        # raised OverflowError and the command exited 2
+        out = tmp_path / "huge"
+        rc = main(["diagnose", "--problem", "robertson", "--solver", "trapezoid",
+                   "--tol", "1e-3", "--eps", "1e100", "--out", str(out)])
+        assert rc == 0
+        assert manifest(out)["summary"]["eps"] == 1e100
+        header, rows = read_csv(out / "stiffness.csv")
+        dt_stiff = np.array([row[header.index("dt_stiff")] for row in rows])
+        q = np.array([row[header.index("Q")] for row in rows])
+        stiff = ~np.isnan(dt_stiff)
+        assert stiff.any()
+        assert np.all(dt_stiff[stiff] > 0.0)
+        assert np.all(np.isfinite(q)) and np.all(q >= 0.0)
+
 
 class TestTransformCommand:
     def test_method3_outputs(self, tmp_path):
@@ -426,6 +442,26 @@ class TestFailedRuns:
         monkeypatch.setattr(cli, attr, fail)
         assert main([command, *argv, "--out", str(out)]) == 2
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("attr, argv", [
+        ("solve_rk4_fixed", ["solve", "--problem", "lorenz84", "--steps", "1000000000"]),
+        ("reference_solution", ["transform", "--problem", "lorenz84", "--steps", "100000000",
+                                "--intervals", "1"]),
+    ], ids=["solve", "transform"])
+    def test_memory_error_is_one_line_and_exit_one(self, tmp_path, monkeypatch, capsys,
+                                                   attr, argv):
+        # the allocation is faked: the run raises as numpy's np.empty would
+        message = ("Unable to allocate 22.4 GiB for an array with shape (1000000001, 3) "
+                   "and data type float64")
+
+        def too_large(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, attr, too_large)
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
 
     def test_transform_writes_nothing_until_every_result_is_computed(self, tmp_path,
                                                                      monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -27,7 +28,10 @@ from stiffchaos import (
     stiffness_report,
     t_star_peak,
 )
-from stiffchaos.diagnostics import EIG_BLOCK, KAPPA_STIFF_PEAK
+from stiffchaos.diagnostics import KAPPA_STIFF_PEAK
+from stiffchaos.ode import EIG_BLOCK
+
+import generic_reference as ref
 
 
 class TestCurvature:
@@ -306,8 +310,9 @@ class TestCurvatureAlong:
 
 
 def _within_ulps(got: np.ndarray, want: np.ndarray, ulps: int) -> bool:
-    return bool(np.all(np.abs(got - want)
-                       <= ulps * np.spacing(np.maximum(np.abs(got), np.abs(want)))))
+    with np.errstate(invalid="ignore"):  # inf - inf, where both are inf
+        return bool(np.all((got == want) | (np.abs(got - want) <= ulps * np.spacing(
+            np.maximum(np.abs(got), np.abs(want))))))
 
 
 class TestCurvatureLanes:
@@ -355,6 +360,84 @@ class TestCurvatureLanes:
         assert _within_ulps(curvature_along(traj, prob, 2)[:, 1], want, 4)
 
 
+def _exact_kappa_stiff(gamma: float, eps: float, t_star: float) -> float:
+    """|gamma| |w| / (1 + w^2)^(3/2), w = eps*gamma*exp(gamma t*), in 50-digit
+    decimal arithmetic, rounded once to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        g, e, t = Decimal(gamma), Decimal(eps), Decimal(t_star)
+        w = e * g * (g * t).exp()
+        base = 1 + w * w
+        return float(abs(g) * abs(w) / (base * base.sqrt()))
+
+
+class TestStepBoundLanes:
+    # dt_max, kappa_stiff and dt_stiff_at on arrays: numpy's exp and pow may
+    # differ from libm's in the last bits, and where the per-sample form
+    # raised OverflowError the lanes take the large-|w| limit |gamma|/w^2
+
+    def test_lanes_match_per_sample_reference_or_take_the_limit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        decade = st.floats(-300.0, 300.0)
+        lane = st.tuples(decade, st.floats(0.0, 1e3))
+        seen = {"returned": 0, "raised": 0, "non-finite": 0}
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(eps_decade=decade, lanes=st.lists(lane, min_size=1, max_size=16))
+        def check(eps_decade, lanes):
+            eps = 10.0 ** eps_decade
+            gamma = np.array([-(10.0 ** d) for d, _ in lanes])
+            t_star = np.array([t for _, t in lanes])
+            kap = kappa_stiff(gamma, eps, t_star)
+            dts = dt_stiff_at(gamma, eps, t_star)
+            for k, (g, t) in enumerate(zip(gamma.tolist(), t_star.tolist())):
+                # a float call equals its lane of an array call, bit for bit
+                assert kappa_stiff(g, eps, t).tobytes() == kap[k].tobytes()
+                assert dt_stiff_at(g, eps, t).tobytes() == dts[k].tobytes()
+                try:
+                    want = ref.kappa_stiff(g, eps, t)
+                except OverflowError:
+                    want = None
+                if want is not None and math.isfinite(want):
+                    seen["returned"] += 1
+                    assert _within_ulps(kap[k], want, 4)
+                    assert _within_ulps(dts[k], ref.dt_stiff_at(g, eps, t), 4)
+                    continue
+                assert math.isfinite(kap[k]) and kap[k] >= 0.0
+                assert dts[k].tobytes() == dt_max(kap[k], eps).tobytes()
+                if want is None:
+                    # (1 + w^2)^(3/2) overflowed: the limit |gamma|/w^2
+                    seen["raised"] += 1
+                    w = eps * g * math.exp(g * t)
+                    assert kap[k] == pytest.approx(abs(g) / w / w, rel=1e-12, abs=1e-300)
+                else:
+                    # eps*gamma^2 overflowed, and the per-sample form returned inf or nan
+                    seen["non-finite"] += 1
+                    assert kap[k] == pytest.approx(_exact_kappa_stiff(g, eps, t),
+                                                   rel=1e-12, abs=1e-300)
+
+        check()
+        assert min(seen.values()) >= 20, seen
+
+    def test_dt_max_lanes_equal_per_sample_floats(self):
+        rng = np.random.default_rng(23)
+        kappa = np.concatenate([[0.0], 10.0 ** rng.uniform(-320, 300, 1000)])
+        for eps in (1e-3, 1e300):
+            want = np.array([ref.dt_max(float(k), eps) for k in kappa])
+            assert dt_max(kappa, eps).tobytes() == want.tobytes()
+            assert np.array([dt_max(float(k), eps) for k in kappa]).tobytes() == want.tobytes()
+
+    def test_checks_apply_to_any_lane(self):
+        with pytest.raises(ValueError):
+            dt_max(np.array([1.0, -1.0]), 1e-3)
+        with pytest.raises(ValueError):
+            kappa_stiff(np.array([-1.0, -2.0]), 0.0, np.zeros(2))
+        with pytest.raises(NonNegativeGamma):
+            dt_stiff_at(np.array([-1.0, 0.0, -2.0]), 1e-3, np.zeros(3))
+
+
 class TestStiffnessReport:
     def test_gamma_columns_equal_per_sample_eigenvalues(self, lorenz_spec):
         prob = lorenz_spec.problem
@@ -376,6 +459,40 @@ class TestStiffnessReport:
         above = report.q > 1.0
         assert above[0]
         assert int(np.sum(above[1:] != above[:-1])) == 1
+
+    def test_step_bound_columns_match_per_sample_floats(self, lorenz_spec):
+        prob = lorenz_spec.problem
+        traj = solve_rk4_fixed(prob, 2 * EIG_BLOCK + 100)
+        report = stiffness_report(traj, prob, eps=1e-3)
+        t0 = float(report.times[0])
+        want = np.array([ref.dt_max(float(k), 1e-3) for k in report.kappa])
+        assert report.dt_max.tobytes() == want.tobytes()
+        want = np.array([ref.dt_stiff_at(float(g), 1e-3, float(t) - t0) if g < 0.0 else math.nan
+                         for g, t in zip(report.gamma_min, report.times)])
+        assert np.array_equal(np.isnan(report.dt_stiff), np.isnan(want))
+        stiff = ~np.isnan(want)
+        assert stiff.sum() > EIG_BLOCK
+        assert _within_ulps(report.dt_stiff[stiff], want[stiff], 4)
+
+    def test_q_unity_crossing_equals_the_sample_loop(self):
+        spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.02))
+        fig1 = stiffness_report(solve_rk4_fixed(spec.problem, 4000), spec.problem, eps=1e-3)
+        # flame past its front (see below): Q > 1 at every sample
+        window = Trajectory(np.linspace(105.0, 110.0, 201), np.ones((201, 1)), "rk4_fixed",
+                            steps_taken=200)
+        flame_run = stiffness_report(window, flame(0.01).problem, eps=1e-3)
+        times = np.linspace(0.0, 1.0, 50)
+        below = np.full(50, 0.5)
+        never = np.full(50, 2.0)
+        late = np.where(times < 0.99, 2.0, 1.0)  # crosses at the last sample
+        reports = [fig1, flame_run] + [
+            replace(fig1, times=times, q=q, kappa=times, dt_max=times, dt_stiff=times,
+                    r=times, gamma_min=times, gamma_max=times)
+            for q in (below, never, late)]
+        crossings = [r.q_unity_crossing() for r in reports]
+        assert crossings == [ref.q_unity_crossing(r.times, r.q) for r in reports]
+        assert crossings[0] == 0.0039675000000000005
+        assert crossings[1:] == [None, None, None, 0.5 * (float(times[-2]) + 1.0)]
 
     def test_flame_windows_flag_stiffness(self):
         # perturbations about the u = 1 fixed point on the windows past the

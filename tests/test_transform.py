@@ -33,8 +33,7 @@ from stiffchaos import (
     transformed_rhs,
 )
 from stiffchaos import cli
-from stiffchaos.ode import rk4_step
-from stiffchaos.diagnostics import EIG_BLOCK
+from stiffchaos.ode import EIG_BLOCK, rk4_step
 from stiffchaos.problems import BenchmarkSpec, nearest_sample_indices
 from stiffchaos.transform import (
     METHOD_MU_INIT,
