@@ -10,12 +10,15 @@ problem (lorenz84, robertson); other dimensions need all of
 ``transform.eps_scale``, ``transform.mu_init`` and ``transform.coeffs`` with
 one number per component, and ``transform`` writes three-component outputs.
 
-Every command checks each of its settings in one place and runs every
-check before it removes the manifest of an earlier run in ``--out``; it then
-computes all of its results and its summary, and only then calls
-``_write_outputs``: the one place that creates ``--out``, writes the CSVs
-and then, through a temporary file, a ``manifest.json`` that echoes the
-resolved configuration and the summary.  So a rejected input leaves
+Settings come from ``--config <path>`` (a JSON file) and then each
+``--key value`` or ``--key=value`` in order, a later one winning; a flag is
+an alias of the key ``FLAGS`` gives it (``--steps`` is ``solver.steps``),
+never abbreviated.  Every command checks each of its settings in one place
+and runs every check before it removes the manifest of an earlier run in
+``--out``; it then computes all of its results and its summary, and only
+then calls ``_write_outputs``: the one place that creates ``--out``, writes
+the CSVs and then, through a temporary file, a ``manifest.json`` that echoes
+the resolved configuration and the summary.  So a rejected input leaves
 ``--out`` as it was, a run that fails while it computes writes no output and
 leaves no manifest, and a manifest is always whole.  Summaries are computed
 from the in-memory results the CSVs are written from, and numbers are
@@ -24,8 +27,9 @@ round-trips exactly.
 
 Exit codes: 0 success (a stagnated adaptive run is a success with its
 stagnation recorded), 1 configuration error (any ``ValueError``: a
-``ConfigError`` or a library precondition; or a ``MemoryError``: a run too
-large to allocate), 2 numerical failure (any ``ArithmeticError``).
+``ConfigError`` or a library precondition; a ``MemoryError``: a run too
+large to allocate; or an ``OSError``: a path the system refuses), 2
+numerical failure (any ``ArithmeticError``).
 """
 
 from __future__ import annotations
@@ -132,16 +136,36 @@ def _set_dotted(cfg: dict, dotted: str, value) -> None:
 
 
 def _parse_override_value(text: str):
+    """JSON, else comma-separated numbers or one (such as ``inf``), else the text."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
-        if "," in text:
-            try:
-                return [float(p) for p in text.split(",")]
-            except ValueError:
-                return text
-        return text
+        try:
+            numbers = [float(p) for p in text.split(",")]
+        except ValueError:
+            return text
+        return numbers if "," in text else numbers[0]
 
+
+# each flag and the config key it is an alias of
+FLAGS = {
+    "problem": "problem.name",
+    "solver": "solver.name",
+    "steps": "solver.steps",
+    "intervals": "transform.intervals",
+    "method": "transform.method",
+    "tol": "solver.tol",
+    "tf": "problem.tf",
+    "dt-init": "solver.dt_init",
+    "max-steps": "solver.max_steps",
+    "samples": "scan.n_samples",
+    "q": "transform.q",
+    "mu-init": "transform.mu_init",
+    "coeffs": "transform.coeffs",
+    "oracle-refine": "oracle.refine",
+    "a": "demo.a",
+    "kappa-g": "demo.kappa_g",
+}
 
 # the settings the subcommands read: each section with its keys, and each
 # top-level key with None; ``make_problem`` checks the keys of problem.params
@@ -158,16 +182,14 @@ CONFIG_KEYS = {
 
 
 def load_config(args: argparse.Namespace, extras: list[str]) -> dict:
-    """Merge config file, CLI flags, and dotted overrides (later wins), and
-    check that every key is one of ``CONFIG_KEYS``, that every section
-    present is an object, that ``out``, when present, is a non-empty path,
-    and that no file stands where the output directory or one of its
-    parents goes."""
+    """Merge the config file, then each ``--key value`` or ``--key=value`` in
+    ``extras`` (later wins), and check that every key is one of
+    ``CONFIG_KEYS``, that every section present is an object, that ``out``,
+    when present, is a non-empty path, and that no file stands where the
+    output directory or one of its parents goes."""
     cfg: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             cfg = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
@@ -175,17 +197,14 @@ def load_config(args: argparse.Namespace, extras: list[str]) -> dict:
         if not isinstance(cfg, dict):
             raise ConfigError(f"config {path}: top level must be an object")
 
-    # every flag's dest is the config key it fills (see _add_common)
-    for dotted, val in vars(args).items():
-        if val is not None and dotted not in ("command", "func", "config"):
-            _set_dotted(cfg, dotted, val)
-
-    if len(extras) % 2:
-        raise ConfigError(f"dangling override {extras[-1]!r} (expected '--a.b value' pairs)")
-    for key, value in zip(extras[::2], extras[1::2]):
-        if not key.startswith("--"):
-            raise ConfigError(f"unrecognized argument {key!r}")
-        _set_dotted(cfg, key[2:], _parse_override_value(value))
+    tokens = iter(extras)
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        text = text if eq else next(tokens, None)
+        if not name.startswith("--") or text is None:
+            raise ConfigError(f"expected --key value or --key=value, got {token!r}")
+        key = FLAGS.get(name[2:], name[2:])
+        _set_dotted(cfg, key, text if key == "out" else _parse_override_value(text))
 
     for name, value in cfg.items():
         if name not in CONFIG_KEYS:
@@ -430,12 +449,21 @@ def _vector(section: dict, key: str, default, spec: BenchmarkSpec) -> tuple[floa
     return tuple(float(v) for v in value)
 
 
-def _transform_setup(cfg: dict, spec: BenchmarkSpec):
+def _method_keys(cfg: dict, default: str) -> list[str]:
+    """``transform.method`` as ``METHOD_BY_NUMBER`` keys: one method, or a
+    comma-separated string or a list of methods, none twice."""
+    value = cfg.get("transform", {}).get("method", default)
+    items = value.split(",") if isinstance(value, str) else value
+    keys = [format(m, "g") if _is_number(m) else str(m).strip()
+            for m in (items if isinstance(items, list) else [items])]
+    if not keys or len(set(keys)) < len(keys) or not set(keys) <= set(METHOD_BY_NUMBER):
+        raise ConfigError(f"transform.method: name methods of {sorted(METHOD_BY_NUMBER)}, "
+                          f"each once, got {value!r}")
+    return keys
+
+
+def _transform_setup(cfg: dict, spec: BenchmarkSpec, method_key: str):
     section = cfg.get("transform", {})
-    method_key = str(section.get("method", "3"))
-    if method_key not in METHOD_BY_NUMBER:
-        raise ConfigError(f"transform.method: unknown method {method_key!r}; "
-                          f"choose from {sorted(METHOD_BY_NUMBER)}")
     method = METHOD_BY_NUMBER[method_key]
     n_steps = _number(cfg, "solver.steps", 600, integral=True)
     intervals = _number(cfg, "transform.intervals", integral=True)
@@ -479,7 +507,11 @@ def _oracle_steps(cfg: dict, n_steps: int) -> int:
 def cmd_transform(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
-    method, plan, params = _transform_setup(cfg, spec)
+    method_key, *more = _method_keys(cfg, "3")
+    if more:
+        raise ConfigError(f"transform.method: transform runs one method, "
+                          f"got {cfg['transform']['method']!r}")
+    method, plan, params = _transform_setup(cfg, spec, method_key)
     if spec.problem.dim != 3:
         raise ConfigError(f"transform writes three-component outputs; "
                           f"{spec.problem.name} has {spec.problem.dim} components")
@@ -524,10 +556,7 @@ def cmd_transform(cfg: dict) -> int:
 def cmd_compare(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
-    section = cfg.get("transform", {})
-    methods = [m.strip() for m in str(section.get("method", "none,3")).split(",")]
-    setups = [_transform_setup({**cfg, "transform": {**section, "method": m}}, spec)
-              for m in methods]
+    setups = [_transform_setup(cfg, spec, key) for key in _method_keys(cfg, "none,3")]
     oracle_steps = _oracle_steps(cfg, setups[0][1].n_steps)
     _discard_manifest(cfg)
     # run_transformed checks that each run matches this one oracle
@@ -595,50 +624,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _float_list(text: str) -> list[float]:
-    """Comma-separated numbers, one per state component (``_vector`` counts them)."""
-    try:
-        return [float(p) for p in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {text!r}")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    """Each flag's ``dest`` is the config key it fills."""
-    p.add_argument("--problem", dest="problem.name", choices=sorted(PROBLEM_FACTORIES))
-    p.add_argument("--solver", dest="solver.name", choices=sorted(SOLVER_NAMES))
-    p.add_argument("--steps", dest="solver.steps", type=int)
-    p.add_argument("--intervals", dest="transform.intervals", type=int)
-    p.add_argument("--method", dest="transform.method")
-    p.add_argument("--tol", dest="solver.tol", type=float)
-    p.add_argument("--eps", dest="eps", type=float)
-    p.add_argument("--tf", dest="problem.tf", type=float)
-    p.add_argument("--dt-init", dest="solver.dt_init", type=float)
-    p.add_argument("--max-steps", dest="solver.max_steps", type=int)
-    p.add_argument("--config")
-    p.add_argument("--out", dest="out")
-    p.add_argument("--samples", dest="scan.n_samples", type=int)
-    p.add_argument("--q", dest="transform.q", type=float)
-    p.add_argument("--mu-init", dest="transform.mu_init", type=_float_list)
-    p.add_argument("--coeffs", dest="transform.coeffs", type=_float_list)
-    p.add_argument("--oracle-refine", dest="oracle.refine", type=int)
-    p.add_argument("--a", dest="demo.a", type=float)
-    p.add_argument("--kappa-g", dest="demo.kappa_g", type=float)
-
-
 def make_parser() -> argparse.ArgumentParser:
+    """The parser of the command and ``--config``; ``load_config`` reads the rest."""
+    aliases = "".join(f"\n  --{flag:<15}{key}" for flag, key in FLAGS.items())
     parser = _Parser(
-        prog="stiffchaos",
+        prog="stiffchaos", allow_abbrev=False,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Stiffness/chaoticity diagnostics and chaos-mitigating "
                     "transformation experiments for small ODE systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("solve", cmd_solve), ("diagnose", cmd_diagnose),
-                     ("transform", cmd_transform), ("compare", cmd_compare),
-                     ("demo-stiff-transform", cmd_demo_stiff_transform)):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.set_defaults(func=fn)
+        epilog="--KEY VALUE or --KEY=VALUE sets any config key (--solver.steps 600, "
+               "--out DIR), a later one winning.\nAliases:" + aliases)
+    parser.add_argument("command", choices=("solve", "diagnose", "transform", "compare",
+                                            "demo-stiff-transform"))
+    parser.add_argument("--config", help="a JSON config file, read before any other setting")
     return parser
 
 
@@ -646,13 +644,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args, extras = make_parser().parse_known_args(argv)
         cfg = load_config(args, extras)
-        return args.func(cfg)
+        # looked up at call time, so a patched cmd_* runs
+        return globals()["cmd_" + args.command.replace("-", "_")](cfg)
     except ArithmeticError as exc:
         # the library's numerical failures (NonFiniteState, ...) are ArithmeticErrors
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, MemoryError) as exc:
-        # a ConfigError, a library precondition, or numpy's "Unable to allocate ..."
+    except (ValueError, MemoryError, OSError) as exc:
+        # a ConfigError, a library precondition, "Unable to allocate ...", a bad path
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

@@ -338,15 +338,16 @@ class TestTransformCommand:
 
 class TestCompareCommand:
     def test_per_component_vectors_as_flags(self, tmp_path):
-        # --mu-init/--coeffs take one number per state component
+        # --mu-init/--coeffs take one number per state component, and are
+        # echoed as their dotted spellings are: a bare number for one
         out = tmp_path / "cmp"
         rc = main(["compare", "--problem", "stiff-linear", "--tf", "0.1", "--steps", "40",
                    "--mu-init", "0.5", "--coeffs", "1", "--transform.eps_scale", "[1]",
                    "--out", str(out)])
         assert rc == 0
         section = manifest(out)["config"]["transform"]
-        assert section["mu_init"] == [0.5]
-        assert section["coeffs"] == [1.0]
+        assert section["mu_init"] == 0.5
+        assert section["coeffs"] == 1
 
     def test_bare_number_is_a_one_component_vector(self, tmp_path):
         csvs = []
@@ -375,13 +376,51 @@ class TestCompareCommand:
         assert m["summary"]["improvement_ratios"]["cumulative_avg"] >= 20.0
 
     def test_identical_baselines_give_unit_ratio(self, tmp_path):
+        # a repeated method is refused (test_repeated_method_is_rejected);
+        # the baseline is compared with itself in its own row
         out = tmp_path / "dup"
-        rc = main(["compare", "--problem", "lorenz84", "--method", "none,none",
+        rc = main(["compare", "--problem", "lorenz84", "--method", "none,1",
                    "--steps", "600", "--out", str(out)])
         assert rc == 0
         _, rows = read_csv(out / "compare.csv")
         assert len(rows) == 2
-        assert rows[1][3] == 1.0
+        assert rows[0][3] == 1.0
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "3,3"], ["--method", "none, 3,none"], ["--transform.method", "[3, 3.0]"],
+    ], ids=["string", "string-spaced", "list"])
+    def test_repeated_method_is_rejected(self, tmp_path, capsys, monkeypatch, flags):
+        # the summary's max_errors and improvement_ratios keep one key per
+        # method, so a repeat would write a row the summary does not show;
+        # refused before the earlier manifest is removed
+        def no_oracle(*args):
+            raise AssertionError("oracle ran")
+
+        monkeypatch.setattr(cli, "reference_solution", no_oracle)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}")
+        rc = main(["compare", "--problem", "lorenz84", "--steps", "600", "--out", str(out)]
+                  + flags)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("configuration error: transform.method: ")
+        assert "each once" in err and len(err.splitlines()) == 1
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert (out / "manifest.json").read_text() == "{}"
+
+    def test_method_list_as_flag_or_dotted_key(self, tmp_path):
+        # "1,3" reads as the list [1.0, 3.0], which names methods 1 and 3
+        csvs = []
+        for flag in ("--method", "--transform.method"):
+            out = tmp_path / flag
+            rc = main(["compare", "--problem", "lorenz84", "--steps", "600", flag, "1,3",
+                       "--out", str(out)])
+            assert rc == 0
+            csvs.append((out / "compare.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        assert [row.split(",")[0] for row in csvs[0].decode().splitlines()[1:]] == [
+            "fixed_mu", "cumulative_avg"]
 
     def test_single_config_single_row(self, tmp_path):
         out = tmp_path / "one"
@@ -519,7 +558,52 @@ class TestFailedRuns:
         assert (out / "manifest.json").read_text() == "{}"
 
 
+# per flag of cli.FLAGS: a command line without it, a value that the flag
+# and its dotted key must read alike, and the exit code that value gives
+FLAG_CASES = {
+    "problem": (["solve", "--steps", "10"], "lorenz63", 1),
+    "solver": (["solve", "--problem", "lorenz84", "--steps", "10"], "euler", 1),
+    "steps": (["solve", "--problem", "lorenz84", "--tf", "1"], "1e1", 0),
+    "intervals": (["transform", "--problem", "lorenz84", "--method", "1", "--steps", "40",
+                   "--tf", "2"], "4e0", 0),
+    "method": (["compare", "--problem", "lorenz84", "--steps", "40", "--tf", "2"], "1,3", 0),
+    "tol": (["solve", "--problem", "robertson", "--solver", "trapezoid"], "true", 1),
+    "tf": (["solve", "--problem", "lorenz84", "--steps", "10"], "true", 1),
+    "dt-init": (["solve", "--problem", "robertson", "--solver", "trapezoid"], "true", 1),
+    "max-steps": (["solve", "--problem", "robertson", "--solver", "trapezoid", "--tol", "1e-3",
+                   "--dt-init", "0.1"], "1e3", 0),
+    "samples": (["diagnose", "--problem", "lorenz84", "--steps", "100"], "true", 1),
+    "q": (["transform", "--problem", "lorenz84", "--method", "2"], "true", 1),
+    "mu-init": (["transform", "--problem", "lorenz84", "--method", "1", "--steps", "40",
+                 "--tf", "2"], "-1,2,3", 0),
+    "coeffs": (["transform", "--problem", "lorenz84"], "0.5", 1),
+    "oracle-refine": (["transform", "--problem", "lorenz84", "--method", "none", "--steps", "40",
+                       "--tf", "2"], "2e0", 0),
+    "a": (["demo-stiff-transform"], "true", 1),
+    "kappa-g": (["demo-stiff-transform"], "-inf", 1),
+}
+
+
 class TestConfigHandling:
+    @pytest.mark.parametrize("flag", sorted(cli.FLAGS))
+    def test_flag_is_an_alias_of_its_key(self, tmp_path, capsys, flag):
+        # --flag V, --flag=V, --section.key V and --section.key=V resolve to
+        # the same config and give the same exit code, echo, summary and error
+        assert set(FLAG_CASES) == set(cli.FLAGS)
+        argv, value, expected_rc = FLAG_CASES[flag]
+        out = tmp_path / "o"
+        seen = []
+        for name in (flag, cli.FLAGS[flag]):
+            for spelling in ([f"--{name}", value], [f"--{name}={value}"]):
+                args = argv + spelling + ["--out", str(out)]
+                resolved = cli.load_config(*cli.make_parser().parse_known_args(args))
+                rc = main(args)
+                m = manifest(out) if rc == 0 else {}
+                seen.append((resolved, rc, capsys.readouterr().err,
+                             m.get("config"), m.get("summary")))
+        assert seen[0][1] == expected_rc
+        assert all(outcome == seen[0] for outcome in seen[1:])
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({
@@ -619,10 +703,10 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("argv, message", [
         (["solve", "--problem", "lorenz84", "--steps", "abc"],
-         "argument --steps: invalid int value: 'abc'"),
-        (["solve", "--problem", "lorenz63"], "argument --problem: invalid choice: 'lorenz63'"),
+         "solver.steps must be an integer, got 'abc'"),
+        (["solve", "--problem", "lorenz63"], "problem.name: unknown problem 'lorenz63'"),
         (["transform", "--problem", "lorenz84", "--mu-init", "1,x"],
-         "argument --mu-init: expects comma-separated numbers"),
+         "transform.mu_init: lorenz84 needs a list of 3 numbers, each finite, got '1,x'"),
         (["transform", "--problem", "lorenz84", "--mu-init", "1,2"],
          "transform.mu_init: lorenz84 needs a list of 3 numbers"),
         (["diagnose", "--problem", "lorenz84", "--steps", "100", "--eps", "inf"],
@@ -651,6 +735,18 @@ class TestConfigHandling:
         assert err.startswith("configuration error: " + message)
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flags", [["--config", "adir"], ["--out", "x" * 300]],
+                             ids=["config-is-a-directory", "out-name-too-long"])
+    def test_os_error_is_one_line_config_error(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        rc = main(["solve", "--problem", "lorenz84", "--steps", "600"] + flags)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("configuration error: [Errno ")
+        assert len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
 
     def test_missing_subcommand_is_config_error(self, capsys):
         rc = main([])
