@@ -42,7 +42,6 @@ from .problems import (
     stiff_linear,
 )
 from .transform import (
-    ExponentOverflow,
     IntervalPlan,
     MuMethod,
     StiffTransformReport,

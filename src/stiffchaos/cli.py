@@ -6,9 +6,9 @@ of the exponentially transformed system with error/mu/step-extension CSVs),
 ``compare`` (method sweep against a shared oracle), ``demo-stiff-transform``
 (the linear no-go demonstration).  ``transform`` and ``compare`` take the
 reference shift/scale triples by default, so they run on any 3-component
-problem (lorenz84, robertson); other dimensions need all of
-``transform.eps_scale``, ``transform.mu_init`` and ``transform.coeffs`` with
-one number per component, and ``transform`` writes three-component outputs.
+problem (lorenz84, robertson); other dimensions need both
+``transform.mu_init`` and ``transform.coeffs`` with one number per
+component, and ``transform`` writes three-component outputs.
 
 Settings come from ``--config <path>`` (a JSON file) and then each
 ``--key value`` or ``--key=value`` in order, a later one winning; a flag is
@@ -35,6 +35,7 @@ numerical failure (any ``ArithmeticError``).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -172,7 +173,7 @@ FLAGS = {
 CONFIG_KEYS = {
     "problem": ("name", "params", "u0", "t_span", "tf"),
     "solver": ("name", "steps", "tol", "dt_init", "dt_min", "dt_max", "max_steps"),
-    "transform": ("method", "intervals", "q", "eps_scale", "coeffs", "mu_init"),
+    "transform": ("method", "intervals", "q", "coeffs", "mu_init"),
     "oracle": ("refine",),
     "scan": ("component", "n_samples"),
     "demo": ("a", "kappa_g"),
@@ -185,8 +186,9 @@ def load_config(args: argparse.Namespace, extras: list[str]) -> dict:
     """Merge the config file, then each ``--key value`` or ``--key=value`` in
     ``extras`` (later wins), and check that every key is one of
     ``CONFIG_KEYS``, that every section present is an object, that ``out``,
-    when present, is a non-empty path, and that no file stands where the
-    output directory or one of its parents goes."""
+    when present, is a non-empty path, that no name in it is too long for
+    the file system and that no file stands where the output directory or
+    one of its parents goes."""
     cfg: dict = {}
     if args.config:
         path = Path(args.config)
@@ -222,6 +224,11 @@ def load_config(args: argparse.Namespace, extras: list[str]) -> dict:
     if "out" in cfg and not (isinstance(cfg["out"], str) and cfg["out"]):
         raise ConfigError(f"out must be a non-empty path, got {cfg['out']!r}")
     out = Path(cfg.get("out", "out"))
+    # a name under a parent that does not exist yet is never looked up here
+    name_max = os.pathconf(out.anchor or ".", "PC_NAME_MAX")
+    long = next((part for part in out.parts if len(os.fsencode(part)) > name_max), None)
+    if long is not None:
+        raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), long)
     blocker = next((p for p in (out, *out.parents) if p.exists()), None)
     if blocker is not None and not blocker.is_dir():
         raise ConfigError(f"out: {str(blocker)!r} exists and is not a directory")
@@ -485,7 +492,6 @@ def _transform_setup(cfg: dict, spec: BenchmarkSpec, method_key: str):
         raise ConfigError(f"transform.q must be finite, got {q!r}")
     params = params_for_method(
         method,
-        eps_scale=_vector(section, "eps_scale", (1.0, 1.0, 1.0), spec),
         q=q,
         coeffs=_vector(section, "coeffs", DEFAULT_COEFFS, spec),
         mu_init=_vector(section, "mu_init", METHOD_MU_INIT[method], spec),

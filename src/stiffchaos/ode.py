@@ -198,12 +198,13 @@ def _lane_matrix(rows: Sequence[Sequence], m: int) -> np.ndarray:
 # maxima only gain zero terms.  ``tests/generic_reference.py`` keeps the
 # per-component integrators and pins the padded runs to them bit for bit.
 #
-# Fixed-step runs, the transform driver's intervals and ``rk4_step`` go
-# through ``_rk4_march3``: the state in locals, the stages inline, and each
-# state stored through a flat memoryview.  Against a kernel call per step
-# that returns (u_next, k2, k3, k4), followed by an ``_is_bad`` call and a
-# numpy row store from a tuple (about 0.7 us, against 0.14 us for three
-# memoryview writes), this saves about 30% of a Lorenz-84 step.
+# Fixed-step runs, the intervals of ``run_transformed`` (with their shift)
+# and ``rk4_step`` go through ``_rk4_march3``: the state in locals, the
+# stages inline, and each state stored through a flat memoryview.  Against a
+# kernel call per step that returns (u_next, k2, k3, k4), followed by an
+# ``_is_bad`` call and a numpy row store from a tuple (about 0.7 us, against
+# 0.14 us for three memoryview writes), this saves about 30% of a Lorenz-84
+# step.
 #
 # Adaptive runs take their step-doubling attempts from ``_rk4_attempt3``:
 # three RK4 steps (the full step and the first half step share k1), both
@@ -271,24 +272,59 @@ def _fixed_grid(problem: OdeProblem, n_steps: int, march3) -> tuple[np.ndarray, 
 
 
 def _rk4_march3(f: Rhs, t0: float, h: float, u: State, n: int,
-                out: memoryview) -> None:
+                out: memoryview, mu: State = (0.0, 0.0, 0.0)) -> None:
     """``n`` fixed RK4 steps of a dim-3 system from ``u`` at ``t0``; state
     i + 1 goes to ``out[3i + 3 : 3i + 6]`` of the flat row-major store.
     Raises ``NonFiniteState`` at the end of the first step whose state is
-    not finite, before storing it."""
+    not finite, before storing it.
+
+    The steps are Lawson's integrating-factor RK4 (Lawson 1967) for
+    x' = Mx + (f(t, x) - Mx) with the shift M = diag(mu): with
+    p = exp(mu h/2) and k_i = f(X_i) - mu X_i,
+
+        X_2 = p (x + h/2 k_1),  X_3 = p x + h/2 k_2,  X_4 = p^2 x + h p k_3,
+        x' = p^2 x + h/6 (p^2 k_1 + 2 p (k_2 + k_3) + k_4).
+
+    With mu = 0, p = 1.0 multiplies exactly and 0.0 * x subtracts exactly,
+    so this is classical RK4 bit for bit.  A step factor exp(mu h) that
+    overflows makes the first state infinite."""
     x, y, z = u
+    m1, m2, m3 = mu
     h2 = 0.5 * h
     s = h / 6.0
+    exp = math.exp
+    try:
+        p1, p2, p3 = exp(m1 * h2), exp(m2 * h2), exp(m3 * h2)
+        q1, q2, q3 = exp(m1 * h), exp(m2 * h), exp(m3 * h)
+    except OverflowError:
+        raise NonFiniteState(t0 + h) from None
+    hp1, hp2, hp3 = h * p1, h * p2, h * p3
+    tp1, tp2, tp3 = 2.0 * p1, 2.0 * p2, 2.0 * p3
     j = 3
     for i in range(n):
         t = t0 + i * h
         a1, b1, c1 = f(t, (x, y, z))
-        a2, b2, c2 = f(t + h2, (x + h2 * a1, y + h2 * b1, z + h2 * c1))
-        a3, b3, c3 = f(t + h2, (x + h2 * a2, y + h2 * b2, z + h2 * c2))
-        a4, b4, c4 = f(t + h, (x + h * a3, y + h * b3, z + h * c3))
-        x = x + s * (a1 + 2.0 * (a2 + a3) + a4)
-        y = y + s * (b1 + 2.0 * (b2 + b3) + b4)
-        z = z + s * (c1 + 2.0 * (c2 + c3) + c4)
+        a1 -= m1 * x
+        b1 -= m2 * y
+        c1 -= m3 * z
+        x2, y2, z2 = p1 * (x + h2 * a1), p2 * (y + h2 * b1), p3 * (z + h2 * c1)
+        a2, b2, c2 = f(t + h2, (x2, y2, z2))
+        a2 -= m1 * x2
+        b2 -= m2 * y2
+        c2 -= m3 * z2
+        x3, y3, z3 = p1 * x + h2 * a2, p2 * y + h2 * b2, p3 * z + h2 * c2
+        a3, b3, c3 = f(t + h2, (x3, y3, z3))
+        a3 -= m1 * x3
+        b3 -= m2 * y3
+        c3 -= m3 * z3
+        x4, y4, z4 = q1 * x + hp1 * a3, q2 * y + hp2 * b3, q3 * z + hp3 * c3
+        a4, b4, c4 = f(t + h, (x4, y4, z4))
+        a4 -= m1 * x4
+        b4 -= m2 * y4
+        c4 -= m3 * z4
+        x = q1 * x + s * (q1 * a1 + tp1 * (a2 + a3) + a4)
+        y = q2 * y + s * (q2 * b1 + tp2 * (b2 + b3) + b4)
+        z = q3 * z + s * (q3 * c1 + tp3 * (c2 + c3) + c4)
         # ``_is_bad`` inlined: the sum is nan/inf iff some component is
         w = x + y + z
         if w - w != 0.0:

@@ -1,18 +1,19 @@
-"""Exponential variable transformation x_i = eps_i exp(mu_i t) z_i.
+"""Exponential variable transformation x_i = exp(mu_i t) z_i, stepped as
+Lawson's integrating-factor RK4.
 
-With E = diag(eps_i) and M = diag(mu_i) the substitution conjugates any
-problem du/dt = f(t, u) into the z-system of one interval starting at t_k,
-
-    dz/dtau = E^-1 e^{-M tau} f(t_k + tau, E e^{M tau} z) - M z,
-
-whose Jacobian at tau = 0 is J* = E^-1 J(t_k, E z) E - M: the local Lyapunov
-exponents are shifted down by mu_i.  Chosen well, the mu_i make a chaotic
-z-system asymptotically stable, so the fixed-step RK4 errors are damped
-inside each interval instead of amplified; the exact back-transformation
-then recovers x far more accurately than integrating the original system.
-The time domain is split into K intervals of N/K steps; the exponential
-clock tau restarts at each interval start to keep the factors exp(+-mu_i tau)
-bounded, and the back-transformed endpoint seeds the next interval.
+With M = diag(mu_i) the substitution conjugates any problem du/dt = f(t, u)
+into a z-system whose Jacobian is e^{-Mt} (J(t, x) - M) e^{Mt}: the local
+Lyapunov exponents are shifted down by mu_i.  Chosen well, the mu_i make a
+chaotic z-system asymptotically stable, so the fixed-step RK4 errors are
+damped instead of amplified; the exact back-transformation then recovers x
+far more accurately than integrating the original system.  Fixed-step RK4 on
+the z-system, transformed back, is in exact arithmetic Lawson's RK4 for
+x' = Mx + (f - Mx) (Lawson 1967; Hochbruck & Ostermann 2010), so
+``run_transformed`` steps x directly through the one RK4 march,
+``ode._rk4_march3``, which takes the shift and needs only the step factors
+exp(mu_i h/2) and exp(mu_i h).
+The time domain is split into K intervals of N/K steps, one shift per
+interval, the endpoint of one interval seeding the next.
 
 Four strategies pick the mu_i per interval:
 
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import mul, truediv
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +54,6 @@ from .ode import (
     NonFiniteState,
     OdeProblem,
     RK4_FIXED,
-    Rhs,
     State,
     Trajectory,
     _freeze,
@@ -63,13 +62,6 @@ from .ode import (
     problem_fingerprint,
 )
 from .problems import BenchmarkSpec, lorenz84, nearest_sample_indices, stiff_linear
-
-EXP_ARG_LIMIT = 700.0
-
-
-class ExponentOverflow(ArithmeticError):
-    """An exponential factor exceeded exp(700): the interval is mis-sized."""
-
 
 class MuMethod(str, Enum):
     NONE = "none"            # identity transform, plain RK4
@@ -109,27 +101,20 @@ DEFAULT_Q = 1.0
 
 @dataclass(frozen=True)
 class TransformParams:
-    """Transformation constants: scales eps_i, the method-2 gain q, the
-    method-3/4 multipliers, and the first-interval shifts mu_i (method 1
-    keeps them).  Every vector has one component per state component."""
+    """Transformation constants: the method-2 gain q, the method-3/4
+    multipliers, and the first-interval shifts mu_i (method 1 keeps them).
+    Every vector has one component per state component."""
 
-    eps_scale: tuple[float, ...] = (1.0, 1.0, 1.0)
     q: float = DEFAULT_Q
     coeffs: tuple[float, ...] = DEFAULT_COEFFS
     mu_init: tuple[float, ...] = (0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        if any(not e > 0 for e in self.eps_scale):
-            raise ValueError("eps_scale components must be > 0")
 
-
-def params_for_method(method: MuMethod, *, eps_scale=(1.0, 1.0, 1.0),
-                      q: float = DEFAULT_Q, coeffs=DEFAULT_COEFFS,
+def params_for_method(method: MuMethod, *, q: float = DEFAULT_Q, coeffs=DEFAULT_COEFFS,
                       mu_init=None) -> TransformParams:
     """TransformParams seeded with the reference defaults for ``method``."""
     init = tuple(METHOD_MU_INIT[method] if mu_init is None else mu_init)
-    return TransformParams(eps_scale=tuple(eps_scale), q=q, coeffs=tuple(coeffs),
-                           mu_init=init)
+    return TransformParams(q=q, coeffs=tuple(coeffs), mu_init=init)
 
 
 @dataclass(frozen=True)
@@ -162,43 +147,13 @@ class IntervalPlan:
         return self.dt * self.steps_per_interval
 
 
-def _check_exponents(mu: Sequence[float], t_local: float) -> None:
-    worst = max(map(abs, mu)) * abs(t_local)
-    if worst > EXP_ARG_LIMIT:
-        raise ExponentOverflow(
-            f"exponent argument {worst:g} exceeds {EXP_ARG_LIMIT:g}; "
-            "use more/shorter intervals")
-
-
-def _conjugated_rhs(f: Rhs, t_start: float, mu: Sequence[float],
-                    eps_scale: Sequence[float]) -> Rhs:
-    """The z-system ``(tau, z) -> E^-1 e^{-M tau} f(t_start + tau, E e^{M tau} z)
-    - M z`` of the interval starting at ``t_start``, for a dim-3 ``f``: a
-    smaller system is conjugated padded (``ode._padded``, mu by 0.0, eps by
-    1.0), where 1.0 * exp(0.0) = 1.0 keeps z_i at 0.0 / 1.0 - 0.0 * 0.0."""
-    m1, m2, m3 = mu
-    e1, e2, e3 = eps_scale
-    exp = math.exp
-
-    def zrhs(tau: float, z: State) -> State:
-        x, y, w = z
-        s1 = e1 * exp(m1 * tau)
-        s2 = e2 * exp(m2 * tau)
-        s3 = e3 * exp(m3 * tau)
-        a, b, c = f(t_start + tau, (s1 * x, s2 * y, s3 * w))
-        return (a / s1 - m1 * x, b / s2 - m2 * y, c / s3 - m3 * w)
-
-    return zrhs
-
-
-def shifted_jacobian(jac: Jacobian, t: float, z: State, mu: Sequence[float],
-                     eps_scale: Sequence[float]):
-    """J* = E^-1 J(t, E z) E - M, the z-system's Jacobian at tau = 0; in
-    lanes (see ``OdeProblem``) when t, z and mu hold one lane per sample."""
+def shifted_jacobian(jac: Jacobian, t: float, z: State, mu: Sequence[float]):
+    """J* = J(t, z) - diag(mu), the z-system's Jacobian at the start of an
+    interval; in lanes (see ``OdeProblem``) when t, z and mu hold one lane
+    per sample."""
     rows = []
-    for i, (row, e_i, m_i) in enumerate(zip(jac(t, tuple(map(mul, eps_scale, z))),
-                                            eps_scale, mu)):
-        shifted = [v * e_j / e_i for v, e_j in zip(row, eps_scale)]
+    for i, (row, m_i) in enumerate(zip(jac(t, z), mu)):
+        shifted = list(row)
         shifted[i] -= m_i
         rows.append(tuple(shifted))
     return tuple(rows)
@@ -211,20 +166,15 @@ def _lorenz84_problem(a: float, b: float, f: float, g: float) -> OdeProblem:
 
 def transformed_rhs(params: TransformParams, t_local: float, z: State,
                     a: float, b: float, f: float, g: float) -> State:
-    """The conjugated Lorenz-84 rhs in interval-local time, mu = params.mu_init.
-
-    With x_i = eps_i exp(mu_i t) z_i the Lorenz-84 equations become
-
-      dz1/dt = -mu1 z1 - (e2^2/e1) e^{(2mu2-mu1)t} z2^2
-               - (e3^2/e1) e^{(2mu3-mu1)t} z3^2 - a z1 + (aF/e1) e^{-mu1 t}
-      dz2/dt = -mu2 z2 + e1 e^{mu1 t} z1 z2
-               - b (e1 e3/e2) e^{(mu1-mu2+mu3)t} z1 z3 - z2 + (G/e2) e^{-mu2 t}
-      dz3/dt = -mu3 z3 + b (e1 e2/e3) e^{(mu1+mu2-mu3)t} z1 z2
-               + e1 e^{mu1 t} z1 z3 - z3
-    """
-    _check_exponents(params.mu_init, t_local)
-    rhs = _lorenz84_problem(a, b, f, g).rhs
-    return _conjugated_rhs(rhs, 0.0, params.mu_init, params.eps_scale)(t_local, z)
+    """The Lorenz-84 z-system dz_i/dt = e^{-mu_i t} f_i(t, e^{M t} z) - mu_i z_i
+    in interval-local time, mu = params.mu_init.  The transform itself steps
+    x (``run_transformed``); this is kept only for the benchmark's rhs
+    microbenchmark (ROADMAP item 5)."""
+    m1, m2, m3 = params.mu_init
+    x, y, w = z
+    s1, s2, s3 = math.exp(m1 * t_local), math.exp(m2 * t_local), math.exp(m3 * t_local)
+    d1, d2, d3 = _lorenz84_problem(a, b, f, g).rhs(t_local, (s1 * x, s2 * y, s3 * w))
+    return (d1 / s1 - m1 * x, d2 / s2 - m2 * y, d3 / s3 - m3 * w)
 
 
 def select_mu(method: MuMethod, history: Sequence[float],
@@ -306,14 +256,13 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
                     params: TransformParams, reference: Trajectory) -> TransformRun:
     """Integrate the transformed system interval by interval.
 
-    Per interval: z(0) = E^-1 x(t_k) (local clock restarts, so all
-    exponential factors are 1 at the interval start), a gamma_max value is
-    recorded, the conjugated z-system is advanced N/K fixed RK4 steps, every
-    step is back-transformed via x_i = eps_i exp(mu_i tau) z_i, and the
-    endpoint seeds the next interval.  Errors are measured against
-    ``reference`` at the N+1 sample times.  Every vector of ``params`` must
-    have ``spec.problem.dim`` components.  A dim-1 or dim-2 problem is padded
-    once per run and its padded rhs conjugated (see ``_conjugated_rhs``).
+    Per interval: a gamma_max value is recorded at its start, and N/K fixed
+    steps of Lawson RK4 with that interval's shift (``ode._rk4_march3``)
+    advance x from the previous interval's endpoint.  Errors are measured
+    against ``reference`` at the N+1 sample times.  Every vector of
+    ``params`` must have ``spec.problem.dim`` components; a dim-1 or dim-2
+    problem is padded once per run, its shift by 0.0.  A non-finite state
+    raises ``NonFiniteState`` at the run's sample time of that state.
 
     The recorded gamma_max history, the input to the method-2/3/4 shift
     selection, holds gamma_max of the untransformed Jacobian at each
@@ -321,7 +270,7 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
     """
     problem = spec.problem
     dim = problem.dim
-    for name in ("eps_scale", "coeffs", "mu_init"):
+    for name in ("coeffs", "mu_init"):
         if len(getattr(params, name)) != dim:
             raise ValueError(f"params.{name} needs {dim} components, one per state component")
     stride = _align_reference(reference, plan, problem)
@@ -331,17 +280,13 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
     spi = plan.steps_per_interval
     h = plan.dt
     t0 = plan.t_span[0]
-    eps = params.eps_scale
     jac = problem.jacobian
-    f3, _ = _padded(problem.rhs, problem.u0)
-    pad = 3 - dim
-    e1, e2, e3 = eps3 = (*eps, *(1.0,) * pad)
-    taus = [(j + 1) * h for j in range(spi)]
+    f3, u3 = _padded(problem.rhs, problem.u0)
+    pad = (0.0,) * (3 - dim)
 
     times = t0 + h * np.arange(n + 1)
-    states = np.zeros((n + 1, 3))
-    u = problem.u0
-    states[0, :dim] = u
+    states = np.empty((n + 1, 3))
+    states[0] = u3
 
     mu_history = np.empty((k_intervals, dim))
     gamma_history = np.empty(k_intervals)
@@ -350,29 +295,16 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
 
     with memoryview(states.reshape(-1)) as out:
         for k in range(k_intervals):
-            _check_exponents(mu, spi * h)
-            t_k = t0 + k * spi * h
-            mu_history[k] = mu
-            gamma_history[k] = local_eigenvalues(jac(t_k, u)).gamma_max
-
-            m1, m2, m3 = mu3 = (*mu, *(0.0,) * pad)
             base = k * spi
+            t_k = t0 + base * h
+            mu_history[k] = mu
+            gamma_history[k] = local_eigenvalues(jac(t_k, u3[:dim])).gamma_max
             try:
-                _rk4_march3(_conjugated_rhs(f3, t_k, mu3, eps3), 0.0, h,
-                            (*map(truediv, u, eps), *(0.0,) * pad), spi, out[3 * base:])
+                _rk4_march3(f3, t_k, h, u3, spi, out[3 * base:], (*mu, *pad))
             except NonFiniteState as exc:
-                # the march stores no state from tau = i h on; marking row i
-                # stops the row check below there, or at an earlier bad row
-                states[base + round(exc.t / h)] = math.nan
-            block = states[base + 1:base + spi + 1]
-            with np.errstate(over="ignore", invalid="ignore"):
-                # x_i = eps_i exp(mu_i tau) z_i; ``_is_bad`` is a row sum check
-                block *= [(e1 * math.exp(m1 * tau), e2 * math.exp(m2 * tau),
-                           e3 * math.exp(m3 * tau)) for tau in taus]
-                finite = np.isfinite(block.sum(axis=1))
-            if not finite.all():
-                raise NonFiniteState(t0 + (base + int(finite.argmin()) + 1) * h)
-            u = tuple(block[-1, :dim].tolist())
+                # the march counts from t_k; report the run's sample time
+                raise NonFiniteState(float(times[base + round((exc.t - t_k) / h)])) from None
+            u3 = tuple(states[base + spi].tolist())
             history.append(float(gamma_history[k]))
             mu = select_mu(method, history, params)
 
@@ -387,8 +319,8 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
 def jstar_scan(run: TransformRun, n_samples: int) -> LleTrace:
     """Eigenvalues of J* at equidistant scan times over a completed run.
 
-    The interval-local z-state is reconstructed from the stored
-    back-transformed solution (z = e^{-M tau} E^-1 x) and J* is evaluated
+    The interval-local z-state z = e^{-M tau} x is rebuilt from the stored
+    solution, tau the time since its interval's start, and J* is evaluated
     with that interval's mu at the interval start time, one lane per scan
     sample.
     """
@@ -401,11 +333,11 @@ def jstar_scan(run: TransformRun, n_samples: int) -> LleTrace:
     k = np.minimum(idx // spi, plan.k_intervals - 1)
     tau = (idx - k * spi) * h
     mu = run.mu_history[k]
-    z = sol.states[idx] * np.exp(mu * -tau[:, None]) / run.params.eps_scale
+    z = sol.states[idx] * np.exp(mu * -tau[:, None])
     t_start = plan.t_span[0] + k * spi * h
     values = eigenvalues_along(
         lambda s: shifted_jacobian(run.problem.jacobian, t_start[s], tuple(z[s].T),
-                                   tuple(mu[s].T), run.params.eps_scale),
+                                   tuple(mu[s].T)),
         n_samples, run.problem.dim)
     return LleTrace(times=scan_times, values=values)
 

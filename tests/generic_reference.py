@@ -12,16 +12,18 @@ controller 0.9 * (tol / est)**exponent, copied unchanged from
 ``stiffchaos.ode`` as it was before the PI controller replaced it; the
 library's loop with gains (exponent, 0.0) must equal it bit for bit.
 
-``_scales`` and ``_conjugated_rhs`` are the per-component conjugation,
-copied unchanged from ``stiffchaos.transform`` as it was before it was
-written out for three components; the library's ``_conjugated_rhs`` of the
-padded system must equal it bit for bit.
+``zsystem_run`` is the paper's formulation of the transform, the interval
+loop ``stiffchaos.transform.run_transformed`` ran before it stepped x as
+Lawson RK4: per interval, the z-system of x_i = exp(mu_i tau) z_i
+(``_conjugated_rhs``, its clock tau restarting at each interval start) is
+advanced one RK4 step at a time by ``_rk4_stepn`` and each step is
+transformed back by ``_scales``, with the exponent check max|mu_i| tau <= 700
+that the interval clock needs.  The two agree in exact arithmetic; the
+tests bound how far rounding takes them apart.
 
-``transformed_run`` is ``stiffchaos.transform.run_transformed``'s interval
-loop as it was before each interval was marched by ``_rk4_march3``: one RK4
-step of the z-system at a time (here ``_rk4_stepn`` on the unpadded
-system), its back-transform by ``_scales`` and the ``_is_bad`` check per
-step.  The driver must equal it bit for bit, blow-up times included.
+``transformed_run`` is ``run_transformed``'s loop written per component and
+per step: Lawson RK4 in the operation order of ``ode._rk4_march3``, which
+``run_transformed`` must equal bit for bit, blow-up times included.
 
 ``dt_max``, ``kappa_stiff`` and ``dt_stiff_at`` are the per-sample step
 bounds of floats, copied unchanged from ``stiffchaos.diagnostics`` as they
@@ -59,7 +61,7 @@ from stiffchaos.ode import (
     _is_bad,
     _scaled_diff,
 )
-from stiffchaos.transform import _align_reference, _check_exponents, select_mu
+from stiffchaos.transform import _align_reference, select_mu
 
 
 def _rk4_stepn(f: Rhs, t: float, u: State, h: float, k1: Sequence[float]):
@@ -118,17 +120,16 @@ def _gbs_march(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> Non
         states[i + 1] = u
 
 
-def _scales(mu: Sequence[float], eps_scale: Sequence[float], tau: float) -> State:
-    """The diagonal of E e^{M tau}."""
-    return tuple(map(mul, eps_scale, map(math.exp, map(mul, mu, repeat(tau)))))
+def _scales(mu: Sequence[float], tau: float) -> State:
+    """The diagonal of e^{M tau}."""
+    return tuple(map(math.exp, map(mul, mu, repeat(tau))))
 
 
-def _conjugated_rhs(f: Rhs, t_start: float, mu: Sequence[float],
-                    eps_scale: Sequence[float]) -> Rhs:
-    """The z-system ``(tau, z) -> E^-1 e^{-M tau} f(t_start + tau, E e^{M tau} z)
-    - M z`` of the interval starting at ``t_start``."""
+def _conjugated_rhs(f: Rhs, t_start: float, mu: Sequence[float]) -> Rhs:
+    """The z-system ``(tau, z) -> e^{-M tau} f(t_start + tau, e^{M tau} z) - M z``
+    of the interval starting at ``t_start``."""
     def zrhs(tau: float, z: State) -> State:
-        s = _scales(mu, eps_scale, tau)
+        s = _scales(mu, tau)
         fx = f(t_start + tau, tuple(map(mul, s, z)))
         return tuple(map(sub, map(truediv, fx, s), map(mul, mu, z)))
 
@@ -219,16 +220,16 @@ def _adaptive_loop(
     )
 
 
-def transformed_run(spec, plan, method, params, reference) -> tuple[np.ndarray, ...]:
+def zsystem_run(spec, plan, method, params, reference) -> tuple[np.ndarray, ...]:
     """``run_transformed``'s (states, errors_vs_reference, mu_history,
-    gamma_max_history) by the per-step loop; raises its ``NonFiniteState``
-    and ``ExponentOverflow``."""
+    gamma_max_history) by the z-system loop; raises ``NonFiniteState`` at the
+    first non-finite back-transformed state, and ``OverflowError`` where an
+    interval's exponent argument max|mu_i| tau would exceed 700."""
     problem = spec.problem
     dim = problem.dim
     stride = _align_reference(reference, plan, problem)
     n, k_intervals = plan.n_steps, plan.k_intervals
     spi, h, t0 = plan.steps_per_interval, plan.dt, plan.t_span[0]
-    eps = params.eps_scale
     jac = problem.jacobian
 
     states = np.empty((n + 1, dim))
@@ -240,18 +241,82 @@ def transformed_run(spec, plan, method, params, reference) -> tuple[np.ndarray, 
     mu = select_mu(method, history, params)
 
     for k in range(k_intervals):
-        _check_exponents(mu, spi * h)
+        worst = max(map(abs, mu)) * (spi * h)
+        if worst > 700.0:
+            raise OverflowError(f"exponent argument {worst:g} exceeds 700")
         t_k = t0 + k * spi * h
-        z = tuple(map(truediv, u, eps))
+        z = u
         mu_history[k] = mu
         gamma_history[k] = local_eigenvalues(jac(t_k, u)).gamma_max
 
-        zrhs = _conjugated_rhs(problem.rhs, t_k, mu, eps)
+        zrhs = _conjugated_rhs(problem.rhs, t_k, mu)
         base = k * spi
         for j in range(spi):
             tau = j * h
             z = _rk4_stepn(zrhs, tau, z, h, zrhs(tau, z))[0]
-            u = tuple(map(mul, _scales(mu, eps, (j + 1) * h), z))
+            u = tuple(map(mul, _scales(mu, (j + 1) * h), z))
+            if _is_bad(u):
+                raise NonFiniteState(t0 + (base + j + 1) * h)
+            states[base + j + 1] = u
+        history.append(float(gamma_history[k]))
+        mu = select_mu(method, history, params)
+
+    errors = np.abs(states - reference.states[::stride])
+    return states, errors, mu_history, gamma_history
+
+
+def _lawson_step(f: Rhs, t: float, u: State, h: float, mu: Sequence[float]) -> State:
+    """One Lawson RK4 step of x' = Mx + (f - Mx), written per component in
+    the operation order of ``ode._rk4_march3``."""
+    h2 = 0.5 * h
+    s = h / 6.0
+    p = [math.exp(m * h2) for m in mu]
+    q = [math.exp(m * h) for m in mu]
+
+    def shifted(t: float, x: Sequence[float]) -> list[float]:
+        return [a - m * v for a, m, v in zip(f(t, tuple(x)), mu, x)]
+
+    k1 = shifted(t, u)
+    x2 = [pi * (ui + h2 * ki) for pi, ui, ki in zip(p, u, k1)]
+    k2 = shifted(t + h2, x2)
+    x3 = [pi * ui + h2 * ki for pi, ui, ki in zip(p, u, k2)]
+    k3 = shifted(t + h2, x3)
+    x4 = [qi * ui + (h * pi) * ki for qi, pi, ui, ki in zip(q, p, u, k3)]
+    k4 = shifted(t + h, x4)
+    return tuple(qi * ui + s * (qi * a + (2.0 * pi) * (b + c) + d)
+                 for qi, pi, ui, a, b, c, d in zip(q, p, u, k1, k2, k3, k4))
+
+
+def transformed_run(spec, plan, method, params, reference) -> tuple[np.ndarray, ...]:
+    """``run_transformed``'s (states, errors_vs_reference, mu_history,
+    gamma_max_history) by the per-step Lawson loop; raises its
+    ``NonFiniteState``, at the interval's first step where a step factor
+    exp(mu_i h) overflows."""
+    problem = spec.problem
+    dim = problem.dim
+    stride = _align_reference(reference, plan, problem)
+    n, k_intervals = plan.n_steps, plan.k_intervals
+    spi, h, t0 = plan.steps_per_interval, plan.dt, plan.t_span[0]
+    jac = problem.jacobian
+
+    states = np.empty((n + 1, dim))
+    u = problem.u0
+    states[0] = u
+    mu_history = np.empty((k_intervals, dim))
+    gamma_history = np.empty(k_intervals)
+    history: list[float] = []
+    mu = select_mu(method, history, params)
+
+    for k in range(k_intervals):
+        base = k * spi
+        t_k = t0 + base * h
+        mu_history[k] = mu
+        gamma_history[k] = local_eigenvalues(jac(t_k, u)).gamma_max
+        for j in range(spi):
+            try:
+                u = _lawson_step(problem.rhs, t_k + j * h, u, h, mu)
+            except OverflowError:
+                raise NonFiniteState(t0 + (base + j + 1) * h) from None
             if _is_bad(u):
                 raise NonFiniteState(t0 + (base + j + 1) * h)
             states[base + j + 1] = u

@@ -256,7 +256,7 @@ def test_criterion_10_property_suites(lorenz_spec, lorenz_oracle, robertson_trap
         m = float(rng.uniform(-3, 3))
         params = TransformParams(mu_init=(m, m, m))
         shifted = local_eigenvalues(shifted_jacobian(
-            lorenz84(a=0.25, b=4.0).problem.jacobian, 0.0, z, params.mu_init, params.eps_scale))
+            lorenz84(a=0.25, b=4.0).problem.jacobian, 0.0, z, params.mu_init))
         plain = local_eigenvalues(lorenz_spec.problem.jacobian(0.0, z))
         got = sorted(shifted.values, key=lambda v: (v.real, v.imag))
         want = sorted((v - m for v in plain.values), key=lambda v: (v.real, v.imag))

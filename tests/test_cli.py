@@ -322,12 +322,14 @@ class TestTransformCommand:
         assert not (tmp_path / "x").exists()
 
     def test_exponent_overflow_message_is_short(self, tmp_path, capsys):
+        # the second interval's shift q gamma_max makes exp(mu h) overflow, so
+        # its first state, at t = 11 h, is not finite
         rc = main(["transform", "--problem", "lorenz84", "--steps", "600", "--method", "2",
                    "--q", "1e300", "--out", str(tmp_path / "x")])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "numerical failure: ExponentOverflow: exponent argument 9.3974e+299 exceeds 700; "
-            "use more/shorter intervals\n")
+            "numerical failure: NonFiniteState: non-finite state encountered at t=0.55\n")
+        assert not (tmp_path / "x").exists()
 
     def test_unconverged_oracle_is_numerical_failure(self, tmp_path):
         rc = main(["transform", "--problem", "lorenz84", "--method", "3",
@@ -342,8 +344,7 @@ class TestCompareCommand:
         # echoed as their dotted spellings are: a bare number for one
         out = tmp_path / "cmp"
         rc = main(["compare", "--problem", "stiff-linear", "--tf", "0.1", "--steps", "40",
-                   "--mu-init", "0.5", "--coeffs", "1", "--transform.eps_scale", "[1]",
-                   "--out", str(out)])
+                   "--mu-init", "0.5", "--coeffs", "1", "--out", str(out)])
         assert rc == 0
         section = manifest(out)["config"]["transform"]
         assert section["mu_init"] == 0.5
@@ -351,14 +352,23 @@ class TestCompareCommand:
 
     def test_bare_number_is_a_one_component_vector(self, tmp_path):
         csvs = []
-        for eps_scale in ("[1]", "1"):
-            out = tmp_path / eps_scale
+        for name, mu_init in (("list", "[0.5]"), ("bare", "0.5")):
+            out = tmp_path / name
             rc = main(["compare", "--problem", "stiff-linear", "--tf", "0.1", "--steps", "40",
-                       "--mu-init", "0.5", "--coeffs", "1", "--transform.eps_scale", eps_scale,
-                       "--out", str(out)])
+                       "--mu-init", mu_init, "--coeffs", "1", "--out", str(out)])
             assert rc == 0
             csvs.append((out / "compare.csv").read_bytes())
         assert csvs[0] == csvs[1]
+
+    def test_none_row_keeps_its_bytes(self, tmp_path):
+        # plain RK4 is the Lawson march with mu = 0, bit for bit the classical
+        # march that gave this row
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--problem", "lorenz84", "--method", "none,3", "--steps", "600",
+                   "--out", str(out)])
+        assert rc == 0
+        rows = (out / "compare.csv").read_bytes().split(b"\r\n")
+        assert rows[1] == b"none,1.4682381441020718,0.14817664710674477,1"
 
     def test_method_sweep_ranks_averaging_methods_best(self, tmp_path):
         out = tmp_path / "cmp"
@@ -748,6 +758,22 @@ class TestConfigHandling:
         assert len(err.splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["adir"]
 
+    def test_too_long_out_name_under_a_missing_parent_creates_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        # no parent to stat the long name in: its length is checked up front
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_solver", no_run)
+        rc = main(["solve", "--problem", "lorenz84", "--steps", "600",
+                   "--out", "o/" + "a" * 300])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("configuration error: [Errno ")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_subcommand_is_config_error(self, capsys):
         rc = main([])
         err = capsys.readouterr().err
@@ -861,8 +887,10 @@ class TestConfigHandling:
          "transform.gamma_source"),
         (["transform"], {"transform": {"gamma_source": "jstar_end"}}, "transform.gamma_source"),
         (["solve"], {"stepz": 1}, "stepz"),
+        (["compare", "--transform.eps_scale", "1"], None, "transform.eps_scale"),
     ], ids=["flag-transform-metod", "flag-solver-stepz", "flag-problem-parms",
-            "flag-gamma-source", "file-gamma-source", "file-top-level-stepz"])
+            "flag-gamma-source", "file-gamma-source", "file-top-level-stepz",
+            "flag-eps-scale"])
     def test_unknown_setting_is_rejected_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                         argv, config, key):
         def no_run(*args):

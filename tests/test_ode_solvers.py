@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import inspect
 import math
 import tracemalloc
@@ -807,3 +808,27 @@ class TestProblemValidation:
             AdaptiveConfig(tol=-1.0, dt_init=1e-3)
         with pytest.raises(ValueError):
             AdaptiveConfig(tol=1e-3, dt_init=1e-3, dt_min=1e-2)
+
+
+class TestPlainRk4KeepsItsBytes:
+    """Fixed-step RK4 is the Lawson march with mu = 0, where p = 1.0
+    multiplies and 0.0 * x subtracts exactly: the states keep the bytes the
+    classical march gave (SHA-256 of the state array, and ``repr`` of a
+    step, recorded from it)."""
+
+    @pytest.mark.parametrize("problem, n_steps, digest", [
+        (lorenz84().problem, 60_000,
+         "990239a6dfe140b5a4e6ae5d21a8a7996d4495b404ceacd032d7381848434551"),
+        (stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.1)).problem, 40,
+         "b1bb4e6abc5a6ab61bd2a25413c21e6cdb87641c2436e64c6d62eaa3e45e8e27"),
+        (forced_dim2(), 777,
+         "d4953e00f043cef3cb978f2984d5d9255276f9b83bcc41b95ebb4f05f227d8e0"),
+    ], ids=["lorenz84", "stiff-linear", "forced-dim2"])
+    def test_solve_rk4_fixed(self, problem, n_steps, digest):
+        states = solve_rk4_fixed(problem, n_steps).states
+        assert hashlib.sha256(states.tobytes()).hexdigest() == digest
+
+    def test_rk4_step(self):
+        problem = lorenz84().problem
+        assert repr(rk4_step(problem.rhs, 0.5, problem.u0, 0.05, 3)) == \
+            "(0.9777976608339611, -1.1241648837532676, 0.2833247388068347)"
