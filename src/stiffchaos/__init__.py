@@ -3,7 +3,6 @@ exponential transformation for small ODE systems."""
 
 from .diagnostics import (
     EigenSet,
-    InsufficientSamples,
     LleTrace,
     NonNegativeGamma,
     StiffnessReport,

@@ -38,10 +38,6 @@ class NonNegativeGamma(ValueError):
     """dt_stiff is undefined for non-negative local Lyapunov exponents."""
 
 
-class InsufficientSamples(ValueError):
-    """Trajectory too short for curvature estimation."""
-
-
 # ---------------------------------------------------------------------------
 # Eigenvalues of small real matrices.
 #
@@ -132,35 +128,20 @@ def curvature(u_prime, u_double_prime):
 def curvature_along(traj: Trajectory, problem: OdeProblem, component: int = 0) -> np.ndarray:
     """Curvature of one solution component along a trajectory.
 
-    Returns an (n, 2) array of (t, kappa).  When the problem carries both an
-    analytic Jacobian and rhs_dt, u' = f and u'' = df/dt + J f are evaluated
-    exactly from the states, in lanes; otherwise centered finite differences
-    on the (possibly non-uniform) sample grid are used.
+    Returns an (n, 2) array of (t, kappa), one row per sample.  By the chain
+    rule u' = f and u'' = df/dt + J f, evaluated exactly from the states with
+    the problem's ``rhs``, ``jacobian`` and ``rhs_dt``, in lanes.
     """
-    n = len(traj.times)
-    if n < 5:
-        raise InsufficientSamples(f"need >= 5 samples, got {n}")
     if component < 0 or component >= problem.dim:
         raise ValueError(f"component {component} out of range for dim {problem.dim}")
-
-    if problem.rhs_dt is not None:
-        kap = np.empty(n)
-        for s in _lane_blocks(n):
-            t, u = traj.lanes(s)
-            f = problem.rhs(t, u)
-            jrow = problem.jacobian(t, u)[component]
-            u2 = problem.rhs_dt(t, u)[component] + sum(map(mul, jrow, f))
-            kap[s] = curvature(f[component], u2)
-    else:
-        y = traj.states[:, component]
-        h = np.diff(traj.times)
-        hl, hr = h[:-1], h[1:]
-        ym, y0, yp = y[:-2], y[1:-1], y[2:]
-        d1 = (-hr / (hl * (hl + hr)) * ym + (hr - hl) / (hl * hr) * y0
-              + hl / (hr * (hl + hr)) * yp)
-        d2 = 2.0 * (ym / (hl * (hl + hr)) - y0 / (hl * hr) + yp / (hr * (hl + hr)))
-        # the end samples take their neighbour's derivatives
-        kap = curvature(np.pad(d1, 1, mode="edge"), np.pad(d2, 1, mode="edge"))
+    n = len(traj.times)
+    kap = np.empty(n)
+    for s in _lane_blocks(n):
+        t, u = traj.lanes(s)
+        f = problem.rhs(t, u)
+        jrow = problem.jacobian(t, u)[component]
+        u2 = problem.rhs_dt(t, u)[component] + sum(map(mul, jrow, f))
+        kap[s] = curvature(f[component], u2)
     return np.column_stack([traj.times, kap])
 
 

@@ -253,6 +253,8 @@ def make_problem(name: str, params: dict | None = None,
 
 def nearest_sample_indices(times: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Index of the nearest accepted sample for each target time."""
+    if len(times) == 1:
+        return np.zeros(len(targets), dtype=np.intp)
     idx = np.searchsorted(times, targets)
     idx = np.clip(idx, 1, len(times) - 1)
     left_closer = (targets - times[idx - 1]) <= (times[idx] - targets)

@@ -217,6 +217,30 @@ class TestDiagnoseCommand:
         assert np.all(dt_stiff[stiff] > 0.0)
         assert np.all(np.isfinite(q)) and np.all(q >= 0.0)
 
+    @pytest.mark.parametrize("argv, rows, steps_taken, stagnated", [
+        (["--problem", "stiff-linear", "--solver", "rk4-adaptive", "--max-steps", "10",
+          "--solver.dt_init", "0.5", "--solver.dt_min", "0.5"], 3, 2, False),
+        (["--problem", "stiff-linear", "--solver", "rk4-adaptive", "--max-steps", "10",
+          "--solver.dt_init", "0.1", "--solver.dt_min", "0.1"], 3, 2, True),
+        # every attempt fails tol at dt_min: only the start sample
+        (["--problem", "robertson", "--solver", "rk4-adaptive", "--solver.dt_init", "1e-6",
+          "--solver.dt_min", "1e-6", "--tol", "1e-30"], 1, 0, True),
+        (["--problem", "lorenz84", "--steps", "3", "--tf", "0.01"], 4, 3, False),
+    ], ids=["adaptive-ended-early", "adaptive-stagnated", "adaptive-stagnated-at-start",
+            "rk4-3-steps"])
+    def test_short_run_gets_one_row_per_sample(self, tmp_path, argv, rows, steps_taken,
+                                               stagnated):
+        out = tmp_path / "short"
+        assert main(["diagnose", *argv, "--out", str(out)]) == 0
+        _, stiffness = read_csv(out / "stiffness.csv")
+        assert len(stiffness) == rows
+        summary = manifest(out)["summary"]
+        assert summary["steps_taken"] == steps_taken
+        assert summary["stagnated"] is stagnated
+        # the scan keeps its sample count, each at the nearest accepted sample
+        _, lle = read_csv(out / "lle.csv")
+        assert len(lle) == 400
+
 
 class TestTransformCommand:
     def test_method3_outputs(self, tmp_path):
@@ -268,6 +292,16 @@ class TestTransformCommand:
             outs.append((out / "errors.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_short_run_gets_a_step_extension_row_per_sample(self, tmp_path, steps):
+        out = tmp_path / "short"
+        rc = main(["transform", "--problem", "lorenz84", "--method", "none",
+                   "--steps", str(steps), "--tf", "0.1", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out / "step_extension.csv")
+        assert [row[0] for row in rows] == pytest.approx(np.linspace(0.0, 0.1, steps + 1))
+        assert all(row[2] == pytest.approx(0.1 / steps) for row in rows)
+
     def test_wrong_problem_rejected(self, tmp_path, monkeypatch, capsys):
         # the reference triples do not fit the one-component stiff-linear
         # problem: rejected before the oracle runs, and no --out is created
@@ -303,9 +337,7 @@ class TestTransformCommand:
     @pytest.mark.parametrize("steps, refine, message", [
         ("601", "1", "oracle.refine x steps = 601 must be even"),
         ("600", "0", "oracle.refine must be >= 1"),
-        # the step-extension report needs 5 samples
-        ("2", "2", "solver.steps must be >= 4 for transform"),
-    ], ids=["odd-oracle-steps", "refine-0", "steps-2"])
+    ], ids=["odd-oracle-steps", "refine-0"])
     def test_oracle_refine_is_checked_before_the_oracle(self, tmp_path, capsys, monkeypatch,
                                                         steps, refine, message):
         def no_oracle(*args):
@@ -515,7 +547,7 @@ class TestFailedRuns:
     def test_transform_writes_nothing_until_every_result_is_computed(self, tmp_path,
                                                                      monkeypatch):
         def fail(*args):
-            raise ValueError("need >= 5 samples, got 3")
+            raise ValueError("step extension failed")
 
         monkeypatch.setattr(cli, "step_extension_report", fail)
         argv = ["transform", "--problem", "lorenz84", "--steps", "600", "--out"]
@@ -727,17 +759,8 @@ class TestConfigHandling:
            "method's reference interval of 40 steps), which does not divide "
            "solver.steps=610; set transform.intervals to a divisor of 610")
           for command in ("transform", "compare")),
-        (["diagnose", "--problem", "stiff-linear", "--solver", "rk4-adaptive", "--max-steps",
-          "10", "--solver.dt_init", "0.5", "--solver.dt_min", "0.5"],
-         "diagnose: rk4_adaptive reached the end at t=1 after 2 steps; the stiffness report "
-         "needs 5 samples, got 3\n"),
-        (["diagnose", "--problem", "stiff-linear", "--solver", "rk4-adaptive", "--max-steps",
-          "10", "--solver.dt_init", "0.1", "--solver.dt_min", "0.1"],
-         "diagnose: rk4_adaptive stagnated at t=0.5 after 2 steps; the stiffness report "
-         "needs 5 samples, got 3\n"),
     ], ids=["bad-int", "bad-choice", "bad-float-list", "short-vector", "diagnose-eps-inf",
-            "demo-eps-inf", "transform-derived-intervals", "compare-derived-intervals",
-            "diagnose-adaptive-ended-early", "diagnose-adaptive-stagnated"])
+            "demo-eps-inf", "transform-derived-intervals", "compare-derived-intervals"])
     def test_parser_rejection_is_one_line_config_error(self, tmp_path, capsys, argv, message):
         rc = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
@@ -862,22 +885,16 @@ class TestConfigHandling:
             f"configuration error: out: {blocker!r} exists and is not a directory\n")
         assert [p.name for p in tmp_path.iterdir()] == [blocker]
 
-    def test_diagnose_rejects_eps_before_solving(self, tmp_path, monkeypatch, capsys):
+    def test_diagnose_rejects_eps_before_solving(self, tmp_path, monkeypatch):
         def no_solve(*args):
             raise AssertionError("run_solver ran")
 
         monkeypatch.setattr(cli, "run_solver", no_solve)
-        for bad in (["--eps", "-1"], ["--samples", "1"], ["--scan.component", "3"],
-                    ["--steps", "3", "--tf", "0.01"],
-                    ["--solver", "rk4-adaptive", "--max-steps", "3"]):
+        for bad in (["--eps", "-1"], ["--samples", "1"], ["--scan.component", "3"]):
             rc = main(["diagnose", "--problem", "lorenz84", "--solver", "rk4",
                        "--steps", "60000", "--out", str(tmp_path / "x")] + bad)
             assert rc == 1
             assert not (tmp_path / "x").exists()
-        # too few steps for the stiffness report name the key that sets them
-        assert capsys.readouterr().err.splitlines()[-2:] == [
-            f"configuration error: {key} must be >= 4 for diagnose (the stiffness report "
-            "needs 5 samples), got 3" for key in ("solver.steps", "solver.max_steps")]
 
     @pytest.mark.parametrize("argv, config, key", [
         (["transform", "--transform.metod", "1"], None, "transform.metod"),

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from stiffchaos import (
-    InsufficientSamples,
     NonNegativeGamma,
     OdeProblem,
     Trajectory,
@@ -264,12 +263,6 @@ class TestEigenvalues:
             assert values[k].tobytes() == single.tobytes()
 
 
-def _sampled_trajectory(fn, t0, t1, n, dim=1):
-    times = np.linspace(t0, t1, n)
-    states = np.array([[fn(t)] for t in times]) if dim == 1 else np.array([fn(t) for t in times])
-    return Trajectory(times, states, "rk4_fixed", steps_taken=n - 1)
-
-
 class TestCurvatureAlong:
     def test_straight_line_has_zero_curvature(self):
         spec = stiff_linear(300.0)  # u0 = 1: exact solution is the line 1 + t
@@ -289,24 +282,6 @@ class TestCurvatureAlong:
         tk = curvature_along(traj, prob, 0)
         at_peak = tk[np.argmin(np.abs(tk[:, 0] - math.pi / 2)), 1]
         assert at_peak == pytest.approx(1.0, abs=1e-3)
-
-    def test_sine_peak_finite_difference_fallback(self):
-        prob = OdeProblem(
-            name="sine-fd", dim=1, params={},
-            rhs=lambda t, u: (math.cos(t),),
-            jacobian=lambda t, u: ((0.0,),),
-            u0=(0.0,), t_span=(0.0, math.pi),
-        )
-        traj = _sampled_trajectory(math.sin, 0.0, math.pi, 3001)
-        tk = curvature_along(traj, prob, 0)
-        at_peak = tk[np.argmin(np.abs(tk[:, 0] - math.pi / 2)), 1]
-        assert at_peak == pytest.approx(1.0, abs=1e-3)
-
-    def test_too_few_samples(self):
-        spec = stiff_linear(300.0)
-        traj = _sampled_trajectory(lambda t: 1.0 + t, 0.0, 1.0, 4)
-        with pytest.raises(InsufficientSamples):
-            curvature_along(traj, spec.problem, 0)
 
 
 def _within_ulps(got: np.ndarray, want: np.ndarray, ulps: int) -> bool:
@@ -339,25 +314,22 @@ class TestCurvatureLanes:
             assert tk[:, 0].tobytes() == traj.times.tobytes()
             assert _within_ulps(tk[:, 1], np.array(want), 4)
 
-    def test_finite_differences_within_four_ulp_of_per_sample_floats(self, lorenz_spec):
-        prob = replace(lorenz_spec.problem, rhs_dt=None)
-        sol = solve_rk4_fixed(prob, 3000)
-        # a non-uniform grid: every third sample dropped
-        keep = np.arange(len(sol.times)) % 3 != 1
-        traj = Trajectory(sol.times[keep], sol.states[keep], "rk4_fixed", steps_taken=3000)
-        times, y = traj.times, traj.states[:, 2]
-        n = len(times)
-        d1, d2 = [0.0] * n, [0.0] * n
-        for k in range(1, n - 1):
-            hl = float(times[k] - times[k - 1])
-            hr = float(times[k + 1] - times[k])
-            ym, y0, yp = float(y[k - 1]), float(y[k]), float(y[k + 1])
-            d1[k] = (-hr / (hl * (hl + hr)) * ym + (hr - hl) / (hl * hr) * y0
-                     + hl / (hr * (hl + hr)) * yp)
-            d2[k] = 2.0 * (ym / (hl * (hl + hr)) - y0 / (hl * hr) + yp / (hr * (hl + hr)))
-        d1[0], d2[0], d1[-1], d2[-1] = d1[1], d2[1], d1[-2], d2[-2]
-        want = np.array([curvature(a, b) for a, b in zip(d1, d2)])
-        assert _within_ulps(curvature_along(traj, prob, 2)[:, 1], want, 4)
+    @pytest.mark.parametrize("spec", [lorenz84(), stiff_linear(300.0, u0=(1.05,))],
+                             ids=["lorenz84", "stiff-linear"])
+    def test_one_sample_matches_the_per_sample_float_formula(self, spec):
+        # a run that stops before its first step has only its start sample
+        prob = spec.problem
+        traj = Trajectory(np.array([prob.t_span[0]]), np.array([prob.u0]), "rk4_adaptive",
+                          steps_taken=0, stagnated=True)
+        t, u = prob.t_span[0], prob.u0
+        for c in range(prob.dim):
+            f = prob.rhs(t, u)
+            jrow = prob.jacobian(t, u)[c]
+            u2 = prob.rhs_dt(t, u)[c] + sum(jrow[j] * f[j] for j in range(prob.dim))
+            tk = curvature_along(traj, prob, c)
+            assert tk.shape == (1, 2)
+            assert tk[0, 0] == t
+            assert _within_ulps(tk[:, 1], np.array([curvature(f[c], u2)]), 4)
 
 
 def _exact_kappa_stiff(gamma: float, eps: float, t_star: float) -> float:

@@ -61,6 +61,7 @@ def forced_dim3() -> OdeProblem:
         rhs=lambda t, u: (u[1], -u[0] + math.cos(3.0 * t), -u[2] + t * t),
         jacobian=lambda t, u: ((0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, -1.0)),
         u0=(1.0, 0.0, 0.5), t_span=(0.3, 4.0),
+        rhs_dt=lambda t, u: (0.0, -3.0 * math.sin(3.0 * t), 2.0 * t),
     )
 
 
@@ -90,6 +91,7 @@ def blowup_dim3() -> OdeProblem:
         jacobian=lambda t, u: ((2.0 * u[0], 0.0, 0.0), (0.0, 2.0 * u[1], 0.0),
                                (0.0, 0.0, 2.0 * u[2])),
         u0=(1.0, 0.5, 0.25), t_span=(0.0, 3.0),
+        rhs_dt=lambda t, u: (0.0, 0.0, 0.0),
     )
 
 
@@ -101,6 +103,7 @@ def wall_dim3() -> OdeProblem:
         rhs=lambda t, u: (1.0 if u[0] < 2.0 else math.inf, -u[1], t),
         jacobian=lambda t, u: ((0.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 0.0)),
         u0=(1.0, 1.0, 0.0), t_span=(0.0, 3.0),
+        rhs_dt=lambda t, u: (0.0, 0.0, 1.0),
     )
 
 
@@ -111,6 +114,7 @@ def blowup_dim1() -> OdeProblem:
         rhs=lambda t, u: (u[0] * u[0],),
         jacobian=lambda t, u: ((2.0 * u[0],),),
         u0=(1.0,), t_span=(0.0, 3.0),
+        rhs_dt=lambda t, u: (0.0,),
     )
 
 
@@ -121,6 +125,7 @@ def forced_dim2() -> OdeProblem:
         rhs=lambda t, u: (u[1], -u[0] + math.cos(3.0 * t)),
         jacobian=lambda t, u: ((0.0, 1.0), (-1.0, 0.0)),
         u0=(1.0, -0.5), t_span=(0.3, 4.0),
+        rhs_dt=lambda t, u: (0.0, -3.0 * math.sin(3.0 * t)),
     )
 
 
@@ -787,12 +792,18 @@ class TestProblemValidation:
     def test_more_than_three_components_rejected(self):
         with pytest.raises(ValueError, match="dim must be 1, 2 or 3"):
             OdeProblem("dim4", 4, {}, lambda t, u: (0.0,) * 4,
-                       lambda t, u: ((0.0,) * 4,) * 4, (1.0,) * 4, (0.0, 1.0))
+                       lambda t, u: ((0.0,) * 4,) * 4, (1.0,) * 4, (0.0, 1.0),
+                       rhs_dt=lambda t, u: (0.0,) * 4)
+
+    def test_rhs_dt_is_required(self):
+        with pytest.raises(TypeError, match="rhs_dt"):
+            OdeProblem("no-rhs-dt", 1, {}, lambda t, u: (0.0,),
+                       lambda t, u: ((0.0,),), (1.0,), (0.0, 1.0))
 
     def test_invalid_spans_rejected(self):
         with pytest.raises(ValueError):
             OdeProblem("bad", 1, {}, lambda t, u: (0.0,),
-                       lambda t, u: ((0.0,),), (1.0,), (1.0, 0.0))
+                       lambda t, u: ((0.0,),), (1.0,), (1.0, 0.0), rhs_dt=lambda t, u: (0.0,))
 
     @pytest.mark.parametrize("u0, t_span", [
         ((1.0,), (0.0, math.inf)), ((1.0,), (-math.inf, 1.0)), ((1.0,), (0.0, math.nan)),
@@ -801,7 +812,7 @@ class TestProblemValidation:
     def test_non_finite_span_or_start_rejected(self, u0, t_span):
         with pytest.raises(ValueError, match="t_span and u0 must be finite"):
             OdeProblem("bad", 1, {}, lambda t, u: (0.0,),
-                       lambda t, u: ((0.0,),), u0, t_span)
+                       lambda t, u: ((0.0,),), u0, t_span, rhs_dt=lambda t, u: (0.0,))
 
     def test_adaptive_config_validation(self):
         with pytest.raises(ValueError):

@@ -11,12 +11,14 @@ from stiffchaos import (
     check_jacobian,
     flame,
     lle_scan,
+    local_eigenvalues,
     lorenz84,
     make_problem,
     robertson,
     solve_rk4_fixed,
     stiff_linear,
 )
+from stiffchaos.problems import nearest_sample_indices
 
 
 class TestStiffLinear:
@@ -257,6 +259,19 @@ class TestLleScan:
         trace = lle_scan(spec.problem, traj, 50)
         assert np.all(trace.gamma_max == -300.0)
         assert np.all(trace.gamma_min == -300.0)
+
+    def test_one_sample_trajectory_scans_its_start_state(self, robertson_spec):
+        # an adaptive run that stagnates before its first step
+        problem = robertson_spec.problem
+        t0 = problem.t_span[0]
+        traj = Trajectory(np.array([t0]), np.array([problem.u0]), "rk4_adaptive",
+                          steps_taken=0, stagnated=True)
+        idx = nearest_sample_indices(traj.times, np.full(5, t0))
+        assert idx.tolist() == [0] * 5
+        trace = lle_scan(problem, traj, 5)
+        want = np.array(local_eigenvalues(problem.jacobian(t0, problem.u0)).values)
+        assert trace.times.tolist() == [t0] * 5
+        assert all(row.tobytes() == want.tobytes() for row in trace.values)
 
     def test_window_must_be_covered(self, lorenz_spec, lorenz_oracle):
         with pytest.raises(ValueError):

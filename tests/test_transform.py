@@ -411,7 +411,7 @@ class TestDriverMatchesStepLoop:
         # where R(-50) = 2.4e5 is RK4's amplification of the z-system, so x
         # overflows at step 8 while z = e^{-mu t} x stays near 1e143
         problem = OdeProblem("still", 1, {}, lambda t, u: (0.0,), lambda t, u: ((0.0,),),
-                             (1e100,), (0.0, 1.0))
+                             (1e100,), (0.0, 1.0), rhs_dt=lambda t, u: (0.0,))
         reference = Trajectory(np.linspace(0.0, 1.0, 11), np.full((11, 1), 1e100), "none", 10)
         params = params_for_method(MuMethod.FIXED_MU, coeffs=(1.0,), mu_init=(500.0,))
         args = (BenchmarkSpec(problem, problem.jacobian, None), IntervalPlan(10, 1, (0.0, 1.0)),
