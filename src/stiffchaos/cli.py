@@ -72,7 +72,11 @@ from .transform import (
 
 SOLVER_NAMES = ("rk4", "rk4-adaptive", "trapezoid")
 
-DEFAULT_ORACLE_REFINE = 2  # GBS macro steps per run step
+# GBS macro steps per run step when ``oracle.refine`` is unset: one
+# seven-level step clears the oracle's 1e-8 gate 30-50 fold on Lorenz-84 at
+# N = 600 and 1620 (see ``ode``'s GBS notes).  An odd N takes two, since the
+# gate halves the oracle's step count.
+DEFAULT_ORACLE_REFINE = 1
 DEFAULT_EPS = 1e-3
 
 
@@ -407,7 +411,8 @@ def cmd_diagnose(cfg: dict) -> int:
     _discard_manifest(cfg)
     traj = run_solver(solve, spec)
     report = stiffness_report(traj, spec.problem, eps=eps, component=component)
-    trace = lle_scan(spec.problem, traj, n_samples)
+    # a run that stops at its start sample has a zero-width window: one row
+    trace = lle_scan(spec.problem, traj, n_samples if len(traj.times) > 1 else 1)
     crossing = report.q_unity_crossing()
     summary = {
         "problem": spec.problem.name,
@@ -491,8 +496,11 @@ def _transform_setup(cfg: dict, spec: BenchmarkSpec, method_key: str):
 
 
 def _oracle_steps(cfg: dict, n_steps: int) -> int:
-    """The oracle's step count: ``oracle.refine`` GBS macro steps per run step."""
-    refine = _number(cfg, "oracle.refine", DEFAULT_ORACLE_REFINE, integral=True)
+    """The oracle's step count: ``oracle.refine`` GBS macro steps per run
+    step, by default one, or two for an odd ``n_steps``."""
+    refine = _number(cfg, "oracle.refine", integral=True)
+    if refine is None:
+        return n_steps * (DEFAULT_ORACLE_REFINE + n_steps % 2)
     if refine < 1:
         raise ConfigError("oracle.refine must be >= 1")
     if n_steps * refine % 2:

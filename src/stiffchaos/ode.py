@@ -662,29 +662,35 @@ def solve_trapezoid_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajec
 #     S_j = (z_{n-1} + z_n + h f(t + H, z_n)) / 2,
 # and extrapolates the S_j to h = 0 by Aitken-Neville in h^2,
 #     T_{j,k+1} = T_{j,k} + (T_{j,k} - T_{j-1,k}) / ((n_j / n_{j-k})^2 - 1).
-# With n_j = 2j, j = 1..6, T_{6,6} is of order 12 at 1 + 42 = 43 rhs calls
-# per macro step.  The level count is fixed: on Lorenz-84 at two macro steps
-# per run step six levels clear the 1e-8 gate 50-fold, and beyond about
+# With n_j = 2j, j = 1..7, T_{7,7} is of order 14 at 1 + 56 = 57 rhs calls
+# per macro step, taken once per run step.  The level count is fixed.  On
+# Lorenz-84 over [0, 30] the 1e-8 gate moves by 1.75e-10 at N = 600 and by
+# 2.98e-10 at N = 1620 macro steps, 30-50 times under it; at N = 600 six
+# levels (6.9e-8) fail it at one macro step per run step and five levels
+# (1.8e-8) at two, while six levels at two (43 x 3 = 129 calls per run
+# step against 57 x 1.5 = 85.5) cost half as much again.  Beyond about
 # eight levels roundoff undoes what the extra calls buy.
 #
 # ``_gbs_march3`` is written for three components (state in locals) and
 # stores as ``_rk4_march3`` does, into the padded grid of ``_fixed_grid``, so
 # dim-1 and dim-2 problems run through it padded, like the RK4 solvers.
-# T_{6,6} comes from the straight-line ``_neville6``, which rounds as the
-# row-by-row loop did (precomputed Lagrange weights would not).
+# T_{7,7} comes from the straight-line ``_neville7``, which rounds as the
+# row-by-row loop does (precomputed Lagrange weights would not).
 
-_GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12)
+_GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12, 14)
 _GBS_NEVILLE = tuple(
     tuple(1.0 / ((n / _GBS_SUBSTEPS[j - k - 1]) ** 2 - 1.0) for k in range(j))
     for j, n in enumerate(_GBS_SUBSTEPS)
 )
 _GBS_RHS_PER_STEP = 1 + sum(_GBS_SUBSTEPS)
 (), (_C22,), (_C32, _C33), (_C42, _C43, _C44), (_C52, _C53, _C54, _C55), \
-    (_C62, _C63, _C64, _C65, _C66) = _GBS_NEVILLE  # _Cjk is c_{j,k}
+    (_C62, _C63, _C64, _C65, _C66), \
+    (_C72, _C73, _C74, _C75, _C76, _C77) = _GBS_NEVILLE  # _Cjk is c_{j,k}
 
 
-def _neville6(s1: float, s2: float, s3: float, s4: float, s5: float, s6: float) -> float:
-    """T_{6,6} over T_{j,1} = S_j, each T_{j,k} = T_{j,k-1} + (T_{j,k-1} -
+def _neville7(s1: float, s2: float, s3: float, s4: float, s5: float, s6: float,
+              s7: float) -> float:
+    """T_{7,7} over T_{j,1} = S_j, each T_{j,k} = T_{j,k-1} + (T_{j,k-1} -
     T_{j-1,k-1}) c_{j,k} exactly as the row-by-row update computes it."""
     t22 = s2 + (s2 - s1) * _C22
     t32 = s3 + (s3 - s2) * _C32
@@ -700,7 +706,13 @@ def _neville6(s1: float, s2: float, s3: float, s4: float, s5: float, s6: float) 
     t63 = t62 + (t62 - t52) * _C63
     t64 = t63 + (t63 - t53) * _C64
     t65 = t64 + (t64 - t54) * _C65
-    return t65 + (t65 - t55) * _C66
+    t66 = t65 + (t65 - t55) * _C66
+    t72 = s7 + (s7 - s6) * _C72
+    t73 = t72 + (t72 - t62) * _C73
+    t74 = t73 + (t73 - t63) * _C74
+    t75 = t74 + (t74 - t64) * _C75
+    t76 = t75 + (t75 - t65) * _C76
+    return t76 + (t76 - t66) * _C77
 
 
 def _gbs_march3(f: Rhs, t0: float, h: float, u: State, n: int,
@@ -713,7 +725,7 @@ def _gbs_march3(f: Rhs, t0: float, h: float, u: State, n: int,
     computed once."""
     levels = tuple((j, h / m, 2.0 * (h / m), tuple(k * (h / m) for k in range(1, m)))
                    for j, m in enumerate(_GBS_SUBSTEPS))
-    sx, sy, sz = [0.0] * 6, [0.0] * 6, [0.0] * 6
+    sx, sy, sz = [0.0] * 7, [0.0] * 7, [0.0] * 7
     x, y, z = u
     j = 3
     for i in range(n):
@@ -732,7 +744,7 @@ def _gbs_march3(f: Rhs, t0: float, h: float, u: State, n: int,
             sx[level] = 0.5 * (x0 + x1 + hs * a)
             sy[level] = 0.5 * (y0 + y1 + hs * b)
             sz[level] = 0.5 * (z0 + z1 + hs * c)
-        x, y, z = _neville6(*sx), _neville6(*sy), _neville6(*sz)
+        x, y, z = _neville7(*sx), _neville7(*sy), _neville7(*sz)
         # ``_is_bad`` inlined: the sum is nan/inf iff some component is
         w = x + y + z
         if w - w != 0.0:

@@ -269,10 +269,10 @@ def lle_scan(problem: OdeProblem, traj: Trajectory, n_samples: int,
     accepted trajectory sample, without interpolation, so the scan is only
     as accurate as the trajectory's sample spacing: pass one sampled much
     finer than the scan (the acceptance suite's 400-point scan reads a
-    16,200-step oracle over [0, 30]).
+    16,200-step oracle over [0, 30]).  One sample scans the window's start.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     t0 = float(traj.times[0]) if window is None else float(window[0])
     t1 = float(traj.times[-1]) if window is None else float(window[1])
     if t0 < traj.times[0] - 1e-12 or t1 > traj.times[-1] + 1e-12:

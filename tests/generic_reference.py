@@ -5,7 +5,11 @@ dim-1 and dim-2 problems ran through the dim-3 code zero-padded, and
 ``fixed_states`` is the fixed-step loop ``solve_rk4_fixed`` ran on them.  The
 tests pin the library to these bit for bit, for every dimension;
 ``_gbs_march``'s row-by-row Aitken-Neville loop is also the reference for the
-library's straight-line ``_neville6``.
+library's straight-line ``_neville7``.  Its levels are this module's own
+constants, not the library's.  ``gbs6_oracle`` is the oracle
+``reference_solution`` was, bit for bit, before it took seven levels at one
+macro step per run step: six levels (``GBS6_SUBSTEPS``) at two.  The tests
+bound the library's oracle by it.
 
 ``_adaptive_loop`` is the accept/reject loop with the elementary step-size
 controller 0.9 * (tol / est)**exponent, copied unchanged from
@@ -46,8 +50,6 @@ import numpy as np
 
 from stiffchaos.diagnostics import SQRT8, NonNegativeGamma, local_eigenvalues
 from stiffchaos.ode import (
-    _GBS_NEVILLE,
-    _GBS_SUBSTEPS,
     _GROW_MAX,
     _SAFETY,
     _SHRINK_MAX,
@@ -93,15 +95,26 @@ def _rk4_attempt(f: Rhs, t: float, u: State, h: float) -> tuple[State, float]:
     return half, _scaled_diff(full, half, u, floor=1e-6) / 15.0
 
 
-def _gbs_march(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> None:
+# the GBS levels n_j = 2j, j = 1..7, of ``reference_solution``, and the six
+# of the oracle before it
+GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12, 14)
+GBS6_SUBSTEPS = GBS_SUBSTEPS[:6]
+
+
+def _gbs_march(f: Rhs, t0: float, h: float, u: State, states: np.ndarray,
+               substeps: Sequence[int] = GBS_SUBSTEPS) -> None:
     """GBS macro steps of size ``h`` from ``u`` at ``t0``; state i + 1 goes
     to ``states[i + 1]``.  Raises ``NonFiniteState`` at the end of the first
     macro step whose state is not finite."""
+    neville = tuple(
+        tuple(1.0 / ((n / substeps[j - k - 1]) ** 2 - 1.0) for k in range(j))
+        for j, n in enumerate(substeps)
+    )
     for i in range(len(states) - 1):
         t = t0 + i * h
         f0 = f(t, u)
         row: list[State] = []
-        for n, factors in zip(_GBS_SUBSTEPS, _GBS_NEVILLE):
+        for n, factors in zip(substeps, neville):
             hs = h / n
             h2 = 2.0 * hs
             z0 = u
@@ -118,6 +131,21 @@ def _gbs_march(f: Rhs, t0: float, h: float, u: State, states: np.ndarray) -> Non
         if _is_bad(u):
             raise NonFiniteState(t0 + (i + 1) * h)
         states[i + 1] = u
+
+
+def gbs6_oracle(problem: OdeProblem, n_steps: int) -> tuple[np.ndarray, float]:
+    """The six-level oracle on the grid of ``n_steps`` run steps: the states
+    of 2 ``n_steps`` macro steps at every other sample, and its gate's
+    max|difference| from ``n_steps`` macro steps."""
+    t0, t1 = problem.t_span
+    runs = []
+    for n in (2 * n_steps, n_steps):
+        states = np.empty((n + 1, problem.dim))
+        states[0] = problem.u0
+        _gbs_march(problem.rhs, t0, (t1 - t0) / n, problem.u0, states, GBS6_SUBSTEPS)
+        runs.append(states)
+    fine = runs[0][::2]
+    return fine, float(np.max(np.abs(fine - runs[1])))
 
 
 def _scales(mu: Sequence[float], tau: float) -> State:

@@ -40,7 +40,7 @@ from stiffchaos.ode import (
 )
 
 import generic_reference
-from generic_reference import _gbs_march, _rk4_attempt, _rk4_stepn, fixed_states
+from generic_reference import _gbs_march, _rk4_attempt, _rk4_stepn, fixed_states, gbs6_oracle
 
 
 def exp_decay(t_span=(0.0, 1.0)) -> OdeProblem:
@@ -697,18 +697,21 @@ class TestReferenceSolution:
         assert np.max(np.abs(traj.states[mask, 0] - exact)) < 1e-9
 
     def test_gate_rejects_coarse_lorenz(self, lorenz_spec):
+        # halving the step from 300 to 600 macro steps moves the state by
+        # 1.75e-10; from 200 to 400, by 3.0e-8
+        assert reference_solution(lorenz_spec.problem, 600).meta["oracle_check_delta"] < 1e-9
         with pytest.raises(OracleNotConverged):
-            reference_solution(lorenz_spec.problem, 600)
+            reference_solution(lorenz_spec.problem, 400)
 
     def test_gate_passes_fine_lorenz(self, lorenz_oracle):
         assert lorenz_oracle.meta["oracle_check_delta"] < 1e-8
         assert lorenz_oracle.meta["oracle_n_steps"] == len(lorenz_oracle.times) - 1
 
     def test_rhs_calls_match_the_recorded_count(self):
-        # 43 per macro step of the fine run (n) and of the gate's run (n/2)
+        # 57 per macro step of the fine run (n) and of the gate's run (n/2)
         counted, calls = rhs_counted(lorenz84(t_span=(0.0, 1.0)).problem)
         traj = reference_solution(counted, 1000)
-        assert calls[0] == traj.meta["oracle_rhs_evals"] == 43 * (1000 + 500)
+        assert calls[0] == traj.meta["oracle_rhs_evals"] == 57 * (1000 + 500)
 
     def test_records_the_problem_it_was_computed_for(self):
         spec = lorenz84(t_span=(0.0, 1.0))
@@ -745,6 +748,16 @@ class TestReferenceSolution:
         rk4 = solve_rk4_fixed(lorenz_spec.problem, 600 * 256)
         diff = np.max(np.abs(oracle.states[::2] - rk4.states[::256]))
         assert diff < ORACLE_CHECK_TOL
+
+    @pytest.mark.parametrize("n_steps", [600, 1620])
+    def test_lorenz_oracle_agrees_with_the_six_level_oracle(self, lorenz_spec, n_steps):
+        # the oracle before this one: six levels at two macro steps per run
+        # step, gated at 2.0e-10 (N=600) and 1.2e-10 (N=1620); measured
+        # max|diff| 3.7e-11 and 2.8e-10 on the run grid
+        oracle = reference_solution(lorenz_spec.problem, n_steps)
+        six, delta = gbs6_oracle(lorenz_spec.problem, n_steps)
+        assert delta < 1e-9
+        assert np.max(np.abs(oracle.states - six)) < 1e-9
 
     def test_lorenz_oracle_agrees_with_dop853(self, lorenz_spec, lorenz_oracle):
         # an independent integrator (scipy's DOP853 at rtol = atol = 1e-13) on

@@ -533,8 +533,9 @@ class TestReferenceAlignment:
         assert _align_reference(plain, IntervalPlan(3000, 6, (0.0, 3.0)), spec.problem) == 4
 
     def test_headline_errors_match_the_rk4_oracle_values(self, lorenz_spec):
-        # the CLI's oracle (GBS, refine 2) against the values the 256x
-        # fine-RK4 oracle gave: measured 0.019541232429 and 5.447039194e-4
+        # the CLI's oracle (GBS, one macro step per run step) against the
+        # values the 256x fine-RK4 oracle gave: measured 0.019541232421 and
+        # 5.447038478e-4
         refine = cli.DEFAULT_ORACLE_REFINE
         cases = ((600, 15, 0.019541232335), (1620, 60, 5.447038850e-4))
         for n, k, rk4_value in cases:
