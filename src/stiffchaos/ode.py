@@ -253,22 +253,23 @@ def solve_rk4_fixed(problem: OdeProblem, n_steps: int) -> Trajectory:
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    times, states = _fixed_grid(problem, n_steps, _rk4_march3)
+    times, states, _ = _fixed_grid(problem, n_steps, _rk4_march3)
     return Trajectory(times, states, RK4_FIXED, steps_taken=n_steps)
 
 
-def _fixed_grid(problem: OdeProblem, n_steps: int, march3) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_grid(problem: OdeProblem, n_steps: int, march3) -> tuple[np.ndarray, np.ndarray, object]:
     """The times and states of ``n_steps`` equidistant steps over the
     problem's span, marched by ``march3(f, t0, h, u, n, out)`` (``_rk4_march3``
-    or ``_gbs_march3``) on the padded system into a flat (n + 1) x 3 store."""
+    or ``_gbs_march3``) on the padded system into a flat (n + 1) x 3 store,
+    and what ``march3`` returned."""
     t0, t1 = problem.t_span
     h = (t1 - t0) / n_steps
     f, u = _padded(problem.rhs, problem.u0)
     states = np.empty((n_steps + 1, 3))
     states[0] = u
     with memoryview(states.reshape(-1)) as out:
-        march3(f, t0, h, u, n_steps, out)
-    return t0 + h * np.arange(n_steps + 1), states[:, :problem.dim]
+        result = march3(f, t0, h, u, n_steps, out)
+    return t0 + h * np.arange(n_steps + 1), states[:, :problem.dim], result
 
 
 def _rk4_march3(f: Rhs, t0: float, h: float, u: State, n: int,
@@ -663,76 +664,122 @@ def solve_trapezoid_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajec
 # and extrapolates the S_j to h = 0 by Aitken-Neville in h^2,
 #     T_{j,k+1} = T_{j,k} + (T_{j,k} - T_{j-1,k}) / ((n_j / n_{j-k})^2 - 1).
 # With n_j = 2j, j = 1..7, T_{7,7} is of order 14 at 1 + 56 = 57 rhs calls
-# per macro step, taken once per run step.  The level count is fixed.  On
-# Lorenz-84 over [0, 30] the 1e-8 gate moves by 1.75e-10 at N = 600 and by
-# 2.98e-10 at N = 1620 macro steps, 30-50 times under it; at N = 600 six
-# levels (6.9e-8) fail it at one macro step per run step and five levels
-# (1.8e-8) at two, while six levels at two (43 x 3 = 129 calls per run
-# step against 57 x 1.5 = 85.5) cost half as much again.  Beyond about
+# per macro step, taken once per run step.  The order is controlled per
+# macro step (Deuflhard 1983; Hairer-Norsett-Wanner I, section II.9): the
+# step ends at the first of levels 4, 5 and 6 whose T_{k,k} and T_{k,k-1}
+# agree within ``ORACLE_SETTLE_TOL`` relative to the start state, after 21,
+# 31 or 43 rhs calls, and takes T_{7,7} otherwise.  On Lorenz-84 over
+# [0, 30] the fine and the gate's run make 39,592 calls at N = 600 macro
+# steps (44.0 a step; 51,300 with seven levels on every step), 74,586 at
+# N = 1620 (30.7; 138,510) and 453,600 at N = 14400 (21, four levels on
+# every step).  The 1e-8 gate moves by 3.1e-10 at N = 600 and by 5.3e-11 at
+# N = 1620, and the states stay within 1.5e-10 (N = 600) and 1.0e-10
+# (N = 1620) of seven levels on every step.  At N = 600 six levels on every step (6.9e-8) fail the gate at one
+# macro step per run step and five levels (1.8e-8) at two.  Beyond about
 # eight levels roundoff undoes what the extra calls buy.
 #
 # ``_gbs_march3`` is written for three components (state in locals) and
 # stores as ``_rk4_march3`` does, into the padded grid of ``_fixed_grid``, so
-# dim-1 and dim-2 problems run through it padded, like the RK4 solvers.
-# T_{7,7} comes from the straight-line ``_neville7``, which rounds as the
-# row-by-row loop does (precomputed Lagrange weights would not).
+# dim-1 and dim-2 problems run through it padded, like the RK4 solvers; a
+# padded component is 0.0 on every level, so it never changes where a step
+# ends.  The tableau is built by straight-line rows (``_rows4`` for rows
+# 1-4, then ``_row5``, ``_row6`` and ``_row7``), which round as the
+# row-by-row loop does (precomputed Lagrange weights would not): a step that
+# runs all seven levels gives the T_{7,7} of a fixed seven-level step bit
+# for bit.
 
 _GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12, 14)
 _GBS_NEVILLE = tuple(
     tuple(1.0 / ((n / _GBS_SUBSTEPS[j - k - 1]) ** 2 - 1.0) for k in range(j))
     for j, n in enumerate(_GBS_SUBSTEPS)
 )
-_GBS_RHS_PER_STEP = 1 + sum(_GBS_SUBSTEPS)
+# the rhs calls of a macro step that ends its extrapolation after level j + 1
+_GBS_CALLS = tuple(1 + sum(_GBS_SUBSTEPS[:j + 1]) for j in range(len(_GBS_SUBSTEPS)))
 (), (_C22,), (_C32, _C33), (_C42, _C43, _C44), (_C52, _C53, _C54, _C55), \
     (_C62, _C63, _C64, _C65, _C66), \
     (_C72, _C73, _C74, _C75, _C76, _C77) = _GBS_NEVILLE  # _Cjk is c_{j,k}
 
 
-def _neville7(s1: float, s2: float, s3: float, s4: float, s5: float, s6: float,
-              s7: float) -> float:
-    """T_{7,7} over T_{j,1} = S_j, each T_{j,k} = T_{j,k-1} + (T_{j,k-1} -
-    T_{j-1,k-1}) c_{j,k} exactly as the row-by-row update computes it."""
+def _rows4(s: list[float], r: tuple) -> tuple[float, float, float]:
+    """Row 4 of the tableau, (T_{4,2}, T_{4,3}, T_{4,4}), over T_{j,1} = S_j =
+    ``s[j - 1]``; each T_{j,k} = T_{j,k-1} + (T_{j,k-1} - T_{j-1,k-1}) c_{j,k}
+    exactly as the row-by-row update computes it.  ``r`` is not read: rows 1-4
+    are one piece."""
+    s1, s2, s3, s4 = s[0], s[1], s[2], s[3]
     t22 = s2 + (s2 - s1) * _C22
     t32 = s3 + (s3 - s2) * _C32
     t33 = t32 + (t32 - t22) * _C33
     t42 = s4 + (s4 - s3) * _C42
     t43 = t42 + (t42 - t32) * _C43
-    t44 = t43 + (t43 - t33) * _C44
+    return t42, t43, t43 + (t43 - t33) * _C44
+
+
+def _row5(s: list[float], r: tuple) -> tuple[float, float, float, float]:
+    """Row 5, (T_{5,2}, ..., T_{5,5}), from S_4, S_5 and row 4 ``r``."""
+    s4, s5 = s[3], s[4]
+    t42, t43, t44 = r
     t52 = s5 + (s5 - s4) * _C52
     t53 = t52 + (t52 - t42) * _C53
     t54 = t53 + (t53 - t43) * _C54
-    t55 = t54 + (t54 - t44) * _C55
+    return t52, t53, t54, t54 + (t54 - t44) * _C55
+
+
+def _row6(s: list[float], r: tuple) -> tuple[float, float, float, float, float]:
+    """Row 6, (T_{6,2}, ..., T_{6,6}), from S_5, S_6 and row 5 ``r``."""
+    s5, s6 = s[4], s[5]
+    t52, t53, t54, t55 = r
     t62 = s6 + (s6 - s5) * _C62
     t63 = t62 + (t62 - t52) * _C63
     t64 = t63 + (t63 - t53) * _C64
     t65 = t64 + (t64 - t54) * _C65
-    t66 = t65 + (t65 - t55) * _C66
+    return t62, t63, t64, t65, t65 + (t65 - t55) * _C66
+
+
+def _row7(s: list[float], r: tuple) -> tuple[float, float, float, float, float, float]:
+    """Row 7, (T_{7,2}, ..., T_{7,7}), from S_6, S_7 and row 6 ``r``."""
+    s6, s7 = s[5], s[6]
+    t62, t63, t64, t65, t66 = r
     t72 = s7 + (s7 - s6) * _C72
     t73 = t72 + (t72 - t62) * _C73
     t74 = t73 + (t73 - t63) * _C74
     t75 = t74 + (t74 - t64) * _C75
     t76 = t75 + (t75 - t65) * _C76
-    return t76 + (t76 - t66) * _C77
+    return t72, t73, t74, t75, t76, t76 + (t76 - t66) * _C77
+
+
+# the tableau piece that follows each level; levels 1-3 only store S_j
+_GBS_ROWS = (None, None, None, _rows4, _row5, _row6, _row7)
 
 
 def _gbs_march3(f: Rhs, t0: float, h: float, u: State, n: int,
-                out: memoryview) -> None:
+                out: memoryview) -> int:
     """``n`` GBS macro steps of size ``h`` of a dim-3 system from ``u`` at
     ``t0``; state i + 1 goes to ``out[3i + 3 : 3i + 6]`` of the flat
-    row-major store.  Raises ``NonFiniteState`` at the end of the first
-    macro step whose state is not finite, before storing it.  The substep
-    sizes and time offsets k * h / n_j, the same for every macro step, are
-    computed once."""
-    levels = tuple((j, h / m, 2.0 * (h / m), tuple(k * (h / m) for k in range(1, m)))
-                   for j, m in enumerate(_GBS_SUBSTEPS))
+    row-major store.  Returns the rhs calls it made.  Raises
+    ``NonFiniteState`` at the end of the first macro step whose state is not
+    finite, before storing it.  The substep sizes and time offsets
+    k * h / n_j, the same for every macro step, are computed once.
+
+    Each macro step runs levels 1-4, then stops after the first of levels
+    4, 5 and 6 whose T_{k,k} and T_{k,k-1} agree within ``ORACLE_SETTLE_TOL``
+    * (1 + |u_i|) in every component, u the step's start state, and takes
+    T_{k,k}; otherwise it takes T_{7,7}.  A NaN or inf fails every
+    comparison, so a non-finite step runs all seven levels."""
+    levels = tuple((j, h / m, 2.0 * (h / m), tuple(k * (h / m) for k in range(1, m)),
+                    _GBS_ROWS[j]) for j, m in enumerate(_GBS_SUBSTEPS))
     sx, sy, sz = [0.0] * 7, [0.0] * 7, [0.0] * 7
+    rx = ry = rz = ()  # ``_rows4`` does not read the row it is passed
     x, y, z = u
     j = 3
+    calls = 0
     for i in range(n):
         t = t0 + i * h
         t_end = t + h
+        ex = ORACLE_SETTLE_TOL * (1.0 + abs(x))
+        ey = ORACLE_SETTLE_TOL * (1.0 + abs(y))
+        ez = ORACLE_SETTLE_TOL * (1.0 + abs(z))
         a0, b0, c0 = f(t, (x, y, z))
-        for level, hs, h2, offsets in levels:
+        for level, hs, h2, offsets, row in levels:
             x0, y0, z0 = x, y, z
             x1, y1, z1 = x + hs * a0, y + hs * b0, z + hs * c0
             for dt in offsets:
@@ -744,7 +791,13 @@ def _gbs_march3(f: Rhs, t0: float, h: float, u: State, n: int,
             sx[level] = 0.5 * (x0 + x1 + hs * a)
             sy[level] = 0.5 * (y0 + y1 + hs * b)
             sz[level] = 0.5 * (z0 + z1 + hs * c)
-        x, y, z = _neville7(*sx), _neville7(*sy), _neville7(*sz)
+            if row is not None:
+                rx, ry, rz = row(sx, rx), row(sy, ry), row(sz, rz)
+                if (abs(rx[-1] - rx[-2]) <= ex and abs(ry[-1] - ry[-2]) <= ey
+                        and abs(rz[-1] - rz[-2]) <= ez):
+                    break
+        calls += _GBS_CALLS[level]
+        x, y, z = rx[-1], ry[-1], rz[-1]
         # ``_is_bad`` inlined: the sum is nan/inf iff some component is
         w = x + y + z
         if w - w != 0.0:
@@ -753,6 +806,7 @@ def _gbs_march3(f: Rhs, t0: float, h: float, u: State, n: int,
         out[j + 1] = y
         out[j + 2] = z
         j += 3
+    return calls
 
 
 def problem_fingerprint(problem: OdeProblem) -> tuple:
@@ -761,6 +815,8 @@ def problem_fingerprint(problem: OdeProblem) -> tuple:
 
 
 ORACLE_CHECK_TOL = 1e-8
+# a GBS macro step ends once two diagonal entries agree within this, relative
+ORACLE_SETTLE_TOL = 1e-14
 
 
 def reference_solution(problem: OdeProblem, n_steps: int) -> Trajectory:
@@ -770,15 +826,18 @@ def reference_solution(problem: OdeProblem, n_steps: int) -> Trajectory:
     and again ``n_steps // 2``, and compares the two on the shared coarse
     grid: if halving the macro step from n/2 to n still moves any state
     component by >= 1e-8, the oracle is not trustworthy at this resolution
-    and ``OracleNotConverged`` is raised.  ``n_steps`` must be even.
-    ``meta`` records the gate's ``oracle_check_delta``, ``oracle_n_steps``,
-    the rhs calls of both runs (``oracle_rhs_evals``) and the ``problem``
-    fingerprint (name, params, u0, t_span) that ``run_transformed`` checks.
+    and ``OracleNotConverged`` is raised.  ``n_steps`` must be even.  Each
+    macro step ends its extrapolation once the tableau settles, after 21 to
+    57 rhs calls (on Lorenz-84 over [0, 30]: 44.0 a step at n = 600, 30.7
+    at n = 1620).  ``meta`` records the gate's ``oracle_check_delta``,
+    ``oracle_n_steps``, the rhs calls the two runs made
+    (``oracle_rhs_evals``) and the ``problem`` fingerprint (name, params,
+    u0, t_span) that ``run_transformed`` checks.
     """
     if n_steps < 2 or n_steps % 2:
         raise ValueError("n_steps must be even and >= 2")
-    times, fine = _fixed_grid(problem, n_steps, _gbs_march3)
-    coarse = _fixed_grid(problem, n_steps // 2, _gbs_march3)[1]
+    times, fine, fine_calls = _fixed_grid(problem, n_steps, _gbs_march3)
+    coarse, coarse_calls = _fixed_grid(problem, n_steps // 2, _gbs_march3)[1:]
     diff = fine[::2] - coarse
     np.abs(diff, out=diff)  # in place: one n/2 x dim temporary, not two
     delta = float(diff.max())
@@ -786,12 +845,13 @@ def reference_solution(problem: OdeProblem, n_steps: int) -> Trajectory:
         raise OracleNotConverged(
             f"oracle self-consistency check failed for {problem.name}: "
             f"halving the step still moves the solution by {delta:.3e} "
-            f"(limit {ORACLE_CHECK_TOL:.1e}); increase the refinement"
+            f"(limit {ORACLE_CHECK_TOL:.1e}); raise oracle.refine (--oracle-refine) "
+            f"for more macro steps"
         )
     meta = {
         "oracle_check_delta": delta,
         "oracle_n_steps": n_steps,
-        "oracle_rhs_evals": _GBS_RHS_PER_STEP * (n_steps + n_steps // 2),
+        "oracle_rhs_evals": fine_calls + coarse_calls,
         "problem": problem_fingerprint(problem),
     }
     return Trajectory(times, fine, GBS_EXTRAPOLATION, n_steps, meta=meta)

@@ -1,15 +1,18 @@
 """The per-component integrators that the library's unrolled dim-3 code
 replaced, kept as references: ``_rk4_stepn``, ``_rk4_attempt`` and
-``_gbs_march`` are copied unchanged from ``stiffchaos.ode`` as it was before
-dim-1 and dim-2 problems ran through the dim-3 code zero-padded, and
+``_gbs_march`` are copied from ``stiffchaos.ode`` as it was before dim-1 and
+dim-2 problems ran through the dim-3 code zero-padded, and
 ``fixed_states`` is the fixed-step loop ``solve_rk4_fixed`` ran on them.  The
 tests pin the library to these bit for bit, for every dimension;
 ``_gbs_march``'s row-by-row Aitken-Neville loop is also the reference for the
-library's straight-line ``_neville7``.  Its levels are this module's own
-constants, not the library's.  ``gbs6_oracle`` is the oracle
-``reference_solution`` was, bit for bit, before it took seven levels at one
-macro step per run step: six levels (``GBS6_SUBSTEPS``) at two.  The tests
-bound the library's oracle by it.
+library's straight-line tableau rows (``_rows4`` to ``_row7``), and it ends a
+macro step by the library's rule, once the tableau settles.  Its levels and
+tolerance are this module's own constants, not the library's.
+``gbs6_oracle`` is the oracle ``reference_solution`` was, bit for bit, before
+it took seven levels at one macro step per run step: six levels
+(``GBS6_SUBSTEPS``) at two.  ``gbs7_oracle`` is the one after it, before
+each macro step ended once its tableau settled: all seven levels on every
+macro step.  The tests bound the library's oracle by both.
 
 ``_adaptive_loop`` is the accept/reject loop with the elementary step-size
 controller 0.9 * (tol / est)**exponent, copied unchanged from
@@ -96,16 +99,22 @@ def _rk4_attempt(f: Rhs, t: float, u: State, h: float) -> tuple[State, float]:
 
 
 # the GBS levels n_j = 2j, j = 1..7, of ``reference_solution``, and the six
-# of the oracle before it
+# of the oracle before the seven-level one; a macro step ends after the first
+# of levels 4-6 whose last two diagonal entries agree within GBS_SETTLE_TOL *
+# (1 + |u_i|) in every component, and after level 7 otherwise
 GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12, 14)
 GBS6_SUBSTEPS = GBS_SUBSTEPS[:6]
+GBS_MIN_LEVELS = 4
+GBS_SETTLE_TOL = 1e-14
 
 
 def _gbs_march(f: Rhs, t0: float, h: float, u: State, states: np.ndarray,
-               substeps: Sequence[int] = GBS_SUBSTEPS) -> None:
+               substeps: Sequence[int] = GBS_SUBSTEPS,
+               settle: float | None = GBS_SETTLE_TOL) -> None:
     """GBS macro steps of size ``h`` from ``u`` at ``t0``; state i + 1 goes
     to ``states[i + 1]``.  Raises ``NonFiniteState`` at the end of the first
-    macro step whose state is not finite."""
+    macro step whose state is not finite.  With ``settle`` None every macro
+    step runs all of ``substeps``' levels."""
     neville = tuple(
         tuple(1.0 / ((n / substeps[j - k - 1]) ** 2 - 1.0) for k in range(j))
         for j, n in enumerate(substeps)
@@ -114,7 +123,7 @@ def _gbs_march(f: Rhs, t0: float, h: float, u: State, states: np.ndarray,
         t = t0 + i * h
         f0 = f(t, u)
         row: list[State] = []
-        for n, factors in zip(substeps, neville):
+        for level, (n, factors) in enumerate(zip(substeps, neville), 1):
             hs = h / n
             h2 = 2.0 * hs
             z0 = u
@@ -127,25 +136,45 @@ def _gbs_march(f: Rhs, t0: float, h: float, u: State, states: np.ndarray,
                 s = tuple(a + (a - b) * c for a, b in zip(s, prev))
                 new.append(s)
             row = new
+            if settle is not None and level >= GBS_MIN_LEVELS and all(
+                    abs(a - b) <= settle * (1.0 + abs(c))
+                    for a, b, c in zip(row[-1], row[-2], u)):
+                break
         u = row[-1]
         if _is_bad(u):
             raise NonFiniteState(t0 + (i + 1) * h)
         states[i + 1] = u
 
 
+def _fixed_level_oracle(problem: OdeProblem, n_steps: int, refine: int,
+                        substeps: Sequence[int]) -> tuple[np.ndarray, float]:
+    """The oracle of ``substeps``' levels, every one on every macro step, at
+    ``refine`` macro steps per run step: its states on the grid of
+    ``n_steps`` run steps and its gate's max|difference| from half as many
+    macro steps."""
+    t0, t1 = problem.t_span
+    runs = []
+    for n in (refine * n_steps, refine * n_steps // 2):
+        states = np.empty((n + 1, problem.dim))
+        states[0] = problem.u0
+        _gbs_march(problem.rhs, t0, (t1 - t0) / n, problem.u0, states, substeps, None)
+        runs.append(states)
+    fine = runs[0][::refine]
+    return fine, float(np.max(np.abs(runs[0][::2] - runs[1])))
+
+
 def gbs6_oracle(problem: OdeProblem, n_steps: int) -> tuple[np.ndarray, float]:
     """The six-level oracle on the grid of ``n_steps`` run steps: the states
     of 2 ``n_steps`` macro steps at every other sample, and its gate's
     max|difference| from ``n_steps`` macro steps."""
-    t0, t1 = problem.t_span
-    runs = []
-    for n in (2 * n_steps, n_steps):
-        states = np.empty((n + 1, problem.dim))
-        states[0] = problem.u0
-        _gbs_march(problem.rhs, t0, (t1 - t0) / n, problem.u0, states, GBS6_SUBSTEPS)
-        runs.append(states)
-    fine = runs[0][::2]
-    return fine, float(np.max(np.abs(fine - runs[1])))
+    return _fixed_level_oracle(problem, n_steps, 2, GBS6_SUBSTEPS)
+
+
+def gbs7_oracle(problem: OdeProblem, n_steps: int) -> tuple[np.ndarray, float]:
+    """The seven-level oracle of one macro step per run step (``n_steps``
+    even), every level on every macro step, and its gate's max|difference|
+    from ``n_steps // 2`` macro steps."""
+    return _fixed_level_oracle(problem, n_steps, 1, GBS_SUBSTEPS)
 
 
 def _scales(mu: Sequence[float], tau: float) -> State:

@@ -266,15 +266,15 @@ class TestTransformCommand:
 
     @pytest.mark.parametrize("command", ["transform", "compare"])
     def test_manifest_records_the_oracle_cost(self, tmp_path, command):
-        # one GBS macro step per run step: 600 plus 300 for the gate, 57 rhs
-        # calls each
+        # one GBS macro step per run step: 600 plus 300 for the gate, 44.0 rhs
+        # calls each on average (57 if every step ran all seven levels)
         out = tmp_path / command
         rc = main([command, "--problem", "lorenz84", "--method", "none",
                    "--steps", "600", "--out", str(out)])
         assert rc == 0
         summary = manifest(out)["summary"]
         assert summary["oracle_n_steps"] == 600
-        assert summary["oracle_rhs_evals"] == 57 * (600 + 300) == 51_300
+        assert summary["oracle_rhs_evals"] == 39_592
         assert summary["oracle_check_delta"] < 1e-9
 
     def test_manifest_error_matches_csv(self, tmp_path):
@@ -374,6 +374,18 @@ class TestTransformCommand:
                    "--oracle-refine", "1", "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_unconverged_oracle_names_the_setting_to_raise(self, tmp_path, capsys):
+        # the default refinement at N=400 is refused (3.0e-8); the one line
+        # says which setting runs it
+        rc = main(["transform", "--problem", "lorenz84", "--steps", "400",
+                   "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("numerical failure: OracleNotConverged: ")
+        assert "oracle.refine (--oracle-refine)" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "x").exists()
+
 
 class TestCompareCommand:
     def test_per_component_vectors_as_flags(self, tmp_path):
@@ -400,13 +412,15 @@ class TestCompareCommand:
     def test_none_row_keeps_its_bytes(self, tmp_path):
         # plain RK4 is the Lawson march with mu = 0, bit for bit the classical
         # march that gave this row (TestPlainRk4KeepsItsBytes pins the march);
-        # its errors are taken against the seven-level oracle
+        # its errors are taken against the oracle that ends each macro step
+        # once its tableau settles (1.4682381440976651 against the fixed
+        # seven-level one)
         out = tmp_path / "cmp"
         rc = main(["compare", "--problem", "lorenz84", "--method", "none,3", "--steps", "600",
                    "--out", str(out)])
         assert rc == 0
         rows = (out / "compare.csv").read_bytes().split(b"\r\n")
-        assert rows[1] == b"none,1.4682381440976651,0.14817664710569411,1"
+        assert rows[1] == b"none,1.4682381440794405,0.1481766471015864,1"
 
     def test_method_sweep_ranks_averaging_methods_best(self, tmp_path):
         out = tmp_path / "cmp"

@@ -40,7 +40,14 @@ from stiffchaos.ode import (
 )
 
 import generic_reference
-from generic_reference import _gbs_march, _rk4_attempt, _rk4_stepn, fixed_states, gbs6_oracle
+from generic_reference import (
+    _gbs_march,
+    _rk4_attempt,
+    _rk4_stepn,
+    fixed_states,
+    gbs6_oracle,
+    gbs7_oracle,
+)
 
 
 def exp_decay(t_span=(0.0, 1.0)) -> OdeProblem:
@@ -698,7 +705,7 @@ class TestReferenceSolution:
 
     def test_gate_rejects_coarse_lorenz(self, lorenz_spec):
         # halving the step from 300 to 600 macro steps moves the state by
-        # 1.75e-10; from 200 to 400, by 3.0e-8
+        # 3.1e-10; from 200 to 400, by 3.0e-8
         assert reference_solution(lorenz_spec.problem, 600).meta["oracle_check_delta"] < 1e-9
         with pytest.raises(OracleNotConverged):
             reference_solution(lorenz_spec.problem, 400)
@@ -708,10 +715,39 @@ class TestReferenceSolution:
         assert lorenz_oracle.meta["oracle_n_steps"] == len(lorenz_oracle.times) - 1
 
     def test_rhs_calls_match_the_recorded_count(self):
-        # 57 per macro step of the fine run (n) and of the gate's run (n/2)
+        # the calls of the fine run (n macro steps) and of the gate's run
+        # (n/2), each macro step between 21 (four levels) and 57 (seven)
         counted, calls = rhs_counted(lorenz84(t_span=(0.0, 1.0)).problem)
         traj = reference_solution(counted, 1000)
-        assert calls[0] == traj.meta["oracle_rhs_evals"] == 57 * (1000 + 500)
+        assert calls[0] == traj.meta["oracle_rhs_evals"]
+        assert 21 * 1500 <= calls[0] < 57 * 1500
+
+    def test_fewer_levels_at_a_smaller_step(self, lorenz_spec):
+        # Lorenz-84 over [0, 30]: 39,592 calls for 600 + 300 macro steps (44.0
+        # a step), 163,200 for 4800 + 2400 (22.7 a step)
+        per_step = [reference_solution(lorenz_spec.problem, n).meta["oracle_rhs_evals"]
+                    / (n + n // 2) for n in (600, 4800)]
+        assert per_step[1] < per_step[0] < 57
+
+    def test_unsettled_steps_take_all_seven_levels(self, lorenz_spec):
+        # at 100 macro steps over [0, 30] no Lorenz-84 tableau settles: every
+        # step makes 57 calls and takes T_77 of the fixed seven-level march
+        counted, calls = rhs_counted(lorenz_spec.problem)
+        unrolled, unrolled_calls = ode._fixed_grid(counted, 100, _gbs_march3)[1:]
+        assert unrolled_calls == calls[0] == 57 * 100
+        fixed = gbs_states(lorenz_spec.problem, 100, partial(_gbs_march, settle=None))
+        assert unrolled.tobytes() == fixed.tobytes()
+
+    @pytest.mark.parametrize("start", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)],
+                             ids=["nan", "inf"])
+    def test_non_finite_start_takes_all_seven_levels_and_raises(self, lorenz_spec, start):
+        counted, calls = rhs_counted(lorenz_spec.problem)
+        out = np.zeros(6)
+        with pytest.raises(NonFiniteState) as exc, memoryview(out) as view:
+            _gbs_march3(counted.rhs, 0.0, 0.05, start, 1, view)
+        assert exc.value.t == 0.05
+        assert calls[0] == 57
+        assert not out[3:].any()  # nothing stored
 
     def test_records_the_problem_it_was_computed_for(self):
         spec = lorenz84(t_span=(0.0, 1.0))
@@ -742,7 +778,7 @@ class TestReferenceSolution:
 
     def test_lorenz_oracle_agrees_with_fine_rk4(self, lorenz_spec):
         # an independent integrator: fixed-step RK4 at 256x the N=600 grid;
-        # measured max|diff| 3.8e-10 on that grid over [0, 30], mostly the
+        # measured max|diff| 3.0e-10 on that grid over [0, 30], mostly the
         # RK4 run's own error (6.3e-11 against RK4 at 1024x)
         oracle = reference_solution(lorenz_spec.problem, 1200)
         rk4 = solve_rk4_fixed(lorenz_spec.problem, 600 * 256)
@@ -751,17 +787,27 @@ class TestReferenceSolution:
 
     @pytest.mark.parametrize("n_steps", [600, 1620])
     def test_lorenz_oracle_agrees_with_the_six_level_oracle(self, lorenz_spec, n_steps):
-        # the oracle before this one: six levels at two macro steps per run
-        # step, gated at 2.0e-10 (N=600) and 1.2e-10 (N=1620); measured
-        # max|diff| 3.7e-11 and 2.8e-10 on the run grid
+        # six levels at two macro steps per run step, gated at 2.0e-10
+        # (N=600) and 1.2e-10 (N=1620); measured max|diff| 1.8e-10 and
+        # 1.8e-10 on the run grid
         oracle = reference_solution(lorenz_spec.problem, n_steps)
         six, delta = gbs6_oracle(lorenz_spec.problem, n_steps)
         assert delta < 1e-9
         assert np.max(np.abs(oracle.states - six)) < 1e-9
 
+    @pytest.mark.parametrize("n_steps", [600, 1620])
+    def test_lorenz_oracle_agrees_with_the_seven_level_oracle(self, lorenz_spec, n_steps):
+        # all seven levels on every macro step at one per run step, gated at
+        # 1.75e-10 (N=600) and 3.0e-10 (N=1620); measured max|diff| 1.4e-10
+        # and 9.6e-11 on the run grid
+        oracle = reference_solution(lorenz_spec.problem, n_steps)
+        seven, delta = gbs7_oracle(lorenz_spec.problem, n_steps)
+        assert delta < 1e-9
+        assert np.max(np.abs(oracle.states - seven)) < 1e-9
+
     def test_lorenz_oracle_agrees_with_dop853(self, lorenz_spec, lorenz_oracle):
         # an independent integrator (scipy's DOP853 at rtol = atol = 1e-13) on
-        # the N=600 grid: measured max|diff| 4.4e-10 over [0, 30] (largest in
+        # the N=600 grid: measured max|diff| 4.2e-10 over [0, 30] (largest in
         # y and z near t = 29.4), bounded by the oracle's own halving gate
         integrate = pytest.importorskip("scipy.integrate")
         p = lorenz_spec.problem
