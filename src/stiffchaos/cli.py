@@ -259,6 +259,8 @@ def build_benchmark(cfg: dict) -> BenchmarkSpec:
     name = section.get("name")
     if not name:
         raise ConfigError("problem.name is required (--problem)")
+    if not isinstance(name, str):
+        raise ConfigError(f"problem.name must be a string, got {name!r}")
     if name not in PROBLEM_FACTORIES:
         raise ConfigError(f"problem.name: unknown problem {name!r}; "
                           f"choose from {sorted(PROBLEM_FACTORIES)}")

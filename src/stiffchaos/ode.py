@@ -13,7 +13,8 @@ oracle's Gragg-Bulirsch-Stoer march store through a flat memoryview: a
 kernel call per step plus a numpy row store from a tuple cost about 30% of
 an RK4 step.  The adaptive RK4 step-doubling attempt inlines its three
 kernel calls, its checks and its error norm: they cost about a third of a
-Robertson attempt.  The oracle's Neville tableau is one straight-line call.
+Robertson attempt.  The oracle's march updates one Aitken-Neville row per
+level in place.
 """
 
 from __future__ import annotations
@@ -257,7 +258,8 @@ def solve_rk4_fixed(problem: OdeProblem, n_steps: int) -> Trajectory:
     return Trajectory(times, states, RK4_FIXED, steps_taken=n_steps)
 
 
-def _fixed_grid(problem: OdeProblem, n_steps: int, march3) -> tuple[np.ndarray, np.ndarray, object]:
+def _fixed_grid(problem: OdeProblem, n_steps: int,
+                march3) -> tuple[np.ndarray, np.ndarray, object]:
     """The times and states of ``n_steps`` equidistant steps over the
     problem's span, marched by ``march3(f, t0, h, u, n, out)`` (``_rk4_march3``
     or ``_gbs_march3``) on the padded system into a flat (n + 1) x 3 store,
@@ -634,13 +636,9 @@ def solve_trapezoid_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajec
     res_tol = cfg.tol / 10.0
 
     def attempt(t: float, u: State, h: float) -> tuple[State, float]:
-        full = _trapezoid_newton(problem, t, u, h, res_tol)
-        if full is None:
-            if h <= cfg.dt_min * (1.0 + 1e-12):
-                raise NewtonDivergence(f"Newton diverged at t={t!r} with dt at dt_min")
-            return u, math.inf
         h2 = 0.5 * h
-        mid = _trapezoid_newton(problem, t, u, h2, res_tol)
+        full = _trapezoid_newton(problem, t, u, h, res_tol)
+        mid = None if full is None else _trapezoid_newton(problem, t, u, h2, res_tol)
         half = None if mid is None else _trapezoid_newton(problem, t + h2, mid, h2, res_tol)
         if half is None or _is_bad(half):
             if h <= cfg.dt_min * (1.0 + 1e-12):
@@ -674,81 +672,28 @@ def solve_trapezoid_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajec
 # N = 1620 (30.7; 138,510) and 453,600 at N = 14400 (21, four levels on
 # every step).  The 1e-8 gate moves by 3.1e-10 at N = 600 and by 5.3e-11 at
 # N = 1620, and the states stay within 1.5e-10 (N = 600) and 1.0e-10
-# (N = 1620) of seven levels on every step.  At N = 600 six levels on every step (6.9e-8) fail the gate at one
-# macro step per run step and five levels (1.8e-8) at two.  Beyond about
-# eight levels roundoff undoes what the extra calls buy.
+# (N = 1620) of seven levels on every step.  At N = 600 six levels on every
+# step (6.9e-8) fail the gate at one macro step per run step and five levels
+# (1.8e-8) at two.  Beyond about eight levels roundoff undoes what the extra
+# calls buy.
 #
 # ``_gbs_march3`` is written for three components (state in locals) and
 # stores as ``_rk4_march3`` does, into the padded grid of ``_fixed_grid``, so
 # dim-1 and dim-2 problems run through it padded, like the RK4 solvers; a
 # padded component is 0.0 on every level, so it never changes where a step
-# ends.  The tableau is built by straight-line rows (``_rows4`` for rows
-# 1-4, then ``_row5``, ``_row6`` and ``_row7``), which round as the
-# row-by-row loop does (precomputed Lagrange weights would not): a step that
-# runs all seven levels gives the T_{7,7} of a fixed seven-level step bit
-# for bit.
+# ends.  Each component keeps its tableau row T_{j,1..j} in one list, reset
+# per macro step: level j overwrites T_{j-1,k} by T_{j,k} as it reads it and
+# appends T_{j,j}, the same operations in the same order as a row-by-row
+# loop (precomputed Lagrange weights would round differently), so a step
+# that runs all seven levels gives the T_{7,7} of a fixed seven-level step
+# bit for bit.  A fresh list per level made the march 5-8% slower (Lorenz-84
+# at N = 600, 2-core VM, CPython 3.11.7).
 
 _GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12, 14)
 _GBS_NEVILLE = tuple(
     tuple(1.0 / ((n / _GBS_SUBSTEPS[j - k - 1]) ** 2 - 1.0) for k in range(j))
     for j, n in enumerate(_GBS_SUBSTEPS)
 )
-# the rhs calls of a macro step that ends its extrapolation after level j + 1
-_GBS_CALLS = tuple(1 + sum(_GBS_SUBSTEPS[:j + 1]) for j in range(len(_GBS_SUBSTEPS)))
-(), (_C22,), (_C32, _C33), (_C42, _C43, _C44), (_C52, _C53, _C54, _C55), \
-    (_C62, _C63, _C64, _C65, _C66), \
-    (_C72, _C73, _C74, _C75, _C76, _C77) = _GBS_NEVILLE  # _Cjk is c_{j,k}
-
-
-def _rows4(s: list[float], r: tuple) -> tuple[float, float, float]:
-    """Row 4 of the tableau, (T_{4,2}, T_{4,3}, T_{4,4}), over T_{j,1} = S_j =
-    ``s[j - 1]``; each T_{j,k} = T_{j,k-1} + (T_{j,k-1} - T_{j-1,k-1}) c_{j,k}
-    exactly as the row-by-row update computes it.  ``r`` is not read: rows 1-4
-    are one piece."""
-    s1, s2, s3, s4 = s[0], s[1], s[2], s[3]
-    t22 = s2 + (s2 - s1) * _C22
-    t32 = s3 + (s3 - s2) * _C32
-    t33 = t32 + (t32 - t22) * _C33
-    t42 = s4 + (s4 - s3) * _C42
-    t43 = t42 + (t42 - t32) * _C43
-    return t42, t43, t43 + (t43 - t33) * _C44
-
-
-def _row5(s: list[float], r: tuple) -> tuple[float, float, float, float]:
-    """Row 5, (T_{5,2}, ..., T_{5,5}), from S_4, S_5 and row 4 ``r``."""
-    s4, s5 = s[3], s[4]
-    t42, t43, t44 = r
-    t52 = s5 + (s5 - s4) * _C52
-    t53 = t52 + (t52 - t42) * _C53
-    t54 = t53 + (t53 - t43) * _C54
-    return t52, t53, t54, t54 + (t54 - t44) * _C55
-
-
-def _row6(s: list[float], r: tuple) -> tuple[float, float, float, float, float]:
-    """Row 6, (T_{6,2}, ..., T_{6,6}), from S_5, S_6 and row 5 ``r``."""
-    s5, s6 = s[4], s[5]
-    t52, t53, t54, t55 = r
-    t62 = s6 + (s6 - s5) * _C62
-    t63 = t62 + (t62 - t52) * _C63
-    t64 = t63 + (t63 - t53) * _C64
-    t65 = t64 + (t64 - t54) * _C65
-    return t62, t63, t64, t65, t65 + (t65 - t55) * _C66
-
-
-def _row7(s: list[float], r: tuple) -> tuple[float, float, float, float, float, float]:
-    """Row 7, (T_{7,2}, ..., T_{7,7}), from S_6, S_7 and row 6 ``r``."""
-    s6, s7 = s[5], s[6]
-    t62, t63, t64, t65, t66 = r
-    t72 = s7 + (s7 - s6) * _C72
-    t73 = t72 + (t72 - t62) * _C73
-    t74 = t73 + (t73 - t63) * _C74
-    t75 = t74 + (t74 - t64) * _C75
-    t76 = t75 + (t75 - t65) * _C76
-    return t72, t73, t74, t75, t76, t76 + (t76 - t66) * _C77
-
-
-# the tableau piece that follows each level; levels 1-3 only store S_j
-_GBS_ROWS = (None, None, None, _rows4, _row5, _row6, _row7)
 
 
 def _gbs_march3(f: Rhs, t0: float, h: float, u: State, n: int,
@@ -757,18 +702,19 @@ def _gbs_march3(f: Rhs, t0: float, h: float, u: State, n: int,
     ``t0``; state i + 1 goes to ``out[3i + 3 : 3i + 6]`` of the flat
     row-major store.  Returns the rhs calls it made.  Raises
     ``NonFiniteState`` at the end of the first macro step whose state is not
-    finite, before storing it.  The substep sizes and time offsets
-    k * h / n_j, the same for every macro step, are computed once.
+    finite, before storing it.  Each level's substep sizes, time offsets
+    k * h / n_j and rhs calls, the same for every macro step, are computed once.
 
     Each macro step runs levels 1-4, then stops after the first of levels
     4, 5 and 6 whose T_{k,k} and T_{k,k-1} agree within ``ORACLE_SETTLE_TOL``
     * (1 + |u_i|) in every component, u the step's start state, and takes
     T_{k,k}; otherwise it takes T_{7,7}.  A NaN or inf fails every
     comparison, so a non-finite step runs all seven levels."""
-    levels = tuple((j, h / m, 2.0 * (h / m), tuple(k * (h / m) for k in range(1, m)),
-                    _GBS_ROWS[j]) for j, m in enumerate(_GBS_SUBSTEPS))
-    sx, sy, sz = [0.0] * 7, [0.0] * 7, [0.0] * 7
-    rx = ry = rz = ()  # ``_rows4`` does not read the row it is passed
+    # (h / n_j, 2 h / n_j, offsets, (k, c_{j,k}) pairs, rhs calls up to level
+    # j, whether level j may end the step)
+    levels = tuple((h / m, 2.0 * (h / m), tuple(k * (h / m) for k in range(1, m)),
+                    tuple(enumerate(_GBS_NEVILLE[j])), 1 + sum(_GBS_SUBSTEPS[:j + 1]),
+                    3 <= j < 6) for j, m in enumerate(_GBS_SUBSTEPS))
     x, y, z = u
     j = 3
     calls = 0
@@ -778,8 +724,9 @@ def _gbs_march3(f: Rhs, t0: float, h: float, u: State, n: int,
         ex = ORACLE_SETTLE_TOL * (1.0 + abs(x))
         ey = ORACLE_SETTLE_TOL * (1.0 + abs(y))
         ez = ORACLE_SETTLE_TOL * (1.0 + abs(z))
+        rx, ry, rz = [], [], []  # the tableau row T_{j,1..j} of each component
         a0, b0, c0 = f(t, (x, y, z))
-        for level, hs, h2, offsets, row in levels:
+        for hs, h2, offsets, neville, cost, settles in levels:
             x0, y0, z0 = x, y, z
             x1, y1, z1 = x + hs * a0, y + hs * b0, z + hs * c0
             for dt in offsets:
@@ -788,16 +735,24 @@ def _gbs_march3(f: Rhs, t0: float, h: float, u: State, n: int,
                 y0, y1 = y1, y0 + h2 * b
                 z0, z1 = z1, z0 + h2 * c
             a, b, c = f(t_end, (x1, y1, z1))
-            sx[level] = 0.5 * (x0 + x1 + hs * a)
-            sy[level] = 0.5 * (y0 + y1 + hs * b)
-            sz[level] = 0.5 * (z0 + z1 + hs * c)
-            if row is not None:
-                rx, ry, rz = row(sx, rx), row(sy, ry), row(sz, rz)
-                if (abs(rx[-1] - rx[-2]) <= ex and abs(ry[-1] - ry[-2]) <= ey
-                        and abs(rz[-1] - rz[-2]) <= ez):
-                    break
-        calls += _GBS_CALLS[level]
-        x, y, z = rx[-1], ry[-1], rz[-1]
+            tx = 0.5 * (x0 + x1 + hs * a)
+            ty = 0.5 * (y0 + y1 + hs * b)
+            tz = 0.5 * (z0 + z1 + hs * c)
+            # T_{j,1} = S_j; T_{j,k+1} from T_{j,k} and T_{j-1,k}, which it replaces
+            for k, ck in neville:
+                px, py, pz = rx[k], ry[k], rz[k]
+                rx[k], ry[k], rz[k] = tx, ty, tz
+                tx += (tx - px) * ck
+                ty += (ty - py) * ck
+                tz += (tz - pz) * ck
+            rx.append(tx)
+            ry.append(ty)
+            rz.append(tz)
+            if settles and (abs(tx - rx[-2]) <= ex and abs(ty - ry[-2]) <= ey
+                            and abs(tz - rz[-2]) <= ez):
+                break
+        calls += cost
+        x, y, z = tx, ty, tz
         # ``_is_bad`` inlined: the sum is nan/inf iff some component is
         w = x + y + z
         if w - w != 0.0:

@@ -4,10 +4,10 @@ replaced, kept as references: ``_rk4_stepn``, ``_rk4_attempt`` and
 dim-2 problems ran through the dim-3 code zero-padded, and
 ``fixed_states`` is the fixed-step loop ``solve_rk4_fixed`` ran on them.  The
 tests pin the library to these bit for bit, for every dimension;
-``_gbs_march``'s row-by-row Aitken-Neville loop is also the reference for the
-library's straight-line tableau rows (``_rows4`` to ``_row7``), and it ends a
-macro step by the library's rule, once the tableau settles.  Its levels and
-tolerance are this module's own constants, not the library's.
+``_gbs_march``'s row-by-row Aitken-Neville loop, which builds each row as a
+new list, is also the reference for the library's in-place row update, and
+it ends a macro step by the library's rule, once the tableau settles.  Its
+levels and tolerance are this module's own constants, not the library's.
 ``gbs6_oracle`` is the oracle ``reference_solution`` was, bit for bit, before
 it took seven levels at one macro step per run step: six levels
 (``GBS6_SUBSTEPS``) at two.  ``gbs7_oracle`` is the one after it, before

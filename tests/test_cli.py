@@ -603,10 +603,14 @@ class TestFailedRuns:
          "--method", "none"],
         ["demo-stiff-transform", "--a", "-5"],
         ["demo-stiff-transform", "--kappa-g", "1"],
+        ["solve", "--problem", "[1]", "--steps", "3"],
+        ["solve", "--problem", '{"a":1}', "--steps", "3"],
+        ["solve", "--problem.name", '["lorenz84"]', "--steps", "3"],
     ], ids=["solve-t-span-decreasing", "solve-steps-missing", "solve-steps-0",
             "solve-tol-negative", "solve-dt-min-above-dt-init", "solve-unknown-solver",
             "diagnose-tol-negative", "transform-refine-0", "compare-odd-oracle-steps",
-            "demo-a-negative", "demo-kappa-g-positive"])
+            "demo-a-negative", "demo-kappa-g-positive", "solve-name-list",
+            "solve-name-object", "solve-name-list-of-a-name"])
     def test_rejected_input_keeps_the_manifest(self, tmp_path, capsys, argv):
         # nothing in out changes, so the manifest still describes it
         out = tmp_path / "o"
@@ -779,8 +783,14 @@ class TestConfigHandling:
            "method's reference interval of 40 steps), which does not divide "
            "solver.steps=610; set transform.intervals to a divisor of 610")
           for command in ("transform", "compare")),
+        (["solve", "--problem", "[1]", "--steps", "3"], "problem.name must be a string, got [1]"),
+        (["solve", "--problem", '{"a":1}', "--steps", "3"],
+         "problem.name must be a string, got {'a': 1}"),
+        (["solve", "--problem.name", '["lorenz84"]', "--steps", "3"],
+         "problem.name must be a string, got ['lorenz84']"),
     ], ids=["bad-int", "bad-choice", "bad-float-list", "short-vector", "diagnose-eps-inf",
-            "demo-eps-inf", "transform-derived-intervals", "compare-derived-intervals"])
+            "demo-eps-inf", "transform-derived-intervals", "compare-derived-intervals",
+            "name-list", "name-object", "name-list-of-a-name"])
     def test_parser_rejection_is_one_line_config_error(self, tmp_path, capsys, argv, message):
         rc = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
