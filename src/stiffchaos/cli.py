@@ -73,7 +73,7 @@ from .transform import (
 SOLVER_NAMES = ("rk4", "rk4-adaptive", "trapezoid")
 
 # GBS macro steps per run step when ``oracle.refine`` is unset: one
-# seven-level step clears the oracle's 1e-8 gate 30-50 fold on Lorenz-84 at
+# eight-level step clears the oracle's 1e-8 gate 150-400 fold on Lorenz-84 at
 # N = 600 and 1620 (see ``ode``'s GBS notes).  An odd N takes two, since the
 # gate halves the oracle's step count.
 DEFAULT_ORACLE_REFINE = 1

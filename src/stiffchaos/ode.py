@@ -657,25 +657,20 @@ def solve_trapezoid_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajec
 # level j with n_j substeps of h = H / n_j, all levels starting from the one
 # shared f(t, u):
 #     z_1 = u + h f(t, u),   z_{k+1} = z_{k-1} + 2 h f(t + k h, z_k),
-# smooths the end value,
-#     S_j = (z_{n-1} + z_n + h f(t + H, z_n)) / 2,
-# and extrapolates the S_j to h = 0 by Aitken-Neville in h^2,
+# and extrapolates the end values S_j = z_{n_j} to h = 0 by Aitken-Neville
+# in h^2 (n_j even; no smoothing step, as in ODEX),
 #     T_{j,k+1} = T_{j,k} + (T_{j,k} - T_{j-1,k}) / ((n_j / n_{j-k})^2 - 1).
-# With n_j = 2j, j = 1..7, T_{7,7} is of order 14 at 1 + 56 = 57 rhs calls
+# With n_j = 2j, j = 1..8, T_{8,8} is of order 16 at 1 + 64 = 65 rhs calls
 # per macro step, taken once per run step.  The order is controlled per
 # macro step (Deuflhard 1983; Hairer-Norsett-Wanner I, section II.9): the
-# step ends at the first of levels 4, 5 and 6 whose T_{k,k} and T_{k,k-1}
-# agree within ``ORACLE_SETTLE_TOL`` relative to the start state, after 21,
-# 31 or 43 rhs calls, and takes T_{7,7} otherwise.  On Lorenz-84 over
-# [0, 30] the fine and the gate's run make 39,592 calls at N = 600 macro
-# steps (44.0 a step; 51,300 with seven levels on every step), 74,586 at
-# N = 1620 (30.7; 138,510) and 453,600 at N = 14400 (21, four levels on
-# every step).  The 1e-8 gate moves by 3.1e-10 at N = 600 and by 5.3e-11 at
-# N = 1620, and the states stay within 1.5e-10 (N = 600) and 1.0e-10
-# (N = 1620) of seven levels on every step.  At N = 600 six levels on every
-# step (6.9e-8) fail the gate at one macro step per run step and five levels
-# (1.8e-8) at two.  Beyond about eight levels roundoff undoes what the extra
-# calls buy.
+# step ends at the first of levels 4-7 whose T_{k,k} and T_{k,k-1} agree
+# within ``ORACLE_SETTLE_TOL`` relative to the start state, after 17, 26, 37
+# or 50 rhs calls, and takes T_{8,8} otherwise.  On Lorenz-84 over [0, 30]
+# the fine and the gate's run make 37,002 calls at N = 600 macro steps (41.1
+# a step), 65,034 at N = 1620 (26.8) and 367,200 at N = 14400 (17, four
+# levels on every step).  The 1e-8 gate moves by 6.3e-11 at N = 600 and by
+# 2.4e-11 at N = 1620, and it accepts every even N >= 346.  Seven levels
+# without smoothing accept only N >= 474.
 #
 # ``_gbs_march3`` is written for three components (state in locals) and
 # stores as ``_rk4_march3`` does, into the padded grid of ``_fixed_grid``, so
@@ -685,11 +680,11 @@ def solve_trapezoid_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajec
 # per macro step: level j overwrites T_{j-1,k} by T_{j,k} as it reads it and
 # appends T_{j,j}, the same operations in the same order as a row-by-row
 # loop (precomputed Lagrange weights would round differently), so a step
-# that runs all seven levels gives the T_{7,7} of a fixed seven-level step
+# that runs all eight levels gives the T_{8,8} of a fixed eight-level step
 # bit for bit.  A fresh list per level made the march 5-8% slower (Lorenz-84
 # at N = 600, 2-core VM, CPython 3.11.7).
 
-_GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12, 14)
+_GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12, 14, 16)
 _GBS_NEVILLE = tuple(
     tuple(1.0 / ((n / _GBS_SUBSTEPS[j - k - 1]) ** 2 - 1.0) for k in range(j))
     for j, n in enumerate(_GBS_SUBSTEPS)
@@ -706,21 +701,21 @@ def _gbs_march3(f: Rhs, t0: float, h: float, u: State, n: int,
     k * h / n_j and rhs calls, the same for every macro step, are computed once.
 
     Each macro step runs levels 1-4, then stops after the first of levels
-    4, 5 and 6 whose T_{k,k} and T_{k,k-1} agree within ``ORACLE_SETTLE_TOL``
+    4-7 whose T_{k,k} and T_{k,k-1} agree within ``ORACLE_SETTLE_TOL``
     * (1 + |u_i|) in every component, u the step's start state, and takes
-    T_{k,k}; otherwise it takes T_{7,7}.  A NaN or inf fails every
-    comparison, so a non-finite step runs all seven levels."""
+    T_{k,k}; otherwise it takes T_{8,8}.  A NaN or inf fails every
+    comparison, so a non-finite step runs all eight levels."""
     # (h / n_j, 2 h / n_j, offsets, (k, c_{j,k}) pairs, rhs calls up to level
-    # j, whether level j may end the step)
+    # j (the shared f(t, u) and n_i - 1 per level i), whether level j may end
+    # the step)
     levels = tuple((h / m, 2.0 * (h / m), tuple(k * (h / m) for k in range(1, m)),
-                    tuple(enumerate(_GBS_NEVILLE[j])), 1 + sum(_GBS_SUBSTEPS[:j + 1]),
-                    3 <= j < 6) for j, m in enumerate(_GBS_SUBSTEPS))
+                    tuple(enumerate(_GBS_NEVILLE[j])), 1 + sum(_GBS_SUBSTEPS[:j + 1]) - (j + 1),
+                    3 <= j < 7) for j, m in enumerate(_GBS_SUBSTEPS))
     x, y, z = u
     j = 3
     calls = 0
     for i in range(n):
         t = t0 + i * h
-        t_end = t + h
         ex = ORACLE_SETTLE_TOL * (1.0 + abs(x))
         ey = ORACLE_SETTLE_TOL * (1.0 + abs(y))
         ez = ORACLE_SETTLE_TOL * (1.0 + abs(z))
@@ -734,10 +729,7 @@ def _gbs_march3(f: Rhs, t0: float, h: float, u: State, n: int,
                 x0, x1 = x1, x0 + h2 * a
                 y0, y1 = y1, y0 + h2 * b
                 z0, z1 = z1, z0 + h2 * c
-            a, b, c = f(t_end, (x1, y1, z1))
-            tx = 0.5 * (x0 + x1 + hs * a)
-            ty = 0.5 * (y0 + y1 + hs * b)
-            tz = 0.5 * (z0 + z1 + hs * c)
+            tx, ty, tz = x1, y1, z1
             # T_{j,1} = S_j; T_{j,k+1} from T_{j,k} and T_{j-1,k}, which it replaces
             for k, ck in neville:
                 px, py, pz = rx[k], ry[k], rz[k]
@@ -782,8 +774,8 @@ def reference_solution(problem: OdeProblem, n_steps: int) -> Trajectory:
     grid: if halving the macro step from n/2 to n still moves any state
     component by >= 1e-8, the oracle is not trustworthy at this resolution
     and ``OracleNotConverged`` is raised.  ``n_steps`` must be even.  Each
-    macro step ends its extrapolation once the tableau settles, after 21 to
-    57 rhs calls (on Lorenz-84 over [0, 30]: 44.0 a step at n = 600, 30.7
+    macro step ends its extrapolation once the tableau settles, after 17 to
+    65 rhs calls (on Lorenz-84 over [0, 30]: 41.1 a step at n = 600, 26.8
     at n = 1620).  ``meta`` records the gate's ``oracle_check_delta``,
     ``oracle_n_steps``, the rhs calls the two runs made
     (``oracle_rhs_evals``) and the ``problem`` fingerprint (name, params,

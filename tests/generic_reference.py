@@ -8,11 +8,14 @@ tests pin the library to these bit for bit, for every dimension;
 new list, is also the reference for the library's in-place row update, and
 it ends a macro step by the library's rule, once the tableau settles.  Its
 levels and tolerance are this module's own constants, not the library's.
-``gbs6_oracle`` is the oracle ``reference_solution`` was, bit for bit, before
-it took seven levels at one macro step per run step: six levels
-(``GBS6_SUBSTEPS``) at two.  ``gbs7_oracle`` is the one after it, before
-each macro step ended once its tableau settled: all seven levels on every
-macro step.  The tests bound the library's oracle by both.
+By default it extrapolates each level's midpoint end value as the library
+does; with ``smooth`` it first takes Gragg's smoothing step, as the oracle
+did before it took eight levels.  ``gbs6_oracle`` is the oracle
+``reference_solution`` was, bit for bit, before it took seven levels at one
+macro step per run step: six smoothed levels (``GBS6_SUBSTEPS``) at two.
+``gbs7_oracle`` is the one after it, before each macro step ended once its
+tableau settled: all seven smoothed levels on every macro step.  The tests
+bound the library's oracle by both.
 
 ``_adaptive_loop`` is the accept/reject loop with the elementary step-size
 controller 0.9 * (tol / est)**exponent, copied unchanged from
@@ -98,11 +101,12 @@ def _rk4_attempt(f: Rhs, t: float, u: State, h: float) -> tuple[State, float]:
     return half, _scaled_diff(full, half, u, floor=1e-6) / 15.0
 
 
-# the GBS levels n_j = 2j, j = 1..7, of ``reference_solution``, and the six
-# of the oracle before the seven-level one; a macro step ends after the first
-# of levels 4-6 whose last two diagonal entries agree within GBS_SETTLE_TOL *
-# (1 + |u_i|) in every component, and after level 7 otherwise
-GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12, 14)
+# the GBS levels n_j = 2j, j = 1..8, of ``reference_solution``, and the seven
+# and six of the smoothed oracles before it; a macro step ends after the first
+# of levels 4-7 whose last two diagonal entries agree within GBS_SETTLE_TOL *
+# (1 + |u_i|) in every component, and after level 8 otherwise
+GBS_SUBSTEPS = (2, 4, 6, 8, 10, 12, 14, 16)
+GBS7_SUBSTEPS = GBS_SUBSTEPS[:7]
 GBS6_SUBSTEPS = GBS_SUBSTEPS[:6]
 GBS_MIN_LEVELS = 4
 GBS_SETTLE_TOL = 1e-14
@@ -110,11 +114,13 @@ GBS_SETTLE_TOL = 1e-14
 
 def _gbs_march(f: Rhs, t0: float, h: float, u: State, states: np.ndarray,
                substeps: Sequence[int] = GBS_SUBSTEPS,
-               settle: float | None = GBS_SETTLE_TOL) -> None:
+               settle: float | None = GBS_SETTLE_TOL, smooth: bool = False) -> None:
     """GBS macro steps of size ``h`` from ``u`` at ``t0``; state i + 1 goes
     to ``states[i + 1]``.  Raises ``NonFiniteState`` at the end of the first
     macro step whose state is not finite.  With ``settle`` None every macro
-    step runs all of ``substeps``' levels."""
+    step runs all of ``substeps``' levels.  Each level's end value z_n is
+    extrapolated as it is, or with ``smooth`` after Gragg's smoothing step
+    (z_{n-1} + z_n + h f(t + H, z_n)) / 2, one rhs call more."""
     neville = tuple(
         tuple(1.0 / ((n / substeps[j - k - 1]) ** 2 - 1.0) for k in range(j))
         for j, n in enumerate(substeps)
@@ -130,7 +136,9 @@ def _gbs_march(f: Rhs, t0: float, h: float, u: State, states: np.ndarray,
             z1 = tuple(a + hs * b for a, b in zip(u, f0))
             for k in range(1, n):
                 z0, z1 = z1, tuple(a + h2 * b for a, b in zip(z0, f(t + k * hs, z1)))
-            s = tuple(0.5 * (a + b + hs * c) for a, b, c in zip(z0, z1, f(t + h, z1)))
+            s = z1
+            if smooth:
+                s = tuple(0.5 * (a + b + hs * c) for a, b, c in zip(z0, z1, f(t + h, z1)))
             new = [s]
             for prev, c in zip(row, factors):
                 s = tuple(a + (a - b) * c for a, b in zip(s, prev))
@@ -148,7 +156,7 @@ def _gbs_march(f: Rhs, t0: float, h: float, u: State, states: np.ndarray,
 
 def _fixed_level_oracle(problem: OdeProblem, n_steps: int, refine: int,
                         substeps: Sequence[int]) -> tuple[np.ndarray, float]:
-    """The oracle of ``substeps``' levels, every one on every macro step, at
+    """The smoothed oracle of ``substeps``' levels, every one on every macro step, at
     ``refine`` macro steps per run step: its states on the grid of
     ``n_steps`` run steps and its gate's max|difference| from half as many
     macro steps."""
@@ -157,7 +165,8 @@ def _fixed_level_oracle(problem: OdeProblem, n_steps: int, refine: int,
     for n in (refine * n_steps, refine * n_steps // 2):
         states = np.empty((n + 1, problem.dim))
         states[0] = problem.u0
-        _gbs_march(problem.rhs, t0, (t1 - t0) / n, problem.u0, states, substeps, None)
+        _gbs_march(problem.rhs, t0, (t1 - t0) / n, problem.u0, states, substeps, None,
+                   smooth=True)
         runs.append(states)
     fine = runs[0][::refine]
     return fine, float(np.max(np.abs(runs[0][::2] - runs[1])))
@@ -174,7 +183,7 @@ def gbs7_oracle(problem: OdeProblem, n_steps: int) -> tuple[np.ndarray, float]:
     """The seven-level oracle of one macro step per run step (``n_steps``
     even), every level on every macro step, and its gate's max|difference|
     from ``n_steps // 2`` macro steps."""
-    return _fixed_level_oracle(problem, n_steps, 1, GBS_SUBSTEPS)
+    return _fixed_level_oracle(problem, n_steps, 1, GBS7_SUBSTEPS)
 
 
 def _scales(mu: Sequence[float], tau: float) -> State:

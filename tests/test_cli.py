@@ -217,6 +217,18 @@ class TestDiagnoseCommand:
         assert np.all(dt_stiff[stiff] > 0.0)
         assert np.all(np.isfinite(q)) and np.all(q >= 0.0)
 
+    def test_overflowing_curvature_is_zero_and_quiet(self, tmp_path, capsys):
+        # at F = 1e300 the slope's square overflows in the curvature, which
+        # printed numpy's two-line overflow warning; the kappa cell is 0
+        out = tmp_path / "f"
+        rc = main(["diagnose", "--problem", "lorenz84", "--solver", "rk4-adaptive",
+                   "--max-steps", "5", "--samples", "2", "--problem.params.F", "1e300",
+                   "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        header, rows = read_csv(out / "stiffness.csv")
+        assert rows[0][header.index("kappa")] == 0.0
+
     @pytest.mark.parametrize("argv, rows, steps_taken, stagnated", [
         (["--problem", "stiff-linear", "--solver", "rk4-adaptive", "--max-steps", "10",
           "--solver.dt_init", "0.5", "--solver.dt_min", "0.5"], 3, 2, False),
@@ -266,15 +278,15 @@ class TestTransformCommand:
 
     @pytest.mark.parametrize("command", ["transform", "compare"])
     def test_manifest_records_the_oracle_cost(self, tmp_path, command):
-        # one GBS macro step per run step: 600 plus 300 for the gate, 44.0 rhs
-        # calls each on average (57 if every step ran all seven levels)
+        # one GBS macro step per run step: 600 plus 300 for the gate, 41.1 rhs
+        # calls each on average (65 if every step ran all eight levels)
         out = tmp_path / command
         rc = main([command, "--problem", "lorenz84", "--method", "none",
                    "--steps", "600", "--out", str(out)])
         assert rc == 0
         summary = manifest(out)["summary"]
         assert summary["oracle_n_steps"] == 600
-        assert summary["oracle_rhs_evals"] == 39_592
+        assert summary["oracle_rhs_evals"] == 37_002
         assert summary["oracle_check_delta"] < 1e-9
 
     def test_manifest_error_matches_csv(self, tmp_path):
@@ -368,17 +380,17 @@ class TestTransformCommand:
         assert not (tmp_path / "x").exists()
 
     def test_unconverged_oracle_is_numerical_failure(self, tmp_path):
-        # 400 macro steps move the state by 3.0e-8 from 200
+        # 300 macro steps move the state by 7.1e-8 from 150
         rc = main(["transform", "--problem", "lorenz84", "--method", "3",
-                   "--steps", "400", "--intervals", "10",
+                   "--steps", "300", "--intervals", "10",
                    "--oracle-refine", "1", "--out", str(tmp_path / "x")])
         assert rc == 2
 
     def test_unconverged_oracle_names_the_setting_to_raise(self, tmp_path, capsys):
-        # the default refinement at N=400 is refused (3.0e-8); the one line
+        # the default refinement at N=300 is refused (7.1e-8); the one line
         # says which setting runs it
-        rc = main(["transform", "--problem", "lorenz84", "--steps", "400",
-                   "--out", str(tmp_path / "x")])
+        rc = main(["transform", "--problem", "lorenz84", "--steps", "300",
+                   "--intervals", "10", "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("numerical failure: OracleNotConverged: ")
@@ -412,15 +424,16 @@ class TestCompareCommand:
     def test_none_row_keeps_its_bytes(self, tmp_path):
         # plain RK4 is the Lawson march with mu = 0, bit for bit the classical
         # march that gave this row (TestPlainRk4KeepsItsBytes pins the march);
-        # its errors are taken against the oracle that ends each macro step
-        # once its tableau settles (1.4682381440976651 against the fixed
-        # seven-level one)
+        # its errors are taken against the eight-level oracle without
+        # smoothing (1.4682381440794405 against the seven smoothed levels that
+        # end once the tableau settles, 1.4682381440976651 against all seven
+        # on every step)
         out = tmp_path / "cmp"
         rc = main(["compare", "--problem", "lorenz84", "--method", "none,3", "--steps", "600",
                    "--out", str(out)])
         assert rc == 0
         rows = (out / "compare.csv").read_bytes().split(b"\r\n")
-        assert rows[1] == b"none,1.4682381440794405,0.1481766471015864,1"
+        assert rows[1] == b"none,1.4682381440961667,0.14817664710539616,1"
 
     def test_method_sweep_ranks_averaging_methods_best(self, tmp_path):
         out = tmp_path / "cmp"

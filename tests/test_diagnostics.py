@@ -43,6 +43,10 @@ class TestCurvature:
     def test_straight_line(self):
         assert curvature(1.0, 0.0) == 0.0
 
+    def test_overflowing_slope_is_flat_without_a_warning(self):
+        # u'^2 overflows to inf, so the curvature is 0, quietly
+        assert curvature(np.array([1e200]), np.array([1.0])).tolist() == [0.0]
+
 
 class TestDtMax:
     def test_unit_curvature(self):

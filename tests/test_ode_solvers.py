@@ -705,10 +705,17 @@ class TestReferenceSolution:
 
     def test_gate_rejects_coarse_lorenz(self, lorenz_spec):
         # halving the step from 300 to 600 macro steps moves the state by
-        # 3.1e-10; from 200 to 400, by 3.0e-8
-        assert reference_solution(lorenz_spec.problem, 600).meta["oracle_check_delta"] < 1e-9
+        # 6.3e-11; from 150 to 300, by 7.1e-8
+        assert reference_solution(lorenz_spec.problem, 600).meta["oracle_check_delta"] < 1e-10
         with pytest.raises(OracleNotConverged):
-            reference_solution(lorenz_spec.problem, 400)
+            reference_solution(lorenz_spec.problem, 300)
+
+    def test_gate_boundary_on_lorenz(self, lorenz_spec):
+        # the gate accepts every even N >= 346 at one macro step per run
+        # step: 5.4e-9 at N = 360, 1.35e-8 at N = 340
+        assert reference_solution(lorenz_spec.problem, 360).meta["oracle_check_delta"] < 1e-8
+        with pytest.raises(OracleNotConverged):
+            reference_solution(lorenz_spec.problem, 340)
 
     def test_gate_passes_fine_lorenz(self, lorenz_oracle):
         assert lorenz_oracle.meta["oracle_check_delta"] < 1e-8
@@ -716,37 +723,37 @@ class TestReferenceSolution:
 
     def test_rhs_calls_match_the_recorded_count(self):
         # the calls of the fine run (n macro steps) and of the gate's run
-        # (n/2), each macro step between 21 (four levels) and 57 (seven)
+        # (n/2), each macro step between 17 (four levels) and 65 (eight)
         counted, calls = rhs_counted(lorenz84(t_span=(0.0, 1.0)).problem)
         traj = reference_solution(counted, 1000)
         assert calls[0] == traj.meta["oracle_rhs_evals"]
-        assert 21 * 1500 <= calls[0] < 57 * 1500
+        assert 17 * 1500 <= calls[0] < 65 * 1500
 
     def test_fewer_levels_at_a_smaller_step(self, lorenz_spec):
-        # Lorenz-84 over [0, 30]: 39,592 calls for 600 + 300 macro steps (44.0
-        # a step), 163,200 for 4800 + 2400 (22.7 a step)
+        # Lorenz-84 over [0, 30]: 37,002 calls for 600 + 300 macro steps (41.1
+        # a step), 136,764 for 4800 + 2400 (19.0 a step)
         per_step = [reference_solution(lorenz_spec.problem, n).meta["oracle_rhs_evals"]
                     / (n + n // 2) for n in (600, 4800)]
-        assert per_step[1] < per_step[0] < 57
+        assert per_step[1] < per_step[0] < 65
 
-    def test_unsettled_steps_take_all_seven_levels(self, lorenz_spec):
-        # at 100 macro steps over [0, 30] no Lorenz-84 tableau settles: every
-        # step makes 57 calls and takes T_77 of the fixed seven-level march
+    def test_unsettled_steps_take_all_eight_levels(self, lorenz_spec):
+        # at 80 macro steps over [0, 30] no Lorenz-84 tableau settles: every
+        # step makes 65 calls and takes T_88 of the fixed eight-level march
         counted, calls = rhs_counted(lorenz_spec.problem)
-        unrolled, unrolled_calls = ode._fixed_grid(counted, 100, _gbs_march3)[1:]
-        assert unrolled_calls == calls[0] == 57 * 100
-        fixed = gbs_states(lorenz_spec.problem, 100, partial(_gbs_march, settle=None))
+        unrolled, unrolled_calls = ode._fixed_grid(counted, 80, _gbs_march3)[1:]
+        assert unrolled_calls == calls[0] == 65 * 80
+        fixed = gbs_states(lorenz_spec.problem, 80, partial(_gbs_march, settle=None))
         assert unrolled.tobytes() == fixed.tobytes()
 
     @pytest.mark.parametrize("start", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)],
                              ids=["nan", "inf"])
-    def test_non_finite_start_takes_all_seven_levels_and_raises(self, lorenz_spec, start):
+    def test_non_finite_start_takes_all_eight_levels_and_raises(self, lorenz_spec, start):
         counted, calls = rhs_counted(lorenz_spec.problem)
         out = np.zeros(6)
         with pytest.raises(NonFiniteState) as exc, memoryview(out) as view:
             _gbs_march3(counted.rhs, 0.0, 0.05, start, 1, view)
         assert exc.value.t == 0.05
-        assert calls[0] == 57
+        assert calls[0] == 65
         assert not out[3:].any()  # nothing stored
 
     def test_records_the_problem_it_was_computed_for(self):
@@ -758,14 +765,17 @@ class TestReferenceSolution:
         assert traj.steps_taken == traj.meta["oracle_n_steps"] == 100
 
     # the macro steps end at levels 4-6 in the first three cases; at N = 600,
-    # the gate's own N, 214 end at level 5, 324 at 6 and 62 run all seven
-    # levels after failing the settle test at 4-6
+    # the gate's own N, 167 end at level 5, 329 at 6 and 104 at 7; at N = 100
+    # one ends at level 7 and 99 run all eight levels after failing the
+    # settle test at 4-7
     @pytest.mark.parametrize("problem, n_steps", [
         (lorenz84().problem, 1200),
         (replace(robertson().problem, t_span=(1e-6, 1.0)), 2000),
         (forced_dim3(), 777),
         (lorenz84().problem, 600),
-    ], ids=["lorenz84", "robertson", "non-autonomous", "lorenz84-level-7"])
+        (lorenz84().problem, 100),
+    ], ids=["lorenz84", "robertson", "non-autonomous", "lorenz84-level-7",
+            "lorenz84-level-8"])
     def test_unrolled_dim3_march_matches_generic_march_bitwise(self, problem, n_steps):
         unrolled = ode._fixed_grid(problem, n_steps, _gbs_march3)[1]
         assert np.all(np.isfinite(unrolled))
@@ -782,7 +792,7 @@ class TestReferenceSolution:
 
     def test_lorenz_oracle_agrees_with_fine_rk4(self, lorenz_spec):
         # an independent integrator: fixed-step RK4 at 256x the N=600 grid;
-        # measured max|diff| 3.0e-10 on that grid over [0, 30], mostly the
+        # measured max|diff| 3.2e-10 on that grid over [0, 30], mostly the
         # RK4 run's own error (6.3e-11 against RK4 at 1024x)
         oracle = reference_solution(lorenz_spec.problem, 1200)
         rk4 = solve_rk4_fixed(lorenz_spec.problem, 600 * 256)
@@ -791,9 +801,9 @@ class TestReferenceSolution:
 
     @pytest.mark.parametrize("n_steps", [600, 1620])
     def test_lorenz_oracle_agrees_with_the_six_level_oracle(self, lorenz_spec, n_steps):
-        # six levels at two macro steps per run step, gated at 2.0e-10
-        # (N=600) and 1.2e-10 (N=1620); measured max|diff| 1.8e-10 and
-        # 1.8e-10 on the run grid
+        # six smoothed levels at two macro steps per run step, gated at
+        # 2.0e-10 (N=600) and 1.2e-10 (N=1620); measured max|diff| 4.7e-11
+        # and 1.1e-10 on the run grid
         oracle = reference_solution(lorenz_spec.problem, n_steps)
         six, delta = gbs6_oracle(lorenz_spec.problem, n_steps)
         assert delta < 1e-9
@@ -801,9 +811,9 @@ class TestReferenceSolution:
 
     @pytest.mark.parametrize("n_steps", [600, 1620])
     def test_lorenz_oracle_agrees_with_the_seven_level_oracle(self, lorenz_spec, n_steps):
-        # all seven levels on every macro step at one per run step, gated at
-        # 1.75e-10 (N=600) and 3.0e-10 (N=1620); measured max|diff| 1.4e-10
-        # and 9.6e-11 on the run grid
+        # all seven smoothed levels on every macro step at one per run step,
+        # gated at 1.75e-10 (N=600) and 3.0e-10 (N=1620); measured max|diff|
+        # 1.1e-11 and 1.7e-10 on the run grid
         oracle = reference_solution(lorenz_spec.problem, n_steps)
         seven, delta = gbs7_oracle(lorenz_spec.problem, n_steps)
         assert delta < 1e-9
@@ -811,16 +821,23 @@ class TestReferenceSolution:
 
     def test_lorenz_oracle_agrees_with_dop853(self, lorenz_spec, lorenz_oracle):
         # an independent integrator (scipy's DOP853 at rtol = atol = 1e-13) on
-        # the N=600 grid: measured max|diff| 4.2e-10 over [0, 30] (largest in
-        # y and z near t = 29.4), bounded by the oracle's own halving gate
+        # the N=600 grid, against the session oracle (N = 16,200) and against
+        # the oracle at the gate's own N = 600: measured max|diff| 3.4e-10 and
+        # 4.7e-10 over [0, 30] (largest near t = 29.4, where the chaotic flow
+        # has amplified both integrators' errors), and 1.0e-12 over [0, 5] at
+        # N = 600
         integrate = pytest.importorskip("scipy.integrate")
         p = lorenz_spec.problem
+        oracle = reference_solution(p, 600)
         stride = (len(lorenz_oracle.times) - 1) // 600
-        grid = lorenz_oracle.times[::stride]
         sol = integrate.solve_ivp(lambda t, u: p.rhs(t, tuple(u)), p.t_span, p.u0,
-                                  method="DOP853", rtol=1e-13, atol=1e-13, t_eval=grid)
+                                  method="DOP853", rtol=1e-13, atol=1e-13,
+                                  t_eval=oracle.times)
         assert sol.success
         assert np.max(np.abs(lorenz_oracle.states[::stride] - sol.y.T)) < ORACLE_CHECK_TOL
+        diff = np.abs(oracle.states - sol.y.T)
+        assert np.max(diff) < 2e-9
+        assert np.max(diff[oracle.times <= 5.0]) < 5e-12
 
     def test_requires_even_steps(self):
         with pytest.raises(ValueError):
