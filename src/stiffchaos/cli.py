@@ -72,11 +72,6 @@ from .transform import (
 
 SOLVER_NAMES = ("rk4", "rk4-adaptive", "trapezoid")
 
-# GBS macro steps per run step when ``oracle.refine`` is unset: one
-# eight-level step clears the oracle's 1e-8 gate 150-400 fold on Lorenz-84 at
-# N = 600 and 1620 (see ``ode``'s GBS notes).  An odd N takes two, since the
-# gate halves the oracle's step count.
-DEFAULT_ORACLE_REFINE = 1
 DEFAULT_EPS = 1e-3
 
 
@@ -167,7 +162,6 @@ FLAGS = {
     "q": "transform.q",
     "mu-init": "transform.mu_init",
     "coeffs": "transform.coeffs",
-    "oracle-refine": "oracle.refine",
     "a": "demo.a",
     "kappa-g": "demo.kappa_g",
 }
@@ -178,7 +172,6 @@ CONFIG_KEYS = {
     "problem": ("name", "params", "u0", "t_span", "tf"),
     "solver": ("name", "steps", "tol", "dt_init", "dt_min", "dt_max", "max_steps"),
     "transform": ("method", "intervals", "q", "coeffs", "mu_init"),
-    "oracle": ("refine",),
     "scan": ("component", "n_samples"),
     "demo": ("a", "kappa_g"),
     "eps": None,
@@ -497,20 +490,6 @@ def _transform_setup(cfg: dict, spec: BenchmarkSpec, method_key: str):
     return method, plan, params
 
 
-def _oracle_steps(cfg: dict, n_steps: int) -> int:
-    """The oracle's step count: ``oracle.refine`` GBS macro steps per run
-    step, by default one, or two for an odd ``n_steps``."""
-    refine = _number(cfg, "oracle.refine", integral=True)
-    if refine is None:
-        return n_steps * (DEFAULT_ORACLE_REFINE + n_steps % 2)
-    if refine < 1:
-        raise ConfigError("oracle.refine must be >= 1")
-    if n_steps * refine % 2:
-        raise ConfigError(f"oracle.refine x steps = {n_steps * refine} must be even "
-                          f"(the oracle's gate halves it)")
-    return n_steps * refine
-
-
 def cmd_transform(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
@@ -522,9 +501,8 @@ def cmd_transform(cfg: dict) -> int:
     if spec.problem.dim != 3:
         raise ConfigError(f"transform writes three-component outputs; "
                           f"{spec.problem.name} has {spec.problem.dim} components")
-    oracle_steps = _oracle_steps(cfg, plan.n_steps)
     _discard_manifest(cfg)
-    reference = reference_solution(spec.problem, oracle_steps)
+    reference = reference_solution(spec.problem, plan.n_steps)
     run = run_transformed(spec, plan, method, params, reference)
     ext = step_extension_report(run, reference, max(run.max_error(0), 1e-300))
     summary = {
@@ -561,10 +539,9 @@ def cmd_compare(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
     setups = [_transform_setup(cfg, spec, key) for key in _method_keys(cfg, "none,3")]
-    oracle_steps = _oracle_steps(cfg, setups[0][1].n_steps)
     _discard_manifest(cfg)
     # run_transformed checks that each run matches this one oracle
-    reference = reference_solution(spec.problem, oracle_steps)
+    reference = reference_solution(spec.problem, setups[0][1].n_steps)
     runs = [run_transformed(spec, plan, method, params, reference)
             for method, plan, params in setups]
 

@@ -121,9 +121,10 @@ class LleTrace:
 
 def curvature(u_prime, u_double_prime):
     """Absolute local curvature |u''| / (1 + u'^2)^(3/2), of floats or of
-    arrays element by element; an overflowing u'^2 gives 0."""
+    arrays element by element; an overflowing u'^2 or 3/2 power gives 0."""
     with np.errstate(over="ignore"):
-        return abs(u_double_prime) / (1.0 + u_prime * u_prime) ** 1.5
+        # the ufunc, so a float is lane 0 of an array and its overflow is inf
+        return abs(u_double_prime) / np.power(1.0 + u_prime * u_prime, 1.5)
 
 
 def curvature_along(traj: Trajectory, problem: OdeProblem, component: int = 0) -> np.ndarray:

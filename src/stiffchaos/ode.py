@@ -661,16 +661,17 @@ def solve_trapezoid_adaptive(problem: OdeProblem, cfg: AdaptiveConfig) -> Trajec
 # in h^2 (n_j even; no smoothing step, as in ODEX),
 #     T_{j,k+1} = T_{j,k} + (T_{j,k} - T_{j-1,k}) / ((n_j / n_{j-k})^2 - 1).
 # With n_j = 2j, j = 1..8, T_{8,8} is of order 16 at 1 + 64 = 65 rhs calls
-# per macro step, taken once per run step.  The order is controlled per
-# macro step (Deuflhard 1983; Hairer-Norsett-Wanner I, section II.9): the
-# step ends at the first of levels 4-7 whose T_{k,k} and T_{k,k-1} agree
-# within ``ORACLE_SETTLE_TOL`` relative to the start state, after 17, 26, 37
-# or 50 rhs calls, and takes T_{8,8} otherwise.  On Lorenz-84 over [0, 30]
-# the fine and the gate's run make 37,002 calls at N = 600 macro steps (41.1
-# a step), 65,034 at N = 1620 (26.8) and 367,200 at N = 14400 (17, four
-# levels on every step).  The 1e-8 gate moves by 6.3e-11 at N = 600 and by
-# 2.4e-11 at N = 1620, and it accepts every even N >= 346.  Seven levels
-# without smoothing accept only N >= 474.
+# per macro step, at first one macro step per run step.  The order is
+# controlled per macro step (Deuflhard 1983; Hairer-Norsett-Wanner I,
+# section II.9): the step ends at the first of levels 4-7 whose T_{k,k} and
+# T_{k,k-1} agree within ``ORACLE_SETTLE_TOL`` relative to the start state,
+# after 17, 26, 37 or 50 rhs calls, and takes T_{8,8} otherwise.  On
+# Lorenz-84 over [0, 30] the fine and the gate's run make 37,002 calls at
+# N = 600 macro steps (41.1 a step), 65,034 at N = 1620 (26.8) and 367,200
+# at N = 14400 (17, four levels on every step).  The 1e-8 gate moves by
+# 6.3e-11 at N = 600 and by 2.4e-11 at N = 1620; it passes at the first
+# count for every even N >= 346 and doubles N = 300 to 600.  Seven levels
+# without smoothing pass at the first count only from N = 474 up.
 #
 # ``_gbs_march3`` is written for three components (state in locals) and
 # stores as ``_rk4_march3`` does, into the padded grid of ``_fixed_grid``, so
@@ -767,41 +768,52 @@ ORACLE_SETTLE_TOL = 1e-14
 
 
 def reference_solution(problem: OdeProblem, n_steps: int) -> Trajectory:
-    """Gragg-Bulirsch-Stoer oracle with a built-in self-consistency gate.
+    """Gragg-Bulirsch-Stoer oracle sized by its own self-consistency gate.
 
-    Takes ``n_steps`` equidistant GBS macro steps, one per output sample,
-    and again ``n_steps // 2``, and compares the two on the shared coarse
-    grid: if halving the macro step from n/2 to n still moves any state
-    component by >= 1e-8, the oracle is not trustworthy at this resolution
-    and ``OracleNotConverged`` is raised.  ``n_steps`` must be even.  Each
-    macro step ends its extrapolation once the tableau settles, after 17 to
-    65 rhs calls (on Lorenz-84 over [0, 30]: 41.1 a step at n = 600, 26.8
-    at n = 1620).  ``meta`` records the gate's ``oracle_check_delta``,
-    ``oracle_n_steps``, the rhs calls the two runs made
-    (``oracle_rhs_evals``) and the ``problem`` fingerprint (name, params,
-    u0, t_span) that ``run_transformed`` checks.
+    Takes n equidistant GBS macro steps, one per output sample, and again
+    n / 2, and compares the two on the shared coarse grid; n is ``n_steps``,
+    or 2 ``n_steps`` when that is odd.  While halving the macro step still
+    moves some state component by >= 1e-8, n doubles and the refused run
+    serves as the next half-resolution check.  Once a doubling fails to at
+    least halve that delta, as at the round-off floor of a long chaotic run,
+    ``OracleNotConverged`` is raised; a non-finite state raises
+    ``NonFiniteState`` at once.  Each macro step ends its extrapolation once
+    the tableau settles, after 17 to 65 rhs calls (on Lorenz-84 over
+    [0, 30]: 41.1 a step at n = 600, 26.8 at n = 1620).  ``meta`` records
+    the last gate's ``oracle_check_delta``, ``oracle_n_steps``, the rhs
+    calls all runs made (``oracle_rhs_evals``) and the ``problem``
+    fingerprint (name, params, u0, t_span) that ``run_transformed`` checks.
     """
-    if n_steps < 2 or n_steps % 2:
-        raise ValueError("n_steps must be even and >= 2")
-    times, fine, fine_calls = _fixed_grid(problem, n_steps, _gbs_march3)
-    coarse, coarse_calls = _fixed_grid(problem, n_steps // 2, _gbs_march3)[1:]
-    diff = fine[::2] - coarse
-    np.abs(diff, out=diff)  # in place: one n/2 x dim temporary, not two
-    delta = float(diff.max())
-    if not delta < ORACLE_CHECK_TOL:
-        raise OracleNotConverged(
-            f"oracle self-consistency check failed for {problem.name}: "
-            f"halving the step still moves the solution by {delta:.3e} "
-            f"(limit {ORACLE_CHECK_TOL:.1e}); raise oracle.refine (--oracle-refine) "
-            f"for more macro steps"
-        )
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    n = n_steps * (1 + n_steps % 2)
+    times, fine, calls = _fixed_grid(problem, n, _gbs_march3)
+    coarse, coarse_calls = _fixed_grid(problem, n // 2, _gbs_march3)[1:]
+    calls += coarse_calls
+    last = math.inf
+    while True:
+        diff = fine[::2] - coarse
+        np.abs(diff, out=diff)  # in place: one n/2 x dim temporary, not two
+        delta = float(diff.max())
+        if delta < ORACLE_CHECK_TOL:
+            break
+        if not delta <= 0.5 * last:
+            raise OracleNotConverged(
+                f"oracle self-consistency check failed for {problem.name}: "
+                f"halving the step still moves the solution by {delta:.3e} at {n} "
+                f"macro steps, {last:.3e} at {n // 2} (limit {ORACLE_CHECK_TOL:.1e}), "
+                f"so more macro steps do not bring it down"
+            )
+        last, coarse, n = delta, fine, 2 * n
+        times, fine, fine_calls = _fixed_grid(problem, n, _gbs_march3)
+        calls += fine_calls
     meta = {
         "oracle_check_delta": delta,
-        "oracle_n_steps": n_steps,
-        "oracle_rhs_evals": fine_calls + coarse_calls,
+        "oracle_n_steps": n,
+        "oracle_rhs_evals": calls,
         "problem": problem_fingerprint(problem),
     }
-    return Trajectory(times, fine, GBS_EXTRAPOLATION, n_steps, meta=meta)
+    return Trajectory(times, fine, GBS_EXTRAPOLATION, n, meta=meta)
 
 
 def check_jacobian(problem: OdeProblem, states: Sequence[State],

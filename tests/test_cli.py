@@ -350,25 +350,6 @@ class TestTransformCommand:
         assert m["summary"]["oracle_check_delta"] < 1e-8
         assert m["summary"]["max_abs_error"]["x"] < 1e-6
 
-    @pytest.mark.parametrize("steps, refine, message", [
-        ("601", "1", "oracle.refine x steps = 601 must be even"),
-        ("600", "0", "oracle.refine must be >= 1"),
-    ], ids=["odd-oracle-steps", "refine-0"])
-    def test_oracle_refine_is_checked_before_the_oracle(self, tmp_path, capsys, monkeypatch,
-                                                        steps, refine, message):
-        def no_oracle(*args):
-            raise AssertionError("oracle ran")
-
-        monkeypatch.setattr(cli, "reference_solution", no_oracle)
-        rc = main(["transform", "--problem", "lorenz84", "--method", "none",
-                   "--steps", steps, "--oracle-refine", refine,
-                   "--out", str(tmp_path / "x")])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith(f"configuration error: {message}")
-        assert len(err.splitlines()) == 1
-        assert not (tmp_path / "x").exists()
-
     def test_exponent_overflow_message_is_short(self, tmp_path, capsys):
         # the second interval's shift q gamma_max makes exp(mu h) overflow, so
         # its first state, at t = 11 h, is not finite
@@ -379,22 +360,26 @@ class TestTransformCommand:
             "numerical failure: NonFiniteState: non-finite state encountered at t=0.55\n")
         assert not (tmp_path / "x").exists()
 
-    def test_unconverged_oracle_is_numerical_failure(self, tmp_path):
-        # 300 macro steps move the state by 7.1e-8 from 150
-        rc = main(["transform", "--problem", "lorenz84", "--method", "3",
-                   "--steps", "300", "--intervals", "10",
-                   "--oracle-refine", "1", "--out", str(tmp_path / "x")])
-        assert rc == 2
-
-    def test_unconverged_oracle_names_the_setting_to_raise(self, tmp_path, capsys):
-        # the default refinement at N=300 is refused (7.1e-8); the one line
-        # says which setting runs it
+    def test_coarse_oracle_doubles_until_its_gate_passes(self, tmp_path):
+        # 300 macro steps move the state by 7.1e-8 from 150, so the oracle
+        # doubles to 600 (6.3e-11), after 150-, 300- and 600-step runs
+        out = tmp_path / "x"
         rc = main(["transform", "--problem", "lorenz84", "--steps", "300",
-                   "--intervals", "10", "--out", str(tmp_path / "x")])
+                   "--intervals", "10", "--out", str(out)])
+        assert rc == 0
+        summary = manifest(out)["summary"]
+        assert summary["oracle_n_steps"] == 600
+        assert summary["oracle_rhs_evals"] == 46_347
+        assert summary["oracle_check_delta"] < 1e-10
+
+    def test_unconverged_oracle_is_numerical_failure(self, tmp_path, capsys):
+        # over [0, 100] the gate reads 1.3e-2, 1.2e-5, 1.9e-6, then 7.8e-6 at
+        # 8000 macro steps: more steps do not help, in one line
+        rc = main(["transform", "--problem", "lorenz84", "--problem.t_span", "0,100",
+                   "--steps", "1000", "--intervals", "25", "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("numerical failure: OracleNotConverged: ")
-        assert "oracle.refine (--oracle-refine)" in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "x").exists()
 
@@ -538,8 +523,8 @@ class TestFailedRuns:
         assert sorted(p.name for p in out.iterdir()) == [
             "errors.csv", "manifest.json", "mu_history.csv", "solution.csv",
             "step_extension.csv"]
-        # twice the span at one oracle macro step per run step: the gate fails
-        assert main(argv + ["--problem.t_span", "0,60", "--oracle-refine", "1"]) == 2
+        # over [0, 100] the oracle reaches its round-off floor before its gate
+        assert main(argv + ["--problem.t_span", "0,100"]) == 2
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", sorted(FAILING_STEPS))
@@ -610,6 +595,7 @@ class TestFailedRuns:
          "--solver.dt_min", "2"],
         ["solve", "--problem", "lorenz84", "--solver.name", "bogus", "--steps", "10"],
         ["diagnose", "--problem", "lorenz84", "--solver", "rk4-adaptive", "--tol", "-1"],
+        # the oracle sizes itself, so these two are refused as unknown settings
         ["transform", "--problem", "lorenz84", "--steps", "40", "--tf", "2", "--intervals", "1",
          "--oracle-refine", "0"],
         ["compare", "--problem", "lorenz84", "--steps", "41", "--tf", "2", "--oracle-refine", "1",
@@ -656,8 +642,6 @@ FLAG_CASES = {
     "mu-init": (["transform", "--problem", "lorenz84", "--method", "1", "--steps", "40",
                  "--tf", "2"], "-1,2,3", 0),
     "coeffs": (["transform", "--problem", "lorenz84"], "0.5", 1),
-    "oracle-refine": (["transform", "--problem", "lorenz84", "--method", "none", "--steps", "40",
-                       "--tf", "2"], "2e0", 0),
     "a": (["demo-stiff-transform"], "true", 1),
     "kappa-g": (["demo-stiff-transform"], "-inf", 1),
 }
@@ -870,11 +854,10 @@ class TestConfigHandling:
           for cmd in ("solve", "diagnose", "compare")),
         ("diagnose", {"problem": {"name": "lorenz84"}, "scan": [1]}, "scan"),
         ("compare", {"problem": {"name": "lorenz84"}, "transform": 3}, "transform"),
-        ("compare", {"problem": {"name": "lorenz84"}, "oracle": "x"}, "oracle"),
         ("demo-stiff-transform", {"demo": [300]}, "demo"),
     ], ids=["solve-solver", "solve-problem", "diagnose-problem", "compare-problem",
             "solve-params", "diagnose-params", "compare-params", "diagnose-scan",
-            "compare-transform", "compare-oracle", "demo-demo"])
+            "compare-transform", "demo-demo"])
     def test_config_section_that_is_not_an_object(self, tmp_path, capsys, command, config,
                                                   key):
         cfg = tmp_path / "cfg.json"
@@ -948,9 +931,11 @@ class TestConfigHandling:
         (["transform"], {"transform": {"gamma_source": "jstar_end"}}, "transform.gamma_source"),
         (["solve"], {"stepz": 1}, "stepz"),
         (["compare", "--transform.eps_scale", "1"], None, "transform.eps_scale"),
+        (["transform", "--oracle-refine", "2"], None, "oracle-refine"),
+        (["compare"], {"oracle": "x"}, "oracle"),
     ], ids=["flag-transform-metod", "flag-solver-stepz", "flag-problem-parms",
             "flag-gamma-source", "file-gamma-source", "file-top-level-stepz",
-            "flag-eps-scale"])
+            "flag-eps-scale", "flag-oracle-refine", "compare-oracle"])
     def test_unknown_setting_is_rejected_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                         argv, config, key):
         def no_run(*args):

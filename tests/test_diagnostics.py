@@ -44,8 +44,10 @@ class TestCurvature:
         assert curvature(1.0, 0.0) == 0.0
 
     def test_overflowing_slope_is_flat_without_a_warning(self):
-        # u'^2 overflows to inf, so the curvature is 0, quietly
+        # u'^2, or for 1e154 its 3/2 power, overflows to inf, so the
+        # curvature is 0, quietly, of an array as of a float
         assert curvature(np.array([1e200]), np.array([1.0])).tolist() == [0.0]
+        assert curvature(1e154, 1.0) == 0.0
 
 
 class TestDtMax:
@@ -295,9 +297,9 @@ def _within_ulps(got: np.ndarray, want: np.ndarray, ulps: int) -> bool:
 
 
 class TestCurvatureLanes:
-    # curvature() on a block of lanes takes the 3/2 power with numpy's
-    # vectorised pow, which may differ from libm's pow of a float in the
-    # last bit
+    # curvature() takes the 3/2 power with numpy's pow for a float and for
+    # a block of lanes alike, but a long block may run a vectorised pow loop
+    # that differs from the one-element call in the last bit
 
     @pytest.mark.parametrize("spec", [lorenz84(), stiff_linear(300.0, u0=(1.05,),
                                                             t_span=(0.0, 0.02))],

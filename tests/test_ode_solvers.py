@@ -704,18 +704,32 @@ class TestReferenceSolution:
         assert np.max(np.abs(traj.states[mask, 0] - exact)) < 1e-9
 
     def test_gate_rejects_coarse_lorenz(self, lorenz_spec):
-        # halving the step from 300 to 600 macro steps moves the state by
-        # 6.3e-11; from 150 to 300, by 7.1e-8
-        assert reference_solution(lorenz_spec.problem, 600).meta["oracle_check_delta"] < 1e-10
-        with pytest.raises(OracleNotConverged):
-            reference_solution(lorenz_spec.problem, 300)
+        # halving the step from 150 to 300 macro steps moves the state by
+        # 7.1e-8, so the oracle doubles to 600, where it moves by 6.3e-11:
+        # the 600-step oracle, after the calls of its 150-, 300- and 600-step runs
+        p = lorenz_spec.problem
+        doubled = reference_solution(p, 300)
+        direct = reference_solution(p, 600)
+        assert doubled.meta["oracle_n_steps"] == doubled.steps_taken == 600
+        assert doubled.times.tobytes() == direct.times.tobytes()
+        assert doubled.states.tobytes() == direct.states.tobytes()
+        assert doubled.meta["oracle_check_delta"] == direct.meta["oracle_check_delta"] < 1e-10
+        calls = [ode._fixed_grid(p, n, _gbs_march3)[2] for n in (150, 300, 600)]
+        assert doubled.meta["oracle_rhs_evals"] == sum(calls) == 46_347
 
     def test_gate_boundary_on_lorenz(self, lorenz_spec):
-        # the gate accepts every even N >= 346 at one macro step per run
-        # step: 5.4e-9 at N = 360, 1.35e-8 at N = 340
-        assert reference_solution(lorenz_spec.problem, 360).meta["oracle_check_delta"] < 1e-8
-        with pytest.raises(OracleNotConverged):
-            reference_solution(lorenz_spec.problem, 340)
+        # the gate accepts every even N >= 346 at its first count: 5.4e-9 at
+        # N = 360; N = 340 is refused at 1.35e-8 and served at 680
+        for n, served in ((360, 360), (340, 680)):
+            meta = reference_solution(lorenz_spec.problem, n).meta
+            assert meta["oracle_n_steps"] == served
+            assert meta["oracle_check_delta"] < 1e-8
+
+    def test_round_off_floor_is_refused(self):
+        # over [0, 100] the gate reads 1.2e-5 at 2000 macro steps, 1.9e-6 at
+        # 4000 and 7.8e-6 at 8000: a doubling that does not halve it ends the search
+        with pytest.raises(OracleNotConverged, match="at 8000 macro steps"):
+            reference_solution(lorenz84(t_span=(0.0, 100.0)).problem, 2000)
 
     def test_gate_passes_fine_lorenz(self, lorenz_oracle):
         assert lorenz_oracle.meta["oracle_check_delta"] < 1e-8
@@ -840,8 +854,13 @@ class TestReferenceSolution:
         assert np.max(diff[oracle.times <= 5.0]) < 5e-12
 
     def test_requires_even_steps(self):
+        # the gate halves the oracle's count, so an odd n takes the 2n oracle
+        odd, even = (reference_solution(exp_decay(), n) for n in (101, 202))
+        assert odd.states.tobytes() == even.states.tobytes()
+        assert odd.meta == even.meta
+        assert odd.meta["oracle_n_steps"] == 202
         with pytest.raises(ValueError):
-            reference_solution(exp_decay(), 101)
+            reference_solution(exp_decay(), 0)
 
 
 class TestProblemValidation:

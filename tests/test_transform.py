@@ -31,7 +31,6 @@ from stiffchaos import (
     stiff_transform_demo,
     transformed_rhs,
 )
-from stiffchaos import cli
 from stiffchaos.ode import EIG_BLOCK, _padded, _rk4_march3, rk4_step
 from stiffchaos.problems import BenchmarkSpec, nearest_sample_indices
 from stiffchaos.transform import (
@@ -536,10 +535,9 @@ class TestReferenceAlignment:
         # the CLI's oracle (GBS, one macro step per run step) against the
         # values the 256x fine-RK4 oracle gave: measured 0.019541232421 and
         # 5.447038478e-4
-        refine = cli.DEFAULT_ORACLE_REFINE
         cases = ((600, 15, 0.019541232335), (1620, 60, 5.447038850e-4))
         for n, k, rk4_value in cases:
-            oracle = reference_solution(lorenz_spec.problem, n * refine)
+            oracle = reference_solution(lorenz_spec.problem, n)
             run = run_transformed(lorenz_spec, IntervalPlan(n, k, (0.0, 30.0)),
                                   MuMethod.CUMULATIVE_AVG,
                                   params_for_method(MuMethod.CUMULATIVE_AVG), oracle)
