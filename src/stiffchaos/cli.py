@@ -8,7 +8,8 @@ of the exponentially transformed system with error/mu/step-extension CSVs),
 reference shift/scale triples by default, so they run on any 3-component
 problem (lorenz84, robertson); other dimensions need both
 ``transform.mu_init`` and ``transform.coeffs`` with one number per
-component, and ``transform`` writes three-component outputs.
+component, and ``transform`` writes three-component outputs (it refuses
+another dimension first).  Every run spans ``problem.t_span``.
 
 Settings come from ``--config <path>`` (a JSON file) and then each
 ``--key value`` or ``--key=value`` in order, a later one winning; a flag is
@@ -155,7 +156,6 @@ FLAGS = {
     "intervals": "transform.intervals",
     "method": "transform.method",
     "tol": "solver.tol",
-    "tf": "problem.tf",
     "dt-init": "solver.dt_init",
     "max-steps": "solver.max_steps",
     "samples": "scan.n_samples",
@@ -169,7 +169,7 @@ FLAGS = {
 # the settings the subcommands read: each section with its keys, and each
 # top-level key with None; ``make_problem`` checks the keys of problem.params
 CONFIG_KEYS = {
-    "problem": ("name", "params", "u0", "t_span", "tf"),
+    "problem": ("name", "params", "u0", "t_span"),
     "solver": ("name", "steps", "tol", "dt_init", "dt_min", "dt_max", "max_steps"),
     "transform": ("method", "intervals", "q", "coeffs", "mu_init"),
     "scan": ("component", "n_samples"),
@@ -261,14 +261,8 @@ def build_benchmark(cfg: dict) -> BenchmarkSpec:
     u0 = section.get("u0")
     if _is_number(u0):
         u0 = [float(u0)]
-    tf = _number(cfg, "problem.tf")
     try:
-        spec = make_problem(name, params=params, u0=u0, t_span=section.get("t_span"))
-        if tf is not None:
-            # --tf keeps the start time of the (possibly overridden) t_span
-            spec = make_problem(name, params=params, u0=u0,
-                                t_span=[spec.problem.t_span[0], tf])
-        return spec
+        return make_problem(name, params=params, u0=u0, t_span=section.get("t_span"))
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"problem: {exc}") from None
 
@@ -475,7 +469,7 @@ def _transform_setup(cfg: dict, spec: BenchmarkSpec, method_key: str):
                 f"does not divide solver.steps={n_steps}; set transform.intervals to a "
                 f"divisor of {n_steps}")
     try:
-        plan = IntervalPlan(n_steps, intervals, spec.problem.t_span)
+        plan = IntervalPlan(n_steps, intervals)
     except ValueError as exc:
         raise ConfigError(f"transform: {exc}") from None
     q = _number(cfg, "transform.q", 1.0)
@@ -493,18 +487,18 @@ def _transform_setup(cfg: dict, spec: BenchmarkSpec, method_key: str):
 def cmd_transform(cfg: dict) -> int:
     t_started = time.perf_counter()
     spec = build_benchmark(cfg)
+    if spec.problem.dim != 3:
+        raise ConfigError(f"transform writes three-component outputs; "
+                          f"{spec.problem.name} has {spec.problem.dim} components")
     method_key, *more = _method_keys(cfg, "3")
     if more:
         raise ConfigError(f"transform.method: transform runs one method, "
                           f"got {cfg['transform']['method']!r}")
     method, plan, params = _transform_setup(cfg, spec, method_key)
-    if spec.problem.dim != 3:
-        raise ConfigError(f"transform writes three-component outputs; "
-                          f"{spec.problem.name} has {spec.problem.dim} components")
     _discard_manifest(cfg)
     reference = reference_solution(spec.problem, plan.n_steps)
     run = run_transformed(spec, plan, method, params, reference)
-    ext = step_extension_report(run, reference, max(run.max_error(0), 1e-300))
+    ext = step_extension_report(run, max(run.max_error(0), 1e-300))
     summary = {
         "problem": spec.problem.name,
         "method": run.method.value,
@@ -526,10 +520,10 @@ def cmd_transform(cfg: dict) -> int:
          table_rows(sol.times, run.errors_vs_reference)),
         # a whole float such as the interval index is written as an integer
         ("mu_history.csv", ["interval", "t_start", "mu1", "mu2", "mu3", "gamma_max"],
-         table_rows(k, plan.t_span[0] + plan.interval_length * k,
+         table_rows(k, spec.problem.t_span[0] + run.dt * plan.steps_per_interval * k,
                     run.mu_history, run.gamma_max_history)),
         ("step_extension.csv", ["t", "dt_max", "delta"],
-         table_rows(ext, np.full(len(ext), plan.dt))))
+         table_rows(ext, np.full(len(ext), run.dt))))
     print(f"transform: method={run.method.value} N={plan.n_steps} K={plan.k_intervals} "
           f"max|x err|={run.max_error(0):.4g} -> {sol_path.parent}")
     return 0

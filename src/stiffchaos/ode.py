@@ -89,6 +89,9 @@ class OdeProblem:
         # an infinite t_end would make the adaptive loop's end test t < nan
         if not all(map(math.isfinite, (t0, t1, *u0))):
             raise ValueError(f"t_span and u0 must be finite, got {self.t_span} and {self.u0}")
+        # a nan or inf parameter would integrate and then fail as a non-finite state
+        if not all(map(math.isfinite, self.params.values())):
+            raise ValueError(f"params must be finite, got {self.params}")
         if not t1 > t0:
             raise ValueError(f"t_span must satisfy t_end > t_start, got {self.t_span}")
         object.__setattr__(self, "u0", u0)
@@ -261,9 +264,9 @@ def solve_rk4_fixed(problem: OdeProblem, n_steps: int) -> Trajectory:
 def _fixed_grid(problem: OdeProblem, n_steps: int,
                 march3) -> tuple[np.ndarray, np.ndarray, object]:
     """The times and states of ``n_steps`` equidistant steps over the
-    problem's span, marched by ``march3(f, t0, h, u, n, out)`` (``_rk4_march3``
-    or ``_gbs_march3``) on the padded system into a flat (n + 1) x 3 store,
-    and what ``march3`` returned."""
+    problem's t_span, marched by ``march3(f, t0, h, u, n, out)`` (``_rk4_march3``,
+    ``_gbs_march3`` or ``run_transformed``'s interval loop) on the padded
+    system into a flat (n + 1) x 3 store, and what ``march3`` returned."""
     t0, t1 = problem.t_span
     h = (t1 - t0) / n_steps
     f, u = _padded(problem.rhs, problem.u0)

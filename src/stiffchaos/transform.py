@@ -56,8 +56,8 @@ from .ode import (
     RK4_FIXED,
     State,
     Trajectory,
+    _fixed_grid,
     _freeze,
-    _padded,
     _rk4_march3,
     problem_fingerprint,
 )
@@ -119,11 +119,10 @@ def params_for_method(method: MuMethod, *, q: float = DEFAULT_Q, coeffs=DEFAULT_
 
 @dataclass(frozen=True)
 class IntervalPlan:
-    """N total fixed steps split into K intervals of N/K steps each."""
+    """N fixed steps over the problem's t_span in K intervals of N/K steps each."""
 
     n_steps: int
     k_intervals: int
-    t_span: tuple[float, float]
 
     def __post_init__(self):
         if self.n_steps < 1 or self.k_intervals < 1:
@@ -131,20 +130,10 @@ class IntervalPlan:
         if self.n_steps % self.k_intervals:
             raise ValueError(
                 f"k_intervals={self.k_intervals} must divide n_steps={self.n_steps}")
-        if not self.t_span[1] > self.t_span[0]:
-            raise ValueError("t_span must be increasing")
 
     @property
     def steps_per_interval(self) -> int:
         return self.n_steps // self.k_intervals
-
-    @property
-    def dt(self) -> float:
-        return (self.t_span[1] - self.t_span[0]) / self.n_steps
-
-    @property
-    def interval_length(self) -> float:
-        return self.dt * self.steps_per_interval
 
 
 def shifted_jacobian(jac: Jacobian, t: float, z: State, mu: Sequence[float]):
@@ -204,7 +193,7 @@ def select_mu(method: MuMethod, history: Sequence[float],
 
 @dataclass(frozen=True)
 class TransformRun:
-    """Result of one interval-segmented transformed integration."""
+    """One interval-segmented transformed run over the problem's t_span."""
 
     plan: IntervalPlan
     method: MuMethod
@@ -212,11 +201,21 @@ class TransformRun:
     problem: OdeProblem
     mu_history: np.ndarray          # (K, dim) mu used in each interval
     gamma_max_history: np.ndarray   # (K,) gamma_max of J at each interval start
-    solution: Trajectory            # back-transformed, N+1 samples
-    errors_vs_reference: np.ndarray  # (N+1, dim) absolute errors
+    solution: Trajectory            # N+1 samples
+    reference: Trajectory           # the reference at the same N+1 times
 
     def __post_init__(self):
-        _freeze(self, "mu_history", "gamma_max_history", "errors_vs_reference")
+        _freeze(self, "mu_history", "gamma_max_history")
+
+    @property
+    def dt(self) -> float:
+        """The fixed step, horizon / N."""
+        return self.problem.horizon / self.plan.n_steps
+
+    @property
+    def errors_vs_reference(self) -> np.ndarray:
+        """(N+1, dim) absolute errors of the solution against the reference."""
+        return np.abs(self.solution.states - self.reference.states)
 
     def max_error(self, component: int = 0) -> float:
         """Headline accuracy: max over time of the absolute error of one
@@ -228,7 +227,7 @@ def _align_reference(reference: Trajectory, plan: IntervalPlan,
                      problem: OdeProblem) -> int:
     """Stride from the reference grid to the run's N+1 sample times.
 
-    The reference must span exactly the run's t_span, start from the run's
+    The reference must span exactly the problem's t_span, start from its
     u0 exactly and, when it carries ``reference_solution``'s problem stamp,
     have been computed for the run's problem.
     """
@@ -237,7 +236,7 @@ def _align_reference(reference: Trajectory, plan: IntervalPlan,
     if m % n:
         raise ValueError(
             f"reference resolution ({m} steps) is not a multiple of the run's {n} steps")
-    t0, t1 = plan.t_span
+    t0, t1 = problem.t_span
     if abs(reference.times[0] - t0) > 1e-12 or \
             abs(reference.times[-1] - t1) > 1e-9 * max(1.0, abs(t1)):
         raise ValueError(
@@ -254,15 +253,15 @@ def _align_reference(reference: Trajectory, plan: IntervalPlan,
 
 def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
                     params: TransformParams, reference: Trajectory) -> TransformRun:
-    """Integrate the transformed system interval by interval.
+    """Integrate the transformed system interval by interval over the problem's t_span.
 
     Per interval: a gamma_max value is recorded at its start, and N/K fixed
     steps of Lawson RK4 with that interval's shift (``ode._rk4_march3``)
-    advance x from the previous interval's endpoint.  Errors are measured
-    against ``reference`` at the N+1 sample times.  Every vector of
-    ``params`` must have ``spec.problem.dim`` components; a dim-1 or dim-2
-    problem is padded once per run, its shift by 0.0.  A non-finite state
-    raises ``NonFiniteState`` at the run's sample time of that state.
+    advance x from the previous interval's endpoint, the intervals in turn
+    storing into the one grid store ``ode._fixed_grid`` (a dim-1 or dim-2
+    problem padded, its shift by 0.0).  The run keeps ``reference`` at its
+    N+1 sample times.  Every vector of ``params`` must have ``spec.problem.dim``
+    components.  A non-finite state raises ``NonFiniteState`` at its sample time.
 
     The recorded gamma_max history, the input to the method-2/3/4 shift
     selection, holds gamma_max of the untransformed Jacobian at each
@@ -274,46 +273,33 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
         if len(getattr(params, name)) != dim:
             raise ValueError(f"params.{name} needs {dim} components, one per state component")
     stride = _align_reference(reference, plan, problem)
-
-    n = plan.n_steps
-    k_intervals = plan.k_intervals
     spi = plan.steps_per_interval
-    h = plan.dt
-    t0 = plan.t_span[0]
     jac = problem.jacobian
-    f3, u3 = _padded(problem.rhs, problem.u0)
     pad = (0.0,) * (3 - dim)
-
-    times = t0 + h * np.arange(n + 1)
-    states = np.empty((n + 1, 3))
-    states[0] = u3
-
-    mu_history = np.empty((k_intervals, dim))
-    gamma_history = np.empty(k_intervals)
+    mu_history: list[tuple[float, ...]] = []
     history: list[float] = []
-    mu = select_mu(method, history, params)
 
-    with memoryview(states.reshape(-1)) as out:
-        for k in range(k_intervals):
-            base = k * spi
+    def march3(f3, t0, h, u3, n, out):
+        for base in range(0, n, spi):
             t_k = t0 + base * h
-            mu_history[k] = mu
-            gamma_history[k] = local_eigenvalues(jac(t_k, u3[:dim])).gamma_max
+            mu = select_mu(method, history, params)
+            mu_history.append(mu)
+            history.append(float(local_eigenvalues(jac(t_k, u3[:dim])).gamma_max))
             try:
                 _rk4_march3(f3, t_k, h, u3, spi, out[3 * base:], (*mu, *pad))
             except NonFiniteState as exc:
                 # the march counts from t_k; report the run's sample time
-                raise NonFiniteState(float(times[base + round((exc.t - t_k) / h)])) from None
-            u3 = tuple(states[base + spi].tolist())
-            history.append(float(gamma_history[k]))
-            mu = select_mu(method, history, params)
+                raise NonFiniteState(t0 + h * (base + round((exc.t - t_k) / h))) from None
+            u3 = tuple(out[3 * (base + spi):3 * (base + spi + 1)])
 
-    states = states[:, :dim]
+    n = plan.n_steps
+    times, states, _ = _fixed_grid(problem, n, march3)
     solution = Trajectory(times, states, RK4_FIXED, steps_taken=n)
-    errors = np.abs(states - reference.states[::stride])
+    on_grid = Trajectory(reference.times[::stride], reference.states[::stride],
+                         reference.solver_id, steps_taken=n)
     return TransformRun(plan=plan, method=method, params=params, problem=problem,
-                        mu_history=mu_history, gamma_max_history=gamma_history,
-                        solution=solution, errors_vs_reference=errors)
+                        mu_history=mu_history, gamma_max_history=history,
+                        solution=solution, reference=on_grid)
 
 
 def jstar_scan(run: TransformRun, n_samples: int) -> LleTrace:
@@ -327,14 +313,15 @@ def jstar_scan(run: TransformRun, n_samples: int) -> LleTrace:
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     plan, sol = run.plan, run.solution
-    spi, h = plan.steps_per_interval, plan.dt
-    scan_times = np.linspace(plan.t_span[0], plan.t_span[1], n_samples)
+    spi, h = plan.steps_per_interval, run.dt
+    t0, t1 = run.problem.t_span
+    scan_times = np.linspace(t0, t1, n_samples)
     idx = nearest_sample_indices(sol.times, scan_times)
     k = np.minimum(idx // spi, plan.k_intervals - 1)
     tau = (idx - k * spi) * h
     mu = run.mu_history[k]
     z = sol.states[idx] * np.exp(mu * -tau[:, None])
-    t_start = plan.t_span[0] + k * spi * h
+    t_start = t0 + k * spi * h
     values = eigenvalues_along(
         lambda s: shifted_jacobian(run.problem.jacobian, t_start[s], tuple(z[s].T),
                                    tuple(mu[s].T)),
@@ -342,18 +329,15 @@ def jstar_scan(run: TransformRun, n_samples: int) -> LleTrace:
     return LleTrace(times=scan_times, values=values)
 
 
-def step_extension_report(run: TransformRun, reference: Trajectory,
-                          eps_achieved: float) -> np.ndarray:
-    """dt_max(t) from the curvature of the reference z-component (the least
-    smooth one), at the run's sample times and the run's achieved accuracy.
+def step_extension_report(run: TransformRun, eps_achieved: float) -> np.ndarray:
+    """dt_max(t) from the curvature of the z-component (the least smooth
+    one) of ``run.reference``, at the run's sample times and the accuracy
+    ``eps_achieved``.
 
     Returns an (N+1, 2) array of (t, dt_max) for comparison with the fixed
-    step Delta = T/N; rows with zero curvature carry inf.
+    step Delta = ``run.dt``; rows with zero curvature carry inf.
     """
-    stride = _align_reference(reference, run.plan, run.problem)
-    sub = Trajectory(reference.times[::stride], reference.states[::stride],
-                     reference.solver_id, steps_taken=run.plan.n_steps)
-    tk = curvature_along(sub, run.problem, component=2)
+    tk = curvature_along(run.reference, run.problem, component=2)
     return np.column_stack([tk[:, 0], dt_max(tk[:, 1], eps_achieved)])
 
 

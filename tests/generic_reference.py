@@ -295,7 +295,7 @@ def zsystem_run(spec, plan, method, params, reference) -> tuple[np.ndarray, ...]
     dim = problem.dim
     stride = _align_reference(reference, plan, problem)
     n, k_intervals = plan.n_steps, plan.k_intervals
-    spi, h, t0 = plan.steps_per_interval, plan.dt, plan.t_span[0]
+    spi, h, t0 = plan.steps_per_interval, problem.horizon / n, problem.t_span[0]
     jac = problem.jacobian
 
     states = np.empty((n + 1, dim))
@@ -362,7 +362,7 @@ def transformed_run(spec, plan, method, params, reference) -> tuple[np.ndarray, 
     dim = problem.dim
     stride = _align_reference(reference, plan, problem)
     n, k_intervals = plan.n_steps, plan.k_intervals
-    spi, h, t0 = plan.steps_per_interval, plan.dt, plan.t_span[0]
+    spi, h, t0 = plan.steps_per_interval, problem.horizon / n, problem.t_span[0]
     jac = problem.jacobian
 
     states = np.empty((n + 1, dim))

@@ -107,7 +107,7 @@ class TestSolveCommand:
     def test_lorenz_row_count(self, tmp_path):
         out = tmp_path / "run"
         rc = main(["solve", "--problem", "lorenz84", "--solver", "rk4",
-                   "--steps", "600", "--tf", "30", "--out", str(out)])
+                   "--steps", "600", "--problem.t_span", "0,30", "--out", str(out)])
         assert rc == 0
         header, rows = read_csv(out / "solution.csv")
         assert header == ["t", "u1", "u2", "u3"]
@@ -237,7 +237,7 @@ class TestDiagnoseCommand:
         # every attempt fails tol at dt_min: only the start sample
         (["--problem", "robertson", "--solver", "rk4-adaptive", "--solver.dt_init", "1e-6",
           "--solver.dt_min", "1e-6", "--tol", "1e-30"], 1, 0, True),
-        (["--problem", "lorenz84", "--steps", "3", "--tf", "0.01"], 4, 3, False),
+        (["--problem", "lorenz84", "--steps", "3", "--problem.t_span", "0,0.01"], 4, 3, False),
     ], ids=["adaptive-ended-early", "adaptive-stagnated", "adaptive-stagnated-at-start",
             "rk4-3-steps"])
     def test_short_run_gets_one_row_per_sample(self, tmp_path, argv, rows, steps_taken,
@@ -310,7 +310,7 @@ class TestTransformCommand:
     def test_short_run_gets_a_step_extension_row_per_sample(self, tmp_path, steps):
         out = tmp_path / "short"
         rc = main(["transform", "--problem", "lorenz84", "--method", "none",
-                   "--steps", str(steps), "--tf", "0.1", "--out", str(out)])
+                   "--steps", str(steps), "--problem.t_span", "0,0.1", "--out", str(out)])
         assert rc == 0
         _, rows = read_csv(out / "step_extension.csv")
         assert [row[0] for row in rows] == pytest.approx(np.linspace(0.0, 0.1, steps + 1))
@@ -319,17 +319,25 @@ class TestTransformCommand:
         assert manifest(out)["summary"]["oracle_n_steps"] == steps * (1 + steps % 2)
 
     def test_wrong_problem_rejected(self, tmp_path, monkeypatch, capsys):
-        # the reference triples do not fit the one-component stiff-linear
-        # problem: rejected before the oracle runs, and no --out is created
+        # transform writes three-component outputs, so the one-component
+        # stiff-linear problem is refused before any vector is asked for, in
+        # one line naming its components; compare reads the vectors, and the
+        # reference triples do not fit.  Each before the oracle runs, and no
+        # --out is created
         def no_oracle(*args):
             raise AssertionError("oracle ran")
 
         monkeypatch.setattr(cli, "reference_solution", no_oracle)
-        rc = main(["transform", "--problem", "stiff-linear", "--out",
-                   str(tmp_path / "x")])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("configuration error: transform.")
-        assert not (tmp_path / "x").exists()
+        three = ("configuration error: transform writes three-component outputs; "
+                 "stiff-linear has 1 components\n")
+        for argv, expected in ((["transform"], three),
+                               (["transform", "--mu-init", "0.5", "--coeffs", "1"], three),
+                               (["compare"], "configuration error: transform.coeffs: ")):
+            rc = main(argv + ["--problem", "stiff-linear", "--out", str(tmp_path / "x")])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith(expected) and len(err.splitlines()) == 1
+            assert not (tmp_path / "x").exists()
 
     def test_robertson_default_span_blows_up_in_the_oracle(self, tmp_path, capsys):
         rc = main(["transform", "--problem", "robertson", "--out", str(tmp_path / "x")])
@@ -340,7 +348,7 @@ class TestTransformCommand:
 
     def test_robertson_short_span_runs(self, tmp_path):
         out = tmp_path / "rob"
-        rc = main(["transform", "--problem", "robertson", "--tf", "0.01",
+        rc = main(["transform", "--problem", "robertson", "--problem.t_span", "1e-6,0.01",
                    "--steps", "600", "--method", "none", "--out", str(out)])
         assert rc == 0
         for name in ("solution.csv", "errors.csv", "mu_history.csv",
@@ -389,8 +397,8 @@ class TestCompareCommand:
         # --mu-init/--coeffs take one number per state component, and are
         # echoed as their dotted spellings are: a bare number for one
         out = tmp_path / "cmp"
-        rc = main(["compare", "--problem", "stiff-linear", "--tf", "0.1", "--steps", "40",
-                   "--mu-init", "0.5", "--coeffs", "1", "--out", str(out)])
+        rc = main(["compare", "--problem", "stiff-linear", "--problem.t_span", "0,0.1",
+                   "--steps", "40", "--mu-init", "0.5", "--coeffs", "1", "--out", str(out)])
         assert rc == 0
         section = manifest(out)["config"]["transform"]
         assert section["mu_init"] == 0.5
@@ -400,8 +408,8 @@ class TestCompareCommand:
         csvs = []
         for name, mu_init in (("list", "[0.5]"), ("bare", "0.5")):
             out = tmp_path / name
-            rc = main(["compare", "--problem", "stiff-linear", "--tf", "0.1", "--steps", "40",
-                       "--mu-init", mu_init, "--coeffs", "1", "--out", str(out)])
+            rc = main(["compare", "--problem", "stiff-linear", "--problem.t_span", "0,0.1",
+                       "--steps", "40", "--mu-init", mu_init, "--coeffs", "1", "--out", str(out)])
             assert rc == 0
             csvs.append((out / "compare.csv").read_bytes())
         assert csvs[0] == csvs[1]
@@ -596,20 +604,21 @@ class TestFailedRuns:
         ["solve", "--problem", "lorenz84", "--solver.name", "bogus", "--steps", "10"],
         ["diagnose", "--problem", "lorenz84", "--solver", "rk4-adaptive", "--tol", "-1"],
         # the oracle sizes itself, so these two are refused as unknown settings
-        ["transform", "--problem", "lorenz84", "--steps", "40", "--tf", "2", "--intervals", "1",
-         "--oracle-refine", "0"],
-        ["compare", "--problem", "lorenz84", "--steps", "41", "--tf", "2", "--oracle-refine", "1",
-         "--method", "none"],
+        ["transform", "--problem", "lorenz84", "--steps", "40", "--problem.t_span", "0,2",
+         "--intervals", "1", "--oracle-refine", "0"],
+        ["compare", "--problem", "lorenz84", "--steps", "41", "--problem.t_span", "0,2",
+         "--oracle-refine", "1", "--method", "none"],
         ["demo-stiff-transform", "--a", "-5"],
         ["demo-stiff-transform", "--kappa-g", "1"],
         ["solve", "--problem", "[1]", "--steps", "3"],
         ["solve", "--problem", '{"a":1}', "--steps", "3"],
         ["solve", "--problem.name", '["lorenz84"]', "--steps", "3"],
+        ["solve", "--problem", "lorenz84", "--steps", "3", "--problem.params.F", "nan"],
     ], ids=["solve-t-span-decreasing", "solve-steps-missing", "solve-steps-0",
             "solve-tol-negative", "solve-dt-min-above-dt-init", "solve-unknown-solver",
             "diagnose-tol-negative", "transform-refine-0", "compare-odd-oracle-steps",
             "demo-a-negative", "demo-kappa-g-positive", "solve-name-list",
-            "solve-name-object", "solve-name-list-of-a-name"])
+            "solve-name-object", "solve-name-list-of-a-name", "solve-param-nan"])
     def test_rejected_input_keeps_the_manifest(self, tmp_path, capsys, argv):
         # nothing in out changes, so the manifest still describes it
         out = tmp_path / "o"
@@ -628,19 +637,19 @@ class TestFailedRuns:
 FLAG_CASES = {
     "problem": (["solve", "--steps", "10"], "lorenz63", 1),
     "solver": (["solve", "--problem", "lorenz84", "--steps", "10"], "euler", 1),
-    "steps": (["solve", "--problem", "lorenz84", "--tf", "1"], "1e1", 0),
+    "steps": (["solve", "--problem", "lorenz84", "--problem.t_span", "0,1"], "1e1", 0),
     "intervals": (["transform", "--problem", "lorenz84", "--method", "1", "--steps", "40",
-                   "--tf", "2"], "4e0", 0),
-    "method": (["compare", "--problem", "lorenz84", "--steps", "40", "--tf", "2"], "1,3", 0),
+                   "--problem.t_span", "0,2"], "4e0", 0),
+    "method": (["compare", "--problem", "lorenz84", "--steps", "40", "--problem.t_span", "0,2"],
+               "1,3", 0),
     "tol": (["solve", "--problem", "robertson", "--solver", "trapezoid"], "true", 1),
-    "tf": (["solve", "--problem", "lorenz84", "--steps", "10"], "true", 1),
     "dt-init": (["solve", "--problem", "robertson", "--solver", "trapezoid"], "true", 1),
     "max-steps": (["solve", "--problem", "robertson", "--solver", "trapezoid", "--tol", "1e-3",
                    "--dt-init", "0.1"], "1e3", 0),
     "samples": (["diagnose", "--problem", "lorenz84", "--steps", "100"], "true", 1),
     "q": (["transform", "--problem", "lorenz84", "--method", "2"], "true", 1),
     "mu-init": (["transform", "--problem", "lorenz84", "--method", "1", "--steps", "40",
-                 "--tf", "2"], "-1,2,3", 0),
+                 "--problem.t_span", "0,2"], "-1,2,3", 0),
     "coeffs": (["transform", "--problem", "lorenz84"], "0.5", 1),
     "a": (["demo-stiff-transform"], "true", 1),
     "kappa-g": (["demo-stiff-transform"], "-inf", 1),
@@ -723,7 +732,7 @@ class TestConfigHandling:
         ["solve", "--problem", "stiff-linear", "--solver", "rk4", "--steps", "10",
          "--problem.u0", "[]"],
         ["diagnose", "--problem", "stiff-linear", "--solver", "rk4", "--steps", "20",
-         "--problem.t_span", "5", "--tf", "3"],
+         "--problem.t_span", "5"],
         ["solve", "--problem", "stiff-linear", "--solver", "rk4", "--steps", "20",
          "--problem.u0", "true"],
         ["solve", "--problem", "lorenz84", "--solver", "rk4", "--solver.steps", "600.7"],
@@ -731,12 +740,17 @@ class TestConfigHandling:
         ["compare", "--problem", "lorenz84", "--steps", "600", "--transform.intervals", "15.9"],
         ["solve", "--problem", "robertson", "--solver", "rk4-adaptive", "--solver.tol", "true"],
         ["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "20",
-         "--problem.tf", "true"],
-        ["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "10", "--tf", "inf"],
-        ["solve", "--problem", "lorenz84", "--solver", "rk4-adaptive", "--tf", "inf"],
-        ["solve", "--problem", "robertson", "--solver", "trapezoid", "--tf", "inf"],
+         "--problem.t_span", "[0, true]"],
+        ["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "10",
+         "--problem.t_span", "0,inf"],
+        ["solve", "--problem", "lorenz84", "--solver", "rk4-adaptive", "--problem.t_span",
+         "0,inf"],
+        ["solve", "--problem", "robertson", "--solver", "trapezoid", "--problem.t_span",
+         "1e-6,inf"],
         ["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "10",
          "--problem.u0", "1e400,0,0"],
+        ["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "10",
+         "--problem.params.a", "1e400"],
         ["solve", "--problem", "robertson", "--solver", "rk4-adaptive", "--tol", "inf",
          "--max-steps", "1000"],
         ["transform", "--problem", "lorenz84", "--method", "1", "--mu-init", "nan,1,1"],
@@ -748,13 +762,13 @@ class TestConfigHandling:
         ["demo-stiff-transform", "--kappa-g=-inf"],
     ], ids=["solve-steps-0", "diagnose-eps-negative", "demo-kappa-g-positive", "demo-a-small",
             "transform-eps-scale-scalar", "transform-mu-init-scalar",
-            "solve-param-not-a-number", "solve-u0-empty", "diagnose-t-span-scalar-with-tf",
+            "solve-param-not-a-number", "solve-u0-empty", "diagnose-t-span-scalar",
             "solve-u0-bool", "solve-steps-fractional", "solve-steps-bool",
-            "compare-intervals-fractional", "solve-tol-bool", "solve-tf-bool",
-            "solve-rk4-tf-inf", "solve-rk4-adaptive-tf-inf", "solve-trapezoid-tf-inf",
-            "solve-u0-overflows", "solve-tol-inf", "transform-mu-init-nan",
-            "transform-coeffs-nan", "transform-q-inf", "demo-a-inf", "demo-a-overflows",
-            "demo-kappa-g-minus-inf"])
+            "compare-intervals-fractional", "solve-tol-bool", "solve-t-span-bool",
+            "solve-rk4-t-span-inf", "solve-rk4-adaptive-t-span-inf",
+            "solve-trapezoid-t-span-inf", "solve-u0-overflows", "solve-param-overflows",
+            "solve-tol-inf", "transform-mu-init-nan", "transform-coeffs-nan", "transform-q-inf",
+            "demo-a-inf", "demo-a-overflows", "demo-kappa-g-minus-inf"])
     def test_library_precondition_is_one_line_config_error(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
@@ -933,9 +947,13 @@ class TestConfigHandling:
         (["compare", "--transform.eps_scale", "1"], None, "transform.eps_scale"),
         (["transform", "--oracle-refine", "2"], None, "oracle-refine"),
         (["compare"], {"oracle": "x"}, "oracle"),
+        # problem.t_span is the one source of a run's span
+        (["solve", "--tf", "1"], None, "tf"),
+        (["solve", "--problem.tf", "1"], None, "problem.tf"),
     ], ids=["flag-transform-metod", "flag-solver-stepz", "flag-problem-parms",
             "flag-gamma-source", "file-gamma-source", "file-top-level-stepz",
-            "flag-eps-scale", "flag-oracle-refine", "compare-oracle"])
+            "flag-eps-scale", "flag-oracle-refine", "compare-oracle", "flag-tf",
+            "flag-problem-tf"])
     def test_unknown_setting_is_rejected_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                         argv, config, key):
         def no_run(*args):
@@ -946,7 +964,7 @@ class TestConfigHandling:
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             argv = argv + ["--config", str(tmp_path / "cfg.json")]
-        rc = main(argv + ["--problem", "lorenz84", "--steps", "40", "--tf", "2",
+        rc = main(argv + ["--problem", "lorenz84", "--steps", "40", "--problem.t_span", "0,2",
                           "--out", str(tmp_path / "x")])
         assert rc == 1
         assert capsys.readouterr().err == f"configuration error: unknown setting {key}\n"

@@ -913,6 +913,16 @@ class TestProblemValidation:
             OdeProblem("bad", 1, {}, lambda t, u: (0.0,),
                        lambda t, u: ((0.0,),), u0, t_span, rhs_dt=lambda t, u: (0.0,))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_parameter_rejected(self, value):
+        # it would integrate and then fail as a NonFiniteState
+        with pytest.raises(ValueError, match="params must be finite"):
+            OdeProblem("bad", 1, {"a": 1.0, "b": value}, lambda t, u: (0.0,),
+                       lambda t, u: ((0.0,),), (1.0,), (0.0, 1.0), rhs_dt=lambda t, u: (0.0,))
+        with pytest.raises(ValueError, match="params must be finite"):
+            lorenz84(F=value)
+
     def test_adaptive_config_validation(self):
         with pytest.raises(ValueError):
             AdaptiveConfig(tol=-1.0, dt_init=1e-3)

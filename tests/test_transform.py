@@ -253,13 +253,12 @@ class TestSelectMu:
 class TestIntervalPlan:
     def test_validation(self):
         with pytest.raises(ValueError):
-            IntervalPlan(600, 7, (0.0, 30.0))
-        with pytest.raises(ValueError):
-            IntervalPlan(600, 60, (30.0, 0.0))
-        plan = IntervalPlan(600, 60, (0.0, 30.0))
+            IntervalPlan(600, 7)
+        # a run spans its problem's t_span, which the problem checks
+        with pytest.raises(ValueError, match="t_end > t_start"):
+            lorenz84(t_span=(30.0, 0.0))
+        plan = IntervalPlan(600, 60)
         assert plan.steps_per_interval == 10
-        assert plan.dt == pytest.approx(0.05)
-        assert plan.interval_length == pytest.approx(0.5)
 
 
 class TestRunTransformed:
@@ -269,13 +268,13 @@ class TestRunTransformed:
         spec = lorenz84(t_span=(0.0, 3.0))
         direct = solve_rk4_fixed(spec.problem, 3000)
         reference = solve_rk4_fixed(spec.problem, 12000)
-        plan = IntervalPlan(3000, 6, (0.0, 3.0))
+        plan = IntervalPlan(3000, 6)
         run = run_transformed(spec, plan, MuMethod.FIXED_MU,
                               params_for_method(MuMethod.FIXED_MU), reference)
         assert float(np.max(np.abs(run.solution.states - direct.states))) <= 1e-7
 
     def test_initial_state_exact_and_history_lengths(self, lorenz_spec, lorenz_oracle):
-        plan = IntervalPlan(600, 15, (0.0, 30.0))
+        plan = IntervalPlan(600, 15)
         run = run_transformed(lorenz_spec, plan, MuMethod.CUMULATIVE_AVG,
                               params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
         assert tuple(run.solution.states[0]) == lorenz_spec.problem.u0
@@ -283,21 +282,36 @@ class TestRunTransformed:
         assert run.gamma_max_history.shape == (15,)
         assert run.errors_vs_reference.shape == (601, 3)
         assert np.all(run.mu_history[0] == (2.16, 1.62, 1.28))
+        assert run.dt == pytest.approx(0.05)
 
     def test_determinism(self, lorenz_spec, lorenz_oracle):
-        plan = IntervalPlan(600, 15, (0.0, 30.0))
+        plan = IntervalPlan(600, 15)
         runs = [run_transformed(lorenz_spec, plan, MuMethod.CUMULATIVE_AVG,
                                 params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
                 for _ in range(2)]
         assert np.array_equal(runs[0].mu_history, runs[1].mu_history)
         assert np.array_equal(runs[0].errors_vs_reference, runs[1].errors_vs_reference)
 
+    @pytest.mark.parametrize("n_steps, stride", [(16200, 1), (600, 27)])
+    def test_run_keeps_the_reference_on_its_grid(self, lorenz_spec, lorenz_oracle,
+                                                 n_steps, stride):
+        run = run_transformed(lorenz_spec, IntervalPlan(n_steps, n_steps // 40),
+                              MuMethod.CUMULATIVE_AVG,
+                              params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
+        want = lorenz_oracle.states[::stride]
+        assert run.reference.states.tobytes() == want.tobytes()
+        assert run.reference.times.tobytes() == lorenz_oracle.times[::stride].tobytes()
+        # at stride 1 the run views the oracle's states instead of copying them
+        assert np.shares_memory(run.reference.states, lorenz_oracle.states) == (stride == 1)
+        # the errors are the ones the run once stored
+        assert np.array_equal(run.errors_vs_reference, np.abs(run.solution.states - want))
+
     def test_method_errors_reproduce_reference_ordering(self, lorenz_spec, lorenz_oracle):
         errs = {}
         for method, k in ((MuMethod.NONE, 1), (MuMethod.FIXED_MU, 60),
                           (MuMethod.LOCAL_GAMMA, 60), (MuMethod.CUMULATIVE_AVG, 15),
                           (MuMethod.WINDOW_AVG, 15)):
-            plan = IntervalPlan(600, k, (0.0, 30.0))
+            plan = IntervalPlan(600, k)
             run = run_transformed(lorenz_spec, plan, method,
                                   params_for_method(method), lorenz_oracle)
             errs[method] = run.max_error(0)
@@ -314,7 +328,7 @@ class TestRunTransformed:
         dim = spec.problem.dim
         direct = solve_rk4_fixed(spec.problem, 600)
         params = params_for_method(MuMethod.NONE, coeffs=(1.0,) * dim, mu_init=(0.0,) * dim)
-        run = run_transformed(spec, IntervalPlan(600, 1, spec.problem.t_span),
+        run = run_transformed(spec, IntervalPlan(600, 1),
                               MuMethod.NONE, params, direct)
         assert np.array_equal(run.solution.states, direct.states)
         assert run.mu_history.shape == (1, dim)
@@ -327,12 +341,12 @@ class TestRunTransformed:
         params = params_for_method(MuMethod.CUMULATIVE_AVG)
         bad = replace(params, **{field: getattr(params, field)[:2]})
         with pytest.raises(ValueError, match=field):
-            run_transformed(spec, IntervalPlan(600, 15, (0.0, 3.0)),
+            run_transformed(spec, IntervalPlan(600, 15),
                             MuMethod.CUMULATIVE_AVG, bad, reference)
 
     def test_reference_grid_must_align(self, lorenz_spec, lorenz_oracle):
         with pytest.raises(ValueError):
-            run_transformed(lorenz_spec, IntervalPlan(7, 7, (0.0, 30.0)),
+            run_transformed(lorenz_spec, IntervalPlan(7, 7),
                             MuMethod.NONE, TransformParams(), lorenz_oracle)
 
 
@@ -356,8 +370,8 @@ def library_outcome(spec, plan, method, params, reference):
 # and coeffs of the interval-averaging methods
 DIM1_CASES = {
     "stiff-linear": (stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.1)),
-                     IntervalPlan(40, 4, (0.0, 0.1)), 640),
-    "flame": (flame(0.1), IntervalPlan(300, 30, (0.0, 20.0)), 1200),
+                     IntervalPlan(40, 4), 640),
+    "flame": (flame(0.1), IntervalPlan(300, 30), 1200),
 }
 
 
@@ -369,7 +383,7 @@ class TestDriverMatchesStepLoop:
     @pytest.mark.parametrize("method", list(MuMethod), ids=lambda m: m.value)
     def test_lorenz84(self, lorenz_spec, lorenz_oracle, method):
         spi = METHOD_STEPS_PER_INTERVAL[method]
-        plan = IntervalPlan(600, 1 if spi is None else 600 // spi, (0.0, 30.0))
+        plan = IntervalPlan(600, 1 if spi is None else 600 // spi)
         args = (lorenz_spec, plan, method, params_for_method(method), lorenz_oracle)
         assert library_outcome(*args) == run_outcome(lambda: transformed_run(*args))
 
@@ -385,7 +399,7 @@ class TestDriverMatchesStepLoop:
     def test_dim2(self):
         problem = forced_dim2()
         spec = BenchmarkSpec(problem, problem.jacobian, None)
-        plan = IntervalPlan(120, 12, problem.t_span)
+        plan = IntervalPlan(120, 12)
         reference = solve_rk4_fixed(problem, 480)
         for method in MuMethod:
             params = params_for_method(method, coeffs=(1.5, 0.66), mu_init=(2.0, -1.0))
@@ -399,7 +413,7 @@ class TestDriverMatchesStepLoop:
         spec = BenchmarkSpec(problem, problem.jacobian, None)
         times = np.linspace(0.0, 3.0, 601)
         reference = Trajectory(times, np.tile(problem.u0, (601, 1)), "none", 600)
-        args = (spec, IntervalPlan(600, 60, (0.0, 3.0)), method,
+        args = (spec, IntervalPlan(600, 60), method,
                 params_for_method(method), reference)
         want = ("NonFiniteState", 1.0150000000000001)
         assert run_outcome(lambda: transformed_run(*args)) == want
@@ -413,7 +427,7 @@ class TestDriverMatchesStepLoop:
                              (1e100,), (0.0, 1.0), rhs_dt=lambda t, u: (0.0,))
         reference = Trajectory(np.linspace(0.0, 1.0, 11), np.full((11, 1), 1e100), "none", 10)
         params = params_for_method(MuMethod.FIXED_MU, coeffs=(1.0,), mu_init=(500.0,))
-        args = (BenchmarkSpec(problem, problem.jacobian, None), IntervalPlan(10, 1, (0.0, 1.0)),
+        args = (BenchmarkSpec(problem, problem.jacobian, None), IntervalPlan(10, 1),
                 MuMethod.FIXED_MU, params, reference)
         assert run_outcome(lambda: transformed_run(*args)) == ("NonFiniteState", 0.8)
         assert library_outcome(*args) == ("NonFiniteState", 0.8)
@@ -449,7 +463,7 @@ class TestRunMatchesZsystem:
         # the reference K per method at N=600, and the N=1620 extension's K=60
         k = 600 // METHOD_STEPS_PER_INTERVAL[method] if n_steps == 600 else 60
         reference = solve_rk4_fixed(lorenz_spec.problem, n_steps)
-        assert_near_zsystem(lorenz_spec, IntervalPlan(n_steps, k, (0.0, 30.0)), method,
+        assert_near_zsystem(lorenz_spec, IntervalPlan(n_steps, k), method,
                             params_for_method(method), reference)
 
     @pytest.mark.parametrize("case", sorted(DIM1_CASES))
@@ -465,7 +479,7 @@ class TestRunMatchesZsystem:
         problem = forced_dim2()
         params = params_for_method(method, coeffs=(1.5, 0.66), mu_init=(2.0, -1.0))
         assert_near_zsystem(BenchmarkSpec(problem, problem.jacobian, None),
-                            IntervalPlan(120, 12, problem.t_span), method, params,
+                            IntervalPlan(120, 12), method, params,
                             solve_rk4_fixed(problem, 480))
 
 
@@ -487,7 +501,7 @@ def test_stiff_linear_shifted_errors(mu):
         times = np.linspace(0.0, 0.1, n + 1)
         exact = Trajectory(times, np.array([spec.exact(float(t)) for t in times]), "exact", n)
         params = params_for_method(MuMethod.FIXED_MU, coeffs=(1.0,), mu_init=(mu,))
-        run = run_transformed(spec, IntervalPlan(n, 1, (0.0, 0.1)), MuMethod.FIXED_MU,
+        run = run_transformed(spec, IntervalPlan(n, 1), MuMethod.FIXED_MU,
                               params, exact)
         got.append(float(f"{run.max_error(0):.2g}"))
     assert tuple(got) == STIFF_LINEAR_ROWS[mu]
@@ -497,7 +511,7 @@ class TestReferenceAlignment:
     """A reference is accepted only for the run it was computed for."""
 
     def none_error(self, spec, reference) -> float:
-        run = run_transformed(spec, IntervalPlan(600, 1, (0.0, 30.0)), MuMethod.NONE,
+        run = run_transformed(spec, IntervalPlan(600, 1), MuMethod.NONE,
                               params_for_method(MuMethod.NONE), reference)
         return run.max_error(0)
 
@@ -529,7 +543,7 @@ class TestReferenceAlignment:
         spec = lorenz84(t_span=(0.0, 3.0))
         plain = solve_rk4_fixed(spec.problem, 12000)
         assert "problem" not in plain.meta
-        assert _align_reference(plain, IntervalPlan(3000, 6, (0.0, 3.0)), spec.problem) == 4
+        assert _align_reference(plain, IntervalPlan(3000, 6), spec.problem) == 4
 
     def test_headline_errors_match_the_rk4_oracle_values(self, lorenz_spec):
         # the CLI's oracle (GBS, one macro step per run step) against the
@@ -538,7 +552,7 @@ class TestReferenceAlignment:
         cases = ((600, 15, 0.019541232335), (1620, 60, 5.447038850e-4))
         for n, k, rk4_value in cases:
             oracle = reference_solution(lorenz_spec.problem, n)
-            run = run_transformed(lorenz_spec, IntervalPlan(n, k, (0.0, 30.0)),
+            run = run_transformed(lorenz_spec, IntervalPlan(n, k),
                                   MuMethod.CUMULATIVE_AVG,
                                   params_for_method(MuMethod.CUMULATIVE_AVG), oracle)
             assert abs(run.max_error(0) - rk4_value) <= 1e-9
@@ -548,7 +562,7 @@ class TestJstarScan:
     def test_method_one_reduces_chaotic_fraction(self, lorenz_spec, lorenz_oracle):
         base = lle_scan(lorenz_spec.problem, lorenz_oracle, 400)
         frac_plain = float(np.mean(base.gamma_max > 0))
-        plan = IntervalPlan(600, 60, (0.0, 30.0))
+        plan = IntervalPlan(600, 60)
         run = run_transformed(lorenz_spec, plan, MuMethod.FIXED_MU,
                               params_for_method(MuMethod.FIXED_MU), lorenz_oracle)
         trace = jstar_scan(run, 400)
@@ -563,18 +577,18 @@ class TestJstarScan:
         # the last bit; measured 2.0e-15 of each sample's largest |gamma|
         spec = lorenz84(t_span=(0.0, 3.0))
         reference = solve_rk4_fixed(spec.problem, 12000)
-        plan = IntervalPlan(600, 15, (0.0, 3.0))
+        plan = IntervalPlan(600, 15)
         method = MuMethod.CUMULATIVE_AVG
         run = run_transformed(spec, plan, method, params_for_method(method), reference)
         trace = jstar_scan(run, 2 * EIG_BLOCK + 1)
-        spi, h = plan.steps_per_interval, plan.dt
+        spi, h = plan.steps_per_interval, run.dt
         want = []
         for j in nearest_sample_indices(run.solution.times, trace.times):
             k = min(int(j) // spi, plan.k_intervals - 1)
             tau = (int(j) - k * spi) * h
             mu = tuple(map(float, run.mu_history[k]))
             z = tuple(x * math.exp(m * -tau) for x, m in zip(run.solution.states[j], mu))
-            t_k = plan.t_span[0] + k * spi * h
+            t_k = spec.problem.t_span[0] + k * spi * h
             jstar_k = shifted_jacobian(spec.problem.jacobian, t_k, z, mu)
             want.append(local_eigenvalues(jstar_k).values)
         want = np.array(want)
@@ -584,28 +598,28 @@ class TestJstarScan:
 
 class TestStepExtension:
     def test_n600_step_is_near_the_allowed_minimum(self, lorenz_spec, lorenz_oracle):
-        plan = IntervalPlan(600, 15, (0.0, 30.0))
+        plan = IntervalPlan(600, 15)
         run = run_transformed(lorenz_spec, plan, MuMethod.CUMULATIVE_AVG,
                               params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
-        report = step_extension_report(run, lorenz_oracle, run.max_error(0))
+        report = step_extension_report(run, run.max_error(0))
         assert report.shape == (601, 2)
         finite = report[np.isfinite(report[:, 1]), 1]
-        ratio = float(np.min(finite)) / plan.dt
+        ratio = float(np.min(finite)) / run.dt
         assert 0.3 <= ratio <= 3.0
 
     def test_zero_curvature_rows_are_unbounded(self, lorenz_spec, lorenz_oracle):
-        plan = IntervalPlan(600, 15, (0.0, 30.0))
+        plan = IntervalPlan(600, 15)
         run = run_transformed(lorenz_spec, plan, MuMethod.CUMULATIVE_AVG,
                               params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
-        report = step_extension_report(run, lorenz_oracle, 1e-3)
+        report = step_extension_report(run, 1e-3)
         assert np.all(report[np.isinf(report[:, 1]), 1] > 0)  # inf rows, if any, positive
 
     def test_requires_positive_accuracy(self, lorenz_spec, lorenz_oracle):
-        plan = IntervalPlan(600, 15, (0.0, 30.0))
+        plan = IntervalPlan(600, 15)
         run = run_transformed(lorenz_spec, plan, MuMethod.CUMULATIVE_AVG,
                               params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
         with pytest.raises(ValueError):
-            step_extension_report(run, lorenz_oracle, 0.0)
+            step_extension_report(run, 0.0)
 
 
 class TestStiffTransformDemo:
