@@ -4,12 +4,12 @@ Subcommands: ``solve`` (one trajectory to CSV), ``diagnose`` (stiffness
 report + local-Lyapunov scan), ``transform`` (interval-segmented integration
 of the exponentially transformed system with error/mu/step-extension CSVs),
 ``compare`` (method sweep against a shared oracle), ``demo-stiff-transform``
-(the linear no-go demonstration).  ``transform`` and ``compare`` take the
-reference shift/scale triples by default, so they run on any 3-component
-problem (lorenz84, robertson); other dimensions need both
-``transform.mu_init`` and ``transform.coeffs`` with one number per
-component, and ``transform`` writes three-component outputs (it refuses
-another dimension first).  Every run spans ``problem.t_span``.
+(the linear no-go demonstration).  Each takes its settings' ``OdeProblem``
+once, and every run spans ``problem.t_span``.  ``transform`` (one method) and
+``compare`` share one path from settings to oracle and runs, and take the
+reference shift/scale triples by default: a dimension other than three needs
+``transform.mu_init`` and ``transform.coeffs``, one number per component,
+and ``transform`` refuses it first, as it writes three-component outputs.
 
 Settings come from ``--config <path>`` (a JSON file) and then each
 ``--key value`` or ``--key=value`` in order, a later one winning; a flag is
@@ -50,6 +50,7 @@ import numpy as np
 from .diagnostics import stiffness_report
 from .ode import (
     AdaptiveConfig,
+    OdeProblem,
     Trajectory,
     _lane_blocks,
     reference_solution,
@@ -60,6 +61,7 @@ from .ode import (
 from .problems import BenchmarkSpec, PROBLEM_FACTORIES, _is_number, lle_scan, make_problem
 from .transform import (
     DEFAULT_COEFFS,
+    DEFAULT_Q,
     IntervalPlan,
     METHOD_BY_NUMBER,
     METHOD_MU_INIT,
@@ -267,10 +269,10 @@ def build_benchmark(cfg: dict) -> BenchmarkSpec:
         raise ConfigError(f"problem: {exc}") from None
 
 
-def build_adaptive_config(cfg: dict, spec: BenchmarkSpec) -> AdaptiveConfig:
+def build_adaptive_config(cfg: dict, problem: OdeProblem) -> AdaptiveConfig:
     settings = {
         "tol": _number(cfg, "solver.tol", 1e-3),
-        "dt_init": _number(cfg, "solver.dt_init", spec.problem.horizon * 1e-4),
+        "dt_init": _number(cfg, "solver.dt_init", problem.horizon * 1e-4),
         "dt_min": _number(cfg, "solver.dt_min", 1e-12),
         "dt_max": _number(cfg, "solver.dt_max", math.inf),
         "max_steps": _number(cfg, "solver.max_steps", 100_000, integral=True),
@@ -281,7 +283,7 @@ def build_adaptive_config(cfg: dict, spec: BenchmarkSpec) -> AdaptiveConfig:
         raise ConfigError(f"solver: {exc}") from None
 
 
-def solver_setup(cfg: dict, spec: BenchmarkSpec):
+def solver_setup(cfg: dict, problem: OdeProblem):
     """Check the solver settings and return the solve they ask for (a call
     on the problem) and the most steps it takes."""
     name = cfg.get("solver", {}).get("name", "rk4")
@@ -294,15 +296,15 @@ def solver_setup(cfg: dict, spec: BenchmarkSpec):
             raise ConfigError("solver.steps is required for --solver rk4")
         if steps < 1:
             raise ConfigError(f"solver.steps must be >= 1, got {steps}")
-        return (lambda problem: solve_rk4_fixed(problem, steps)), steps
-    acfg = build_adaptive_config(cfg, spec)
+        return (lambda p: solve_rk4_fixed(p, steps)), steps
+    acfg = build_adaptive_config(cfg, problem)
     adaptive = solve_rk4_adaptive if name == "rk4-adaptive" else solve_trapezoid_adaptive
-    return (lambda problem: adaptive(problem, acfg)), acfg.max_steps
+    return (lambda p: adaptive(p, acfg)), acfg.max_steps
 
 
-def run_solver(solve, spec: BenchmarkSpec) -> Trajectory:
-    """Integrate ``spec``'s problem with a solve that ``solver_setup`` returned."""
-    return solve(spec.problem)
+def run_solver(solve, problem: OdeProblem) -> Trajectory:
+    """Integrate ``problem`` with a solve that ``solver_setup`` returned."""
+    return solve(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +357,12 @@ def _write_outputs(cfg: dict, command: str, t_started: float, summary: dict,
 
 def cmd_solve(cfg: dict) -> int:
     t_started = time.perf_counter()
-    spec = build_benchmark(cfg)
-    solve, _ = solver_setup(cfg, spec)
+    problem = build_benchmark(cfg).problem
+    solve, _ = solver_setup(cfg, problem)
     _discard_manifest(cfg)
-    traj = run_solver(solve, spec)
+    traj = run_solver(solve, problem)
     summary = {
-        "problem": spec.problem.name,
+        "problem": problem.name,
         "solver": traj.solver_id,
         "steps_taken": traj.steps_taken,
         "steps_rejected": traj.steps_rejected,
@@ -372,7 +374,7 @@ def cmd_solve(cfg: dict) -> int:
     path, = _write_outputs(cfg, "solve", t_started, summary,
                            ("solution.csv", header, table_rows(traj.times, traj.states)))
     status = "stagnated at t=%.6g" % traj.t_reached if traj.stagnated else "completed"
-    print(f"solve: {spec.problem.name} {traj.solver_id} {status} "
+    print(f"solve: {problem.name} {traj.solver_id} {status} "
           f"({traj.steps_taken} steps, {traj.steps_rejected} rejected) -> {path}")
     return 0
 
@@ -386,25 +388,25 @@ def _eps(cfg: dict) -> float:
 
 def cmd_diagnose(cfg: dict) -> int:
     t_started = time.perf_counter()
-    spec = build_benchmark(cfg)
+    problem = build_benchmark(cfg).problem
     eps = _eps(cfg)
-    dim = spec.problem.dim
+    dim = problem.dim
     component = _number(cfg, "scan.component", 0, integral=True)
     if not 0 <= component < dim:
         raise ConfigError(f"scan.component must lie in [0, {dim}), got {component}")
     n_samples = _number(cfg, "scan.n_samples", 400, integral=True)
-    solve, steps = solver_setup(cfg, spec)
+    solve, steps = solver_setup(cfg, problem)
     most = max(400, steps + 1)  # the default, or the most samples a run can return
     if not 2 <= n_samples <= most:
         raise ConfigError(f"scan.n_samples must lie in [2, {most}], got {n_samples}")
     _discard_manifest(cfg)
-    traj = run_solver(solve, spec)
-    report = stiffness_report(traj, spec.problem, eps=eps, component=component)
+    traj = run_solver(solve, problem)
+    report = stiffness_report(traj, problem, eps=eps, component=component)
     # a run that stops at its start sample has a zero-width window: one row
-    trace = lle_scan(spec.problem, traj, n_samples if len(traj.times) > 1 else 1)
+    trace = lle_scan(problem, traj, n_samples if len(traj.times) > 1 else 1)
     crossing = report.q_unity_crossing()
     summary = {
-        "problem": spec.problem.name,
+        "problem": problem.name,
         "eps": eps,
         "steps_taken": traj.steps_taken,
         "stagnated": traj.stagnated,
@@ -422,22 +424,21 @@ def cmd_diagnose(cfg: dict) -> int:
         # a complex row viewed as floats interleaves the real and imaginary parts
         ("lle.csv", lle_header, table_rows(
             trace.times, trace.values.view(float), trace.gamma_max, trace.gamma_min)))
-    print(f"diagnose: {spec.problem.name} eps={eps:g} "
+    print(f"diagnose: {problem.name} eps={eps:g} "
           f"Q=1 crossing={crossing} -> {stiff_path}, {lle_path}")
     return 0
 
 
-def _vector(section: dict, key: str, default, spec: BenchmarkSpec) -> tuple[float, ...]:
+def _vector(cfg: dict, key: str, default, problem: OdeProblem) -> tuple[float, ...]:
     """``transform.<key>`` as one number per state component; a bare number
     is the vector of a one-component problem."""
-    value = section.get(key, default)
-    dim = spec.problem.dim
-    if dim == 1 and _is_number(value):
+    value = cfg.get("transform", {}).get(key, default)
+    if problem.dim == 1 and _is_number(value):
         value = [value]
-    if not (isinstance(value, (list, tuple)) and len(value) == dim
+    if not (isinstance(value, (list, tuple)) and len(value) == problem.dim
             and all(_is_number(v) and math.isfinite(v) for v in value)):
-        raise ConfigError(f"transform.{key}: {spec.problem.name} needs a list of "
-                          f"{dim} numbers, each finite, got {value!r}")
+        raise ConfigError(f"transform.{key}: {problem.name} needs a list of "
+                          f"{problem.dim} numbers, each finite, got {value!r}")
     return tuple(float(v) for v in value)
 
 
@@ -454,8 +455,7 @@ def _method_keys(cfg: dict, default: str) -> list[str]:
     return keys
 
 
-def _transform_setup(cfg: dict, spec: BenchmarkSpec, method_key: str):
-    section = cfg.get("transform", {})
+def _transform_setup(cfg: dict, problem: OdeProblem, method_key: str):
     method = METHOD_BY_NUMBER[method_key]
     n_steps = _number(cfg, "solver.steps", 600, integral=True)
     intervals = _number(cfg, "transform.intervals", integral=True)
@@ -472,47 +472,50 @@ def _transform_setup(cfg: dict, spec: BenchmarkSpec, method_key: str):
         plan = IntervalPlan(n_steps, intervals)
     except ValueError as exc:
         raise ConfigError(f"transform: {exc}") from None
-    q = _number(cfg, "transform.q", 1.0)
+    q = _number(cfg, "transform.q", DEFAULT_Q)
     if not math.isfinite(q):
         raise ConfigError(f"transform.q must be finite, got {q!r}")
-    params = params_for_method(
-        method,
-        q=q,
-        coeffs=_vector(section, "coeffs", DEFAULT_COEFFS, spec),
-        mu_init=_vector(section, "mu_init", METHOD_MU_INIT[method], spec),
-    )
+    params = params_for_method(method, q=q,
+                               coeffs=_vector(cfg, "coeffs", DEFAULT_COEFFS, problem),
+                               mu_init=_vector(cfg, "mu_init", METHOD_MU_INIT[method], problem))
     return method, plan, params
+
+
+def _transform_runs(cfg: dict, problem: OdeProblem, method_keys: list[str]):
+    """Check each method's setup, remove the earlier manifest and run each
+    method against one oracle; return the runs and the oracle's summary fields."""
+    setups = [_transform_setup(cfg, problem, key) for key in method_keys]
+    _discard_manifest(cfg)
+    # run_transformed checks that each run matches this one oracle
+    reference = reference_solution(problem, setups[0][1].n_steps)
+    runs = [run_transformed(problem, plan, method, params, reference)
+            for method, plan, params in setups]
+    return runs, {key: reference.meta.get(key)
+                  for key in ("oracle_n_steps", "oracle_rhs_evals", "oracle_check_delta")}
 
 
 def cmd_transform(cfg: dict) -> int:
     t_started = time.perf_counter()
-    spec = build_benchmark(cfg)
-    if spec.problem.dim != 3:
+    problem = build_benchmark(cfg).problem
+    if problem.dim != 3:
         raise ConfigError(f"transform writes three-component outputs; "
-                          f"{spec.problem.name} has {spec.problem.dim} components")
+                          f"{problem.name} has {problem.dim} components")
     method_key, *more = _method_keys(cfg, "3")
     if more:
         raise ConfigError(f"transform.method: transform runs one method, "
                           f"got {cfg['transform']['method']!r}")
-    method, plan, params = _transform_setup(cfg, spec, method_key)
-    _discard_manifest(cfg)
-    reference = reference_solution(spec.problem, plan.n_steps)
-    run = run_transformed(spec, plan, method, params, reference)
+    (run,), oracle = _transform_runs(cfg, problem, [method_key])
+    plan = run.plan
     ext = step_extension_report(run, max(run.max_error(0), 1e-300))
     summary = {
-        "problem": spec.problem.name,
+        "problem": problem.name,
         "method": run.method.value,
         "n_steps": plan.n_steps,
         "k_intervals": plan.k_intervals,
-        "oracle_n_steps": reference.meta.get("oracle_n_steps"),
-        "oracle_rhs_evals": reference.meta.get("oracle_rhs_evals"),
-        "oracle_check_delta": reference.meta.get("oracle_check_delta"),
-        "max_abs_error": {
-            "x": run.max_error(0), "y": run.max_error(1), "z": run.max_error(2),
-        },
+        **oracle,
+        "max_abs_error": {name: run.max_error(i) for i, name in enumerate("xyz")},
     }
     sol = run.solution
-    k = np.arange(plan.k_intervals)
     sol_path, *_ = _write_outputs(
         cfg, "transform", t_started, summary,
         ("solution.csv", ["t", "u1", "u2", "u3"], table_rows(sol.times, sol.states)),
@@ -520,7 +523,7 @@ def cmd_transform(cfg: dict) -> int:
          table_rows(sol.times, run.errors_vs_reference)),
         # a whole float such as the interval index is written as an integer
         ("mu_history.csv", ["interval", "t_start", "mu1", "mu2", "mu3", "gamma_max"],
-         table_rows(k, spec.problem.t_span[0] + run.dt * plan.steps_per_interval * k,
+         table_rows(np.arange(plan.k_intervals), run.interval_starts,
                     run.mu_history, run.gamma_max_history)),
         ("step_extension.csv", ["t", "dt_max", "delta"],
          table_rows(ext, np.full(len(ext), run.dt))))
@@ -531,13 +534,8 @@ def cmd_transform(cfg: dict) -> int:
 
 def cmd_compare(cfg: dict) -> int:
     t_started = time.perf_counter()
-    spec = build_benchmark(cfg)
-    setups = [_transform_setup(cfg, spec, key) for key in _method_keys(cfg, "none,3")]
-    _discard_manifest(cfg)
-    # run_transformed checks that each run matches this one oracle
-    reference = reference_solution(spec.problem, setups[0][1].n_steps)
-    runs = [run_transformed(spec, plan, method, params, reference)
-            for method, plan, params in setups]
+    problem = build_benchmark(cfg).problem
+    runs, oracle = _transform_runs(cfg, problem, _method_keys(cfg, "none,3"))
 
     names = [run.method.value for run in runs]
     max_errors = [run.max_error(0) for run in runs]
@@ -548,17 +546,14 @@ def cmd_compare(cfg: dict) -> int:
         "methods": names,
         "max_errors": dict(zip(names, max_errors)),
         "improvement_ratios": dict(zip(names, ratios)),
-        "oracle_n_steps": reference.meta.get("oracle_n_steps"),
-        "oracle_rhs_evals": reference.meta.get("oracle_rhs_evals"),
-        "oracle_check_delta": reference.meta.get("oracle_check_delta"),
+        **oracle,
         "best_method": names[max_errors.index(min(max_errors))],
     }
     path, = _write_outputs(
         cfg, "compare", t_started, summary,
         ("compare.csv", ["method", "max_error", "mean_error", "improvement_ratio"],
          zip(names, max_errors, mean_errors, ratios)))
-    print(f"compare: methods={','.join(summary['methods'])} "
-          f"best={summary['best_method']} -> {path}")
+    print(f"compare: methods={','.join(names)} best={summary['best_method']} -> {path}")
     return 0
 
 

@@ -84,6 +84,8 @@ class OdeProblem:
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if len(self.u0) != self.dim:
             raise ValueError(f"u0 has {len(self.u0)} components, expected {self.dim}")
+        if len(self.t_span) != 2:
+            raise ValueError(f"t_span must be two numbers (t_start, t_end), got {self.t_span}")
         t0, t1 = map(float, self.t_span)
         u0 = tuple(float(x) for x in self.u0)
         # an infinite t_end would make the adaptive loop's end test t < nan
@@ -92,8 +94,10 @@ class OdeProblem:
         # a nan or inf parameter would integrate and then fail as a non-finite state
         if not all(map(math.isfinite, self.params.values())):
             raise ValueError(f"params must be finite, got {self.params}")
-        if not t1 > t0:
-            raise ValueError(f"t_span must satisfy t_end > t_start, got {self.t_span}")
+        # an infinite length would make the first step inf, which no shrink ends
+        if not 0 < t1 - t0 < math.inf:
+            raise ValueError(f"t_span must satisfy t_end > t_start with a finite length "
+                             f"t_end - t_start, got {self.t_span}")
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "t_span", (t0, t1))
 

@@ -9,10 +9,10 @@ damped instead of amplified; the exact back-transformation then recovers x
 far more accurately than integrating the original system.  Fixed-step RK4 on
 the z-system, transformed back, is in exact arithmetic Lawson's RK4 for
 x' = Mx + (f - Mx) (Lawson 1967; Hochbruck & Ostermann 2010), so
-``run_transformed`` steps x directly through the one RK4 march,
-``ode._rk4_march3``, which takes the shift and needs only the step factors
-exp(mu_i h/2) and exp(mu_i h).
-The time domain is split into K intervals of N/K steps, one shift per
+``run_transformed`` steps the ``OdeProblem``'s x directly through the one RK4
+march, ``ode._rk4_march3``, which takes the shift and needs only the step
+factors exp(mu_i h/2) and exp(mu_i h).  The problem's t_span is split into K
+intervals of N/K steps (``TransformRun.interval_starts``), one shift per
 interval, the endpoint of one interval seeding the next.
 
 Four strategies pick the mu_i per interval:
@@ -61,7 +61,7 @@ from .ode import (
     _rk4_march3,
     problem_fingerprint,
 )
-from .problems import BenchmarkSpec, lorenz84, nearest_sample_indices, stiff_linear
+from .problems import lorenz84, nearest_sample_indices, stiff_linear
 
 class MuMethod(str, Enum):
     NONE = "none"            # identity transform, plain RK4
@@ -197,7 +197,6 @@ class TransformRun:
 
     plan: IntervalPlan
     method: MuMethod
-    params: TransformParams
     problem: OdeProblem
     mu_history: np.ndarray          # (K, dim) mu used in each interval
     gamma_max_history: np.ndarray   # (K,) gamma_max of J at each interval start
@@ -211,6 +210,12 @@ class TransformRun:
     def dt(self) -> float:
         """The fixed step, horizon / N."""
         return self.problem.horizon / self.plan.n_steps
+
+    @property
+    def interval_starts(self) -> np.ndarray:
+        """(K,) start time of each interval, t_start + k (N/K) dt."""
+        k = np.arange(self.plan.k_intervals)
+        return self.problem.t_span[0] + (self.dt * self.plan.steps_per_interval) * k
 
     @property
     def errors_vs_reference(self) -> np.ndarray:
@@ -251,7 +256,7 @@ def _align_reference(reference: Trajectory, plan: IntervalPlan,
     return m // n
 
 
-def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
+def run_transformed(problem: OdeProblem, plan: IntervalPlan, method: MuMethod,
                     params: TransformParams, reference: Trajectory) -> TransformRun:
     """Integrate the transformed system interval by interval over the problem's t_span.
 
@@ -260,21 +265,19 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
     advance x from the previous interval's endpoint, the intervals in turn
     storing into the one grid store ``ode._fixed_grid`` (a dim-1 or dim-2
     problem padded, its shift by 0.0).  The run keeps ``reference`` at its
-    N+1 sample times.  Every vector of ``params`` must have ``spec.problem.dim``
+    N+1 sample times.  Every vector of ``params`` must have ``problem.dim``
     components.  A non-finite state raises ``NonFiniteState`` at its sample time.
 
     The recorded gamma_max history, the input to the method-2/3/4 shift
     selection, holds gamma_max of the untransformed Jacobian at each
     interval-start state: the local chaotic rate the shifts must counter.
     """
-    problem = spec.problem
     dim = problem.dim
     for name in ("coeffs", "mu_init"):
         if len(getattr(params, name)) != dim:
             raise ValueError(f"params.{name} needs {dim} components, one per state component")
     stride = _align_reference(reference, plan, problem)
     spi = plan.steps_per_interval
-    jac = problem.jacobian
     pad = (0.0,) * (3 - dim)
     mu_history: list[tuple[float, ...]] = []
     history: list[float] = []
@@ -284,7 +287,7 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
             t_k = t0 + base * h
             mu = select_mu(method, history, params)
             mu_history.append(mu)
-            history.append(float(local_eigenvalues(jac(t_k, u3[:dim])).gamma_max))
+            history.append(float(local_eigenvalues(problem.jacobian(t_k, u3[:dim])).gamma_max))
             try:
                 _rk4_march3(f3, t_k, h, u3, spi, out[3 * base:], (*mu, *pad))
             except NonFiniteState as exc:
@@ -297,7 +300,7 @@ def run_transformed(spec: BenchmarkSpec, plan: IntervalPlan, method: MuMethod,
     solution = Trajectory(times, states, RK4_FIXED, steps_taken=n)
     on_grid = Trajectory(reference.times[::stride], reference.states[::stride],
                          reference.solver_id, steps_taken=n)
-    return TransformRun(plan=plan, method=method, params=params, problem=problem,
+    return TransformRun(plan=plan, method=method, problem=problem,
                         mu_history=mu_history, gamma_max_history=history,
                         solution=solution, reference=on_grid)
 
@@ -312,16 +315,14 @@ def jstar_scan(run: TransformRun, n_samples: int) -> LleTrace:
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    plan, sol = run.plan, run.solution
-    spi, h = plan.steps_per_interval, run.dt
-    t0, t1 = run.problem.t_span
-    scan_times = np.linspace(t0, t1, n_samples)
+    spi, sol = run.plan.steps_per_interval, run.solution
+    scan_times = np.linspace(*run.problem.t_span, n_samples)
     idx = nearest_sample_indices(sol.times, scan_times)
-    k = np.minimum(idx // spi, plan.k_intervals - 1)
-    tau = (idx - k * spi) * h
+    k = np.minimum(idx // spi, run.plan.k_intervals - 1)
+    tau = (idx - k * spi) * run.dt
     mu = run.mu_history[k]
     z = sol.states[idx] * np.exp(mu * -tau[:, None])
-    t_start = t0 + k * spi * h
+    t_start = run.interval_starts[k]
     values = eigenvalues_along(
         lambda s: shifted_jacobian(run.problem.jacobian, t_start[s], tuple(z[s].T),
                                    tuple(mu[s].T)),
@@ -378,8 +379,7 @@ def stiff_transform_demo(a: float, kappa_g: float, eps: float) -> StiffTransform
     if not (math.isfinite(a) and 0 < eps < math.inf and -math.inf < kappa_g < 0):
         raise ValueError(f"need a finite a, a finite eps > 0 and a finite kappa_g < 0, "
                          f"got a={a!r}, eps={eps!r}, kappa_g={kappa_g!r}")
-    spec = stiff_linear(a)
-    horizon = spec.problem.horizon
+    horizon = stiff_linear(a).problem.horizon
     kappa_f = -float(a)
     rate = kappa_f - kappa_g
     kappa_z_max = KAPPA_STIFF_PEAK * abs(rate)

@@ -286,12 +286,11 @@ def _adaptive_loop(
     )
 
 
-def zsystem_run(spec, plan, method, params, reference) -> tuple[np.ndarray, ...]:
+def zsystem_run(problem, plan, method, params, reference) -> tuple[np.ndarray, ...]:
     """``run_transformed``'s (states, errors_vs_reference, mu_history,
     gamma_max_history) by the z-system loop; raises ``NonFiniteState`` at the
     first non-finite back-transformed state, and ``OverflowError`` where an
     interval's exponent argument max|mu_i| tau would exceed 700."""
-    problem = spec.problem
     dim = problem.dim
     stride = _align_reference(reference, plan, problem)
     n, k_intervals = plan.n_steps, plan.k_intervals
@@ -353,12 +352,11 @@ def _lawson_step(f: Rhs, t: float, u: State, h: float, mu: Sequence[float]) -> S
                  for qi, pi, ui, a, b, c, d in zip(q, p, u, k1, k2, k3, k4))
 
 
-def transformed_run(spec, plan, method, params, reference) -> tuple[np.ndarray, ...]:
+def transformed_run(problem, plan, method, params, reference) -> tuple[np.ndarray, ...]:
     """``run_transformed``'s (states, errors_vs_reference, mu_history,
     gamma_max_history) by the per-step Lawson loop; raises its
     ``NonFiniteState``, at the interval's first step where a step factor
     exp(mu_i h) overflows."""
-    problem = spec.problem
     dim = problem.dim
     stride = _align_reference(reference, plan, problem)
     n, k_intervals = plan.n_steps, plan.k_intervals

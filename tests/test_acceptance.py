@@ -139,10 +139,10 @@ def test_criterion_5_robertson_solver_contrast(robertson_trapezoid):
 def test_criterion_6_chaos_mitigation_headline(lorenz_spec, lorenz_oracle):
     t0 = time.perf_counter()
     plan3 = IntervalPlan(600, 15)
-    run3 = run_transformed(lorenz_spec, plan3, MuMethod.CUMULATIVE_AVG,
+    run3 = run_transformed(lorenz_spec.problem, plan3, MuMethod.CUMULATIVE_AVG,
                            params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
     plan0 = IntervalPlan(600, 1)
-    run0 = run_transformed(lorenz_spec, plan0, MuMethod.NONE,
+    run0 = run_transformed(lorenz_spec.problem, plan0, MuMethod.NONE,
                            params_for_method(MuMethod.NONE), lorenz_oracle)
     err3 = run3.max_error(0)
     err0 = run0.max_error(0)
@@ -155,7 +155,7 @@ def test_criterion_6_chaos_mitigation_headline(lorenz_spec, lorenz_oracle):
 def test_criterion_7_step_extension(lorenz_spec, lorenz_oracle):
     t0 = time.perf_counter()
     plan = IntervalPlan(1620, 60)
-    run = run_transformed(lorenz_spec, plan, MuMethod.CUMULATIVE_AVG,
+    run = run_transformed(lorenz_spec.problem, plan, MuMethod.CUMULATIVE_AVG,
                           params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
     err = run.max_error(0)
     ext = step_extension_report(run, err)
@@ -173,7 +173,7 @@ def test_criterion_8_chaotic_fraction_drop(lorenz_spec, lorenz_oracle):
     base = lle_scan(lorenz_spec.problem, lorenz_oracle, 400)
     frac_plain = float(np.mean(base.gamma_max > 0))
     plan = IntervalPlan(600, 60)
-    run = run_transformed(lorenz_spec, plan, MuMethod.FIXED_MU,
+    run = run_transformed(lorenz_spec.problem, plan, MuMethod.FIXED_MU,
                           params_for_method(MuMethod.FIXED_MU), lorenz_oracle)
     frac_m1 = float(np.mean(jstar_scan(run, 400).gamma_max > 0))
     ok = frac_m1 < frac_plain
@@ -221,7 +221,7 @@ def test_criterion_10_property_suites(lorenz_spec, lorenz_oracle, robertson_trap
     # transformation round trip over [0, 3]
     spec3 = lorenz84(t_span=(0.0, 3.0))
     direct = solve_rk4_fixed(spec3.problem, 3000)
-    run = run_transformed(spec3, IntervalPlan(3000, 6),
+    run = run_transformed(spec3.problem, IntervalPlan(3000, 6),
                           MuMethod.FIXED_MU, params_for_method(MuMethod.FIXED_MU),
                           solve_rk4_fixed(spec3.problem, 12000))
     dev = float(np.max(np.abs(run.solution.states - direct.states)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from stiffchaos import cli
-from stiffchaos.cli import CSV_BLOCK, fmt, main, table_rows, write_csv
+from stiffchaos.cli import CSV_BLOCK, SOLVER_NAMES, fmt, main, table_rows, write_csv
 from stiffchaos.ode import EIG_BLOCK, NonFiniteState
 
 
@@ -288,6 +288,19 @@ class TestTransformCommand:
         assert summary["oracle_n_steps"] == 600
         assert summary["oracle_rhs_evals"] == 37_002
         assert summary["oracle_check_delta"] < 1e-9
+
+    def test_transform_and_compare_share_oracle_and_runs(self, tmp_path):
+        # one path from settings to runs: method 3 alone and beside plain
+        # RK4 gives the same error and the same oracle, bit for bit
+        argv = ["--problem", "lorenz84", "--steps", "600"]
+        assert main(["transform", *argv, "--method", "3", "--out", str(tmp_path / "t")]) == 0
+        assert main(["compare", *argv, "--method", "none,3", "--out", str(tmp_path / "c")]) == 0
+        one, both = manifest(tmp_path / "t")["summary"], manifest(tmp_path / "c")["summary"]
+        assert one["max_abs_error"]["x"] == both["max_errors"]["cumulative_avg"] \
+            == 0.019541232418447407
+        for key, value in (("oracle_n_steps", 600), ("oracle_rhs_evals", 37_002),
+                           ("oracle_check_delta", 6.343142677778246e-11)):
+            assert one[key] == both[key] == value
 
     def test_manifest_error_matches_csv(self, tmp_path):
         out = tmp_path / "trc"
@@ -760,6 +773,15 @@ class TestConfigHandling:
         ["demo-stiff-transform", "--a", "inf"],
         ["demo-stiff-transform", "--a", "1e400"],
         ["demo-stiff-transform", "--kappa-g=-inf"],
+        # finite ends, but an infinite length: the adaptive runs never
+        # returned, the others failed as a non-finite state at t=inf
+        *(["solve", "--problem", "lorenz84", "--solver", solver, "--steps", "10",
+           "--problem.t_span", "-1e308,1e308"] for solver in SOLVER_NAMES),
+        ["transform", "--problem", "lorenz84", "--problem.t_span", "-1e308,1e308"],
+        ["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "10",
+         "--problem.t_span", "0,1,2"],
+        ["solve", "--problem", "lorenz84", "--solver", "rk4", "--steps", "10",
+         "--problem.t_span", "[5]"],
     ], ids=["solve-steps-0", "diagnose-eps-negative", "demo-kappa-g-positive", "demo-a-small",
             "transform-eps-scale-scalar", "transform-mu-init-scalar",
             "solve-param-not-a-number", "solve-u0-empty", "diagnose-t-span-scalar",
@@ -768,7 +790,10 @@ class TestConfigHandling:
             "solve-rk4-t-span-inf", "solve-rk4-adaptive-t-span-inf",
             "solve-trapezoid-t-span-inf", "solve-u0-overflows", "solve-param-overflows",
             "solve-tol-inf", "transform-mu-init-nan", "transform-coeffs-nan", "transform-q-inf",
-            "demo-a-inf", "demo-a-overflows", "demo-kappa-g-minus-inf"])
+            "demo-a-inf", "demo-a-overflows", "demo-kappa-g-minus-inf",
+            *(f"solve-{solver}-t-span-length-overflows" for solver in SOLVER_NAMES),
+            "transform-t-span-length-overflows", "solve-t-span-three-numbers",
+            "solve-t-span-one-number"])
     def test_library_precondition_is_one_line_config_error(self, tmp_path, capsys, argv):
         rc = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
@@ -799,9 +824,18 @@ class TestConfigHandling:
          "problem.name must be a string, got {'a': 1}"),
         (["solve", "--problem.name", '["lorenz84"]', "--steps", "3"],
          "problem.name must be a string, got ['lorenz84']"),
+        (["solve", "--problem", "lorenz84", "--steps", "3", "--problem.t_span", "0,1,2"],
+         "problem: t_span must be two numbers (t_start, t_end), got [0.0, 1.0, 2.0]"),
+        (["solve", "--problem", "lorenz84", "--steps", "3", "--problem.t_span", "[5]"],
+         "problem: t_span must be two numbers (t_start, t_end), got [5]"),
+        (["solve", "--problem", "lorenz84", "--solver", "rk4-adaptive",
+          "--problem.t_span", "-1e308,1e308"],
+         "problem: t_span must satisfy t_end > t_start with a finite length t_end - t_start, "
+         "got [-1e+308, 1e+308]"),
     ], ids=["bad-int", "bad-choice", "bad-float-list", "short-vector", "diagnose-eps-inf",
             "demo-eps-inf", "transform-derived-intervals", "compare-derived-intervals",
-            "name-list", "name-object", "name-list-of-a-name"])
+            "name-list", "name-object", "name-list-of-a-name", "t-span-three-numbers",
+            "t-span-one-number", "t-span-length-overflows"])
     def test_parser_rejection_is_one_line_config_error(self, tmp_path, capsys, argv, message):
         rc = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err

@@ -913,6 +913,17 @@ class TestProblemValidation:
             OdeProblem("bad", 1, {}, lambda t, u: (0.0,),
                        lambda t, u: ((0.0,),), u0, t_span, rhs_dt=lambda t, u: (0.0,))
 
+    @pytest.mark.parametrize("t_span, message", [
+        ((0.0, 1.0, 2.0), "t_span must be two numbers"), ((5.0,), "t_span must be two numbers"),
+        ((-1e308, 1e308), "t_span must satisfy t_end > t_start with a finite length"),
+    ], ids=["three-numbers", "one-number", "length-overflows"])
+    def test_span_of_wrong_length_or_infinite_length_rejected(self, t_span, message):
+        # finite ends 2e308 apart would make the first step inf, and no
+        # shrink of the adaptive loop would end it
+        with pytest.raises(ValueError, match=message):
+            OdeProblem("bad", 1, {}, lambda t, u: (0.0,),
+                       lambda t, u: ((0.0,),), (1.0,), t_span, rhs_dt=lambda t, u: (0.0,))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "minus-inf"])
     def test_non_finite_parameter_rejected(self, value):

@@ -32,7 +32,7 @@ from stiffchaos import (
     transformed_rhs,
 )
 from stiffchaos.ode import EIG_BLOCK, _padded, _rk4_march3, rk4_step
-from stiffchaos.problems import BenchmarkSpec, nearest_sample_indices
+from stiffchaos.problems import nearest_sample_indices
 from stiffchaos.transform import (
     METHOD_MU_INIT,
     METHOD_STEPS_PER_INTERVAL,
@@ -269,13 +269,13 @@ class TestRunTransformed:
         direct = solve_rk4_fixed(spec.problem, 3000)
         reference = solve_rk4_fixed(spec.problem, 12000)
         plan = IntervalPlan(3000, 6)
-        run = run_transformed(spec, plan, MuMethod.FIXED_MU,
+        run = run_transformed(spec.problem, plan, MuMethod.FIXED_MU,
                               params_for_method(MuMethod.FIXED_MU), reference)
         assert float(np.max(np.abs(run.solution.states - direct.states))) <= 1e-7
 
     def test_initial_state_exact_and_history_lengths(self, lorenz_spec, lorenz_oracle):
         plan = IntervalPlan(600, 15)
-        run = run_transformed(lorenz_spec, plan, MuMethod.CUMULATIVE_AVG,
+        run = run_transformed(lorenz_spec.problem, plan, MuMethod.CUMULATIVE_AVG,
                               params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
         assert tuple(run.solution.states[0]) == lorenz_spec.problem.u0
         assert run.mu_history.shape == (15, 3)
@@ -283,10 +283,12 @@ class TestRunTransformed:
         assert run.errors_vs_reference.shape == (601, 3)
         assert np.all(run.mu_history[0] == (2.16, 1.62, 1.28))
         assert run.dt == pytest.approx(0.05)
+        # 40 steps of 0.05 an interval: interval k starts at 2k
+        assert run.interval_starts.tolist() == [2.0 * k for k in range(15)]
 
     def test_determinism(self, lorenz_spec, lorenz_oracle):
         plan = IntervalPlan(600, 15)
-        runs = [run_transformed(lorenz_spec, plan, MuMethod.CUMULATIVE_AVG,
+        runs = [run_transformed(lorenz_spec.problem, plan, MuMethod.CUMULATIVE_AVG,
                                 params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
                 for _ in range(2)]
         assert np.array_equal(runs[0].mu_history, runs[1].mu_history)
@@ -295,7 +297,7 @@ class TestRunTransformed:
     @pytest.mark.parametrize("n_steps, stride", [(16200, 1), (600, 27)])
     def test_run_keeps_the_reference_on_its_grid(self, lorenz_spec, lorenz_oracle,
                                                  n_steps, stride):
-        run = run_transformed(lorenz_spec, IntervalPlan(n_steps, n_steps // 40),
+        run = run_transformed(lorenz_spec.problem, IntervalPlan(n_steps, n_steps // 40),
                               MuMethod.CUMULATIVE_AVG,
                               params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
         want = lorenz_oracle.states[::stride]
@@ -312,7 +314,7 @@ class TestRunTransformed:
                           (MuMethod.LOCAL_GAMMA, 60), (MuMethod.CUMULATIVE_AVG, 15),
                           (MuMethod.WINDOW_AVG, 15)):
             plan = IntervalPlan(600, k)
-            run = run_transformed(lorenz_spec, plan, method,
+            run = run_transformed(lorenz_spec.problem, plan, method,
                                   params_for_method(method), lorenz_oracle)
             errs[method] = run.max_error(0)
         assert errs[MuMethod.CUMULATIVE_AVG] < errs[MuMethod.FIXED_MU] < errs[MuMethod.NONE]
@@ -328,7 +330,7 @@ class TestRunTransformed:
         dim = spec.problem.dim
         direct = solve_rk4_fixed(spec.problem, 600)
         params = params_for_method(MuMethod.NONE, coeffs=(1.0,) * dim, mu_init=(0.0,) * dim)
-        run = run_transformed(spec, IntervalPlan(600, 1),
+        run = run_transformed(spec.problem, IntervalPlan(600, 1),
                               MuMethod.NONE, params, direct)
         assert np.array_equal(run.solution.states, direct.states)
         assert run.mu_history.shape == (1, dim)
@@ -341,12 +343,12 @@ class TestRunTransformed:
         params = params_for_method(MuMethod.CUMULATIVE_AVG)
         bad = replace(params, **{field: getattr(params, field)[:2]})
         with pytest.raises(ValueError, match=field):
-            run_transformed(spec, IntervalPlan(600, 15),
+            run_transformed(spec.problem, IntervalPlan(600, 15),
                             MuMethod.CUMULATIVE_AVG, bad, reference)
 
     def test_reference_grid_must_align(self, lorenz_spec, lorenz_oracle):
         with pytest.raises(ValueError):
-            run_transformed(lorenz_spec, IntervalPlan(7, 7),
+            run_transformed(lorenz_spec.problem, IntervalPlan(7, 7),
                             MuMethod.NONE, TransformParams(), lorenz_oracle)
 
 
@@ -358,9 +360,9 @@ def run_outcome(run):
         return ("NonFiniteState", exc.t)
 
 
-def library_outcome(spec, plan, method, params, reference):
+def library_outcome(problem, plan, method, params, reference):
     def run():
-        r = run_transformed(spec, plan, method, params, reference)
+        r = run_transformed(problem, plan, method, params, reference)
         return (r.solution.states, r.errors_vs_reference, r.mu_history,
                 r.gamma_max_history)
     return run_outcome(run)
@@ -369,9 +371,9 @@ def library_outcome(spec, plan, method, params, reference):
 # dim-1 problems with a run plan, a reference on its grid and the mu_init
 # and coeffs of the interval-averaging methods
 DIM1_CASES = {
-    "stiff-linear": (stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.1)),
+    "stiff-linear": (stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.1)).problem,
                      IntervalPlan(40, 4), 640),
-    "flame": (flame(0.1), IntervalPlan(300, 30), 1200),
+    "flame": (flame(0.1).problem, IntervalPlan(300, 30), 1200),
 }
 
 
@@ -384,36 +386,34 @@ class TestDriverMatchesStepLoop:
     def test_lorenz84(self, lorenz_spec, lorenz_oracle, method):
         spi = METHOD_STEPS_PER_INTERVAL[method]
         plan = IntervalPlan(600, 1 if spi is None else 600 // spi)
-        args = (lorenz_spec, plan, method, params_for_method(method), lorenz_oracle)
+        args = (lorenz_spec.problem, plan, method, params_for_method(method), lorenz_oracle)
         assert library_outcome(*args) == run_outcome(lambda: transformed_run(*args))
 
     @pytest.mark.parametrize("case", sorted(DIM1_CASES))
     def test_dim1(self, case):
-        spec, plan, ref_steps = DIM1_CASES[case]
-        reference = solve_rk4_fixed(spec.problem, ref_steps)
+        problem, plan, ref_steps = DIM1_CASES[case]
+        reference = solve_rk4_fixed(problem, ref_steps)
         for method in MuMethod:
             params = params_for_method(method, coeffs=(1.5,), mu_init=(2.0,))
-            args = (spec, plan, method, params, reference)
+            args = (problem, plan, method, params, reference)
             assert library_outcome(*args) == run_outcome(lambda: transformed_run(*args))
 
     def test_dim2(self):
         problem = forced_dim2()
-        spec = BenchmarkSpec(problem, problem.jacobian, None)
         plan = IntervalPlan(120, 12)
         reference = solve_rk4_fixed(problem, 480)
         for method in MuMethod:
             params = params_for_method(method, coeffs=(1.5, 0.66), mu_init=(2.0, -1.0))
-            args = (spec, plan, method, params, reference)
+            args = (problem, plan, method, params, reference)
             assert library_outcome(*args) == run_outcome(lambda: transformed_run(*args))
 
     @pytest.mark.parametrize("method", [MuMethod.NONE, MuMethod.FIXED_MU],
                              ids=lambda m: m.value)
     def test_blowup_time(self, method):
         problem = blowup_dim3()
-        spec = BenchmarkSpec(problem, problem.jacobian, None)
         times = np.linspace(0.0, 3.0, 601)
         reference = Trajectory(times, np.tile(problem.u0, (601, 1)), "none", 600)
-        args = (spec, IntervalPlan(600, 60), method,
+        args = (problem, IntervalPlan(600, 60), method,
                 params_for_method(method), reference)
         want = ("NonFiniteState", 1.0150000000000001)
         assert run_outcome(lambda: transformed_run(*args)) == want
@@ -427,8 +427,7 @@ class TestDriverMatchesStepLoop:
                              (1e100,), (0.0, 1.0), rhs_dt=lambda t, u: (0.0,))
         reference = Trajectory(np.linspace(0.0, 1.0, 11), np.full((11, 1), 1e100), "none", 10)
         params = params_for_method(MuMethod.FIXED_MU, coeffs=(1.0,), mu_init=(500.0,))
-        args = (BenchmarkSpec(problem, problem.jacobian, None), IntervalPlan(10, 1),
-                MuMethod.FIXED_MU, params, reference)
+        args = (problem, IntervalPlan(10, 1), MuMethod.FIXED_MU, params, reference)
         assert run_outcome(lambda: transformed_run(*args)) == ("NonFiniteState", 0.8)
         assert library_outcome(*args) == ("NonFiniteState", 0.8)
 
@@ -443,12 +442,12 @@ ZSYSTEM_RUN_TOL = {"lorenz84": 5e-11, "stiff-linear": 1e-13, "flame": 1e-13,
 SHIFTED_METHODS = [m for m in MuMethod if m is not MuMethod.NONE]
 
 
-def assert_near_zsystem(spec, plan, method, params, reference):
-    run = run_transformed(spec, plan, method, params, reference)
-    states, _, mu_history, _ = zsystem_run(spec, plan, method, params, reference)
+def assert_near_zsystem(problem, plan, method, params, reference):
+    run = run_transformed(problem, plan, method, params, reference)
+    states, _, mu_history, _ = zsystem_run(problem, plan, method, params, reference)
     gap = np.abs(run.solution.states - states)
     assert np.max(gap[:plan.steps_per_interval + 1]) <= ZSYSTEM_FIRST_INTERVAL_TOL
-    assert np.max(gap) <= ZSYSTEM_RUN_TOL[spec.problem.name]
+    assert np.max(gap) <= ZSYSTEM_RUN_TOL[problem.name]
     assert np.array_equal(run.mu_history[0], mu_history[0])
 
 
@@ -463,23 +462,21 @@ class TestRunMatchesZsystem:
         # the reference K per method at N=600, and the N=1620 extension's K=60
         k = 600 // METHOD_STEPS_PER_INTERVAL[method] if n_steps == 600 else 60
         reference = solve_rk4_fixed(lorenz_spec.problem, n_steps)
-        assert_near_zsystem(lorenz_spec, IntervalPlan(n_steps, k), method,
+        assert_near_zsystem(lorenz_spec.problem, IntervalPlan(n_steps, k), method,
                             params_for_method(method), reference)
 
     @pytest.mark.parametrize("case", sorted(DIM1_CASES))
     @pytest.mark.parametrize("method", SHIFTED_METHODS, ids=lambda m: m.value)
     def test_dim1(self, case, method):
-        spec, plan, ref_steps = DIM1_CASES[case]
+        problem, plan, ref_steps = DIM1_CASES[case]
         params = params_for_method(method, coeffs=(1.5,), mu_init=(2.0,))
-        assert_near_zsystem(spec, plan, method, params,
-                            solve_rk4_fixed(spec.problem, ref_steps))
+        assert_near_zsystem(problem, plan, method, params, solve_rk4_fixed(problem, ref_steps))
 
     @pytest.mark.parametrize("method", SHIFTED_METHODS, ids=lambda m: m.value)
     def test_dim2(self, method):
         problem = forced_dim2()
         params = params_for_method(method, coeffs=(1.5, 0.66), mu_init=(2.0, -1.0))
-        assert_near_zsystem(BenchmarkSpec(problem, problem.jacobian, None),
-                            IntervalPlan(120, 12), method, params,
+        assert_near_zsystem(problem, IntervalPlan(120, 12), method, params,
                             solve_rk4_fixed(problem, 480))
 
 
@@ -501,7 +498,7 @@ def test_stiff_linear_shifted_errors(mu):
         times = np.linspace(0.0, 0.1, n + 1)
         exact = Trajectory(times, np.array([spec.exact(float(t)) for t in times]), "exact", n)
         params = params_for_method(MuMethod.FIXED_MU, coeffs=(1.0,), mu_init=(mu,))
-        run = run_transformed(spec, IntervalPlan(n, 1), MuMethod.FIXED_MU,
+        run = run_transformed(spec.problem, IntervalPlan(n, 1), MuMethod.FIXED_MU,
                               params, exact)
         got.append(float(f"{run.max_error(0):.2g}"))
     assert tuple(got) == STIFF_LINEAR_ROWS[mu]
@@ -510,8 +507,8 @@ def test_stiff_linear_shifted_errors(mu):
 class TestReferenceAlignment:
     """A reference is accepted only for the run it was computed for."""
 
-    def none_error(self, spec, reference) -> float:
-        run = run_transformed(spec, IntervalPlan(600, 1), MuMethod.NONE,
+    def none_error(self, problem, reference) -> float:
+        run = run_transformed(problem, IntervalPlan(600, 1), MuMethod.NONE,
                               params_for_method(MuMethod.NONE), reference)
         return run.max_error(0)
 
@@ -522,7 +519,7 @@ class TestReferenceAlignment:
         # sample [0, 60] (max|x err| 2.03 instead of 1.47)
         other = solve_rk4_fixed(lorenz84(t_span=(0.0, t1)).problem, n_steps)
         with pytest.raises(ValueError, match="spans"):
-            self.none_error(lorenz_spec, other)
+            self.none_error(lorenz_spec.problem, other)
 
     @pytest.mark.parametrize("change", [{"F": 9.0}, {"u0": (0.9, -1.0, 0.4)}],
                              ids=["forcing", "u0"])
@@ -530,13 +527,13 @@ class TestReferenceAlignment:
         # same grid and span; max|x err| 2.39 if the u0 case were accepted
         other = reference_solution(lorenz84(**change).problem, 1200)
         with pytest.raises(ValueError, match="computed for"):
-            self.none_error(lorenz_spec, other)
+            self.none_error(lorenz_spec.problem, other)
 
     def test_reference_from_another_initial_state_is_rejected(self, lorenz_spec):
         # unstamped, so only its first state tells
         other = solve_rk4_fixed(lorenz84(u0=(0.9, -1.0, 0.4)).problem, 1200)
         with pytest.raises(ValueError, match="starts at"):
-            self.none_error(lorenz_spec, other)
+            self.none_error(lorenz_spec.problem, other)
 
     def test_plain_trajectory_of_the_run_problem_is_accepted(self):
         # the criterion-10 round trip passes an unstamped fixed-step run
@@ -552,7 +549,7 @@ class TestReferenceAlignment:
         cases = ((600, 15, 0.019541232335), (1620, 60, 5.447038850e-4))
         for n, k, rk4_value in cases:
             oracle = reference_solution(lorenz_spec.problem, n)
-            run = run_transformed(lorenz_spec, IntervalPlan(n, k),
+            run = run_transformed(lorenz_spec.problem, IntervalPlan(n, k),
                                   MuMethod.CUMULATIVE_AVG,
                                   params_for_method(MuMethod.CUMULATIVE_AVG), oracle)
             assert abs(run.max_error(0) - rk4_value) <= 1e-9
@@ -563,7 +560,7 @@ class TestJstarScan:
         base = lle_scan(lorenz_spec.problem, lorenz_oracle, 400)
         frac_plain = float(np.mean(base.gamma_max > 0))
         plan = IntervalPlan(600, 60)
-        run = run_transformed(lorenz_spec, plan, MuMethod.FIXED_MU,
+        run = run_transformed(lorenz_spec.problem, plan, MuMethod.FIXED_MU,
                               params_for_method(MuMethod.FIXED_MU), lorenz_oracle)
         trace = jstar_scan(run, 400)
         frac_transformed = float(np.mean(trace.gamma_max > 0))
@@ -579,7 +576,7 @@ class TestJstarScan:
         reference = solve_rk4_fixed(spec.problem, 12000)
         plan = IntervalPlan(600, 15)
         method = MuMethod.CUMULATIVE_AVG
-        run = run_transformed(spec, plan, method, params_for_method(method), reference)
+        run = run_transformed(spec.problem, plan, method, params_for_method(method), reference)
         trace = jstar_scan(run, 2 * EIG_BLOCK + 1)
         spi, h = plan.steps_per_interval, run.dt
         want = []
@@ -599,7 +596,7 @@ class TestJstarScan:
 class TestStepExtension:
     def test_n600_step_is_near_the_allowed_minimum(self, lorenz_spec, lorenz_oracle):
         plan = IntervalPlan(600, 15)
-        run = run_transformed(lorenz_spec, plan, MuMethod.CUMULATIVE_AVG,
+        run = run_transformed(lorenz_spec.problem, plan, MuMethod.CUMULATIVE_AVG,
                               params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
         report = step_extension_report(run, run.max_error(0))
         assert report.shape == (601, 2)
@@ -609,14 +606,14 @@ class TestStepExtension:
 
     def test_zero_curvature_rows_are_unbounded(self, lorenz_spec, lorenz_oracle):
         plan = IntervalPlan(600, 15)
-        run = run_transformed(lorenz_spec, plan, MuMethod.CUMULATIVE_AVG,
+        run = run_transformed(lorenz_spec.problem, plan, MuMethod.CUMULATIVE_AVG,
                               params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
         report = step_extension_report(run, 1e-3)
         assert np.all(report[np.isinf(report[:, 1]), 1] > 0)  # inf rows, if any, positive
 
     def test_requires_positive_accuracy(self, lorenz_spec, lorenz_oracle):
         plan = IntervalPlan(600, 15)
-        run = run_transformed(lorenz_spec, plan, MuMethod.CUMULATIVE_AVG,
+        run = run_transformed(lorenz_spec.problem, plan, MuMethod.CUMULATIVE_AVG,
                               params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
         with pytest.raises(ValueError):
             step_extension_report(run, 0.0)
