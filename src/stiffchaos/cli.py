@@ -8,8 +8,8 @@ of the exponentially transformed system with error/mu/step-extension CSVs),
 once, and every run spans ``problem.t_span``.  ``transform`` (one method) and
 ``compare`` share one path from settings to oracle and runs, and take the
 reference shift/scale triples by default: a dimension other than three needs
-``transform.mu_init`` and ``transform.coeffs``, one number per component,
-and ``transform`` refuses it first, as it writes three-component outputs.
+``transform.mu_init`` and ``transform.coeffs``, one number per component.
+``transform`` writes one column per component, ``problem.dim`` of them.
 
 Settings come from ``--config <path>`` (a JSON file) and then each
 ``--key value`` or ``--key=value`` in order, a later one winning; a flag is
@@ -438,7 +438,9 @@ def _vector(cfg: dict, key: str, default, problem: OdeProblem) -> tuple[float, .
     if not (isinstance(value, (list, tuple)) and len(value) == problem.dim
             and all(_is_number(v) and math.isfinite(v) for v in value)):
         raise ConfigError(f"transform.{key}: {problem.name} needs a list of "
-                          f"{problem.dim} numbers, each finite, got {value!r}")
+                          f"{problem.dim} numbers, each finite, got {value!r}; set "
+                          f"--{key.replace('_', '-')}, one number per state component "
+                          f"(the reference default has three)")
     return tuple(float(v) for v in value)
 
 
@@ -497,9 +499,6 @@ def _transform_runs(cfg: dict, problem: OdeProblem, method_keys: list[str]):
 def cmd_transform(cfg: dict) -> int:
     t_started = time.perf_counter()
     problem = build_benchmark(cfg).problem
-    if problem.dim != 3:
-        raise ConfigError(f"transform writes three-component outputs; "
-                          f"{problem.name} has {problem.dim} components")
     method_key, *more = _method_keys(cfg, "3")
     if more:
         raise ConfigError(f"transform.method: transform runs one method, "
@@ -507,22 +506,23 @@ def cmd_transform(cfg: dict) -> int:
     (run,), oracle = _transform_runs(cfg, problem, [method_key])
     plan = run.plan
     ext = step_extension_report(run, max(run.max_error(0), 1e-300))
+    xyz, numbers = "xyz"[:problem.dim], range(1, problem.dim + 1)
     summary = {
         "problem": problem.name,
         "method": run.method.value,
         "n_steps": plan.n_steps,
         "k_intervals": plan.k_intervals,
         **oracle,
-        "max_abs_error": {name: run.max_error(i) for i, name in enumerate("xyz")},
+        "max_abs_error": {name: run.max_error(i) for i, name in enumerate(xyz)},
     }
     sol = run.solution
     sol_path, *_ = _write_outputs(
         cfg, "transform", t_started, summary,
-        ("solution.csv", ["t", "u1", "u2", "u3"], table_rows(sol.times, sol.states)),
-        ("errors.csv", ["t", "err_x", "err_y", "err_z"],
+        ("solution.csv", ["t", *(f"u{i}" for i in numbers)], table_rows(sol.times, sol.states)),
+        ("errors.csv", ["t", *(f"err_{c}" for c in xyz)],
          table_rows(sol.times, run.errors_vs_reference)),
         # a whole float such as the interval index is written as an integer
-        ("mu_history.csv", ["interval", "t_start", "mu1", "mu2", "mu3", "gamma_max"],
+        ("mu_history.csv", ["interval", "t_start", *(f"mu{i}" for i in numbers), "gamma_max"],
          table_rows(np.arange(plan.k_intervals), run.interval_starts,
                     run.mu_history, run.gamma_max_history)),
         ("step_extension.csv", ["t", "dt_max", "delta"],

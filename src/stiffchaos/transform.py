@@ -9,11 +9,12 @@ damped instead of amplified; the exact back-transformation then recovers x
 far more accurately than integrating the original system.  Fixed-step RK4 on
 the z-system, transformed back, is in exact arithmetic Lawson's RK4 for
 x' = Mx + (f - Mx) (Lawson 1967; Hochbruck & Ostermann 2010), so
-``run_transformed`` steps the ``OdeProblem``'s x directly through the one RK4
-march, ``ode._rk4_march3``, which takes the shift and needs only the step
-factors exp(mu_i h/2) and exp(mu_i h).  The problem's t_span is split into K
-intervals of N/K steps (``TransformRun.interval_starts``), one shift per
-interval, the endpoint of one interval seeding the next.
+``run_transformed`` steps the x of an ``OdeProblem`` of one to three
+components, one mu_i each, through the one RK4 march, ``ode._rk4_march3``,
+which needs only the step factors exp(mu_i h/2) and exp(mu_i h).  The
+problem's t_span is split into K intervals of N/K steps
+(``TransformRun.interval_starts``), one shift per interval, the endpoint of
+one interval seeding the next.
 
 Four strategies pick the mu_i per interval:
 
@@ -183,11 +184,9 @@ def select_mu(method: MuMethod, history: Sequence[float],
         return (params.q * history[-1],) * n
     if method is MuMethod.CUMULATIVE_AVG:
         avg = sum(history) / len(history)
-    elif method is MuMethod.WINDOW_AVG:
+    else:  # MuMethod.WINDOW_AVG
         tail = history[-2:]
         avg = sum(tail) / len(tail)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown method {method!r}")
     return tuple(c * avg for c in params.coeffs)
 
 
@@ -331,14 +330,14 @@ def jstar_scan(run: TransformRun, n_samples: int) -> LleTrace:
 
 
 def step_extension_report(run: TransformRun, eps_achieved: float) -> np.ndarray:
-    """dt_max(t) from the curvature of the z-component (the least smooth
-    one) of ``run.reference``, at the run's sample times and the accuracy
-    ``eps_achieved``.
+    """dt_max(t) from the curvature of the last component of
+    ``run.reference`` (z on Lorenz-84, its least smooth one), at the run's
+    sample times and the accuracy ``eps_achieved``.
 
     Returns an (N+1, 2) array of (t, dt_max) for comparison with the fixed
     step Delta = ``run.dt``; rows with zero curvature carry inf.
     """
-    tk = curvature_along(run.reference, run.problem, component=2)
+    tk = curvature_along(run.reference, run.problem, component=run.problem.dim - 1)
     return np.column_stack([tk[:, 0], dt_max(tk[:, 1], eps_achieved)])
 
 

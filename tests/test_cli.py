@@ -332,25 +332,69 @@ class TestTransformCommand:
         assert manifest(out)["summary"]["oracle_n_steps"] == steps * (1 + steps % 2)
 
     def test_wrong_problem_rejected(self, tmp_path, monkeypatch, capsys):
-        # transform writes three-component outputs, so the one-component
-        # stiff-linear problem is refused before any vector is asked for, in
-        # one line naming its components; compare reads the vectors, and the
-        # reference triples do not fit.  Each before the oracle runs, and no
-        # --out is created
+        # the reference triples do not fit the one-component stiff-linear
+        # problem: transform and compare are refused on transform.coeffs, the
+        # first vector read, in one line that names the flag, before the
+        # oracle runs, and no --out is created
         def no_oracle(*args):
             raise AssertionError("oracle ran")
 
         monkeypatch.setattr(cli, "reference_solution", no_oracle)
-        three = ("configuration error: transform writes three-component outputs; "
-                 "stiff-linear has 1 components\n")
-        for argv, expected in ((["transform"], three),
-                               (["transform", "--mu-init", "0.5", "--coeffs", "1"], three),
-                               (["compare"], "configuration error: transform.coeffs: ")):
-            rc = main(argv + ["--problem", "stiff-linear", "--out", str(tmp_path / "x")])
+        for command in ("transform", "compare"):
+            rc = main([command, "--problem", "stiff-linear", "--out", str(tmp_path / "x")])
             err = capsys.readouterr().err
             assert rc == 1
-            assert err.startswith(expected) and len(err.splitlines()) == 1
+            assert err.startswith("configuration error: transform.coeffs: ")
+            assert "--coeffs" in err and len(err.splitlines()) == 1
             assert not (tmp_path / "x").exists()
+        monkeypatch.undo()
+        rc = main(["transform", "--problem", "stiff-linear", "--mu-init", "0.5", "--coeffs", "1",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 0
+        assert (tmp_path / "x" / "manifest.json").exists()
+
+    # ROADMAP item 3's table: max|x err| on stiff-linear (a = 300, u0 = 1.05,
+    # t_span (0, 0.1)) for plain RK4 and for method 1 at mu = -300, to four
+    # digits; past the stability limit (N = 10, h a = 3) the shift keeps the
+    # run bounded, and from N = 40 on plain RK4 is the more accurate
+    STIFF_LINEAR_TABLE = {
+        "none": {10: 1.208, 20: 2.515e-3, 40: 8.773e-5, 100: 1.587e-6, 400: 5.161e-9},
+        "1": {10: 0.02450, 20: 1.833e-3, 40: 1.203e-4, 100: 3.123e-6, 400: 1.223e-8},
+    }
+    STIFF_LINEAR_ARGV = ["--problem", "stiff-linear", "--problem.u0", "1.05",
+                         "--problem.t_span", "0,0.1", "--mu-init", "-300", "--coeffs", "1"]
+
+    def test_stiff_linear_table_with_one_column_per_component(self, tmp_path):
+        for method, row in self.STIFF_LINEAR_TABLE.items():
+            for n, want in row.items():
+                out = tmp_path / f"{method}-{n}"
+                rc = main(["transform", *self.STIFF_LINEAR_ARGV, "--method", method,
+                           "--steps", str(n), "--out", str(out)])
+                assert rc == 0
+                summary = manifest(out)["summary"]
+                assert list(summary["max_abs_error"]) == ["x"]
+                assert float(f"{summary['max_abs_error']['x']:.4g}") == want
+                assert summary["oracle_check_delta"] < 1e-8
+                headers = {name: read_csv(out / name)[0] for name in (
+                    "solution.csv", "errors.csv", "mu_history.csv", "step_extension.csv")}
+                assert headers == {
+                    "solution.csv": ["t", "u1"],
+                    "errors.csv": ["t", "err_x"],
+                    "mu_history.csv": ["interval", "t_start", "mu1", "gamma_max"],
+                    "step_extension.csv": ["t", "dt_max", "delta"],
+                }
+
+    def test_transform_and_compare_share_runs_on_stiff_linear(self, tmp_path):
+        # the one-component path is the shared one too: method 1 alone and
+        # beside plain RK4 gives the same error, bit for bit
+        argv = [*self.STIFF_LINEAR_ARGV, "--steps", "40"]
+        assert main(["transform", *argv, "--method", "1", "--out", str(tmp_path / "t")]) == 0
+        assert main(["compare", *argv, "--method", "none,1", "--out", str(tmp_path / "c")]) == 0
+        one, both = manifest(tmp_path / "t")["summary"], manifest(tmp_path / "c")["summary"]
+        assert one["max_abs_error"]["x"] == both["max_errors"]["fixed_mu"] \
+            == 0.0001202846777679234
+        for key in ("oracle_n_steps", "oracle_rhs_evals", "oracle_check_delta"):
+            assert one[key] == both[key]
 
     def test_robertson_default_span_blows_up_in_the_oracle(self, tmp_path, capsys):
         rc = main(["transform", "--problem", "robertson", "--out", str(tmp_path / "x")])

@@ -14,6 +14,8 @@ from stiffchaos import (
     PROBLEM_FACTORIES,
     Trajectory,
     TransformParams,
+    curvature_along,
+    dt_max,
     jstar_scan,
     lle_scan,
     local_eigenvalues,
@@ -610,6 +612,28 @@ class TestStepExtension:
                               params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
         report = step_extension_report(run, 1e-3)
         assert np.all(report[np.isinf(report[:, 1]), 1] > 0)  # inf rows, if any, positive
+
+    def test_lorenz84_report_is_the_z_component_report(self, lorenz_spec, lorenz_oracle):
+        # the last component of a three-component run is z: the report is,
+        # bit for bit, the one taken from component 2
+        run = run_transformed(lorenz_spec.problem, IntervalPlan(600, 15),
+                              MuMethod.CUMULATIVE_AVG,
+                              params_for_method(MuMethod.CUMULATIVE_AVG), lorenz_oracle)
+        tk = curvature_along(run.reference, run.problem, component=2)
+        want = np.column_stack([tk[:, 0], dt_max(tk[:, 1], run.max_error(0))])
+        assert np.array_equal(step_extension_report(run, run.max_error(0)), want)
+
+    def test_one_component_run_reads_component_zero(self):
+        spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.1))
+        reference = reference_solution(spec.problem, 40)
+        params = params_for_method(MuMethod.FIXED_MU, coeffs=(1.0,), mu_init=(-300.0,))
+        run = run_transformed(spec.problem, IntervalPlan(40, 4), MuMethod.FIXED_MU,
+                              params, reference)
+        report = step_extension_report(run, 1e-3)
+        assert report.shape == (41, 2)
+        tk = curvature_along(run.reference, spec.problem, component=0)
+        assert np.array_equal(report[:, 0], run.solution.times)
+        assert np.array_equal(report[:, 1], dt_max(tk[:, 1], 1e-3))
 
     def test_requires_positive_accuracy(self, lorenz_spec, lorenz_oracle):
         plan = IntervalPlan(600, 15)
