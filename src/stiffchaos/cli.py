@@ -6,9 +6,9 @@ of the exponentially transformed system with error/mu/step-extension CSVs),
 ``compare`` (method sweep against a shared oracle), ``demo-stiff-transform``
 (the linear no-go demonstration).  Each takes its settings' ``OdeProblem``
 once, and every run spans ``problem.t_span``.  ``transform`` (one method) and
-``compare`` share one path from settings to oracle and runs, and take the
-reference shift/scale triples by default: a dimension other than three needs
-``transform.mu_init`` and ``transform.coeffs``, one number per component.
+``compare`` share one path from settings to oracle and runs; a method reads
+only the settings it uses (``METHOD_RULES``), the problem's defaults filling
+the rest.
 ``transform`` writes one column per component, ``problem.dim`` of them.
 
 Settings come from ``--config <path>`` (a JSON file) and then each
@@ -60,12 +60,9 @@ from .ode import (
 )
 from .problems import BenchmarkSpec, PROBLEM_FACTORIES, _is_number, lle_scan, make_problem
 from .transform import (
-    DEFAULT_COEFFS,
-    DEFAULT_Q,
     IntervalPlan,
     METHOD_BY_NUMBER,
-    METHOD_MU_INIT,
-    METHOD_STEPS_PER_INTERVAL,
+    METHOD_RULES,
     MuMethod,
     params_for_method,
     run_transformed,
@@ -429,18 +426,24 @@ def cmd_diagnose(cfg: dict) -> int:
     return 0
 
 
-def _vector(cfg: dict, key: str, default, problem: OdeProblem) -> tuple[float, ...]:
-    """``transform.<key>`` as one number per state component; a bare number
-    is the vector of a one-component problem."""
-    value = cfg.get("transform", {}).get(key, default)
+def _transform_setting(cfg: dict, key: str, problem: OdeProblem):
+    """``transform.<key>``, None when unset: ``q`` a finite number, ``coeffs`` and
+    ``mu_init`` one finite number per state component (one-component: or a bare number)."""
+    value = cfg.get("transform", {}).get(key)
+    if value is None:
+        return None
+    if key == "q":
+        q = _number(cfg, "transform.q")
+        if not math.isfinite(q):
+            raise ConfigError(f"transform.q must be finite, got {q!r}")
+        return q
     if problem.dim == 1 and _is_number(value):
         value = [value]
     if not (isinstance(value, (list, tuple)) and len(value) == problem.dim
             and all(_is_number(v) and math.isfinite(v) for v in value)):
         raise ConfigError(f"transform.{key}: {problem.name} needs a list of "
                           f"{problem.dim} numbers, each finite, got {value!r}; set "
-                          f"--{key.replace('_', '-')}, one number per state component "
-                          f"(the reference default has three)")
+                          f"--{key.replace('_', '-')}, one number per state component")
     return tuple(float(v) for v in value)
 
 
@@ -462,7 +465,7 @@ def _transform_setup(cfg: dict, problem: OdeProblem, method_key: str):
     n_steps = _number(cfg, "solver.steps", 600, integral=True)
     intervals = _number(cfg, "transform.intervals", integral=True)
     if intervals is None:
-        spi = METHOD_STEPS_PER_INTERVAL[method]
+        spi = METHOD_RULES[method].steps_per_interval
         intervals = 1 if spi is None else max(1, n_steps // spi)
         if n_steps % intervals:
             raise ConfigError(
@@ -474,12 +477,8 @@ def _transform_setup(cfg: dict, problem: OdeProblem, method_key: str):
         plan = IntervalPlan(n_steps, intervals)
     except ValueError as exc:
         raise ConfigError(f"transform: {exc}") from None
-    q = _number(cfg, "transform.q", DEFAULT_Q)
-    if not math.isfinite(q):
-        raise ConfigError(f"transform.q must be finite, got {q!r}")
-    params = params_for_method(method, q=q,
-                               coeffs=_vector(cfg, "coeffs", DEFAULT_COEFFS, problem),
-                               mu_init=_vector(cfg, "mu_init", METHOD_MU_INIT[method], problem))
+    params = params_for_method(method, problem, **{
+        key: _transform_setting(cfg, key, problem) for key in METHOD_RULES[method].reads})
     return method, plan, params
 
 

@@ -16,14 +16,13 @@ problem's t_span is split into K intervals of N/K steps
 (``TransformRun.interval_starts``), one shift per interval, the endpoint of
 one interval seeding the next.
 
-Four strategies pick the mu_i per interval:
-
-* method 1 (fixed_mu)       : one hand-tuned shift vector, held constant;
-* method 2 (local_gamma)    : q times the previous interval's gamma_max of the
-                              flow Jacobian J at its start;
-* method 3 (cumulative_avg) : multipliers times the running mean of gamma_max;
-* method 4 (window_avg)     : multipliers times the mean over the last two
-                              intervals.
+Four strategies pick the mu_i per interval, each a row of ``METHOD_RULES``:
+``select_mu`` holds mu_init (method 1 throughout) until the method's mean of
+the gamma_max history of J at the interval starts has a value, then takes q
+times the last one (method 2) or the multipliers times the mean of all
+(method 3) or of the last two (method 4).  A setting left out comes from the
+problem (``params_for_method``): the paper's triples on Lorenz-84, elsewhere
+mu_init = gamma_max of J(t0, u0) and multipliers 1.
 
 ``stiff_transform_demo`` shows the negative result for stiff problems: a
 linear transform z = (u - B)/A with A(t) = A(0) exp((kf - kg) t) makes the
@@ -34,6 +33,7 @@ of the same order the stiffness bound imposed on u in the first place.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -72,29 +72,27 @@ class MuMethod(str, Enum):
     WINDOW_AVG = "window_avg"        # method 4
 
 
-METHOD_BY_NUMBER = {
-    "none": MuMethod.NONE,
-    "1": MuMethod.FIXED_MU,
-    "2": MuMethod.LOCAL_GAMMA,
-    "3": MuMethod.CUMULATIVE_AVG,
-    "4": MuMethod.WINDOW_AVG,
+METHOD_BY_NUMBER = dict(zip(("none", "1", "2", "3", "4"), MuMethod))
+
+# Each method's steps per interval (None: one interval), the mean of the gamma_max
+# history its shift follows (None: it keeps mu_init; method 2 the last value, its
+# sign kept, where sum() turns -0.0 into 0.0) and the TransformParams fields it reads.
+ShiftRule = namedtuple("ShiftRule", "steps_per_interval mean reads")
+METHOD_RULES = {
+    MuMethod.NONE: ShiftRule(None, None, ()),
+    MuMethod.FIXED_MU: ShiftRule(10, None, ("mu_init",)),
+    MuMethod.LOCAL_GAMMA: ShiftRule(10, lambda h: h[-1], ("q", "mu_init")),
+    MuMethod.CUMULATIVE_AVG: ShiftRule(40, lambda h: sum(h) / len(h), ("coeffs", "mu_init")),
+    MuMethod.WINDOW_AVG: ShiftRule(40, lambda h: sum(h[-2:]) / len(h[-2:]), ("coeffs", "mu_init")),
 }
 
-# Reference choices for each method (the paper's Lorenz-84 triples):
-# first-interval mu, steps per interval.
+# Lorenz-84's defaults, the paper's triples: each method's first-interval mu,
+# and the multipliers of methods 3 and 4
 METHOD_MU_INIT = {
-    MuMethod.NONE: (0.0, 0.0, 0.0),
     MuMethod.FIXED_MU: (2.592, 1.944, 1.539),
     MuMethod.LOCAL_GAMMA: (2.0, 2.0, 2.0),
     MuMethod.CUMULATIVE_AVG: (2.16, 1.62, 1.28),
     MuMethod.WINDOW_AVG: (2.16, 1.62, 1.28),
-}
-METHOD_STEPS_PER_INTERVAL = {
-    MuMethod.NONE: None,  # single interval
-    MuMethod.FIXED_MU: 10,
-    MuMethod.LOCAL_GAMMA: 10,
-    MuMethod.CUMULATIVE_AVG: 40,
-    MuMethod.WINDOW_AVG: 40,
 }
 DEFAULT_COEFFS = (1.5, 0.66, 0.5)
 DEFAULT_Q = 1.0
@@ -111,11 +109,22 @@ class TransformParams:
     mu_init: tuple[float, ...] = (0.0, 0.0, 0.0)
 
 
-def params_for_method(method: MuMethod, *, q: float = DEFAULT_Q, coeffs=DEFAULT_COEFFS,
-                      mu_init=None) -> TransformParams:
-    """TransformParams seeded with the reference defaults for ``method``."""
-    init = tuple(METHOD_MU_INIT[method] if mu_init is None else mu_init)
-    return TransformParams(q=q, coeffs=tuple(coeffs), mu_init=init)
+def params_for_method(method: MuMethod, problem: OdeProblem | None = None, *,
+                      q=None, coeffs=None, mu_init=None) -> TransformParams:
+    """``method``'s TransformParams on ``problem``, a setting not given from the
+    defaults: q = ``DEFAULT_Q``, on Lorenz-84 (or no problem) the paper's triples,
+    elsewhere mu_init = gamma_max of J(t0, u0) (a zero as 0.0, not -0.0) in each
+    component and coeffs = 1.  Method none shifts by 0."""
+    paper = problem is None or problem.name == "lorenz84"
+    dim = 3 if problem is None else problem.dim
+    if method is MuMethod.NONE:
+        mu_init = (0.0,) * (dim if mu_init is None else len(mu_init))
+    elif mu_init is None:
+        mu_init = METHOD_MU_INIT[method] if paper else (0.0 + float(local_eigenvalues(
+            problem.jacobian(problem.t_span[0], problem.u0)).gamma_max),) * dim
+    if coeffs is None:
+        coeffs = DEFAULT_COEFFS if paper else (1.0,) * dim
+    return TransformParams(DEFAULT_Q if q is None else q, tuple(coeffs), tuple(mu_init))
 
 
 @dataclass(frozen=True)
@@ -169,25 +178,15 @@ def transformed_rhs(params: TransformParams, t_local: float, z: State,
 
 def select_mu(method: MuMethod, history: Sequence[float],
               params: TransformParams) -> tuple[float, ...]:
-    """mu for the next interval given the gamma_max of completed ones, with
-    one component per ``params.mu_init`` component.
-
-    The first interval (empty history) always uses mu_init; method 1 keeps
-    its fixed shifts throughout and method "none" keeps zero.
-    """
-    n = len(params.mu_init)
-    if method is MuMethod.NONE:
-        return (0.0,) * n
-    if method is MuMethod.FIXED_MU or not history:
+    """mu for the next interval given the gamma_max of completed ones: mu_init
+    until the method's mean of them (``METHOD_RULES``) has a value to take,
+    then the multipliers times that mean, method 2's q in every component."""
+    rule = METHOD_RULES[method]
+    if rule.mean is None or not history:
         return tuple(params.mu_init)
-    if method is MuMethod.LOCAL_GAMMA:
-        return (params.q * history[-1],) * n
-    if method is MuMethod.CUMULATIVE_AVG:
-        avg = sum(history) / len(history)
-    else:  # MuMethod.WINDOW_AVG
-        tail = history[-2:]
-        avg = sum(tail) / len(tail)
-    return tuple(c * avg for c in params.coeffs)
+    coeffs = params.coeffs if "coeffs" in rule.reads else (params.q,) * len(params.mu_init)
+    gamma = rule.mean(history)
+    return tuple(c * gamma for c in coeffs)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,12 @@ tests bound how far rounding takes them apart.
 per step: Lawson RK4 in the operation order of ``ode._rk4_march3``, which
 ``run_transformed`` must equal bit for bit, blow-up times included.
 
+``select_mu`` is the shift selection as a chain of one branch per method,
+copied unchanged from ``stiffchaos.transform`` as it was before each method
+became a row of ``METHOD_RULES``; the two reference runs above select their
+shifts with it, and the library's table must equal it bit for bit, the
+sign of a zero included.
+
 ``dt_max``, ``kappa_stiff`` and ``dt_stiff_at`` are the per-sample step
 bounds of floats, copied unchanged from ``stiffchaos.diagnostics`` as they
 were before they took arrays; ``stiffness_report`` called ``dt_stiff_at``
@@ -69,7 +75,7 @@ from stiffchaos.ode import (
     _is_bad,
     _scaled_diff,
 )
-from stiffchaos.transform import _align_reference, select_mu
+from stiffchaos.transform import MuMethod, TransformParams, _align_reference
 
 
 def _rk4_stepn(f: Rhs, t: float, u: State, h: float, k1: Sequence[float]):
@@ -184,6 +190,29 @@ def gbs7_oracle(problem: OdeProblem, n_steps: int) -> tuple[np.ndarray, float]:
     even), every level on every macro step, and its gate's max|difference|
     from ``n_steps // 2`` macro steps."""
     return _fixed_level_oracle(problem, n_steps, 1, GBS7_SUBSTEPS)
+
+
+def select_mu(method: MuMethod, history: Sequence[float],
+              params: TransformParams) -> tuple[float, ...]:
+    """mu for the next interval given the gamma_max of completed ones, with
+    one component per ``params.mu_init`` component.
+
+    The first interval (empty history) always uses mu_init; method 1 keeps
+    its fixed shifts throughout and method "none" keeps zero.
+    """
+    n = len(params.mu_init)
+    if method is MuMethod.NONE:
+        return (0.0,) * n
+    if method is MuMethod.FIXED_MU or not history:
+        return tuple(params.mu_init)
+    if method is MuMethod.LOCAL_GAMMA:
+        return (params.q * history[-1],) * n
+    if method is MuMethod.CUMULATIVE_AVG:
+        avg = sum(history) / len(history)
+    else:  # MuMethod.WINDOW_AVG
+        tail = history[-2:]
+        avg = sum(tail) / len(tail)
+    return tuple(c * avg for c in params.coeffs)
 
 
 def _scales(mu: Sequence[float], tau: float) -> State:

@@ -332,26 +332,63 @@ class TestTransformCommand:
         assert manifest(out)["summary"]["oracle_n_steps"] == steps * (1 + steps % 2)
 
     def test_wrong_problem_rejected(self, tmp_path, monkeypatch, capsys):
-        # the reference triples do not fit the one-component stiff-linear
-        # problem: transform and compare are refused on transform.coeffs, the
-        # first vector read, in one line that names the flag, before the
-        # oracle runs, and no --out is created
+        # stiff-linear takes its own defaults, so it needs no vector; a
+        # vector written with the wrong length is refused in one line that
+        # names the flag, before the oracle runs, and no --out is created
         def no_oracle(*args):
             raise AssertionError("oracle ran")
 
         monkeypatch.setattr(cli, "reference_solution", no_oracle)
         for command in ("transform", "compare"):
-            rc = main([command, "--problem", "stiff-linear", "--out", str(tmp_path / "x")])
+            rc = main([command, "--problem", "stiff-linear", "--mu-init", "1,2",
+                       "--out", str(tmp_path / "x")])
             err = capsys.readouterr().err
             assert rc == 1
-            assert err.startswith("configuration error: transform.coeffs: ")
-            assert "--coeffs" in err and len(err.splitlines()) == 1
+            assert err.startswith("configuration error: transform.mu_init: stiff-linear needs "
+                                  "a list of 1 numbers, each finite, got [1.0, 2.0]")
+            assert "--mu-init" in err and len(err.splitlines()) == 1
             assert not (tmp_path / "x").exists()
         monkeypatch.undo()
-        rc = main(["transform", "--problem", "stiff-linear", "--mu-init", "0.5", "--coeffs", "1",
-                   "--out", str(tmp_path / "x")])
+        rc = main(["transform", "--problem", "stiff-linear", "--out", str(tmp_path / "x")])
         assert rc == 0
         assert (tmp_path / "x" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--problem", "stiff-linear", "--method", "none"],
+        ["compare", "--problem", "stiff-linear"],
+        ["transform", "--problem", "flame", "--method", "none"],
+        # method none reads no setting, so a vector it would refuse is not read
+        ["transform", "--problem", "stiff-linear", "--method", "none", "--mu-init", "1,2"],
+        # q is method 2's setting alone
+        ["transform", "--problem", "lorenz84", "--method", "3", "--q", "nan"],
+    ], ids=["compare-stiff-linear-none", "compare-stiff-linear-default",
+            "transform-flame-none", "transform-none-reads-no-vector",
+            "transform-method-3-reads-no-q"])
+    def test_method_reads_only_its_settings(self, tmp_path, argv):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
+
+    def test_method_two_still_refuses_q_nan(self, tmp_path, capsys):
+        rc = main(["transform", "--problem", "lorenz84", "--method", "2", "--q", "nan",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == "configuration error: transform.q must be finite, got nan\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_robertson_default_shift_is_written_as_zero(self, tmp_path):
+        # gamma_max of J(t0, u0) is -0.0 on Robertson; the default mu_init
+        # built from it is written 0, while the recorded gamma_max keeps its sign
+        out = tmp_path / "rob"
+        rc = main(["transform", "--problem", "robertson", "--problem.t_span", "1e-6,0.01",
+                   "--method", "1", "--out", str(out)])
+        assert rc == 0
+        header, rows = read_csv(out / "mu_history.csv")
+        assert header == ["interval", "t_start", "mu1", "mu2", "mu3", "gamma_max"]
+        text = (out / "mu_history.csv").read_text().splitlines()
+        assert len(rows) == 60
+        assert all(line.split(",")[2:5] == ["0", "0", "0"] for line in text[1:])
+        assert text[1].split(",")[5] == "-0"
 
     # ROADMAP item 3's table: max|x err| on stiff-linear (a = 300, u0 = 1.05,
     # t_span (0, 0.1)) for plain RK4 and for method 1 at mu = -300, to four
@@ -361,10 +398,12 @@ class TestTransformCommand:
         "none": {10: 1.208, 20: 2.515e-3, 40: 8.773e-5, 100: 1.587e-6, 400: 5.161e-9},
         "1": {10: 0.02450, 20: 1.833e-3, 40: 1.203e-4, 100: 3.123e-6, 400: 1.223e-8},
     }
+    # no vector flag: method 1 takes stiff-linear's default, mu = gamma_max = -a
     STIFF_LINEAR_ARGV = ["--problem", "stiff-linear", "--problem.u0", "1.05",
-                         "--problem.t_span", "0,0.1", "--mu-init", "-300", "--coeffs", "1"]
+                         "--problem.t_span", "0,0.1"]
 
     def test_stiff_linear_table_with_one_column_per_component(self, tmp_path):
+        got = {}
         for method, row in self.STIFF_LINEAR_TABLE.items():
             for n, want in row.items():
                 out = tmp_path / f"{method}-{n}"
@@ -373,7 +412,10 @@ class TestTransformCommand:
                 assert rc == 0
                 summary = manifest(out)["summary"]
                 assert list(summary["max_abs_error"]) == ["x"]
-                assert float(f"{summary['max_abs_error']['x']:.4g}") == want
+                got[method, n] = summary["max_abs_error"]["x"]
+                assert float(f"{got[method, n]:.4g}") == want
+                _, mu_rows = read_csv(out / "mu_history.csv")
+                assert {row[2] for row in mu_rows} == {0.0 if method == "none" else -300.0}
                 assert summary["oracle_check_delta"] < 1e-8
                 headers = {name: read_csv(out / name)[0] for name in (
                     "solution.csv", "errors.csv", "mu_history.csv", "step_extension.csv")}
@@ -383,6 +425,11 @@ class TestTransformCommand:
                     "mu_history.csv": ["interval", "t_start", "mu1", "gamma_max"],
                     "step_extension.csv": ["t", "dt_max", "delta"],
                 }
+        # the stiff no-go: within the stability limit (h a <= 0.75) the shift
+        # does not beat plain RK4; past it (h a = 3) plain RK4 has an O(1)
+        # error and the shift keeps the run below 0.05
+        assert all(got["1", n] >= got["none", n] for n in (40, 100, 400))
+        assert got["none", 10] > 1.0 and got["1", 10] < 0.05
 
     def test_transform_and_compare_share_runs_on_stiff_linear(self, tmp_path):
         # the one-component path is the shared one too: method 1 alone and
@@ -1077,11 +1124,13 @@ class TestConfigHandling:
                   "--max-steps", "1000", "--samples", "1001", "--out", str(tmp_path / "x")])
 
     def test_compare_rejects_dim_mismatch_before_the_oracle(self, tmp_path, monkeypatch):
+        # flame takes its own defaults; a written vector of the wrong length
+        # is refused for the method that reads it
         def no_oracle(*args):
             raise AssertionError("oracle ran")
 
         monkeypatch.setattr(cli, "reference_solution", no_oracle)
-        rc = main(["compare", "--problem", "flame", "--method", "none,3",
+        rc = main(["compare", "--problem", "flame", "--method", "none,3", "--coeffs", "1,2",
                    "--out", str(tmp_path / "x")])
         assert rc == 1
         assert not (tmp_path / "x").exists()

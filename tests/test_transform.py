@@ -35,11 +35,7 @@ from stiffchaos import (
 )
 from stiffchaos.ode import EIG_BLOCK, _padded, _rk4_march3, rk4_step
 from stiffchaos.problems import nearest_sample_indices
-from stiffchaos.transform import (
-    METHOD_MU_INIT,
-    METHOD_STEPS_PER_INTERVAL,
-    _align_reference,
-)
+from stiffchaos.transform import METHOD_MU_INIT, METHOD_RULES, _align_reference
 
 import generic_reference
 from generic_reference import transformed_run, zsystem_run
@@ -252,6 +248,91 @@ class TestSelectMu:
         assert METHOD_MU_INIT[MuMethod.CUMULATIVE_AVG] == (2.16, 1.62, 1.28)
 
 
+SHIFTED_METHODS = [m for m in MuMethod if m is not MuMethod.NONE]
+
+
+def bits(values) -> bytes:
+    """The IEEE bits of a tuple of floats, so that 0.0 and -0.0 differ."""
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestShiftTable:
+    """``select_mu`` reads each method's row of ``METHOD_RULES``; it equals
+    the chain of one branch per method that it replaced
+    (``generic_reference.select_mu``) bit for bit.  A lone -0.0 shows why
+    method 2 takes its last value as it is: sum([-0.0]) is 0.0, which
+    methods 3 and 4 take and q times the last value does not."""
+
+    HISTORIES = [[], [-0.0], [0.0], [-0.0, 1.25], [-0.0, -0.0], [1.25, -0.0],
+                 [-0.0, -0.0, -0.0], [0.3, -1.7, 2.9], [1e308, 1e308, -1e308],
+                 [-2.5, 0.1, 0.7, -0.0]]
+    # (q, coeffs, mu_init), the vectors cut to the problem's dim
+    SETTINGS = [(1.0, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+                (-0.75, (-1.5, 0.66, -0.5), (2.16, -1.62, 1.28)),
+                (3.0, (0.25, -2.0, 7.0), (-300.0, 0.0197, -0.0))]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("method", list(MuMethod), ids=lambda m: m.value)
+    def test_table_equals_the_branch_chain(self, method, dim):
+        rng = np.random.default_rng(dim)
+        histories = self.HISTORIES + [rng.normal(size=n).tolist() for n in range(1, 45, 4)]
+        for q, coeffs, mu_init in self.SETTINGS:
+            params = params_for_method(method, q=q, coeffs=coeffs[:dim], mu_init=mu_init[:dim])
+            for history in histories:
+                got = select_mu(method, history, params)
+                assert type(got) is tuple and len(got) == dim
+                assert bits(got) == bits(generic_reference.select_mu(method, history, params))
+
+    def test_signed_zero_of_a_lone_minus_zero(self):
+        params = TransformParams(q=1.0, coeffs=(1.0,), mu_init=(0.5,))
+        assert bits(select_mu(MuMethod.LOCAL_GAMMA, [-0.0], params)) == bits((-0.0,))
+        for method in (MuMethod.CUMULATIVE_AVG, MuMethod.WINDOW_AVG):
+            assert bits(select_mu(method, [-0.0], params)) == bits((0.0,))
+            assert bits(select_mu(method, [-0.0, 2.0], params)) == bits((1.0,))
+
+    def test_a_method_reads_only_its_settings(self):
+        assert {m: METHOD_RULES[m].reads for m in MuMethod} == {
+            MuMethod.NONE: (), MuMethod.FIXED_MU: ("mu_init",),
+            MuMethod.LOCAL_GAMMA: ("q", "mu_init"),
+            MuMethod.CUMULATIVE_AVG: ("coeffs", "mu_init"),
+            MuMethod.WINDOW_AVG: ("coeffs", "mu_init")}
+
+
+class TestProblemDefaults:
+    """Lorenz-84 keeps the paper's triples; every other problem starts at
+    gamma_max of J(t0, u0) in each component with multipliers 1, and method
+    none shifts by zero."""
+
+    def test_lorenz84_keeps_the_paper_triples(self):
+        problem = lorenz84(a=0.3, u0=(1.0, 0.0, 0.0)).problem
+        for method in SHIFTED_METHODS:
+            want = TransformParams(q=1.0, coeffs=(1.5, 0.66, 0.5), mu_init=METHOD_MU_INIT[method])
+            assert params_for_method(method) == params_for_method(method, problem) == want
+        assert params_for_method(MuMethod.NONE, problem).mu_init == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("name, gamma", [("stiff-linear", -300.0), ("flame", 0.0197),
+                                             ("robertson", 0.0)])
+    def test_other_problems_start_at_gamma_max(self, name, gamma):
+        problem = make_problem(name).problem
+        for method in SHIFTED_METHODS:
+            params = params_for_method(method, problem)
+            assert params.mu_init == pytest.approx((gamma,) * problem.dim, rel=1e-12)
+            assert (params.q, params.coeffs) == (1.0, (1.0,) * problem.dim)
+            assert bits(params.mu_init) == bits((params.mu_init[0] + 0.0,) * problem.dim)
+        assert params_for_method(MuMethod.NONE, problem).mu_init == (0.0,) * problem.dim
+        # a setting given wins over the default
+        explicit = params_for_method(MuMethod.FIXED_MU, problem, q=2.0,
+                                     coeffs=(3.0,) * problem.dim, mu_init=(4.0,) * problem.dim)
+        assert explicit == TransformParams(2.0, (3.0,) * problem.dim, (4.0,) * problem.dim)
+
+    def test_robertson_minus_zero_start_is_written_as_zero(self):
+        # gamma_max of J(t0, u0) on Robertson is -0.0; its default is 0.0
+        problem = make_problem("robertson").problem
+        gamma = local_eigenvalues(problem.jacobian(problem.t_span[0], problem.u0)).gamma_max
+        assert bits((gamma,)) == bits((-0.0,))
+        assert bits(params_for_method(MuMethod.FIXED_MU, problem).mu_init) == bits((0.0,) * 3)
+
+
 class TestIntervalPlan:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -386,7 +467,7 @@ class TestDriverMatchesStepLoop:
 
     @pytest.mark.parametrize("method", list(MuMethod), ids=lambda m: m.value)
     def test_lorenz84(self, lorenz_spec, lorenz_oracle, method):
-        spi = METHOD_STEPS_PER_INTERVAL[method]
+        spi = METHOD_RULES[method].steps_per_interval
         plan = IntervalPlan(600, 1 if spi is None else 600 // spi)
         args = (lorenz_spec.problem, plan, method, params_for_method(method), lorenz_oracle)
         assert library_outcome(*args) == run_outcome(lambda: transformed_run(*args))
@@ -441,7 +522,6 @@ class TestDriverMatchesStepLoop:
 ZSYSTEM_FIRST_INTERVAL_TOL = 1e-13
 ZSYSTEM_RUN_TOL = {"lorenz84": 5e-11, "stiff-linear": 1e-13, "flame": 1e-13,
                    "forced-dim2": 1e-13}
-SHIFTED_METHODS = [m for m in MuMethod if m is not MuMethod.NONE]
 
 
 def assert_near_zsystem(problem, plan, method, params, reference):
@@ -462,7 +542,7 @@ class TestRunMatchesZsystem:
     @pytest.mark.parametrize("n_steps", [600, 1620])
     def test_lorenz84(self, lorenz_spec, method, n_steps):
         # the reference K per method at N=600, and the N=1620 extension's K=60
-        k = 600 // METHOD_STEPS_PER_INTERVAL[method] if n_steps == 600 else 60
+        k = 600 // METHOD_RULES[method].steps_per_interval if n_steps == 600 else 60
         reference = solve_rk4_fixed(lorenz_spec.problem, n_steps)
         assert_near_zsystem(lorenz_spec.problem, IntervalPlan(n_steps, k), method,
                             params_for_method(method), reference)
