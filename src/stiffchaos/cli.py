@@ -7,8 +7,9 @@ of the exponentially transformed system with error/mu/step-extension CSVs),
 (the linear no-go demonstration).  Each takes its settings' ``OdeProblem``
 once, and every run spans ``problem.t_span``.  ``transform`` (one method) and
 ``compare`` share one path from settings to oracle and runs; a method reads
-only the settings it uses (``METHOD_RULES``), the problem's defaults filling
-the rest.
+only the settings it uses (``METHOD_RULES``: ``transform.mu_init`` methods
+1-4, ``transform.coeffs`` methods 2-4), the problem's defaults filling the
+rest.
 ``transform`` writes one column per component, ``problem.dim`` of them.
 
 Settings come from ``--config <path>`` (a JSON file) and then each
@@ -158,7 +159,6 @@ FLAGS = {
     "dt-init": "solver.dt_init",
     "max-steps": "solver.max_steps",
     "samples": "scan.n_samples",
-    "q": "transform.q",
     "mu-init": "transform.mu_init",
     "coeffs": "transform.coeffs",
     "a": "demo.a",
@@ -170,7 +170,7 @@ FLAGS = {
 CONFIG_KEYS = {
     "problem": ("name", "params", "u0", "t_span"),
     "solver": ("name", "steps", "tol", "dt_init", "dt_min", "dt_max", "max_steps"),
-    "transform": ("method", "intervals", "q", "coeffs", "mu_init"),
+    "transform": ("method", "intervals", "coeffs", "mu_init"),
     "scan": ("component", "n_samples"),
     "demo": ("a", "kappa_g"),
     "eps": None,
@@ -329,8 +329,9 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, summary: dict,
 
 def _discard_manifest(cfg: dict) -> None:
     """Remove the manifest of an earlier run in ``out``.  Each command calls
-    this before it integrates, so a run that fails leaves no manifest that
-    vouches for outputs it did not write."""
+    this after its checks (the demo's closed form is one) and before it
+    integrates, so a run that fails leaves no manifest that vouches for
+    outputs it did not write."""
     (Path(cfg.get("out", "out")) / "manifest.json").unlink(missing_ok=True)
 
 
@@ -427,16 +428,11 @@ def cmd_diagnose(cfg: dict) -> int:
 
 
 def _transform_setting(cfg: dict, key: str, problem: OdeProblem):
-    """``transform.<key>``, None when unset: ``q`` a finite number, ``coeffs`` and
-    ``mu_init`` one finite number per state component (one-component: or a bare number)."""
+    """``transform.<key>`` (``coeffs`` or ``mu_init``), None when unset: one finite
+    number per state component (one-component: or a bare number)."""
     value = cfg.get("transform", {}).get(key)
     if value is None:
         return None
-    if key == "q":
-        q = _number(cfg, "transform.q")
-        if not math.isfinite(q):
-            raise ConfigError(f"transform.q must be finite, got {q!r}")
-        return q
     if problem.dim == 1 and _is_number(value):
         value = [value]
     if not (isinstance(value, (list, tuple)) and len(value) == problem.dim
@@ -563,9 +559,8 @@ def cmd_demo_stiff_transform(cfg: dict) -> int:
     if not (0 < a < math.inf and -math.inf < kappa_g < 0):
         raise ConfigError(f"demo.a must be finite and > 0 and demo.kappa_g finite and < 0, "
                           f"got {a!r} and {kappa_g!r}")
-    eps = _eps(cfg)
+    rep = stiff_transform_demo(a, kappa_g, _eps(cfg))
     _discard_manifest(cfg)
-    rep = stiff_transform_demo(a, kappa_g, eps)
     summary = {
         "a": rep.a, "kappa_g": rep.kappa_g, "eps": rep.eps,
         "dt_stiff_u": rep.dt_stiff_u, "dt_max_z": rep.dt_max_z,

@@ -18,10 +18,10 @@ one interval seeding the next.
 
 Four strategies pick the mu_i per interval, each a row of ``METHOD_RULES``:
 ``select_mu`` holds mu_init (method 1 throughout) until the method's mean of
-the gamma_max history of J at the interval starts has a value, then takes q
-times the last one (method 2) or the multipliers times the mean of all
-(method 3) or of the last two (method 4).  A setting left out comes from the
-problem (``params_for_method``): the paper's triples on Lorenz-84, elsewhere
+the gamma_max history of J at the interval starts has a value, then takes
+the multipliers times the last one (method 2) or the mean of all (method 3)
+or of the last two (method 4).  A setting left out comes from the problem
+(``params_for_method``): the paper's triples on Lorenz-84, elsewhere
 mu_init = gamma_max of J(t0, u0) and multipliers 1.
 
 ``stiff_transform_demo`` shows the negative result for stiff problems: a
@@ -75,46 +75,44 @@ class MuMethod(str, Enum):
 METHOD_BY_NUMBER = dict(zip(("none", "1", "2", "3", "4"), MuMethod))
 
 # Each method's steps per interval (None: one interval), the mean of the gamma_max
-# history its shift follows (None: it keeps mu_init; method 2 the last value, its
-# sign kept, where sum() turns -0.0 into 0.0) and the TransformParams fields it reads.
+# history its shift follows (None: it keeps mu_init) and the TransformParams fields it reads.
 ShiftRule = namedtuple("ShiftRule", "steps_per_interval mean reads")
 METHOD_RULES = {
     MuMethod.NONE: ShiftRule(None, None, ()),
     MuMethod.FIXED_MU: ShiftRule(10, None, ("mu_init",)),
-    MuMethod.LOCAL_GAMMA: ShiftRule(10, lambda h: h[-1], ("q", "mu_init")),
+    MuMethod.LOCAL_GAMMA: ShiftRule(10, lambda h: h[-1], ("coeffs", "mu_init")),
     MuMethod.CUMULATIVE_AVG: ShiftRule(40, lambda h: sum(h) / len(h), ("coeffs", "mu_init")),
     MuMethod.WINDOW_AVG: ShiftRule(40, lambda h: sum(h[-2:]) / len(h[-2:]), ("coeffs", "mu_init")),
 }
 
 # Lorenz-84's defaults, the paper's triples: each method's first-interval mu,
-# and the multipliers of methods 3 and 4
+# and the multipliers (method 2: the paper's q = 1; methods 3 and 4: DEFAULT_COEFFS)
 METHOD_MU_INIT = {
     MuMethod.FIXED_MU: (2.592, 1.944, 1.539),
     MuMethod.LOCAL_GAMMA: (2.0, 2.0, 2.0),
     MuMethod.CUMULATIVE_AVG: (2.16, 1.62, 1.28),
     MuMethod.WINDOW_AVG: (2.16, 1.62, 1.28),
 }
+METHOD_COEFFS = {MuMethod.LOCAL_GAMMA: (1.0, 1.0, 1.0)}
 DEFAULT_COEFFS = (1.5, 0.66, 0.5)
-DEFAULT_Q = 1.0
 
 
 @dataclass(frozen=True)
 class TransformParams:
-    """Transformation constants: the method-2 gain q, the method-3/4
-    multipliers, and the first-interval shifts mu_i (method 1 keeps them).
+    """Transformation constants: the multipliers of the mean gamma_max
+    (methods 2-4) and the first-interval shifts mu_i (method 1 keeps them).
     Every vector has one component per state component."""
 
-    q: float = DEFAULT_Q
     coeffs: tuple[float, ...] = DEFAULT_COEFFS
     mu_init: tuple[float, ...] = (0.0, 0.0, 0.0)
 
 
 def params_for_method(method: MuMethod, problem: OdeProblem | None = None, *,
-                      q=None, coeffs=None, mu_init=None) -> TransformParams:
+                      coeffs=None, mu_init=None) -> TransformParams:
     """``method``'s TransformParams on ``problem``, a setting not given from the
-    defaults: q = ``DEFAULT_Q``, on Lorenz-84 (or no problem) the paper's triples,
-    elsewhere mu_init = gamma_max of J(t0, u0) (a zero as 0.0, not -0.0) in each
-    component and coeffs = 1.  Method none shifts by 0."""
+    defaults: on Lorenz-84 (or no problem) the paper's triples (method 2's
+    coeffs (1, 1, 1)), elsewhere mu_init = gamma_max of J(t0, u0) (a zero as
+    0.0, not -0.0) in each component and coeffs = 1.  Method none shifts by 0."""
     paper = problem is None or problem.name == "lorenz84"
     dim = 3 if problem is None else problem.dim
     if method is MuMethod.NONE:
@@ -123,8 +121,8 @@ def params_for_method(method: MuMethod, problem: OdeProblem | None = None, *,
         mu_init = METHOD_MU_INIT[method] if paper else (0.0 + float(local_eigenvalues(
             problem.jacobian(problem.t_span[0], problem.u0)).gamma_max),) * dim
     if coeffs is None:
-        coeffs = DEFAULT_COEFFS if paper else (1.0,) * dim
-    return TransformParams(DEFAULT_Q if q is None else q, tuple(coeffs), tuple(mu_init))
+        coeffs = METHOD_COEFFS.get(method, DEFAULT_COEFFS) if paper else (1.0,) * dim
+    return TransformParams(tuple(coeffs), tuple(mu_init))
 
 
 @dataclass(frozen=True)
@@ -180,13 +178,12 @@ def select_mu(method: MuMethod, history: Sequence[float],
               params: TransformParams) -> tuple[float, ...]:
     """mu for the next interval given the gamma_max of completed ones: mu_init
     until the method's mean of them (``METHOD_RULES``) has a value to take,
-    then the multipliers times that mean, method 2's q in every component."""
+    then ``params.coeffs`` times that mean."""
     rule = METHOD_RULES[method]
     if rule.mean is None or not history:
         return tuple(params.mu_init)
-    coeffs = params.coeffs if "coeffs" in rule.reads else (params.q,) * len(params.mu_init)
     gamma = rule.mean(history)
-    return tuple(c * gamma for c in coeffs)
+    return tuple(c * gamma for c in params.coeffs)
 
 
 @dataclass(frozen=True)
@@ -268,7 +265,8 @@ def run_transformed(problem: OdeProblem, plan: IntervalPlan, method: MuMethod,
 
     The recorded gamma_max history, the input to the method-2/3/4 shift
     selection, holds gamma_max of the untransformed Jacobian at each
-    interval-start state: the local chaotic rate the shifts must counter.
+    interval-start state (a zero as 0.0, not -0.0): the local chaotic rate
+    the shifts must counter.
     """
     dim = problem.dim
     for name in ("coeffs", "mu_init"):
@@ -285,7 +283,8 @@ def run_transformed(problem: OdeProblem, plan: IntervalPlan, method: MuMethod,
             t_k = t0 + base * h
             mu = select_mu(method, history, params)
             mu_history.append(mu)
-            history.append(float(local_eigenvalues(problem.jacobian(t_k, u3[:dim])).gamma_max))
+            gamma = local_eigenvalues(problem.jacobian(t_k, u3[:dim])).gamma_max
+            history.append(0.0 + float(gamma))
             try:
                 _rk4_march3(f3, t_k, h, u3, spi, out[3 * base:], (*mu, *pad))
             except NonFiniteState as exc:

@@ -206,7 +206,7 @@ def select_mu(method: MuMethod, history: Sequence[float],
     if method is MuMethod.FIXED_MU or not history:
         return tuple(params.mu_init)
     if method is MuMethod.LOCAL_GAMMA:
-        return (params.q * history[-1],) * n
+        return tuple(c * history[-1] for c in params.coeffs)
     if method is MuMethod.CUMULATIVE_AVG:
         avg = sum(history) / len(history)
     else:  # MuMethod.WINDOW_AVG

@@ -359,36 +359,53 @@ class TestTransformCommand:
         ["transform", "--problem", "flame", "--method", "none"],
         # method none reads no setting, so a vector it would refuse is not read
         ["transform", "--problem", "stiff-linear", "--method", "none", "--mu-init", "1,2"],
-        # q is method 2's setting alone
-        ["transform", "--problem", "lorenz84", "--method", "3", "--q", "nan"],
+        # the multipliers are methods 2-4's setting
+        ["transform", "--problem", "lorenz84", "--method", "1", "--coeffs", "nan"],
     ], ids=["compare-stiff-linear-none", "compare-stiff-linear-default",
             "transform-flame-none", "transform-none-reads-no-vector",
-            "transform-method-3-reads-no-q"])
+            "transform-method-1-reads-no-coeffs"])
     def test_method_reads_only_its_settings(self, tmp_path, argv):
         out = tmp_path / "x"
         assert main(argv + ["--out", str(out)]) == 0
         assert (out / "manifest.json").exists()
 
-    def test_method_two_still_refuses_q_nan(self, tmp_path, capsys):
-        rc = main(["transform", "--problem", "lorenz84", "--method", "2", "--q", "nan",
+    def test_method_two_refuses_coeffs_nan(self, tmp_path, capsys):
+        rc = main(["transform", "--problem", "lorenz84", "--method", "2", "--coeffs", "nan,1,1",
                    "--out", str(tmp_path / "x")])
         assert rc == 1
-        assert capsys.readouterr().err == "configuration error: transform.q must be finite, got nan\n"
+        assert capsys.readouterr().err == (
+            "configuration error: transform.coeffs: lorenz84 needs a list of 3 numbers, each "
+            "finite, got [nan, 1.0, 1.0]; set --coeffs, one number per state component\n")
         assert not (tmp_path / "x").exists()
+
+    def test_method_two_numbers_at_600_steps(self, tmp_path):
+        # the paper's q = 1 is coeffs (1, 1, 1); coeffs 2,2,2 gives q = 2's numbers
+        for extra, want in (([], 0.7569734915046773),
+                            (["--coeffs", "2,2,2"], 0.9492131995266564)):
+            out = tmp_path / "m2"
+            rc = main(["transform", "--problem", "lorenz84", "--method", "2", "--steps", "600",
+                       "--out", str(out)] + extra)
+            assert rc == 0
+            assert manifest(out)["summary"]["max_abs_error"]["x"] == want
 
     def test_robertson_default_shift_is_written_as_zero(self, tmp_path):
         # gamma_max of J(t0, u0) is -0.0 on Robertson; the default mu_init
-        # built from it is written 0, while the recorded gamma_max keeps its sign
-        out = tmp_path / "rob"
-        rc = main(["transform", "--problem", "robertson", "--problem.t_span", "1e-6,0.01",
-                   "--method", "1", "--out", str(out)])
-        assert rc == 0
-        header, rows = read_csv(out / "mu_history.csv")
-        assert header == ["interval", "t_start", "mu1", "mu2", "mu3", "gamma_max"]
-        text = (out / "mu_history.csv").read_text().splitlines()
-        assert len(rows) == 60
-        assert all(line.split(",")[2:5] == ["0", "0", "0"] for line in text[1:])
-        assert text[1].split(",")[5] == "-0"
+        # built from it and the recorded gamma_max are written 0
+        for method in ("1", "2", "3", "4"):
+            out = tmp_path / f"rob{method}"
+            rc = main(["transform", "--problem", "robertson", "--problem.t_span", "1e-6,0.01",
+                       "--method", method, "--out", str(out)])
+            assert rc == 0
+            header, *cells = [line.split(",") for line in
+                              (out / "mu_history.csv").read_text().splitlines()]
+            assert header == ["interval", "t_start", "mu1", "mu2", "mu3", "gamma_max"]
+            assert len(cells) == (60 if method in "12" else 15)
+            assert cells[0][2:] == ["0", "0", "0", "0"]
+            # the interval after a zero gamma_max shifts by 0, not -0
+            assert cells[1][2:5] == ["0", "0", "0"]
+            assert all(cell != "-0" for row in cells for cell in row)
+            if method == "1":
+                assert all(row[2:5] == ["0", "0", "0"] for row in cells)
 
     # ROADMAP item 3's table: max|x err| on stiff-linear (a = 300, u0 = 1.05,
     # t_span (0, 0.1)) for plain RK4 and for method 1 at mu = -300, to four
@@ -463,10 +480,10 @@ class TestTransformCommand:
         assert m["summary"]["max_abs_error"]["x"] < 1e-6
 
     def test_exponent_overflow_message_is_short(self, tmp_path, capsys):
-        # the second interval's shift q gamma_max makes exp(mu h) overflow, so
-        # its first state, at t = 11 h, is not finite
+        # the second interval's shift, 1e300 times gamma_max, makes exp(mu h)
+        # overflow, so its first state, at t = 11 h, is not finite
         rc = main(["transform", "--problem", "lorenz84", "--steps", "600", "--method", "2",
-                   "--q", "1e300", "--out", str(tmp_path / "x")])
+                   "--coeffs", "1e300,1e300,1e300", "--out", str(tmp_path / "x")])
         assert rc == 2
         assert capsys.readouterr().err == (
             "numerical failure: NonFiniteState: non-finite state encountered at t=0.55\n")
@@ -615,14 +632,15 @@ class TestDemoCommand:
         assert 0.1 <= ratio <= 10.0
 
 
-# per subcommand: a valid argv and the integrating step a test makes fail
+# per subcommand that integrates: a valid argv and the integrating step a
+# test makes fail (demo-stiff-transform integrates nothing: its closed form is
+# one of its checks, see test_rejected_input_keeps_the_manifest)
 FAILING_STEPS = {
     "solve": ("run_solver", ["--problem", "stiff-linear", "--solver", "rk4", "--steps", "10"]),
     "diagnose": ("run_solver", ["--problem", "stiff-linear", "--solver", "rk4",
                                 "--steps", "10"]),
     "transform": ("reference_solution", ["--problem", "lorenz84", "--steps", "600"]),
     "compare": ("reference_solution", ["--problem", "lorenz84", "--steps", "600"]),
-    "demo-stiff-transform": ("stiff_transform_demo", []),
 }
 
 
@@ -714,6 +732,8 @@ class TestFailedRuns:
          "--oracle-refine", "1", "--method", "none"],
         ["demo-stiff-transform", "--a", "-5"],
         ["demo-stiff-transform", "--kappa-g", "1"],
+        # the step-bound ratio 0.036 escapes [0.1, 10]
+        ["demo-stiff-transform", "--a", "0.5"],
         ["solve", "--problem", "[1]", "--steps", "3"],
         ["solve", "--problem", '{"a":1}', "--steps", "3"],
         ["solve", "--problem.name", '["lorenz84"]', "--steps", "3"],
@@ -721,7 +741,7 @@ class TestFailedRuns:
     ], ids=["solve-t-span-decreasing", "solve-steps-missing", "solve-steps-0",
             "solve-tol-negative", "solve-dt-min-above-dt-init", "solve-unknown-solver",
             "diagnose-tol-negative", "transform-refine-0", "compare-odd-oracle-steps",
-            "demo-a-negative", "demo-kappa-g-positive", "solve-name-list",
+            "demo-a-negative", "demo-kappa-g-positive", "demo-ratio-escapes", "solve-name-list",
             "solve-name-object", "solve-name-list-of-a-name", "solve-param-nan"])
     def test_rejected_input_keeps_the_manifest(self, tmp_path, capsys, argv):
         # nothing in out changes, so the manifest still describes it
@@ -751,7 +771,6 @@ FLAG_CASES = {
     "max-steps": (["solve", "--problem", "robertson", "--solver", "trapezoid", "--tol", "1e-3",
                    "--dt-init", "0.1"], "1e3", 0),
     "samples": (["diagnose", "--problem", "lorenz84", "--steps", "100"], "true", 1),
-    "q": (["transform", "--problem", "lorenz84", "--method", "2"], "true", 1),
     "mu-init": (["transform", "--problem", "lorenz84", "--method", "1", "--steps", "40",
                  "--problem.t_span", "0,2"], "-1,2,3", 0),
     "coeffs": (["transform", "--problem", "lorenz84"], "0.5", 1),
@@ -860,7 +879,7 @@ class TestConfigHandling:
         ["transform", "--problem", "lorenz84", "--method", "1", "--mu-init", "nan,1,1"],
         ["transform", "--problem", "lorenz84", "--method", "3",
          "--transform.coeffs", "nan,1,1"],
-        ["transform", "--problem", "lorenz84", "--method", "2", "--q", "inf"],
+        ["transform", "--problem", "lorenz84", "--method", "2", "--coeffs", "inf,1,1"],
         ["demo-stiff-transform", "--a", "inf"],
         ["demo-stiff-transform", "--a", "1e400"],
         ["demo-stiff-transform", "--kappa-g=-inf"],
@@ -880,7 +899,8 @@ class TestConfigHandling:
             "compare-intervals-fractional", "solve-tol-bool", "solve-t-span-bool",
             "solve-rk4-t-span-inf", "solve-rk4-adaptive-t-span-inf",
             "solve-trapezoid-t-span-inf", "solve-u0-overflows", "solve-param-overflows",
-            "solve-tol-inf", "transform-mu-init-nan", "transform-coeffs-nan", "transform-q-inf",
+            "solve-tol-inf", "transform-mu-init-nan", "transform-coeffs-nan",
+            "transform-method-2-coeffs-inf",
             "demo-a-inf", "demo-a-overflows", "demo-kappa-g-minus-inf",
             *(f"solve-{solver}-t-span-length-overflows" for solver in SOLVER_NAMES),
             "transform-t-span-length-overflows", "solve-t-span-three-numbers",
@@ -1075,10 +1095,13 @@ class TestConfigHandling:
         # problem.t_span is the one source of a run's span
         (["solve", "--tf", "1"], None, "tf"),
         (["solve", "--problem.tf", "1"], None, "problem.tf"),
+        # method 2's multipliers are transform.coeffs
+        (["transform", "--method", "2", "--q", "1"], None, "q"),
+        (["transform", "--method", "2", "--transform.q", "1"], None, "transform.q"),
     ], ids=["flag-transform-metod", "flag-solver-stepz", "flag-problem-parms",
             "flag-gamma-source", "file-gamma-source", "file-top-level-stepz",
             "flag-eps-scale", "flag-oracle-refine", "compare-oracle", "flag-tf",
-            "flag-problem-tf"])
+            "flag-problem-tf", "flag-q", "flag-transform-q"])
     def test_unknown_setting_is_rejected_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                         argv, config, key):
         def no_run(*args):

@@ -214,7 +214,7 @@ class TestSelectMu:
         assert select_mu(MuMethod.FIXED_MU, [-5.0, 2.0], params) == (2.592, 1.944, 1.539)
 
     def test_method_two_tracks_last_gamma(self):
-        params = TransformParams(q=1.0, mu_init=(2.0, 2.0, 2.0))
+        params = TransformParams(coeffs=(1.0, 1.0, 1.0), mu_init=(2.0, 2.0, 2.0))
         assert select_mu(MuMethod.LOCAL_GAMMA, [0.5, -1.3], params) == \
             pytest.approx((-1.3, -1.3, -1.3))
         assert select_mu(MuMethod.LOCAL_GAMMA, [], params) == (2.0, 2.0, 2.0)
@@ -239,7 +239,7 @@ class TestSelectMu:
         params = TransformParams(coeffs=(2.0,), mu_init=(0.5,))
         for method in MuMethod:
             assert len(select_mu(method, [1.0, 3.0], params)) == 1
-        assert select_mu(MuMethod.LOCAL_GAMMA, [1.0, 3.0], params) == (3.0,)
+        assert select_mu(MuMethod.LOCAL_GAMMA, [1.0, 3.0], params) == (6.0,)
         assert select_mu(MuMethod.CUMULATIVE_AVG, [1.0, 3.0], params) == (4.0,)
 
     def test_reference_defaults(self):
@@ -261,30 +261,31 @@ class TestShiftTable:
     the chain of one branch per method that it replaced
     (``generic_reference.select_mu``) bit for bit.  A lone -0.0 shows why
     method 2 takes its last value as it is: sum([-0.0]) is 0.0, which
-    methods 3 and 4 take and q times the last value does not."""
+    methods 3 and 4 take and the multipliers times the last value do not."""
 
     HISTORIES = [[], [-0.0], [0.0], [-0.0, 1.25], [-0.0, -0.0], [1.25, -0.0],
                  [-0.0, -0.0, -0.0], [0.3, -1.7, 2.9], [1e308, 1e308, -1e308],
                  [-2.5, 0.1, 0.7, -0.0]]
-    # (q, coeffs, mu_init), the vectors cut to the problem's dim
-    SETTINGS = [(1.0, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
-                (-0.75, (-1.5, 0.66, -0.5), (2.16, -1.62, 1.28)),
-                (3.0, (0.25, -2.0, 7.0), (-300.0, 0.0197, -0.0))]
+    # (coeffs, mu_init), cut to the problem's dim
+    SETTINGS = [((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+                ((-0.75, -0.75, -0.75), (2.0, 2.0, 2.0)),
+                ((-1.5, 0.66, -0.5), (2.16, -1.62, 1.28)),
+                ((0.25, -2.0, 7.0), (-300.0, 0.0197, -0.0))]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("method", list(MuMethod), ids=lambda m: m.value)
     def test_table_equals_the_branch_chain(self, method, dim):
         rng = np.random.default_rng(dim)
         histories = self.HISTORIES + [rng.normal(size=n).tolist() for n in range(1, 45, 4)]
-        for q, coeffs, mu_init in self.SETTINGS:
-            params = params_for_method(method, q=q, coeffs=coeffs[:dim], mu_init=mu_init[:dim])
+        for coeffs, mu_init in self.SETTINGS:
+            params = params_for_method(method, coeffs=coeffs[:dim], mu_init=mu_init[:dim])
             for history in histories:
                 got = select_mu(method, history, params)
                 assert type(got) is tuple and len(got) == dim
                 assert bits(got) == bits(generic_reference.select_mu(method, history, params))
 
     def test_signed_zero_of_a_lone_minus_zero(self):
-        params = TransformParams(q=1.0, coeffs=(1.0,), mu_init=(0.5,))
+        params = TransformParams(coeffs=(1.0,), mu_init=(0.5,))
         assert bits(select_mu(MuMethod.LOCAL_GAMMA, [-0.0], params)) == bits((-0.0,))
         for method in (MuMethod.CUMULATIVE_AVG, MuMethod.WINDOW_AVG):
             assert bits(select_mu(method, [-0.0], params)) == bits((0.0,))
@@ -293,7 +294,7 @@ class TestShiftTable:
     def test_a_method_reads_only_its_settings(self):
         assert {m: METHOD_RULES[m].reads for m in MuMethod} == {
             MuMethod.NONE: (), MuMethod.FIXED_MU: ("mu_init",),
-            MuMethod.LOCAL_GAMMA: ("q", "mu_init"),
+            MuMethod.LOCAL_GAMMA: ("coeffs", "mu_init"),
             MuMethod.CUMULATIVE_AVG: ("coeffs", "mu_init"),
             MuMethod.WINDOW_AVG: ("coeffs", "mu_init")}
 
@@ -306,7 +307,8 @@ class TestProblemDefaults:
     def test_lorenz84_keeps_the_paper_triples(self):
         problem = lorenz84(a=0.3, u0=(1.0, 0.0, 0.0)).problem
         for method in SHIFTED_METHODS:
-            want = TransformParams(q=1.0, coeffs=(1.5, 0.66, 0.5), mu_init=METHOD_MU_INIT[method])
+            coeffs = (1.0,) * 3 if method is MuMethod.LOCAL_GAMMA else (1.5, 0.66, 0.5)
+            want = TransformParams(coeffs=coeffs, mu_init=METHOD_MU_INIT[method])
             assert params_for_method(method) == params_for_method(method, problem) == want
         assert params_for_method(MuMethod.NONE, problem).mu_init == (0.0, 0.0, 0.0)
 
@@ -317,13 +319,13 @@ class TestProblemDefaults:
         for method in SHIFTED_METHODS:
             params = params_for_method(method, problem)
             assert params.mu_init == pytest.approx((gamma,) * problem.dim, rel=1e-12)
-            assert (params.q, params.coeffs) == (1.0, (1.0,) * problem.dim)
+            assert params.coeffs == (1.0,) * problem.dim
             assert bits(params.mu_init) == bits((params.mu_init[0] + 0.0,) * problem.dim)
         assert params_for_method(MuMethod.NONE, problem).mu_init == (0.0,) * problem.dim
         # a setting given wins over the default
-        explicit = params_for_method(MuMethod.FIXED_MU, problem, q=2.0,
+        explicit = params_for_method(MuMethod.FIXED_MU, problem,
                                      coeffs=(3.0,) * problem.dim, mu_init=(4.0,) * problem.dim)
-        assert explicit == TransformParams(2.0, (3.0,) * problem.dim, (4.0,) * problem.dim)
+        assert explicit == TransformParams((3.0,) * problem.dim, (4.0,) * problem.dim)
 
     def test_robertson_minus_zero_start_is_written_as_zero(self):
         # gamma_max of J(t0, u0) on Robertson is -0.0; its default is 0.0
