@@ -516,10 +516,11 @@ def cmd_transform(cfg: dict) -> int:
         ("solution.csv", ["t", *(f"u{i}" for i in numbers)], table_rows(sol.times, sol.states)),
         ("errors.csv", ["t", *(f"err_{c}" for c in xyz)],
          table_rows(sol.times, run.errors_vs_reference)),
-        # a whole float such as the interval index is written as an integer
+        # a whole float such as the interval index is written as an integer,
+        # and + 0.0 writes a zero shift or gamma_max as 0, not -0
         ("mu_history.csv", ["interval", "t_start", *(f"mu{i}" for i in numbers), "gamma_max"],
          table_rows(np.arange(plan.k_intervals), run.interval_starts,
-                    run.mu_history, run.gamma_max_history)),
+                    run.mu_history + 0.0, run.gamma_max_history + 0.0)),
         ("step_extension.csv", ["t", "dt_max", "delta"],
          table_rows(ext, np.full(len(ext), run.dt))))
     print(f"transform: method={run.method.value} N={plan.n_steps} K={plan.k_intervals} "

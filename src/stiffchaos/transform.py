@@ -101,7 +101,9 @@ DEFAULT_COEFFS = (1.5, 0.66, 0.5)
 class TransformParams:
     """Transformation constants: the multipliers of the mean gamma_max
     (methods 2-4) and the first-interval shifts mu_i (method 1 keeps them).
-    Every vector has one component per state component."""
+    Every vector has one component per state component.  The field defaults
+    are not every method's: method 2 reads ``coeffs`` too, and its paper
+    default (1, 1, 1) comes from ``params_for_method``."""
 
     coeffs: tuple[float, ...] = DEFAULT_COEFFS
     mu_init: tuple[float, ...] = (0.0, 0.0, 0.0)
@@ -265,8 +267,7 @@ def run_transformed(problem: OdeProblem, plan: IntervalPlan, method: MuMethod,
 
     The recorded gamma_max history, the input to the method-2/3/4 shift
     selection, holds gamma_max of the untransformed Jacobian at each
-    interval-start state (a zero as 0.0, not -0.0): the local chaotic rate
-    the shifts must counter.
+    interval-start state: the local chaotic rate the shifts must counter.
     """
     dim = problem.dim
     for name in ("coeffs", "mu_init"):
@@ -283,8 +284,7 @@ def run_transformed(problem: OdeProblem, plan: IntervalPlan, method: MuMethod,
             t_k = t0 + base * h
             mu = select_mu(method, history, params)
             mu_history.append(mu)
-            gamma = local_eigenvalues(problem.jacobian(t_k, u3[:dim])).gamma_max
-            history.append(0.0 + float(gamma))
+            history.append(float(local_eigenvalues(problem.jacobian(t_k, u3[:dim])).gamma_max))
             try:
                 _rk4_march3(f3, t_k, h, u3, spi, out[3 * base:], (*mu, *pad))
             except NonFiniteState as exc:

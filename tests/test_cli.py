@@ -406,6 +406,16 @@ class TestTransformCommand:
             assert all(cell != "-0" for row in cells for cell in row)
             if method == "1":
                 assert all(row[2:5] == ["0", "0", "0"] for row in cells)
+                continue
+            # a negative multiplier times a zero gamma_max is -0.0, written 0
+            out = tmp_path / f"rob{method}-negative"
+            rc = main(["transform", "--problem", "robertson", "--problem.t_span", "1e-6,0.01",
+                       "--method", method, "--coeffs", "-1,-1,-1", "--out", str(out)])
+            assert rc == 0
+            cells = [line.split(",") for line in
+                     (out / "mu_history.csv").read_text().splitlines()[1:]]
+            assert cells[1][2:5] == ["0", "0", "0"]
+            assert all(cell != "-0" for row in cells for cell in row)
 
     # ROADMAP item 3's table: max|x err| on stiff-linear (a = 300, u0 = 1.05,
     # t_span (0, 0.1)) for plain RK4 and for method 1 at mu = -300, to four
@@ -632,15 +642,16 @@ class TestDemoCommand:
         assert 0.1 <= ratio <= 10.0
 
 
-# per subcommand that integrates: a valid argv and the integrating step a
-# test makes fail (demo-stiff-transform integrates nothing: its closed form is
-# one of its checks, see test_rejected_input_keeps_the_manifest)
+# per subcommand: a valid argv and the computing step a test makes fail
+# (demo-stiff-transform integrates nothing: its closed form is one of its
+# checks and runs before the discard, see test_rejected_input_keeps_the_manifest)
 FAILING_STEPS = {
     "solve": ("run_solver", ["--problem", "stiff-linear", "--solver", "rk4", "--steps", "10"]),
     "diagnose": ("run_solver", ["--problem", "stiff-linear", "--solver", "rk4",
                                 "--steps", "10"]),
     "transform": ("reference_solution", ["--problem", "lorenz84", "--steps", "600"]),
     "compare": ("reference_solution", ["--problem", "lorenz84", "--steps", "600"]),
+    "demo-stiff-transform": ("stiff_transform_demo", []),
 }
 
 
@@ -670,7 +681,8 @@ class TestFailedRuns:
 
         monkeypatch.setattr(cli, attr, fail)
         assert main([command, *argv, "--out", str(out)]) == 2
-        assert list(out.iterdir()) == []
+        kept = ["manifest.json"] if command == "demo-stiff-transform" else []
+        assert [p.name for p in out.iterdir()] == kept
 
     @pytest.mark.parametrize("attr, argv", [
         ("solve_rk4_fixed", ["solve", "--problem", "lorenz84", "--steps", "1000000000"]),

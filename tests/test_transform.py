@@ -261,7 +261,8 @@ class TestShiftTable:
     the chain of one branch per method that it replaced
     (``generic_reference.select_mu``) bit for bit.  A lone -0.0 shows why
     method 2 takes its last value as it is: sum([-0.0]) is 0.0, which
-    methods 3 and 4 take and the multipliers times the last value do not."""
+    methods 3 and 4 take and the multipliers times the last value do not.
+    ``mu_history.csv`` writes either zero as 0."""
 
     HISTORIES = [[], [-0.0], [0.0], [-0.0, 1.25], [-0.0, -0.0], [1.25, -0.0],
                  [-0.0, -0.0, -0.0], [0.3, -1.7, 2.9], [1e308, 1e308, -1e308],
