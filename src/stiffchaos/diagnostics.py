@@ -58,11 +58,17 @@ def eigenvalues_along(jac_in: Callable[[slice], Sequence[Sequence]],
     """
     out = np.empty((n, dim), dtype=complex)
     for s in _lane_blocks(n):
-        vals = np.linalg.eigvals(_lane_matrix(jac_in(s), s.stop - s.start))
-        # argsort of the negated values orders (-re, -im) ascending; taking
-        # the unnegated values keeps a real block's +0.0 imaginary parts
-        out[s] = np.take_along_axis(vals, np.argsort(-vals, axis=1), axis=1)
+        out[s] = _sorted_eigenvalues(jac_in(s), s.stop - s.start)
     return out
+
+
+def _sorted_eigenvalues(jac: Sequence[Sequence], m: int) -> np.ndarray:
+    """Eigenvalues of m Jacobians in lanes, each row ordered as
+    ``eigenvalues_along`` orders it."""
+    vals = np.linalg.eigvals(_lane_matrix(jac, m))
+    # argsort of the negated values orders (-re, -im) ascending; taking
+    # the unnegated values keeps a real block's +0.0 imaginary parts
+    return np.take_along_axis(vals, np.argsort(-vals, axis=1), axis=1)
 
 
 @dataclass(frozen=True)
@@ -270,22 +276,23 @@ def stiffness_report(traj: Trajectory, problem: OdeProblem, eps: float,
     dt_max from the curvature, dt_stiff from gamma_min for an
     eps-perturbation that has been decaying since the window start
     (t* = t - t0), and the ratios Q, R.
-    """
-    # only the gamma columns are kept: the (n, dim) complex array goes before the
-    # curvature and the per-sample arrays are allocated, so it adds no peak memory
-    values = eigenvalues_along(lambda s: problem.jacobian(*traj.lanes(s)), len(traj.times),
-                               problem.dim)
-    gmax, gmin = values[:, 0].real.copy(), values[:, -1].real.copy()
-    del values
-    times, kappa = curvature_along(traj, problem, component).T
-    n, t0, horizon = len(times), float(times[0]), problem.horizon
 
-    dtmax = dt_max(kappa, eps)
-    dtstiff = np.full(n, math.nan)
+    One pass over blocks of ``EIG_BLOCK`` samples writes every column, so no
+    whole-run eigenvalue array is held; ``times`` is the trajectory's array.
+    """
+    # the curvature's (n, 2) stack goes before the other columns are allocated
+    kappa = curvature_along(traj, problem, component)[:, 1].copy()
+    times, t0, n, horizon = traj.times, float(traj.times[0]), len(kappa), problem.horizon
+    gmax, gmin, dtmax, dtstiff, q, r = (np.empty(n) for _ in range(6))
     for s in _lane_blocks(n):
-        stiff = np.flatnonzero(gmin[s] < 0.0) + s.start
-        dtstiff[stiff] = dt_stiff_at(gmin[stiff], eps, times[stiff] - t0)
-    q = np.where(gmin < 0.0, np.where(np.isfinite(dtmax), dtmax, horizon) / dtstiff, 0.0)
-    r = np.divide(np.abs(gmin), kappa, out=np.full(n, math.nan), where=kappa > 0.0)
+        vals = _sorted_eigenvalues(problem.jacobian(*traj.lanes(s)), s.stop - s.start)
+        gmax[s], gmin[s] = vals[:, 0].real, vals[:, -1].real
+        g, k, dtm, dts = gmin[s], kappa[s], dtmax[s], dtstiff[s]
+        dtm[:] = dt_max(k, eps)
+        stiff = g < 0.0
+        dts[:] = math.nan
+        dts[stiff] = dt_stiff_at(g[stiff], eps, times[s][stiff] - t0)
+        q[s] = np.where(stiff, np.where(np.isfinite(dtm), dtm, horizon) / dts, 0.0)
+        r[s] = np.divide(np.abs(g), k, out=np.full(len(k), math.nan), where=k > 0.0)
     return StiffnessReport(times, kappa, dtmax, dtstiff, q, r, gmin, gmax,
                            eps=eps, horizon=horizon)

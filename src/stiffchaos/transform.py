@@ -370,8 +370,8 @@ def stiff_transform_demo(a: float, kappa_g: float, eps: float) -> StiffTransform
     needed to resolve z at the same order as the stiffness bound for u
     itself.  dt_max_z is capped at the problem horizon when the growth rate
     vanishes (non-stiff limit).  The demonstration assumes |kappa_g| <= 1 << a;
-    an input that is not finite, or whose ratio escapes [0.1, 10], raises
-    ValueError.
+    an input that is not finite, or whose ratio is undefined (a step bound
+    underflowed) or escapes [0.1, 10], raises ValueError.
     """
     if not (math.isfinite(a) and 0 < eps < math.inf and -math.inf < kappa_g < 0):
         raise ValueError(f"need a finite a, a finite eps > 0 and a finite kappa_g < 0, "
@@ -384,7 +384,7 @@ def stiff_transform_demo(a: float, kappa_g: float, eps: float) -> StiffTransform
     capped = not raw < horizon
     dt_z = horizon if capped else raw
     dt_u = dt_stiff(-float(a), eps)
-    ratio = dt_z / dt_u
+    ratio = dt_z / dt_u if dt_u > 0.0 else math.nan
     if not 0.1 <= ratio <= 10.0:
         raise ValueError(
             f"step-bound ratio {ratio:.3g} escaped [0.1, 10]; "

@@ -746,6 +746,9 @@ class TestFailedRuns:
         ["demo-stiff-transform", "--kappa-g", "1"],
         # the step-bound ratio 0.036 escapes [0.1, 10]
         ["demo-stiff-transform", "--a", "0.5"],
+        # dt_stiff underflows to 0.0, so the ratio is undefined
+        ["demo-stiff-transform", "--a", "1e200", "--kappa-g", "-1e200", "--eps", "1e-199"],
+        ["demo-stiff-transform", "--a", "1e308", "--eps", "1e-300"],
         ["solve", "--problem", "[1]", "--steps", "3"],
         ["solve", "--problem", '{"a":1}', "--steps", "3"],
         ["solve", "--problem.name", '["lorenz84"]', "--steps", "3"],
@@ -753,7 +756,8 @@ class TestFailedRuns:
     ], ids=["solve-t-span-decreasing", "solve-steps-missing", "solve-steps-0",
             "solve-tol-negative", "solve-dt-min-above-dt-init", "solve-unknown-solver",
             "diagnose-tol-negative", "transform-refine-0", "compare-odd-oracle-steps",
-            "demo-a-negative", "demo-kappa-g-positive", "demo-ratio-escapes", "solve-name-list",
+            "demo-a-negative", "demo-kappa-g-positive", "demo-ratio-escapes",
+            "demo-dt-stiff-underflows", "demo-both-bounds-underflow", "solve-name-list",
             "solve-name-object", "solve-name-list-of-a-name", "solve-param-nan"])
     def test_rejected_input_keeps_the_manifest(self, tmp_path, capsys, argv):
         # nothing in out changes, so the manifest still describes it

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -451,6 +452,35 @@ class TestStiffnessReport:
         stiff = ~np.isnan(want)
         assert stiff.sum() > EIG_BLOCK
         assert _within_ulps(report.dt_stiff[stiff], want[stiff], 4)
+        assert report.kappa.tobytes() == curvature_along(traj, prob)[:, 1].tobytes()
+        want_q = [(float(dm) if math.isfinite(dm) else report.horizon) / float(ds) if g < 0.0
+                  else 0.0 for dm, ds, g in zip(report.dt_max, report.dt_stiff, report.gamma_min)]
+        want_r = [abs(float(g)) / float(k) if k > 0.0 else math.nan
+                  for g, k in zip(report.gamma_min, report.kappa)]
+        for got, per_sample in ((report.q, np.array(want_q)), (report.r, np.array(want_r))):
+            assert np.array_equal(np.isnan(got), np.isnan(per_sample))
+            assert got[~np.isnan(got)].tobytes() == per_sample[~np.isnan(per_sample)].tobytes()
+        # a one-sample trajectory gives the first row of every column
+        one = stiffness_report(Trajectory(traj.times[:1], traj.states[:1], "rk4_fixed",
+                                          steps_taken=0), prob, eps=1e-3)
+        for f in fields(one):
+            if f.name not in ("eps", "horizon"):
+                assert getattr(one, f.name).tobytes() == getattr(report, f.name)[:1].tobytes()
+
+    def test_report_holds_no_whole_run_intermediate(self, lorenz_spec):
+        # seven 8-byte columns are kept (times is the trajectory's own); the
+        # eigenvalues and the curvature stack are never whole-run arrays
+        # beside them, so the peak stays within 64 B per sample
+        prob = lorenz_spec.problem
+        traj = solve_rk4_fixed(prob, 60_000)
+        tracemalloc.start()
+        try:
+            report = stiffness_report(traj, prob, eps=1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(traj.times) <= 64
+        assert np.shares_memory(report.times, traj.times)
 
     def test_q_unity_crossing_equals_the_sample_loop(self):
         spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.02))

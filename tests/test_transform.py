@@ -755,6 +755,13 @@ class TestStiffTransformDemo:
             with pytest.raises(ValueError, match="finite"):
                 stiff_transform_demo(a, kappa_g, eps)
 
+    def test_undefined_ratio_is_refused(self):
+        # dt_stiff_u underflows to 0.0 (for a = 1e308 dt_max_z too): the ratio
+        # is undefined, which is the ratio refusal, raised without a warning
+        for a, kappa_g, eps in [(1e200, -1e200, 1e-199), (1e308, -1.0, 1e-300)]:
+            with pytest.raises(ValueError, match="escaped"):
+                stiff_transform_demo(a, kappa_g, eps)
+
     def test_huge_stiffness_is_same_order(self):
         # 2 (a eps)^2 overflows to inf, which only picks dt_stiff's branch
         rep = stiff_transform_demo(1e300, -1.0, 1e-3)
