@@ -53,7 +53,6 @@ from .ode import (
     AdaptiveConfig,
     OdeProblem,
     Trajectory,
-    _lane_blocks,
     reference_solution,
     solve_rk4_adaptive,
     solve_rk4_fixed,
@@ -85,11 +84,12 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# Rows per ``%`` in ``write_csv``.  On a 100,001-row Robertson table (2-core
-# VM, CPython 3.11.7) blocks of 256 and of 1,024 rows both write in
-# 0.27-0.33 s, against 0.34-0.40 s for one ``%`` per row.  But 1,024-row
-# blocks (about 140 kB of text each) raised the peak RSS of a stiffness-scan
-# benchmark pass from 42.8 to 43.2 MB, and 256-row blocks keep it at 42.9 MB.
+# Rows per ``%`` in ``write_csv`` and per stack in ``table_rows``.  On a
+# 100,001-row Robertson table (2-core VM, CPython 3.11.7) blocks of 256 and of
+# 1,024 rows both write in 0.27-0.33 s, against 0.34-0.40 s for one ``%`` per
+# row, but 1,024-row blocks (about 140 kB of text each) raised a stiffness-scan
+# pass's peak RSS from 42.9 (256 rows) to 43.2 MB, and 1,024-row stacks take the
+# writer's peak on a 60,001-row, 9-column table from 201 to 519 KiB.
 CSV_BLOCK = 256
 
 
@@ -116,10 +116,10 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 def table_rows(*columns: np.ndarray):
     """Rows of Python floats of equal-length columns side by side, a 2-D
-    column giving several cells per row.  Stacked one block of at most
-    ``EIG_BLOCK`` rows at a time, so a long table is never copied whole."""
-    for s in _lane_blocks(len(columns[0])):
-        yield from np.column_stack([c[s] for c in columns]).tolist()
+    column giving several cells per row.  Stacked ``CSV_BLOCK`` rows at a
+    time, as ``write_csv`` formats them, so no long table is copied whole."""
+    for start in range(0, len(columns[0]), CSV_BLOCK):
+        yield from np.column_stack([c[start:start + CSV_BLOCK] for c in columns]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +409,7 @@ def cmd_diagnose(cfg: dict) -> int:
         "steps_taken": traj.steps_taken,
         "stagnated": traj.stagnated,
         "q_unity_crossing": crossing,
-        "gamma_min_overall": float(np.min(report.gamma_min)),
+        "gamma_min_overall": report.gamma_min_overall,
         "gamma_max_positive_fraction": float(np.mean(trace.gamma_max > 0)),
     }
     lle_header = ["t", *(f"{part}_g{i + 1}" for i in range(dim) for part in ("re", "im")),

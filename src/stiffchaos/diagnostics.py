@@ -238,7 +238,7 @@ def dt_stiff_at(gamma, eps: float, t_star):
 
 @dataclass(frozen=True)
 class StiffnessReport:
-    """Per-sample kappa, dt_max, dt_stiff, Q and R for one trajectory.
+    """Per-sample kappa, dt_max, dt_stiff, Q and R of one trajectory, and its least gamma_min.
 
     Q uses the problem horizon T as a proxy for an unbounded dt_max (straight
     line samples), and is 0 where gamma_min >= 0 (no decaying perturbation,
@@ -251,13 +251,12 @@ class StiffnessReport:
     dt_stiff: np.ndarray
     q: np.ndarray
     r: np.ndarray
-    gamma_min: np.ndarray
-    gamma_max: np.ndarray
+    gamma_min_overall: float
     eps: float
     horizon: float
 
     def __post_init__(self):
-        _freeze(self, "times", "kappa", "dt_max", "dt_stiff", "q", "r", "gamma_min", "gamma_max")
+        _freeze(self, "times", "kappa", "dt_max", "dt_stiff", "q", "r")
 
     def q_unity_crossing(self) -> float | None:
         """First time the stiffness flag Q drops through 1 (linear bracket
@@ -277,22 +276,23 @@ def stiffness_report(traj: Trajectory, problem: OdeProblem, eps: float,
     eps-perturbation that has been decaying since the window start
     (t* = t - t0), and the ratios Q, R.
 
-    One pass over blocks of ``EIG_BLOCK`` samples writes every column, so no
-    whole-run eigenvalue array is held; ``times`` is the trajectory's array.
+    One pass over blocks of ``EIG_BLOCK`` samples writes the five columns, so
+    no whole-run eigenvalue or gamma array is held; ``times`` is the
+    trajectory's array and ``gamma_min_overall`` the least block minimum.
     """
     # the curvature's (n, 2) stack goes before the other columns are allocated
     kappa = curvature_along(traj, problem, component)[:, 1].copy()
     times, t0, n, horizon = traj.times, float(traj.times[0]), len(kappa), problem.horizon
-    gmax, gmin, dtmax, dtstiff, q, r = (np.empty(n) for _ in range(6))
+    dtmax, dtstiff, q, r = (np.empty(n) for _ in range(4))
+    block_min = []
     for s in _lane_blocks(n):
-        vals = _sorted_eigenvalues(problem.jacobian(*traj.lanes(s)), s.stop - s.start)
-        gmax[s], gmin[s] = vals[:, 0].real, vals[:, -1].real
-        g, k, dtm, dts = gmin[s], kappa[s], dtmax[s], dtstiff[s]
-        dtm[:] = dt_max(k, eps)
-        stiff = g < 0.0
-        dts[:] = math.nan
+        # this block's gamma_min: the last of its eigenvalues in (-re, -im) order
+        g = _sorted_eigenvalues(problem.jacobian(*traj.lanes(s)), s.stop - s.start)[:, -1].real
+        block_min.append(np.min(g))
+        k, dtm, dts, stiff = kappa[s], dtmax[s], dtstiff[s], g < 0.0
+        dtm[:], dts[:] = dt_max(k, eps), math.nan
         dts[stiff] = dt_stiff_at(g[stiff], eps, times[s][stiff] - t0)
         q[s] = np.where(stiff, np.where(np.isfinite(dtm), dtm, horizon) / dts, 0.0)
         r[s] = np.divide(np.abs(g), k, out=np.full(len(k), math.nan), where=k > 0.0)
-    return StiffnessReport(times, kappa, dtmax, dtstiff, q, r, gmin, gmax,
+    return StiffnessReport(times, kappa, dtmax, dtstiff, q, r, float(np.min(block_min)),
                            eps=eps, horizon=horizon)

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stiffchaos import cli
+from stiffchaos import cli, eigenvalues_along, solve_rk4_fixed, stiffness_report
 from stiffchaos.cli import CSV_BLOCK, SOLVER_NAMES, fmt, main, table_rows, write_csv
-from stiffchaos.ode import EIG_BLOCK, NonFiniteState
+from stiffchaos.ode import NonFiniteState
 
 
 def _cell(text: str):
@@ -75,11 +75,10 @@ class TestCsvContract:
         write_csv(path, self.HEADER, (row for row in self.ROWS))
         assert path.read_bytes() == reference_csv(self.HEADER, self.ROWS)
 
-    @pytest.mark.parametrize("n", [CSV_BLOCK + 1, EIG_BLOCK, EIG_BLOCK + 1, 2 * EIG_BLOCK + 1])
+    @pytest.mark.parametrize("n", [CSV_BLOCK, CSV_BLOCK + 1, 4 * CSV_BLOCK, 4 * CSV_BLOCK + 1])
     def test_bytes_equal_csv_writer_reference_across_blocks(self, tmp_path, n):
         # write_csv formats CSV_BLOCK rows per block, and table_rows stacks
-        # EIG_BLOCK rows at a time: one row past a block, whole blocks, and
-        # one row past them
+        # CSV_BLOCK rows at a time: whole blocks, and one row past them
         rng = np.random.default_rng(n)
         t = np.cumsum(rng.uniform(0.0, 1.0, n))
         states = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
@@ -94,13 +93,27 @@ class TestCsvContract:
         write_csv(path, self.HEADER, (row for row in rows))
         assert path.read_bytes() == reference_csv(self.HEADER, rows)
 
-    @pytest.mark.parametrize("n", [1, EIG_BLOCK, EIG_BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, CSV_BLOCK, CSV_BLOCK + 1])
     def test_table_rows_equal_per_row_indexing(self, n):
         rng = np.random.default_rng(n)
         t, states, errs = rng.normal(size=n), rng.normal(size=(n, 3)), rng.normal(size=(n, 2))
         rows = list(table_rows(t, states, errs))
         assert rows == [[t[i]] + list(states[i]) + list(errs[i]) for i in range(n)]
         assert all(type(cell) is float for row in rows for cell in row)
+
+    def test_long_table_is_written_in_small_blocks(self, tmp_path):
+        # table_rows stacks, and write_csv formats, CSV_BLOCK rows at a time,
+        # so a 60,001-row, 9-column table never has more than one block of
+        # rows in hand
+        rng = np.random.default_rng(5)
+        t, cells = np.cumsum(rng.uniform(0.0, 1.0, 60_001)), rng.normal(size=(60_001, 8))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", [f"c{i}" for i in range(9)], table_rows(t, cells))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 1024
 
 
 class TestSolveCommand:
@@ -200,6 +213,19 @@ class TestDiagnoseCommand:
                    "--out", str(out)])
         assert rc == 0
         assert manifest(out)["summary"]["gamma_min_overall"] < -2400.0
+
+    def test_gamma_min_overall_is_the_report_value(self, tmp_path):
+        # 2,149 samples: two whole eigenvalue blocks and part of a third
+        out = tmp_path / "gmin"
+        rc = main(["diagnose", "--problem", "lorenz84", "--solver", "rk4", "--steps", "2148",
+                   "--out", str(out)])
+        assert rc == 0
+        prob = cli.build_benchmark({"problem": {"name": "lorenz84"}}).problem
+        traj = solve_rk4_fixed(prob, 2148)
+        report = stiffness_report(traj, prob, eps=1e-3)
+        vals = eigenvalues_along(lambda s: prob.jacobian(*traj.lanes(s)), len(traj.times), 3)
+        got = manifest(out)["summary"]["gamma_min_overall"]
+        assert got == report.gamma_min_overall == float(np.min(vals[:, -1].real))
 
     def test_huge_eps_takes_the_large_perturbation_limit(self, tmp_path):
         # (eps*gamma*exp(gamma t*))**2 overflows here; the per-sample bound

@@ -229,10 +229,10 @@ class TestEigenvalues:
     def test_robertson_zero_root_along_trapezoid_run(self, robertson_spec, robertson_trapezoid):
         traj = robertson_trapezoid
         jac = robertson_spec.problem.jacobian
-        report = stiffness_report(traj, robertson_spec.problem, eps=1e-3)
+        vals = eigenvalues_along(lambda s: jac(*traj.lanes(s)), len(traj.times), 3)
         scale = np.array([np.max(np.abs(jac(float(t), tuple(u))))
                           for t, u in zip(traj.times, traj.states)])
-        assert np.all(np.abs(report.gamma_max) <= 1e-14 * scale)
+        assert np.all(np.abs(vals[:, 0].real) <= 1e-14 * scale)
 
     def test_repeated_roots_match_constructed_spectrum(self):
         # Q diag(lam, lam, mu) Q^T with Q orthogonal: a normal matrix, so even
@@ -417,15 +417,21 @@ class TestStepBoundLanes:
             dt_stiff_at(np.array([-1.0, 0.0, -2.0]), 1e-3, np.zeros(3))
 
 
+def _gamma_min(prob: OdeProblem, traj: Trajectory) -> np.ndarray:
+    """gamma_min at each sample, one ``local_eigenvalues`` call per sample."""
+    return np.array([local_eigenvalues(prob.jacobian(float(t), tuple(map(float, u)))).gamma_min
+                     for t, u in zip(traj.times, traj.states)])
+
+
 class TestStiffnessReport:
-    def test_gamma_columns_equal_per_sample_eigenvalues(self, lorenz_spec):
+    def test_gamma_min_overall_equals_per_sample_minimum(self, lorenz_spec):
+        # three blocks of EIG_BLOCK samples, the last one partial
         prob = lorenz_spec.problem
         traj = solve_rk4_fixed(prob, 2 * EIG_BLOCK + 100)
         report = stiffness_report(traj, prob, eps=1e-3)
-        eigs = [local_eigenvalues(prob.jacobian(float(t), tuple(map(float, u))))
-                for t, u in zip(traj.times, traj.states)]
-        assert report.gamma_max.tobytes() == np.array([e.gamma_max for e in eigs]).tobytes()
-        assert report.gamma_min.tobytes() == np.array([e.gamma_min for e in eigs]).tobytes()
+        want = np.min(_gamma_min(prob, traj))
+        assert type(report.gamma_min_overall) is float
+        assert np.float64(report.gamma_min_overall).tobytes() == want.tobytes()
 
     def test_stiff_linear_q_crossing_matches_reference_window(self):
         spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.02))
@@ -443,20 +449,21 @@ class TestStiffnessReport:
         prob = lorenz_spec.problem
         traj = solve_rk4_fixed(prob, 2 * EIG_BLOCK + 100)
         report = stiffness_report(traj, prob, eps=1e-3)
+        gamma_min = _gamma_min(prob, traj)
         t0 = float(report.times[0])
         want = np.array([ref.dt_max(float(k), 1e-3) for k in report.kappa])
         assert report.dt_max.tobytes() == want.tobytes()
         want = np.array([ref.dt_stiff_at(float(g), 1e-3, float(t) - t0) if g < 0.0 else math.nan
-                         for g, t in zip(report.gamma_min, report.times)])
+                         for g, t in zip(gamma_min, report.times)])
         assert np.array_equal(np.isnan(report.dt_stiff), np.isnan(want))
         stiff = ~np.isnan(want)
         assert stiff.sum() > EIG_BLOCK
         assert _within_ulps(report.dt_stiff[stiff], want[stiff], 4)
         assert report.kappa.tobytes() == curvature_along(traj, prob)[:, 1].tobytes()
         want_q = [(float(dm) if math.isfinite(dm) else report.horizon) / float(ds) if g < 0.0
-                  else 0.0 for dm, ds, g in zip(report.dt_max, report.dt_stiff, report.gamma_min)]
+                  else 0.0 for dm, ds, g in zip(report.dt_max, report.dt_stiff, gamma_min)]
         want_r = [abs(float(g)) / float(k) if k > 0.0 else math.nan
-                  for g, k in zip(report.gamma_min, report.kappa)]
+                  for g, k in zip(gamma_min, report.kappa)]
         for got, per_sample in ((report.q, np.array(want_q)), (report.r, np.array(want_r))):
             assert np.array_equal(np.isnan(got), np.isnan(per_sample))
             assert got[~np.isnan(got)].tobytes() == per_sample[~np.isnan(per_sample)].tobytes()
@@ -464,22 +471,25 @@ class TestStiffnessReport:
         one = stiffness_report(Trajectory(traj.times[:1], traj.states[:1], "rk4_fixed",
                                           steps_taken=0), prob, eps=1e-3)
         for f in fields(one):
-            if f.name not in ("eps", "horizon"):
+            if f.name not in ("gamma_min_overall", "eps", "horizon"):
                 assert getattr(one, f.name).tobytes() == getattr(report, f.name)[:1].tobytes()
+        assert one.gamma_min_overall == gamma_min[0]
 
     def test_report_holds_no_whole_run_intermediate(self, lorenz_spec):
-        # seven 8-byte columns are kept (times is the trajectory's own); the
-        # eigenvalues and the curvature stack are never whole-run arrays
-        # beside them, so the peak stays within 64 B per sample
+        # five 8-byte columns are kept (times is the trajectory's own, and
+        # of gamma_min only the run's least value); the eigenvalues, gamma
+        # and the curvature stack are never whole-run arrays beside them, so
+        # the peak stays within 48 B per sample
         prob = lorenz_spec.problem
         traj = solve_rk4_fixed(prob, 60_000)
         tracemalloc.start()
         try:
             report = stiffness_report(traj, prob, eps=1e-3)
-            _, peak = tracemalloc.get_traced_memory()
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / len(traj.times) <= 64
+        assert peak / len(traj.times) <= 48
+        assert kept / len(traj.times) <= 42
         assert np.shares_memory(report.times, traj.times)
 
     def test_q_unity_crossing_equals_the_sample_loop(self):
@@ -494,8 +504,7 @@ class TestStiffnessReport:
         never = np.full(50, 2.0)
         late = np.where(times < 0.99, 2.0, 1.0)  # crosses at the last sample
         reports = [fig1, flame_run] + [
-            replace(fig1, times=times, q=q, kappa=times, dt_max=times, dt_stiff=times,
-                    r=times, gamma_min=times, gamma_max=times)
+            replace(fig1, times=times, q=q, kappa=times, dt_max=times, dt_stiff=times, r=times)
             for q in (below, never, late)]
         crossings = [r.q_unity_crossing() for r in reports]
         assert crossings == [ref.q_unity_crossing(r.times, r.q) for r in reports]
@@ -531,13 +540,14 @@ class TestStiffnessReport:
         spec = stiff_linear(300.0, u0=(1.05,), t_span=(0.0, 0.02))
         traj = solve_rk4_fixed(spec.problem, 500)
         report = stiffness_report(traj, spec.problem, eps=1e-3)
+        gamma_min = _gamma_min(spec.problem, traj)
         for k in range(len(report.times)):
             if math.isfinite(report.dt_max[k]):
                 assert report.q[k] == report.dt_max[k] / report.dt_stiff[k]
             else:
                 assert report.q[k] == report.horizon / report.dt_stiff[k]
             if report.kappa[k] > 0:
-                assert report.r[k] == abs(report.gamma_min[k]) / report.kappa[k]
+                assert report.r[k] == abs(gamma_min[k]) / report.kappa[k]
             else:
                 assert math.isnan(report.r[k])
 
@@ -546,5 +556,6 @@ class TestStiffnessReport:
         traj = solve_rk4_fixed(spec.problem, 500)
         report = stiffness_report(traj, spec.problem, eps=1e-3)
         k = 10
-        assert report.gamma_min[k] == pytest.approx(-300.0)
+        assert _gamma_min(spec.problem, traj)[k] == pytest.approx(-300.0)
+        assert report.gamma_min_overall == -300.0
         assert report.r[k] == pytest.approx(300.0 / report.kappa[k])
