@@ -522,7 +522,7 @@ def cmd_transform(cfg: dict) -> int:
          table_rows(np.arange(plan.k_intervals), run.interval_starts,
                     run.mu_history + 0.0, run.gamma_max_history + 0.0)),
         ("step_extension.csv", ["t", "dt_max", "delta"],
-         table_rows(ext, np.full(len(ext), run.dt))))
+         table_rows(run.reference.times, ext, np.full(len(ext), run.dt))))
     print(f"transform: method={run.method.value} N={plan.n_steps} K={plan.k_intervals} "
           f"max|x err|={run.max_error(0):.4g} -> {sol_path.parent}")
     return 0
@@ -556,11 +556,7 @@ def cmd_compare(cfg: dict) -> int:
 def cmd_demo_stiff_transform(cfg: dict) -> int:
     t_started = time.perf_counter()
     a = _number(cfg, "demo.a", 300.0)
-    kappa_g = _number(cfg, "demo.kappa_g", -1.0)
-    if not (0 < a < math.inf and -math.inf < kappa_g < 0):
-        raise ConfigError(f"demo.a must be finite and > 0 and demo.kappa_g finite and < 0, "
-                          f"got {a!r} and {kappa_g!r}")
-    rep = stiff_transform_demo(a, kappa_g, _eps(cfg))
+    rep = stiff_transform_demo(a, _number(cfg, "demo.kappa_g", -1.0), _eps(cfg))
     _discard_manifest(cfg)
     summary = {
         "a": rep.a, "kappa_g": rep.kappa_g, "eps": rep.eps,

@@ -99,7 +99,7 @@ def local_eigenvalues(jac: Sequence[Sequence[float]], t: float = 0.0) -> EigenSe
 
 @dataclass(frozen=True)
 class LleTrace:
-    """Per-sample local Lyapunov exponents along a scan window.
+    """Per-sample local Lyapunov exponents at the times of a scan.
 
     ``values`` is (n, dim) complex, each row ordered as ``eigenvalues_along``
     orders it, so gamma_max and gamma_min are its first and last columns.
@@ -136,9 +136,9 @@ def curvature(u_prime, u_double_prime):
 def curvature_along(traj: Trajectory, problem: OdeProblem, component: int = 0) -> np.ndarray:
     """Curvature of one solution component along a trajectory.
 
-    Returns an (n, 2) array of (t, kappa), one row per sample.  By the chain
-    rule u' = f and u'' = df/dt + J f, evaluated exactly from the states with
-    the problem's ``rhs``, ``jacobian`` and ``rhs_dt``, in lanes.
+    Returns kappa as an (n,) array, one entry per sample of ``traj.times``.
+    By the chain rule u' = f and u'' = df/dt + J f, evaluated exactly from the
+    states with the problem's ``rhs``, ``jacobian`` and ``rhs_dt``, in lanes.
     """
     if component < 0 or component >= problem.dim:
         raise ValueError(f"component {component} out of range for dim {problem.dim}")
@@ -150,7 +150,7 @@ def curvature_along(traj: Trajectory, problem: OdeProblem, component: int = 0) -
         jrow = problem.jacobian(t, u)[component]
         u2 = problem.rhs_dt(t, u)[component] + sum(map(mul, jrow, f))
         kap[s] = curvature(f[component], u2)
-    return np.column_stack([traj.times, kap])
+    return kap
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +252,6 @@ class StiffnessReport:
     q: np.ndarray
     r: np.ndarray
     gamma_min_overall: float
-    eps: float
-    horizon: float
 
     def __post_init__(self):
         _freeze(self, "times", "kappa", "dt_max", "dt_stiff", "q", "r")
@@ -280,8 +278,7 @@ def stiffness_report(traj: Trajectory, problem: OdeProblem, eps: float,
     no whole-run eigenvalue or gamma array is held; ``times`` is the
     trajectory's array and ``gamma_min_overall`` the least block minimum.
     """
-    # the curvature's (n, 2) stack goes before the other columns are allocated
-    kappa = curvature_along(traj, problem, component)[:, 1].copy()
+    kappa = curvature_along(traj, problem, component)
     times, t0, n, horizon = traj.times, float(traj.times[0]), len(kappa), problem.horizon
     dtmax, dtstiff, q, r = (np.empty(n) for _ in range(4))
     block_min = []
@@ -294,5 +291,4 @@ def stiffness_report(traj: Trajectory, problem: OdeProblem, eps: float,
         dts[stiff] = dt_stiff_at(g[stiff], eps, times[s][stiff] - t0)
         q[s] = np.where(stiff, np.where(np.isfinite(dtm), dtm, horizon) / dts, 0.0)
         r[s] = np.divide(np.abs(g), k, out=np.full(len(k), math.nan), where=k > 0.0)
-    return StiffnessReport(times, kappa, dtmax, dtstiff, q, r, float(np.min(block_min)),
-                           eps=eps, horizon=horizon)
+    return StiffnessReport(times, kappa, dtmax, dtstiff, q, r, float(np.min(block_min)))

@@ -261,23 +261,18 @@ def nearest_sample_indices(times: np.ndarray, targets: np.ndarray) -> np.ndarray
     return np.where(left_closer, idx - 1, idx)
 
 
-def lle_scan(problem: OdeProblem, traj: Trajectory, n_samples: int,
-             window: tuple[float, float] | None = None) -> LleTrace:
-    """Local Lyapunov exponents at equidistant scan times.
+def lle_scan(problem: OdeProblem, traj: Trajectory, n_samples: int) -> LleTrace:
+    """Local Lyapunov exponents at equidistant scan times spanning the trajectory.
 
     The problem's Jacobian is evaluated on the state of the nearest
     accepted trajectory sample, without interpolation, so the scan is only
     as accurate as the trajectory's sample spacing: pass one sampled much
     finer than the scan (the acceptance suite's 400-point scan reads a
-    16,200-step oracle over [0, 30]).  One sample scans the window's start.
+    16,200-step oracle over [0, 30]).  One sample scans the trajectory's start.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    t0 = float(traj.times[0]) if window is None else float(window[0])
-    t1 = float(traj.times[-1]) if window is None else float(window[1])
-    if t0 < traj.times[0] - 1e-12 or t1 > traj.times[-1] + 1e-12:
-        raise ValueError("scan window not covered by the trajectory")
-    scan_times = np.linspace(t0, t1, n_samples)
+    scan_times = np.linspace(float(traj.times[0]), float(traj.times[-1]), n_samples)
     idx = nearest_sample_indices(traj.times, scan_times)
     jac = problem.jacobian
     values = eigenvalues_along(lambda s: jac(*traj.lanes(idx[s])), n_samples, problem.dim)

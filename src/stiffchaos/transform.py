@@ -330,13 +330,13 @@ def jstar_scan(run: TransformRun, n_samples: int) -> LleTrace:
 def step_extension_report(run: TransformRun, eps_achieved: float) -> np.ndarray:
     """dt_max(t) from the curvature of the last component of
     ``run.reference`` (z on Lorenz-84, its least smooth one), at the run's
-    sample times and the accuracy ``eps_achieved``.
+    sample times ``run.reference.times`` and the accuracy ``eps_achieved``.
 
-    Returns an (N+1, 2) array of (t, dt_max) for comparison with the fixed
-    step Delta = ``run.dt``; rows with zero curvature carry inf.
+    Returns dt_max as an (N+1,) array for comparison with the fixed step
+    Delta = ``run.dt``; samples with zero curvature carry inf.
     """
-    tk = curvature_along(run.reference, run.problem, component=run.problem.dim - 1)
-    return np.column_stack([tk[:, 0], dt_max(tk[:, 1], eps_achieved)])
+    kappa = curvature_along(run.reference, run.problem, component=run.problem.dim - 1)
+    return dt_max(kappa, eps_achieved)
 
 
 @dataclass(frozen=True)
@@ -354,11 +354,6 @@ class StiffTransformReport:
     capped: bool          # dt_max_z limited by the horizon (non-stiff regime)
     ratio: float
 
-    @property
-    def amplitude_ratio(self):
-        """A(t)/A(0) as a function of t."""
-        return lambda t: math.exp(self.decay_rate * t)
-
 
 def stiff_transform_demo(a: float, kappa_g: float, eps: float) -> StiffTransformReport:
     """Demonstrate that the linear transform cannot de-stiffen stiff-linear.
@@ -370,11 +365,12 @@ def stiff_transform_demo(a: float, kappa_g: float, eps: float) -> StiffTransform
     needed to resolve z at the same order as the stiffness bound for u
     itself.  dt_max_z is capped at the problem horizon when the growth rate
     vanishes (non-stiff limit).  The demonstration assumes |kappa_g| <= 1 << a;
-    an input that is not finite, or whose ratio is undefined (a step bound
-    underflowed) or escapes [0.1, 10], raises ValueError.
+    an input outside 0 < a < inf, 0 < eps < inf and -inf < kappa_g < 0, or one
+    whose ratio is undefined (a step bound underflowed) or escapes [0.1, 10],
+    raises ValueError.
     """
-    if not (math.isfinite(a) and 0 < eps < math.inf and -math.inf < kappa_g < 0):
-        raise ValueError(f"need a finite a, a finite eps > 0 and a finite kappa_g < 0, "
+    if not (0 < a < math.inf and 0 < eps < math.inf and -math.inf < kappa_g < 0):
+        raise ValueError(f"need a finite a > 0, a finite eps > 0 and a finite kappa_g < 0, "
                          f"got a={a!r}, eps={eps!r}, kappa_g={kappa_g!r}")
     horizon = stiff_linear(a).problem.horizon
     kappa_f = -float(a)

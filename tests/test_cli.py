@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stiffchaos import cli, eigenvalues_along, solve_rk4_fixed, stiffness_report
+from stiffchaos import (cli, eigenvalues_along, run_transformed, solve_rk4_fixed,
+                        step_extension_report, stiffness_report)
 from stiffchaos.cli import CSV_BLOCK, SOLVER_NAMES, fmt, main, table_rows, write_csv
 from stiffchaos.ode import NonFiniteState
 
@@ -356,6 +357,29 @@ class TestTransformCommand:
         assert all(row[2] == pytest.approx(0.1 / steps) for row in rows)
         # the gate halves the oracle's step count, so an odd N takes 2N
         assert manifest(out)["summary"]["oracle_n_steps"] == steps * (1 + steps % 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["--steps", "600"],
+        # odd N: the oracle doubles, and the run reads it at stride 2
+        ["--method", "none", "--steps", "3", "--problem.t_span", "0,0.1"],
+    ], ids=["n600", "odd-n"])
+    def test_step_extension_csv_is_the_library_report(self, tmp_path, monkeypatch, argv):
+        runs = []
+
+        def recording_run(*args):
+            runs.append(run_transformed(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_transformed", recording_run)
+        out = tmp_path / "ext"
+        assert main(["transform", "--problem", "lorenz84", *argv, "--out", str(out)]) == 0
+        run, = runs
+        want = np.column_stack([run.reference.times,
+                                step_extension_report(run, max(run.max_error(0), 1e-300)),
+                                np.full(run.plan.n_steps + 1, run.dt)])
+        header, rows = read_csv(out / "step_extension.csv")
+        assert header == ["t", "dt_max", "delta"]
+        assert np.array(rows).tobytes() == want.tobytes()
 
     def test_wrong_problem_rejected(self, tmp_path, monkeypatch, capsys):
         # stiff-linear takes its own defaults, so it needs no vector; a
@@ -769,6 +793,7 @@ class TestFailedRuns:
         ["compare", "--problem", "lorenz84", "--steps", "41", "--problem.t_span", "0,2",
          "--oracle-refine", "1", "--method", "none"],
         ["demo-stiff-transform", "--a", "-5"],
+        ["demo-stiff-transform", "--a", "0"],
         ["demo-stiff-transform", "--kappa-g", "1"],
         # the step-bound ratio 0.036 escapes [0.1, 10]
         ["demo-stiff-transform", "--a", "0.5"],
@@ -782,7 +807,7 @@ class TestFailedRuns:
     ], ids=["solve-t-span-decreasing", "solve-steps-missing", "solve-steps-0",
             "solve-tol-negative", "solve-dt-min-above-dt-init", "solve-unknown-solver",
             "diagnose-tol-negative", "transform-refine-0", "compare-odd-oracle-steps",
-            "demo-a-negative", "demo-kappa-g-positive", "demo-ratio-escapes",
+            "demo-a-negative", "demo-a-zero", "demo-kappa-g-positive", "demo-ratio-escapes",
             "demo-dt-stiff-underflows", "demo-both-bounds-underflow", "solve-name-list",
             "solve-name-object", "solve-name-list-of-a-name", "solve-param-nan"])
     def test_rejected_input_keeps_the_manifest(self, tmp_path, capsys, argv):

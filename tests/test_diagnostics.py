@@ -274,8 +274,8 @@ class TestCurvatureAlong:
     def test_straight_line_has_zero_curvature(self):
         spec = stiff_linear(300.0)  # u0 = 1: exact solution is the line 1 + t
         traj = solve_rk4_fixed(spec.problem, 400)
-        tk = curvature_along(traj, spec.problem, 0)
-        assert np.all(tk[:, 1] <= 1e-9)
+        kappa = curvature_along(traj, spec.problem, 0)
+        assert np.all(kappa <= 1e-9)
 
     def test_sine_peak_chain_rule(self):
         prob = OdeProblem(
@@ -286,8 +286,8 @@ class TestCurvatureAlong:
             rhs_dt=lambda t, u: (-np.sin(t),),
         )
         traj = solve_rk4_fixed(prob, 2000)
-        tk = curvature_along(traj, prob, 0)
-        at_peak = tk[np.argmin(np.abs(tk[:, 0] - math.pi / 2)), 1]
+        kappa = curvature_along(traj, prob, 0)
+        at_peak = kappa[np.argmin(np.abs(traj.times - math.pi / 2))]
         assert at_peak == pytest.approx(1.0, abs=1e-3)
 
 
@@ -317,9 +317,9 @@ class TestCurvatureLanes:
                 jrow = prob.jacobian(t, u)[c]
                 u2 = prob.rhs_dt(t, u)[c] + sum(jrow[j] * f[j] for j in range(prob.dim))
                 want.append(curvature(f[c], u2))
-            tk = curvature_along(traj, prob, c)
-            assert tk[:, 0].tobytes() == traj.times.tobytes()
-            assert _within_ulps(tk[:, 1], np.array(want), 4)
+            kappa = curvature_along(traj, prob, c)
+            assert kappa.shape == traj.times.shape
+            assert _within_ulps(kappa, np.array(want), 4)
 
     @pytest.mark.parametrize("spec", [lorenz84(), stiff_linear(300.0, u0=(1.05,))],
                              ids=["lorenz84", "stiff-linear"])
@@ -333,10 +333,9 @@ class TestCurvatureLanes:
             f = prob.rhs(t, u)
             jrow = prob.jacobian(t, u)[c]
             u2 = prob.rhs_dt(t, u)[c] + sum(jrow[j] * f[j] for j in range(prob.dim))
-            tk = curvature_along(traj, prob, c)
-            assert tk.shape == (1, 2)
-            assert tk[0, 0] == t
-            assert _within_ulps(tk[:, 1], np.array([curvature(f[c], u2)]), 4)
+            kappa = curvature_along(traj, prob, c)
+            assert kappa.shape == (1,)
+            assert _within_ulps(kappa, np.array([curvature(f[c], u2)]), 4)
 
 
 def _exact_kappa_stiff(gamma: float, eps: float, t_star: float) -> float:
@@ -459,8 +458,8 @@ class TestStiffnessReport:
         stiff = ~np.isnan(want)
         assert stiff.sum() > EIG_BLOCK
         assert _within_ulps(report.dt_stiff[stiff], want[stiff], 4)
-        assert report.kappa.tobytes() == curvature_along(traj, prob)[:, 1].tobytes()
-        want_q = [(float(dm) if math.isfinite(dm) else report.horizon) / float(ds) if g < 0.0
+        assert report.kappa.tobytes() == curvature_along(traj, prob).tobytes()
+        want_q = [(float(dm) if math.isfinite(dm) else prob.horizon) / float(ds) if g < 0.0
                   else 0.0 for dm, ds, g in zip(report.dt_max, report.dt_stiff, gamma_min)]
         want_r = [abs(float(g)) / float(k) if k > 0.0 else math.nan
                   for g, k in zip(gamma_min, report.kappa)]
@@ -471,14 +470,14 @@ class TestStiffnessReport:
         one = stiffness_report(Trajectory(traj.times[:1], traj.states[:1], "rk4_fixed",
                                           steps_taken=0), prob, eps=1e-3)
         for f in fields(one):
-            if f.name not in ("gamma_min_overall", "eps", "horizon"):
+            if f.name != "gamma_min_overall":
                 assert getattr(one, f.name).tobytes() == getattr(report, f.name)[:1].tobytes()
         assert one.gamma_min_overall == gamma_min[0]
 
     def test_report_holds_no_whole_run_intermediate(self, lorenz_spec):
         # five 8-byte columns are kept (times is the trajectory's own, and
-        # of gamma_min only the run's least value); the eigenvalues, gamma
-        # and the curvature stack are never whole-run arrays beside them, so
+        # of gamma_min only the run's least value); the eigenvalues and
+        # gamma are never whole-run arrays beside them, so
         # the peak stays within 48 B per sample
         prob = lorenz_spec.problem
         traj = solve_rk4_fixed(prob, 60_000)
@@ -545,7 +544,7 @@ class TestStiffnessReport:
             if math.isfinite(report.dt_max[k]):
                 assert report.q[k] == report.dt_max[k] / report.dt_stiff[k]
             else:
-                assert report.q[k] == report.horizon / report.dt_stiff[k]
+                assert report.q[k] == spec.problem.horizon / report.dt_stiff[k]
             if report.kappa[k] > 0:
                 assert report.r[k] == abs(gamma_min[k]) / report.kappa[k]
             else:
